@@ -1,6 +1,6 @@
 """seqcx: linear and expansion complexity of sequences over finite fields."""
 
-from .field import Field, make_field
+from .field import Field
 from .lincomp import (
     LinearFit,
     Periodicity,
@@ -8,6 +8,7 @@ from .lincomp import (
     Sequence,
     berlekamp_massey,
     extend_by_recurrence,
+    linear_fits,
     linear_profile,
     preperiod_from_rational,
     rational_form,
@@ -36,12 +37,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field",
-    "make_field",
     "Sequence",
     "Periodicity",
     "LinearFit",
     "RationalForm",
     "berlekamp_massey",
+    "linear_fits",
     "linear_profile",
     "rational_form",
     "preperiod_from_rational",

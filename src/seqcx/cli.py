@@ -64,11 +64,10 @@ def cmd_lincomp(args) -> int:
         raise ValueError(f"--n {args.n} exceeds sequence length {len(seq.terms)}")
     start = time.perf_counter()
     if args.profile:
-        rows = []
-        for n in range(1, args.n + 1):
-            rows.append(_fit_row(lincomp.berlekamp_massey(seq, n)))
+        fits = lincomp.linear_fits(seq, args.n)
     else:
-        rows = [_fit_row(lincomp.berlekamp_massey(seq, args.n))]
+        fits = [lincomp.berlekamp_massey(seq, args.n)]
+    rows = [_fit_row(fit) for fit in fits]
     elapsed = time.perf_counter() - start
     if args.json:
         final = rows[-1]
@@ -102,10 +101,11 @@ def cmd_expcomp(args) -> int:
     if args.n > len(seq.terms):
         raise ValueError(f"--n {args.n} exceeds sequence length {len(seq.terms)}")
     start = time.perf_counter()
+    profile = expcomp.expansion_profile(seq, args.n)
     ns = range(1, args.n + 1) if args.profile else [args.n]
     rows = []
     for n in ns:
-        wit = expcomp.expansion_complexity(seq, n)
+        wit = profile.witness(n)
         row = {"n": n, "e_n": wit.complexity}
         if args.witness:
             row["witness"] = witness_triples(wit.poly) if wit.poly else None
@@ -169,12 +169,14 @@ def cmd_verify(args) -> int:
     if args.n > len(seq.terms):
         raise ValueError(f"--n {args.n} exceeds sequence length {len(seq.terms)}")
     start = time.perf_counter()
-    reports = theorems.run_all_checks(seq, args.n)
+    fits = lincomp.linear_fits(seq, args.n)
+    profile = expcomp.expansion_profile(seq, args.n)
+    reports = theorems.run_all_checks(seq, args.n, fits=fits, expansion=profile)
     elapsed = time.perf_counter() - start
     failures = [r for r in reports if r.failed]
     if args.json:
-        fit = lincomp.berlekamp_massey(seq, args.n)
-        wit = expcomp.expansion_complexity(seq, args.n)
+        wit = profile.witness(args.n)
+        fit = fits[-1]
         record = result_record(
             "verify",
             seq,
@@ -251,7 +253,7 @@ def cmd_experiment(args) -> int:
             "result": result.to_dict(),
         }
         if args.low_b is not None:
-            probe = experiments.count_low_expansion(cfg, args.low_b)
+            probe = experiments.count_low_expansion(result.record, args.low_b)
             summary["low_expansion_probe"] = probe.to_dict()
         if args.tn_scan:
             summary["tn_ambiguity"] = experiments.tn_ambiguity_scan(cfg).to_dict()

@@ -25,8 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.special import gammaincc
-
 from . import expcomp, lincomp, theorems
 from .field import Field
 from .lincomp import Sequence
@@ -219,16 +217,17 @@ def _decode_prefix(index: int, q: int, n: int) -> list[int]:
 
 
 def _check_prefix(field: Field, terms: list[int], n: int):
-    """Witness-validated profile plus the full checker battery for one prefix.
+    """One Berlekamp-Massey pass and one kernel pass over one prefix, every
+    E_m witness re-validated by substitution, then the full checker battery.
 
-    Returns (values_e, fail_counter, witness_failures).
+    Returns (fit, e_n, fail_counter, witness_failures) for the whole prefix.
     """
     seq = Sequence(field, terms)
-    values_e = []
+    fits = lincomp.linear_fits(seq, n)
+    profile = expcomp.expansion_profile(seq, n)
     witness_failures = 0
     for m in range(1, n + 1):
-        wit = expcomp.expansion_complexity(seq, m)
-        values_e.append(wit.complexity)
+        wit = profile.witness(m)
         if wit.poly is not None:
             ok = (
                 wit.poly.total_degree == wit.complexity
@@ -236,19 +235,9 @@ def _check_prefix(field: Field, terms: list[int], n: int):
             )
             if not ok:
                 witness_failures += 1
-    profile_l = lincomp.linear_profile(seq, n)
-    reports = theorems.check_growth(profile_l, values_e)
-    for m in range(2, n + 1):
-        if any(terms[:m]):
-            reports.extend(theorems.check_theorem4(seq, m, expansion=values_e[m - 1]))
-            reports.extend(
-                theorems.check_misc_upper(seq, m, expansion_profile=values_e)
-            )
-    fails = Counter()
-    for rep in reports:
-        if rep.failed:
-            fails[rep.claim_id] += 1
-    return values_e, fails, witness_failures
+    reports = theorems.run_all_checks(seq, n, fits=fits, expansion=profile)
+    fails = Counter(rep.claim_id for rep in reports if rep.failed)
+    return fits[-1], profile.values[-1], fails, witness_failures
 
 
 def _enumerate_chunk(p, m, modulus, n, checks, start, stop):
@@ -261,17 +250,17 @@ def _enumerate_chunk(p, m, modulus, n, checks, start, stop):
     witness_failures = 0
     for index in range(start, stop):
         terms = _decode_prefix(index, q, n)
-        length, conn = lincomp._bm_core(field, terms)
-        fit = lincomp._fit_from_core(n, length, conn)
-        counts_l[fit.complexity] += 1
-        counts_t[fit.t] += 1
         if checks:
-            values_e, prefix_fails, wf = _check_prefix(field, terms, n)
-            counts[values_e[-1]] += 1
+            fit, e_n, prefix_fails, wf = _check_prefix(field, terms, n)
             fails.update(prefix_fails)
             witness_failures += wf
         else:
-            counts[expcomp.expansion_value(field, terms, n)] += 1
+            length, conn = lincomp._bm_core(field, terms)[n]
+            fit = lincomp._fit_from_core(n, length, conn)
+            e_n = expcomp.expansion_value(field, terms, n)
+        counts[e_n] += 1
+        counts_l[fit.complexity] += 1
+        counts_t[fit.t] += 1
     return counts, counts_l, counts_t, fails, witness_failures
 
 
@@ -320,18 +309,15 @@ def enumerate_all(cfg: ExperimentConfig) -> EnumerationResult:
     return EnumerationResult(record, violations, dict(fails), witness_failures, cfg.checks)
 
 
-def count_low_expansion(cfg: ExperimentConfig, b: int) -> LowExpansionProbe:
-    """#{prefixes with E_n <= b} against q^(b^2), reported not asserted."""
-    if cfg.mode != "exhaustive":
-        raise ValueError("count_low_expansion requires exhaustive mode")
-    field = cfg.field
-    q = field.q
-    count = 0
-    for index in range(q**cfg.n):
-        terms = _decode_prefix(index, q, cfg.n)
-        if expcomp.expansion_value(field, terms, cfg.n) <= b:
-            count += 1
-    return LowExpansionProbe(q, cfg.n, b, count, q ** (b * b))
+def count_low_expansion(record: DistributionRecord, b: int) -> LowExpansionProbe:
+    """#{prefixes with E_n <= b} against q^(b^2), reported not asserted.
+
+    Read off the E_n distribution of an exhaustive run.
+    """
+    if record.mode != "exhaustive":
+        raise ValueError("count_low_expansion requires an exhaustive record")
+    count = sum(c for v, c in record.counts.items() if v <= b)
+    return LowExpansionProbe(record.q, record.n, b, count, record.q ** (b * b))
 
 
 # -- Monte Carlo --------------------------------------------------------------
@@ -343,9 +329,10 @@ def _mc_chunk(p, m, modulus, schedule, seed, start, stop):
     length = max(schedule)
     counters = {n: Counter() for n in schedule}
     for j in range(start, stop):
-        terms = sample_terms(seed, j, length, q)
+        seq = Sequence(field, sample_terms(seed, j, length, q))
+        values = expcomp.expansion_profile(seq, length).values
         for n in schedule:
-            counters[n][expcomp.expansion_value(field, terms, n)] += 1
+            counters[n][values[n - 1]] += 1
     return counters
 
 
@@ -409,8 +396,26 @@ def chi_square_consistency(
         raise ValueError("not enough mass to form two chi-square bins")
     stat = sum((obs - exp) ** 2 / exp for obs, exp in bins)
     df = len(bins) - 1
-    p_value = float(gammaincc(df / 2.0, stat / 2.0))
+    p_value = chi_square_sf(stat, df)
     return {"statistic": stat, "df": df, "p_value": p_value, "bins": len(bins)}
+
+
+def chi_square_sf(stat: float, df: int) -> float:
+    """P(X >= stat) for X chi-square distributed with df >= 1 degrees of freedom.
+
+    This is Q(df/2, stat/2), the regularized upper incomplete gamma function,
+    summed from Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1), starting at
+    Q(1, y) = e^-y for even df and Q(1/2, y) = erfc(sqrt(y)) for odd df.
+    """
+    if stat <= 0:
+        return 1.0
+    y = stat / 2.0
+    a = 0.5 if df % 2 else 1.0
+    total = math.erfc(math.sqrt(y)) if df % 2 else math.exp(-y)
+    while a < df / 2:
+        total += math.exp(a * math.log(y) - y - math.lgamma(a + 1))
+        a += 1
+    return total
 
 
 # -- shortest-recurrence ambiguity scan --------------------------------------
@@ -481,7 +486,7 @@ def tn_ambiguity_scan(cfg: ExperimentConfig) -> TnAmbiguityReport:
         for i, s in enumerate(terms):
             if s:
                 bits |= 1 << i
-        length, conn = lincomp._bm_core(field, terms)
+        length, conn = lincomp._bm_core(field, terms)[n]
         fit = lincomp._fit_from_core(n, length, conn)
         e_n = expcomp.expansion_value(field, terms, n)
         t_set = _attainable_t_values(bits, n, length)

@@ -251,7 +251,3 @@ class Field:
         if a == 0 or self.m == 1:
             return a
         return self.pow(a, pow(self.p, k, self.q - 1))
-
-
-def make_field(p: int, m: int = 1, modulus=None) -> Field:
-    return Field(p, m, modulus)

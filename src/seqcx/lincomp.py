@@ -106,56 +106,19 @@ class RationalForm:
         return rational_expand(self.f, self.g, n)
 
 
-def _bm_core(field: Field, terms) -> tuple[int, list[int]]:
-    """Berlekamp-Massey over an arbitrary field.
+def _bm_core(field: Field, terms) -> list[tuple[int, list[int]]]:
+    """Berlekamp-Massey over an arbitrary field, as one online pass.
 
-    Returns (L, C) where C is the connection polynomial coefficient list,
-    C[0] = 1, deg C <= L, and sum_i C[i] * s_{n-i} = 0 for L <= n < len(terms).
+    Entry k of the result is (L, C) for the first k terms (entry 0 is the
+    empty prefix): C is the trimmed connection polynomial coefficient list,
+    C[0] = 1, deg C <= L, and sum_i C[i] * s_{n-i} = 0 for L <= n < k.
     """
     c = [1]
     b = [1]
     length = 0
     m = -1
     b_disc = 1
-    for n, s_n in enumerate(terms):
-        delta = s_n
-        for i in range(1, min(length, len(c) - 1) + 1):
-            if c[i] and terms[n - i]:
-                delta = field.add(delta, field.mul(c[i], terms[n - i]))
-        if delta == 0:
-            continue
-        factor = field.mul(delta, field.inv(b_disc))
-        shift = n - m
-        if 2 * length <= n:
-            old_c = list(c)
-            if len(c) < len(b) + shift:
-                c.extend([0] * (len(b) + shift - len(c)))
-            for i, bi in enumerate(b):
-                if bi:
-                    c[i + shift] = field.sub(c[i + shift], field.mul(factor, bi))
-            length = n + 1 - length
-            b = old_c
-            b_disc = delta
-            m = n
-        else:
-            if len(c) < len(b) + shift:
-                c.extend([0] * (len(b) + shift - len(c)))
-            for i, bi in enumerate(b):
-                if bi:
-                    c[i + shift] = field.sub(c[i + shift], field.mul(factor, bi))
-    while c and c[-1] == 0:
-        c.pop()
-    return length, c
-
-
-def _bm_profile(field: Field, terms) -> list[int]:
-    """L_n after each prefix length n = 1..len(terms) (one online pass)."""
-    c = [1]
-    b = [1]
-    length = 0
-    m = -1
-    b_disc = 1
-    profile = []
+    cores = [(0, [1])]
     for n, s_n in enumerate(terms):
         delta = s_n
         for i in range(1, min(length, len(c) - 1) + 1):
@@ -175,8 +138,11 @@ def _bm_profile(field: Field, terms) -> list[int]:
                 b = old_c
                 b_disc = delta
                 m = n
-        profile.append(length)
-    return profile
+        top = len(c)
+        while c[top - 1] == 0:
+            top -= 1
+        cores.append((length, c[:top]))
+    return cores
 
 
 def _fit_from_core(n: int, length: int, conn: list[int]) -> LinearFit:
@@ -192,15 +158,21 @@ def berlekamp_massey(seq: Sequence, n: int) -> LinearFit:
     """Shortest linear recurrence for the first n terms of seq."""
     if n > len(seq.terms):
         raise ValueError(f"n={n} exceeds available prefix of {len(seq.terms)}")
-    length, conn = _bm_core(seq.field, seq.terms[:n])
+    length, conn = _bm_core(seq.field, seq.terms[:n])[-1]
     return _fit_from_core(n, length, conn)
+
+
+def linear_fits(seq: Sequence, n_max: int) -> list[LinearFit]:
+    """The shortest recurrence for every prefix length n = 1..n_max."""
+    if not 0 <= n_max <= len(seq.terms):
+        raise ValueError(f"n_max={n_max} is outside 0..{len(seq.terms)}")
+    cores = _bm_core(seq.field, seq.terms[:n_max])
+    return [_fit_from_core(n, *cores[n]) for n in range(1, n_max + 1)]
 
 
 def linear_profile(seq: Sequence, n_max: int) -> list[int]:
     """L_n for n = 1..n_max; nondecreasing by construction."""
-    if n_max > len(seq.terms):
-        raise ValueError(f"n_max={n_max} exceeds available prefix")
-    return _bm_profile(seq.field, seq.terms[:n_max])
+    return [fit.complexity for fit in linear_fits(seq, n_max)]
 
 
 def fit_annihilates(seq: Sequence, fit: LinearFit) -> bool:

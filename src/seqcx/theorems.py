@@ -324,21 +324,31 @@ def check_misc_upper(
     return reports
 
 
-def run_all_checks(seq: Sequence, n: int) -> list[BoundReport]:
+def run_all_checks(
+    seq: Sequence,
+    n: int,
+    *,
+    fits: Optional[list[lincomp.LinearFit]] = None,
+    expansion: Optional[expcomp.ExpansionProfile] = None,
+) -> list[BoundReport]:
     """Every applicable checker for the first n terms (driver for `verify`).
 
     T1 checks run only when the sequence declares its periodicity; growth
     checks cover every step up to n; T4 and the upper-bound remarks run at
-    each prefix length where their preconditions hold.
+    each prefix length where their preconditions hold.  fits (one per prefix
+    length 1..n) and expansion (the profile of the first n terms) are
+    computed here unless the caller already has them.
     """
-    reports: list[BoundReport] = []
-    profile_l = lincomp.linear_profile(seq, n)
-    profile_e = expcomp.expansion_profile(seq, n).values
-    reports.extend(check_growth(profile_l, profile_e))
+    if fits is None:
+        fits = lincomp.linear_fits(seq, n)
+    if expansion is None:
+        expansion = expcomp.expansion_profile(seq, n)
+    profile_e = expansion.values
+    reports = check_growth([fit.complexity for fit in fits], profile_e)
     for m in range(2, n + 1):
         if any(seq.terms[:m]):
             reports.extend(
-                check_theorem4(seq, m, expansion=profile_e[m - 1])
+                check_theorem4(seq, m, fit=fits[m - 1], expansion=profile_e[m - 1])
             )
             reports.extend(
                 check_misc_upper(seq, m, expansion_profile=profile_e)

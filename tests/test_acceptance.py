@@ -227,10 +227,12 @@ def test_criterion_9c_schedule_report(mc_result):
 
 
 def test_criterion_10_low_expansion_probe():
-    probe = count_low_expansion(ExperimentConfig(F2, 4, "exhaustive"), 1)
+    record = enumerate_all(ExperimentConfig(F2, 4, "exhaustive")).record
+    probe = count_low_expansion(record, 1)
     assert (probe.count, probe.reference) == (4, 2)
     assert probe.exploratory and probe.to_dict()["exploratory"] is True
-    again = count_low_expansion(ExperimentConfig(F2, 4, "exhaustive"), 1)
+    again_record = enumerate_all(ExperimentConfig(F2, 4, "exhaustive")).record
+    again = count_low_expansion(again_record, 1)
     assert probe.to_dict() == again.to_dict()
     print(
         "PASS criterion-10: #{E_4 <= 1} = 4 vs q^(b^2) = 2, deterministic and "
@@ -254,7 +256,9 @@ def test_criterion_11_experiment_determinism():
     ]
     assert dump_json(mc_runs[0]) == dump_json(mc_runs[1])
     probes = [
-        count_low_expansion(ExperimentConfig(F2, 6, "exhaustive"), 2).to_dict()
+        count_low_expansion(
+            enumerate_all(ExperimentConfig(F2, 6, "exhaustive")).record, 2
+        ).to_dict()
         for _ in range(2)
     ]
     assert dump_json(probes[0]) == dump_json(probes[1])

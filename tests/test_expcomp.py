@@ -1,12 +1,14 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from seqcx.expcomp import (
     BRUTE_FORCE_CAP,
-    _search_generic,
-    _search_gf2,
+    _reduce_generic,
+    _reduce_gf2,
     brute_force_expansion,
     expansion_complexity,
     expansion_profile,
@@ -14,8 +16,12 @@ from seqcx.expcomp import (
     kernel_degree_bound,
     monomial_count,
 )
+from seqcx.field import Field
 from seqcx.lincomp import Sequence
+from seqcx.seqfile import witness_triples
 from seqcx.series import BivariatePoly, substitute
+
+PROFILES = Path(__file__).parent / "fixtures" / "expansion_profiles.json"
 
 
 def assert_witness_valid(seq, wit):
@@ -81,13 +87,32 @@ def test_diagnostics_fields(f2):
     assert wit.matrix_rank == 3
 
 
+def reduced_columns(reducer, n):
+    """(birth row, {column index: coefficient}) for every column of degree
+    up to the kernel bound, whichever row representation produced them."""
+    out = []
+    width = monomial_count(kernel_degree_bound(n))
+    for birth, comb in itertools.islice(reducer, width):
+        if isinstance(comb, int):
+            comb = {t: 1 for t in range(comb.bit_length()) if (comb >> t) & 1}
+        out.append((birth, {t: c for t, c in comb.items() if c}))
+    return out
+
+
+def assert_representations_agree(f2, bits):
+    n = len(bits)
+    packed = sum(b << i for i, b in enumerate(bits))
+    assert reduced_columns(_reduce_gf2(packed, n), n) == reduced_columns(
+        _reduce_generic(f2, list(bits), n), n
+    )
+
+
 def test_gf2_and_generic_paths_agree(f2):
     for n in range(1, 9):
         for bits in itertools.product((0, 1), repeat=n):
             if not any(bits):
                 continue
-            packed = sum(b << i for i, b in enumerate(bits))
-            assert _search_gf2(packed, n) == _search_generic(f2, list(bits), n)
+            assert_representations_agree(f2, bits)
 
 
 def test_gf2_and_generic_paths_agree_random_n16(f2):
@@ -96,8 +121,31 @@ def test_gf2_and_generic_paths_agree_random_n16(f2):
         bits = [rng.randrange(2) for _ in range(16)]
         if not any(bits):
             continue
-        packed = sum(b << i for i, b in enumerate(bits))
-        assert _search_gf2(packed, 16) == _search_generic(f2, bits, 16)
+        assert_representations_agree(f2, bits)
+
+
+def test_one_pass_reproduces_per_n_search_fixture():
+    # (E_m, witness, rank, monomial count) at every m, recorded from an
+    # engine that ran a separate kernel search for each m
+    for case in json.loads(PROFILES.read_text()):
+        field = Field(case["p"], case["m"])
+        seq = Sequence(field, case["terms"])
+        n = len(case["terms"])
+        profile = expansion_profile(seq, n)
+        for m, expected in enumerate(case["profile"], start=1):
+            for wit in (profile.witness(m), expansion_complexity(seq, m)):
+                poly = witness_triples(wit.poly) if wit.poly else None
+                got = [wit.complexity, poly, wit.matrix_rank, wit.monomial_count]
+                assert got == expected
+            assert expansion_value(field, case["terms"], m) == expected[0]
+
+
+def test_profile_witness_bounds(f2):
+    profile = expansion_profile(Sequence(f2, [0, 1, 1]), 3)
+    assert profile.witness(1).poly is None
+    for m in (0, 4):
+        with pytest.raises(ValueError):
+            profile.witness(m)
 
 
 def test_kernel_matches_bruteforce_exhaustive(f2):

@@ -6,6 +6,7 @@ from seqcx.experiments import (
     ExperimentConfig,
     _attainable_t_values,
     chi_square_consistency,
+    chi_square_sf,
     count_low_expansion,
     draw_element,
     enumerate_all,
@@ -66,17 +67,25 @@ def test_mode_mismatch(f2):
 
 
 def test_count_low_expansion_examples(f2):
-    probe = count_low_expansion(exhaustive(f2, 4), 1)
+    record = enumerate_all(exhaustive(f2, 4)).record
+    probe = count_low_expansion(record, 1)
     assert (probe.count, probe.reference) == (4, 2)
     assert probe.ratio == 2.0
     assert probe.exploratory
     assert probe.to_dict()["exploratory"] is True
 
-    assert count_low_expansion(exhaustive(f2, 4), 0).count == 1
+    assert count_low_expansion(record, 0).count == 1
 
-    wide = count_low_expansion(exhaustive(f2, 10), 2)
+    wide_record = enumerate_all(exhaustive(f2, 10, checks=False)).record
+    wide = count_low_expansion(wide_record, 2)
     assert wide.reference == 16
-    assert wide.count == count_low_expansion(exhaustive(f2, 10), 2).count
+    again = enumerate_all(exhaustive(f2, 10, checks=False)).record
+    assert wide.count == count_low_expansion(again, 2).count
+
+    with pytest.raises(ValueError):
+        count_low_expansion(monte_carlo(
+            ExperimentConfig(f2, 0, "montecarlo", samples=1, schedule=(4,))
+        ).records[4], 1)
 
 
 def test_draw_element_deterministic_and_in_range(f3):
@@ -133,6 +142,15 @@ def test_chi_square_rejects_shifted_distribution():
     probs = {3: 0.1, 4: 0.9}
     result = chi_square_consistency(observed, probs, 1000)
     assert result["p_value"] < 1e-6
+
+
+def test_chi_square_sf_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for df in range(1, 80):
+        for stat in [0.0, 1e-3, 0.5] + [float(x) for x in range(1, 301, 7)]:
+            expected = special.gammaincc(df / 2.0, stat / 2.0)
+            got = chi_square_sf(stat, df)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 def test_chi_square_needs_two_bins():

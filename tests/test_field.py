@@ -1,6 +1,6 @@
 import pytest
 
-from seqcx.field import PRIME_POWER_CAP, Field, is_prime, make_field
+from seqcx.field import PRIME_POWER_CAP, Field, is_prime
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 
@@ -10,13 +10,13 @@ def all_small_fields():
 
 
 def test_make_field_prime():
-    f = make_field(7, 1)
+    f = Field(7, 1)
     assert (f.p, f.m, f.q) == (7, 1, 7)
     assert f.modulus == ()
 
 
 def test_make_field_f4_modulus():
-    f = make_field(2, 2, [1, 1, 1])
+    f = Field(2, 2, [1, 1, 1])
     assert f.q == 4
     # and the default picks the same polynomial
     assert Field(2, 2).modulus == (1, 1, 1)
@@ -24,25 +24,25 @@ def test_make_field_f4_modulus():
 
 def test_make_field_rejects_reducible():
     with pytest.raises(ValueError):
-        make_field(2, 2, [0, 0, 1])  # x^2 = x * x
+        Field(2, 2, [0, 0, 1])  # x^2 = x * x
 
 
 def test_make_field_rejects_nonprime():
     with pytest.raises(ValueError):
-        make_field(4, 1)
+        Field(4, 1)
 
 
 def test_make_field_rejects_cap():
     with pytest.raises(ValueError):
-        make_field(2, 21)
+        Field(2, 21)
     assert 2**20 == PRIME_POWER_CAP
 
 
 def test_make_field_rejects_wrong_degree_modulus():
     with pytest.raises(ValueError):
-        make_field(2, 2, [1, 1])
+        Field(2, 2, [1, 1])
     with pytest.raises(ValueError):
-        make_field(2, 2, [1, 1, 1, 1])
+        Field(2, 2, [1, 1, 1, 1])
 
 
 def test_default_modulus_is_lex_smallest():

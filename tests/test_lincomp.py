@@ -10,6 +10,7 @@ from seqcx.lincomp import (
     berlekamp_massey,
     extend_by_recurrence,
     fit_annihilates,
+    linear_fits,
     linear_profile,
     preperiod_from_rational,
     rational_form,
@@ -78,6 +79,9 @@ def test_profile_consistent_with_isolated_runs(f2, f7):
             berlekamp_massey(seq, n).complexity for n in range(1, n_max + 1)
         ]
         assert all(a <= b for a, b in zip(profile, profile[1:]))
+        fits = linear_fits(seq, n_max)
+        assert fits == [berlekamp_massey(seq, n) for n in range(1, n_max + 1)]
+        assert all(fit_annihilates(seq, fit) for fit in fits)
 
 
 def test_profile_growth_law_exhaustive_n12(f2):
