@@ -49,6 +49,11 @@ def _load_sequence(path: str):
     return parse_sequence(text)
 
 
+def _check_prefix_length(n: int, seq) -> None:
+    if not 1 <= n <= len(seq.terms):
+        raise ValueError(f"--n {n} is outside 1..{len(seq.terms)}")
+
+
 def _fit_row(fit) -> dict:
     return {
         "n": fit.n,
@@ -60,8 +65,7 @@ def _fit_row(fit) -> dict:
 
 def cmd_lincomp(args) -> int:
     seq = _load_sequence(args.input)
-    if args.n > len(seq.terms):
-        raise ValueError(f"--n {args.n} exceeds sequence length {len(seq.terms)}")
+    _check_prefix_length(args.n, seq)
     start = time.perf_counter()
     if args.profile:
         fits = lincomp.linear_fits(seq, args.n)
@@ -98,8 +102,7 @@ def cmd_lincomp(args) -> int:
 
 def cmd_expcomp(args) -> int:
     seq = _load_sequence(args.input)
-    if args.n > len(seq.terms):
-        raise ValueError(f"--n {args.n} exceeds sequence length {len(seq.terms)}")
+    _check_prefix_length(args.n, seq)
     start = time.perf_counter()
     profile = expcomp.expansion_profile(seq, args.n)
     ns = range(1, args.n + 1) if args.profile else [args.n]
@@ -166,8 +169,7 @@ def cmd_binomial(args) -> int:
 
 def cmd_verify(args) -> int:
     seq = _load_sequence(args.input)
-    if args.n > len(seq.terms):
-        raise ValueError(f"--n {args.n} exceeds sequence length {len(seq.terms)}")
+    _check_prefix_length(args.n, seq)
     start = time.perf_counter()
     fits = lincomp.linear_fits(seq, args.n)
     profile = expcomp.expansion_profile(seq, args.n)
@@ -219,6 +221,7 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
         schedule=schedule,
         checks=not args.no_checks,
         workers=args.workers,
+        low_b=args.low_b,
     )
 
 
@@ -240,8 +243,6 @@ def cmd_experiment(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     qtag = args.q.replace("^", "e")
     if cfg.mode == "exhaustive":
-        if not args.n:
-            raise ValueError("exhaustive mode requires --n")
         result = experiments.enumerate_all(cfg)
         summary = {
             "config": {
@@ -252,8 +253,8 @@ def cmd_experiment(args) -> int:
             },
             "result": result.to_dict(),
         }
-        if args.low_b is not None:
-            probe = experiments.count_low_expansion(result.record, args.low_b)
+        if cfg.low_b is not None:
+            probe = experiments.count_low_expansion(result.record, cfg.low_b)
             summary["low_expansion_probe"] = probe.to_dict()
         if args.tn_scan:
             summary["tn_ambiguity"] = experiments.tn_ambiguity_scan(cfg).to_dict()

@@ -285,8 +285,8 @@ def expansion_profile(seq: Sequence, n_max: int) -> ExpansionProfile:
     0 to 2 (there is no witness to carry over; y itself is only a degree-1
     witness while the prefix is still zero).
     """
-    if n_max > len(seq.terms):
-        raise ValueError(f"n_max={n_max} exceeds available prefix")
+    if not 0 <= n_max <= len(seq.terms):
+        raise ValueError(f"n_max={n_max} is outside 0..{len(seq.terms)}")
     profile = _profile(seq.field, seq.terms, n_max)
     values = profile.values
     for i in range(len(values) - 1):

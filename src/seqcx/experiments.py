@@ -46,11 +46,18 @@ class ExperimentConfig:
     schedule: Optional[tuple[int, ...]] = None
     checks: bool = True
     workers: int = 1
+    low_b: Optional[int] = None  # exhaustive: also count prefixes with E_n <= b
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "montecarlo"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.low_b is not None and self.low_b < 0:
+            raise ValueError(f"low_b must be >= 0, got {self.low_b}")
         if self.mode == "exhaustive":
+            if self.n < 1:
+                raise ValueError("exhaustive mode requires n >= 1")
             if self.field.q**self.n > EXHAUSTIVE_CAP:
                 raise ValueError(
                     f"q^n = {self.field.q}^{self.n} exceeds exhaustive cap"
@@ -60,6 +67,8 @@ class ExperimentConfig:
                 raise ValueError("montecarlo mode requires samples >= 1")
             if self.schedule is not None:
                 object.__setattr__(self, "schedule", tuple(sorted(self.schedule)))
+            if min(self.resolved_schedule()) < 1:
+                raise ValueError("schedule entries must be >= 1")
 
     def resolved_schedule(self) -> tuple[int, ...]:
         if self.schedule:

@@ -5,15 +5,26 @@ residue itself; for an extension field it packs the polynomial-basis
 coefficient vector (a_0, ..., a_{m-1}) as sum(a_i * p**i).  Index 0 is the
 additive identity and index 1 the multiplicative identity.
 
+Prime fields compute with native ``% p`` arithmetic.  Extension fields are
+table-driven: each Field builds, once, the powers ``exp`` of the primitive
+element g with the smallest index (stored twice over, so a sum of two logs
+needs no reduction), their discrete logarithms ``log`` and, for odd p, the
+Zech logarithms ``zech[k] = log(1 + g^k)``.  Products, quotients, inverses,
+powers and Frobenius maps are then table lookups; sums are XOR when p = 2
+and a Zech lookup otherwise.
+
 A Field instance is immutable after construction and all operations are pure,
 so instances can be shared freely between threads or worker processes.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import product
+from math import gcd
 
-# Desk-scale cap: everything here targets small fields, no lookup tables.
+# Largest q supported.  An extension field holds 12 bytes of tables per
+# element (16 for odd p): 12 MiB for F_{2^20}.
 PRIME_POWER_CAP = 1 << 20
 
 
@@ -70,19 +81,157 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over F_p.
 
     Candidates are ordered by their coefficient tuple (c_0, ..., c_{m-1}),
-    which makes the default reproducible across runs.
+    which makes the default reproducible across runs.  Candidates with
+    c_0 = 0 are divisible by x, so the search starts at c_0 = 1.
     """
-    for tail in product(range(p), repeat=m):
+    for tail in product(range(1, p), *[range(p)] * (m - 1)):
         candidate = tuple(tail) + (1,)
         if _is_irreducible(candidate, p, m):
             return candidate
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
+def _digits(a: int, p: int, m: int) -> list[int]:
+    out = []
+    for _ in range(m):
+        a, r = divmod(a, p)
+        out.append(r)
+    return out
+
+
+def _shifted(vec: list[int], p: int) -> list[int]:
+    """Entry i is the index of digits(i) + vec, digit by digit mod p."""
+    table = [0]
+    scale = 1
+    for v in vec:
+        table = [t + scale * ((b + v) % p) for b in range(p) for t in table]
+        scale *= p
+    return table
+
+
+def _times_x(p: int, m: int, modulus: tuple[int, ...]):
+    """The map from the index of a to the index of x * a, for m >= 2."""
+    q = p**m
+    if p == 2:
+        poly = sum(c << i for i, c in enumerate(modulus))
+
+        def step(a):
+            a <<= 1
+            return a ^ poly if a & q else a
+
+        return step
+    # x^m = red_0 + red_1 x + ... + red_{m-1} x^{m-1}
+    red = [(-c) % p for c in modulus[:m]]
+    if m == 2:  # direct: the lookup tables below would need p^2 = q entries
+        r0, r1 = red
+
+        def step(a):
+            t, r = divmod(a, p)
+            return t * r0 % p + p * ((r + t * r1) % p)
+
+        return step
+    # x * a = p * r + t * red digit by digit, where t is a's top digit and r
+    # its lower m-1 digits; the sum is two lookups, one per half of r, in
+    # tables indexed by t and that half.
+    top = q // p
+    half = (m - 1) // 2
+    low = p**half
+    high = top // low
+    lo_tab, hi_tab = [], []
+    for t in range(p):
+        v = [t * c % p for c in red]
+        lo_tab += [v[0] + p * s for s in _shifted(v[1 : half + 1], p)]
+        hi_tab += [p * low * s for s in _shifted(v[half + 1 :], p)]
+
+    def step(a):
+        t, r = divmod(a, top)
+        hi, lo = divmod(r, low)
+        return lo_tab[t * low + lo] + hi_tab[t * high + hi]
+
+    return step
+
+
+def _log_tables(p: int, m: int, modulus: tuple[int, ...]) -> tuple[array, array]:
+    """exp (length 2(q-1)) and log (log[0] = -1) over the primitive element
+    with the smallest index, in O(q) steps."""
+    q = p**m
+    q1 = q - 1
+    step = _times_x(p, m, modulus)
+    # Walk the cosets y_c <x> in turn, y_c the smallest index not yet seen:
+    # x^j * y_c lands in exp[q1 + c*d + j] and its position c*d + j in log.
+    exp = array("I", bytes(8 * q1))
+    log = array("i", [-1]) * q
+    n = 0
+    cosets = 0
+    rep = 1
+    while n < q1:
+        while log[rep] >= 0:
+            rep += 1
+        cosets += 1
+        a = rep
+        while log[a] < 0:
+            log[a] = n
+            exp[q1 + n] = a
+            n += 1
+            a = step(a)
+    if cosets == 1:  # x is primitive: exp and log are the powers of x
+        exp[:q1] = exp[q1:]
+        return exp, log
+    d = q1 // cosets  # the order of x; d > m since x^m != 1
+
+    def times(b, c):
+        """b * y_c as (coset, exponent): the sum of b_i * x^i * y_c."""
+        acc = [0] * m
+        for i, bi in enumerate(_digits(b, p, m)):
+            if bi:
+                for k, v in enumerate(_digits(exp[q1 + c * d + i], p, m)):
+                    acc[k] = (acc[k] + bi * v) % p
+        return divmod(log[sum(v * p**k for k, v in enumerate(acc))], d)
+
+    # g is primitive iff its powers reach the coset <x> first after
+    # `cosets` steps, at g^cosets = x^j with gcd(j, d) = 1.
+    for g in range(p, q):
+        moves = {}
+        c = j = 0
+        for steps in range(1, cosets + 1):
+            if c not in moves:
+                moves[c] = times(g, c)
+            c, t = moves[c]
+            j = (j + t) % d
+            if c == 0:
+                break
+        if steps == cosets and gcd(j, d) == 1:
+            break
+    nxt = [moves[c][0] for c in range(cosets)]
+    shift = [moves[c][1] for c in range(cosets)]
+    c = j = 0
+    for k in range(q1):
+        a = exp[q1 + c * d + j]
+        exp[k] = a
+        log[a] = k
+        j += shift[c]
+        if j >= d:
+            j -= d
+        c = nxt[c]
+    exp[q1:] = exp[:q1]
+    return exp, log
+
+
+def _zech_table(p: int, q: int, exp: array, log: array) -> array:
+    """zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0 (odd p)."""
+    top = p - 1
+    zech = array("i", bytes(4 * (q - 1)))
+    for k in range(q - 1):
+        a = exp[k]
+        # adding 1 changes only the constant digit
+        zech[k] = log[a - top if a % p == top else a + 1]
+    return zech
+
+
 class Field:
     """Arithmetic context for F_q, q = p^m, with integer-indexed elements."""
 
-    __slots__ = ("p", "m", "modulus", "q", "_reduction")
+    __slots__ = ("p", "m", "modulus", "q", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
         if not is_prime(p):
@@ -95,22 +244,24 @@ class Field:
         self.p = p
         self.m = m
         self.q = q
+        self._exp = self._log = self._zech = None
         if m == 1:
             if modulus:
                 raise ValueError("prime fields take no modulus")
             self.modulus = ()
+            return
+        if modulus is None:
+            mod = _default_modulus(p, m)
         else:
-            if modulus is None:
-                mod = _default_modulus(p, m)
-            else:
-                mod = tuple(c % p for c in modulus)
-                if len(mod) != m + 1 or mod[-1] != 1:
-                    raise ValueError(f"modulus must be monic of degree {m}")
-                if not _is_irreducible(mod, p, m):
-                    raise ValueError("modulus is reducible over F_p")
-            self.modulus = mod
-            # x^m = -(c_0 + c_1 x + ... + c_{m-1} x^{m-1}) mod the modulus
-            self._reduction = tuple((-c) % p for c in mod[:m])
+            mod = tuple(c % p for c in modulus)
+            if len(mod) != m + 1 or mod[-1] != 1:
+                raise ValueError(f"modulus must be monic of degree {m}")
+            if not _is_irreducible(mod, p, m):
+                raise ValueError("modulus is reducible over F_p")
+        self.modulus = mod
+        self._exp, self._log = _log_tables(p, m, mod)
+        if p != 2:
+            self._zech = _zech_table(p, q, self._exp, self._log)
 
     def __eq__(self, other):
         return (
@@ -136,11 +287,7 @@ class Field:
 
     def to_coeffs(self, a: int) -> list[int]:
         """Polynomial-basis coefficients (a_0, ..., a_{m-1}) of an element."""
-        coeffs = []
-        for _ in range(self.m):
-            a, r = divmod(a, self.p)
-            coeffs.append(r)
-        return coeffs
+        return _digits(a, self.p, self.m)
 
     def from_coeffs(self, coeffs) -> int:
         a = 0
@@ -149,19 +296,23 @@ class Field:
         return a
 
     # -- ring operations ---------------------------------------------------
+    #
+    # Logs lie in [0, q-2] and exp has length 2(q-1), so exp[la + lb] needs
+    # no reduction, and a negative index -l < 0 reads g^(2(q-1) - l) = g^-l.
 
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
-        p = self.p
-        out = 0
-        shift = 1
-        for _ in range(self.m):
-            out += (a % p + b % p) % p * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        # g^i + g^j = g^i (1 + g^(j-i)); zech[j - i] wraps round when j < i
+        i = self._log[a]
+        z = self._zech[self._log[b] - i]
+        return self._exp[i + z] if z >= 0 else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -169,65 +320,35 @@ class Field:
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
-        p = self.p
-        out = 0
-        shift = 1
-        for _ in range(self.m):
-            out += (-a % p) % p * shift
-            a //= p
-            shift *= p
-        return out
+        if self.p == 2 or not a:
+            return a
+        # -1 = g^((q-1)/2) for odd q
+        return self._exp[self._log[a] + (self.q >> 1)]
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return a * b % self.p
-        p = self.p
-        ac = self.to_coeffs(a)
-        bc = self.to_coeffs(b)
-        prod = [0] * (2 * self.m - 1)
-        for i, ai in enumerate(ac):
-            if ai:
-                for j, bj in enumerate(bc):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # fold x^{m+k} down using x^m = reduction polynomial
-        for i in range(len(prod) - 1, self.m - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j, rj in enumerate(self._reduction):
-                    prod[i - self.m + j] = (prod[i - self.m + j] + c * rj) % p
-        return self.from_coeffs(prod[: self.m])
+        if not a or not b:
+            return 0
+        log = self._log
+        return self._exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        # extended Euclid in F_p[x] against the modulus
-        p = self.p
-        r0, r1 = list(self.modulus), _trim(self.to_coeffs(a))
-        s0, s1 = [], [1]
-        while r1:
-            quo, rem = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            # s_next = s0 - quo * s1
-            conv = [0] * (len(quo) + len(s1) - 1) if quo and s1 else []
-            for i, qi in enumerate(quo):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        conv[i + j] = (conv[i + j] + qi * sj) % p
-            nxt = [0] * max(len(s0), len(conv))
-            for i, c in enumerate(s0):
-                nxt[i] = c
-            for i, c in enumerate(conv):
-                nxt[i] = (nxt[i] - c) % p
-            s0, s1 = s1, _trim(nxt)
-        # r0 is the (constant) gcd; the modulus is irreducible so deg r0 = 0
-        scale = pow(r0[0], p - 2, p)
-        return self.from_coeffs([c * scale % p for c in s0] + [0] * self.m)
+        return self._exp[-self._log[a]]
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        if self.m == 1:
+            return self.mul(a, self.inv(b))
+        if b == 0:
+            raise ZeroDivisionError("inversion of zero field element")
+        if not a:
+            return 0
+        log = self._log
+        return self._exp[log[a] - log[b]]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -235,14 +356,9 @@ class Field:
             e = -e
         if self.m == 1:
             return pow(a, e, self.p)
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        if not a:
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def frobenius(self, a: int, k: int) -> int:
         """a^(p^k); the identity on prime fields and on 0."""

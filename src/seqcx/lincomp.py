@@ -156,8 +156,8 @@ def _fit_from_core(n: int, length: int, conn: list[int]) -> LinearFit:
 
 def berlekamp_massey(seq: Sequence, n: int) -> LinearFit:
     """Shortest linear recurrence for the first n terms of seq."""
-    if n > len(seq.terms):
-        raise ValueError(f"n={n} exceeds available prefix of {len(seq.terms)}")
+    if not 0 <= n <= len(seq.terms):
+        raise ValueError(f"n={n} is outside 0..{len(seq.terms)}")
     length, conn = _bm_core(seq.field, seq.terms[:n])[-1]
     return _fit_from_core(n, length, conn)
 

@@ -339,6 +339,8 @@ def run_all_checks(
     length 1..n) and expansion (the profile of the first n terms) are
     computed here unless the caller already has them.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if fits is None:
         fits = lincomp.linear_fits(seq, n)
     if expansion is None:

@@ -1,12 +1,16 @@
 """Independent reference implementations used only by the tests.
 
 Everything here deliberately avoids the package's own algorithms: recurrence
-lengths come from explicit enumeration, binomial terms from math.comb, and
-series products from a direct convolution, so a bug in the library cannot
-vanish by checking itself.
+lengths come from explicit enumeration, binomial terms from math.comb,
+series products from a direct convolution, and extension-field arithmetic
+from the polynomial basis (sharing only the library's division in F_p[x]),
+so a bug in the library cannot vanish by checking itself.
 """
 
 import math
+from itertools import product
+
+from seqcx.field import _is_irreducible, _poly_divmod, _trim
 
 
 def min_recurrence_length_gf2(terms, n):
@@ -88,3 +92,119 @@ def count_low_expansion_gf2_direct(n, b=2):
 
 def geometric_series(q, n):
     return [1] * n
+
+
+class PolyBasisField:
+    """F_{p^m} arithmetic straight from the polynomial basis.
+
+    Elements use the same packed indices as seqcx.field.Field; products are
+    schoolbook convolutions folded by the modulus, inverses come from the
+    extended Euclidean algorithm in F_p[x].  No tables are involved.
+    """
+
+    def __init__(self, field):
+        self.p, self.m, self.q = field.p, field.m, field.q
+        self.modulus = field.modulus
+        # x^m = -(c_0 + c_1 x + ... + c_{m-1} x^{m-1}) mod the modulus
+        self.reduction = tuple((-c) % self.p for c in self.modulus[: self.m])
+
+    def to_coeffs(self, a):
+        coeffs = []
+        for _ in range(self.m):
+            a, r = divmod(a, self.p)
+            coeffs.append(r)
+        return coeffs
+
+    def from_coeffs(self, coeffs):
+        a = 0
+        for c in reversed(list(coeffs)):
+            a = a * self.p + c % self.p
+        return a
+
+    def add(self, a, b):
+        p = self.p
+        return self.from_coeffs(
+            (x + y) % p for x, y in zip(self.to_coeffs(a), self.to_coeffs(b))
+        )
+
+    def neg(self, a):
+        return self.from_coeffs((-x) % self.p for x in self.to_coeffs(a))
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        p, m = self.p, self.m
+        ac = self.to_coeffs(a)
+        bc = self.to_coeffs(b)
+        prod = [0] * (2 * m - 1)
+        for i, ai in enumerate(ac):
+            if ai:
+                for j, bj in enumerate(bc):
+                    prod[i + j] = (prod[i + j] + ai * bj) % p
+        # fold x^{m+k} down using x^m = reduction polynomial
+        for i in range(len(prod) - 1, m - 1, -1):
+            c = prod[i]
+            if c:
+                prod[i] = 0
+                for j, rj in enumerate(self.reduction):
+                    prod[i - m + j] = (prod[i - m + j] + c * rj) % p
+        return self.from_coeffs(prod[:m])
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inversion of zero field element")
+        # extended Euclid in F_p[x] against the modulus
+        p = self.p
+        r0, r1 = list(self.modulus), _trim(self.to_coeffs(a))
+        s0, s1 = [], [1]
+        while r1:
+            quo, rem = _poly_divmod(r0, r1, p)
+            r0, r1 = r1, rem
+            # s_next = s0 - quo * s1
+            conv = [0] * (len(quo) + len(s1) - 1) if quo and s1 else []
+            for i, qi in enumerate(quo):
+                if qi:
+                    for j, sj in enumerate(s1):
+                        conv[i + j] = (conv[i + j] + qi * sj) % p
+            nxt = [0] * max(len(s0), len(conv))
+            for i, c in enumerate(s0):
+                nxt[i] = c
+            for i, c in enumerate(conv):
+                nxt[i] = (nxt[i] - c) % p
+            s0, s1 = s1, _trim(nxt)
+        # r0 is the (constant) gcd; the modulus is irreducible so deg r0 = 0
+        scale = pow(r0[0], p - 2, p)
+        return self.from_coeffs([c * scale % p for c in s0] + [0] * self.m)
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def pow(self, a, e):
+        if e < 0:
+            a = self.inv(a)
+            e = -e
+        out = 1
+        base = a
+        while e:
+            if e & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return out
+
+    def frobenius(self, a, k):
+        """a^(p^k) by k repeated p-th powers."""
+        for _ in range(k):
+            a = self.pow(a, self.p)
+        return a
+
+
+def default_modulus_unfiltered(p, m):
+    """The lexicographically smallest monic irreducible, trying every
+    coefficient tuple (c_0, ..., c_{m-1}) in order, c_0 = 0 included."""
+    for tail in product(range(p), repeat=m):
+        candidate = tuple(tail) + (1,)
+        if _is_irreducible(candidate, p, m):
+            return candidate
+    raise AssertionError("no irreducible polynomial found")

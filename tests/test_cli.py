@@ -170,6 +170,56 @@ def test_precondition_exit_3(ones_file):
     assert run_cli("expcomp", "--input", ones_file, "--n", "99").returncode == 3
 
 
+BAD_INPUT_CASES = {
+    "lincomp-negative-n": ["lincomp", "--input", "{bits}", "--n", "-1"],
+    "lincomp-zero-n": ["lincomp", "--input", "{bits}", "--n", "0"],
+    "lincomp-zero-n-profile-json": [
+        "lincomp", "--input", "{bits}", "--n", "0", "--profile", "--json"],
+    "lincomp-long-n": ["lincomp", "--input", "{bits}", "--n", "11"],
+    "expcomp-negative-n-profile": [
+        "expcomp", "--input", "{bits}", "--n", "-1", "--profile"],
+    "expcomp-zero-n-profile-json": [
+        "expcomp", "--input", "{bits}", "--n", "0", "--profile", "--json"],
+    "verify-zero-n-periodic": ["verify", "--input", "{periodic}", "--n", "0"],
+    "verify-negative-n": ["verify", "--input", "{bits}", "--n", "-1", "--json"],
+    "mc-zero-schedule-entry": [
+        "experiment", "--mode", "mc", "--q", "2", "--samples", "4",
+        "--schedule", "0,3", "--out", "{out}"],
+    "mc-negative-n": [
+        "experiment", "--mode", "mc", "--q", "2", "--samples", "4",
+        "--n", "-2", "--out", "{out}"],
+    "mc-zero-workers": [
+        "experiment", "--mode", "mc", "--q", "2", "--samples", "4", "--n", "5",
+        "--workers", "0", "--out", "{out}"],
+    "exhaustive-negative-low-b": [
+        "experiment", "--mode", "exhaustive", "--q", "2", "--n", "4",
+        "--low-b", "-1", "--out", "{out}"],
+    "exhaustive-zero-workers": [
+        "experiment", "--mode", "exhaustive", "--q", "2", "--n", "4",
+        "--workers", "0", "--out", "{out}"],
+    "exhaustive-negative-n": [
+        "experiment", "--mode", "exhaustive", "--q", "2", "--n", "-1",
+        "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_CASES))
+def test_bad_input_exit_3_one_error_line(case, tmp_path):
+    bits = tmp_path / "bits.seq"
+    bits.write_text("q=2\n1 0 1 1 0 1 0 0 1 1\n")
+    periodic = tmp_path / "periodic.seq"
+    periodic.write_text("q=3\nmeta=t:0,T:2\n1 2 1 2 1 2 1 2\n")
+    out = tmp_path / "out"
+    paths = {"bits": str(bits), "periodic": str(periodic), "out": str(out)}
+    res = run_cli(*(arg.format(**paths) for arg in BAD_INPUT_CASES[case]))
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert res.stdout == ""
+    assert not out.exists()
+
+
 def test_experiment_exhaustive_summary(tmp_path):
     res = run_cli(
         "experiment", "--mode", "exhaustive", "--q", "2", "--n", "6",

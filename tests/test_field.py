@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from oracles import PolyBasisField, default_modulus_unfiltered
 from seqcx.field import PRIME_POWER_CAP, Field, is_prime
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
@@ -141,3 +144,71 @@ def test_is_prime():
         assert is_prime(n) == (n in primes)
     assert not is_prime(1)
     assert not is_prime(0)
+
+
+# -- table-driven arithmetic against the polynomial-basis oracle -------------
+
+TABLE_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
+
+
+def _check_against_oracle(field, pairs, rng, powers_every=1):
+    """Every operation on every pair; pow and frobenius on every
+    `powers_every`-th pair, since the oracle's square-and-multiply is slow.
+    inv and div are checked through the oracle's product, which pins them."""
+    ref = PolyBasisField(field)
+    for idx, (a, b) in enumerate(pairs):
+        assert field.add(a, b) == ref.add(a, b), (a, b)
+        assert field.sub(a, b) == ref.sub(a, b), (a, b)
+        assert field.mul(a, b) == ref.mul(a, b), (a, b)
+        assert field.neg(a) == ref.neg(a), a
+        if b:
+            assert ref.mul(field.inv(b), b) == 1, b
+            assert ref.mul(field.div(a, b), b) == a, (a, b)
+        if idx % powers_every == 0:
+            e = rng.randrange(-field.q, 2 * field.q)
+            if a or e >= 0:
+                assert field.pow(a, e) == ref.pow(a, e), (a, e)
+            k = rng.randrange(2 * field.m + 1)
+            assert field.frobenius(a, k) == ref.frobenius(a, k), (a, k)
+
+
+def test_oracle_inverse_matches_table_inverse(f9):
+    ref = PolyBasisField(f9)
+    for a in range(1, f9.q):
+        assert ref.inv(a) == f9.inv(a)
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS, ids=lambda v: str(v))
+def test_tables_match_polynomial_basis_every_pair(p, m):
+    field = Field(p, m)
+    pairs = [(a, b) for a in field.elements() for b in field.elements()]
+    _check_against_oracle(field, pairs, random.Random(f"pairs:{p}^{m}"))
+
+
+@pytest.mark.parametrize("p,m", [(2, 16), (3, 10)], ids=lambda v: str(v))
+def test_tables_match_polynomial_basis_random_pairs(p, m):
+    field = Field(p, m)
+    rng = random.Random(f"random-pairs:{p}^{m}")
+    pairs = [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(20000)]
+    pairs += [(0, 0), (0, 1), (1, 0), (field.q - 1, field.q - 1)]
+    _check_against_oracle(field, pairs, rng, powers_every=20)
+
+
+def test_tables_with_nonprimitive_given_modulus():
+    # x has order 5 modulo 1 + x + x^2 + x^3 + x^4, so the tables are
+    # walked over a generator other than x
+    field = Field(2, 4, [1, 1, 1, 1, 1])
+    assert field.pow(2, 5) == 1
+    pairs = [(a, b) for a in field.elements() for b in field.elements()]
+    _check_against_oracle(field, pairs, random.Random("all-ones modulus"))
+
+
+@pytest.mark.parametrize(
+    "p,m",
+    [(2, m) for m in range(2, 11)]
+    + [(3, m) for m in range(2, 6)]
+    + [(5, 2), (5, 3), (7, 2), (2, 16)],
+    ids=lambda v: str(v),
+)
+def test_default_modulus_matches_unfiltered_search(p, m):
+    assert Field(p, m).modulus == default_modulus_unfiltered(p, m)
