@@ -9,7 +9,8 @@ Subcommands:
     experiment  exhaustive / Monte Carlo distribution runs, written to files
 
 Exit codes: 0 success, 1 bound violation (verify/analyze), 2 parse error,
-3 precondition violation (bad parameters, prefix too short, cap exceeded).
+3 precondition violation (bad parameters, prefix too short, cap exceeded),
+4 internal error (an engine broke one of its own invariants).
 
 Primary results go to stdout; diagnostics to stderr.  Experiment outputs are
 deterministic for a fixed configuration: no timestamps, sorted keys, canonical
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 def _load_sequence(path: str):
@@ -353,6 +355,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
+    except RuntimeError as exc:
+        sys.stderr.write(f"error: internal: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

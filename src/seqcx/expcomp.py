@@ -6,18 +6,30 @@ the generating function of the prefix; it is 0 exactly when the prefix is
 all zero.
 
 The coefficient vectors (mod x^n) of the monomial substitutions x^i * G(x)^j,
-in the fixed order (i+j, j, i), are reduced one at a time against pivots
-keyed by their lowest nonzero row, tracking each column's combination.  A
-column's birth row is that lowest row after reduction (n if it vanishes).
-On the first m rows a column depends on its predecessors exactly when it is
-born at row >= m, so one pass serves every m <= n: E_m is the degree d of
-the first such column, its combination is the minimal witness (unique up to
-scale, as the columns before it are independent), and the decisive system's
-rank counts the first M_d = (d+1)(d+2)/2 columns born before row m.
+in the fixed order (i+j, j, i) up to total degree D = kernel_degree_bound(n),
+are reduced one at a time against pivots keyed by their lowest nonzero row,
+tracking each column's combination.  A column's birth row is that lowest row
+after reduction (n if it vanishes).  On the first m rows a column depends on
+its predecessors exactly when it is born at row >= m, so one pass serves
+every m <= n: E_m is the degree d of the first such column, its combination
+is the minimal witness (unique up to scale, as the columns before it are
+independent), and the decisive system's rank counts the first
+M_d = (d+1)(d+2)/2 columns born before row m.
 
-Columns come in one of two row representations, chosen by the field: bit
-masks over F_2, lists of field elements elsewhere.  Both follow the same
-column order and emit identical witnesses; the tests pin this equivalence.
+Only the columns x^0 G^j start from their raw coefficients.  Column x^i G^j
+with i >= 1 starts from x times the reduced column x^(i-1) G^j of the
+previous degree block: that vector is the column plus x times earlier
+columns, each of which is itself an earlier column, and it is already zero
+up to the earlier column's birth row.  Birth rows depend only on the matrix,
+so they, E_m, the witnesses and the ranks are those of reducing every column
+from scratch.  A combination is keyed by the monomial layout j * W + i with
+W = D + 1, which turns the multiplication by x into adding 1 to every key.
+
+Columns come in one of two row representations, chosen by the field: one
+int per column over F_2 (rows in the low n bits, the combination above
+them), lists of field elements elsewhere.  Both follow the same column order
+and emit identical combinations; the tests pin this equivalence, and check
+both against columns reduced from scratch.
 """
 
 from __future__ import annotations
@@ -76,9 +88,10 @@ class ExpansionWitness:
 class ExpansionProfile:
     """E_1..E_n of one prefix, read off one column pass.
 
-    births and combs hold each reduced column's birth row and combination,
-    so that witness(m) can build the certificate for any m on demand
-    (combinations are kept current up to the first column born at row n).
+    births and combs hold each reduced column's birth row and combination
+    (keyed j * W + i for x^i y^j, W = kernel_degree_bound(n) + 1), so that
+    witness(m) can build the certificate for any m on demand (combinations
+    are kept current up to the first column born at row n).
     """
 
     values: tuple[int, ...]
@@ -98,133 +111,139 @@ class ExpansionProfile:
         decisive = next(k for k, birth in enumerate(self.births) if birth >= m)
         mcount = monomial_count(e)
         rank = sum(1 for birth in self.births[:mcount] if birth < m)
-        poly = _witness_from_combo(self.field, self.combs[decisive])
+        width = kernel_degree_bound(len(self.values)) + 1
+        poly = _witness_from_combo(self.field, self.combs[decisive], width)
         return ExpansionWitness(m, e, poly, rank, mcount)
 
 
-def _columns_gf2(bits: int, n: int):
-    """Yield the canonical-order columns as n-bit masks."""
-    mask = (1 << n) - 1
-    powers = [1]  # G^0 = 1
-    d = 0
-    while True:
-        while len(powers) <= d:
-            # carry-less multiply: G^{j+1} = G^j * G mod 2, truncated
-            prev = powers[-1]
-            acc = 0
-            g = bits
-            shift = 0
-            while g:
-                if g & 1:
-                    acc ^= prev << shift
-                g >>= 1
-                shift += 1
-            powers.append(acc & mask)
-        for j in range(d + 1):
-            yield (powers[j] << (d - j)) & mask
-        d += 1
-
-
 def _reduce_gf2(bits: int, n: int):
-    """Yield (birth row, combination bit mask) for each canonical column.
+    """Yield (birth row, combination bit mask) for each canonical column of
+    total degree <= kernel_degree_bound(n).
 
-    Values sent in are ignored: tracking a mask costs next to nothing.
+    A column and its combination travel as one int: rows in bits 0..n-1,
+    combination key k in bit n + k.  Column x^i G^j with i >= 1 starts as
+    x times the reduced x^(i-1) G^j, one shift that moves both halves (the
+    row pushed past x^(n-1) is dropped).  A reduction step is one lookup of
+    the lowest set bit among the pivots and one XOR.  Values sent in are
+    ignored: tracking the combination costs next to nothing.
     """
-    pivots: dict[int, tuple[int, int]] = {}
-    for index, col in enumerate(_columns_gf2(bits, n)):
-        comb = 1 << index
-        birth = n
-        while col:
-            row = (col & -col).bit_length() - 1
-            hit = pivots.get(row)
-            if hit is None:
-                pivots[row] = (col, comb)
-                birth = row
-                break
-            col ^= hit[0]
-            comb ^= hit[1]
-        yield birth, comb
-
-
-def _columns_generic(field: Field, terms, n: int):
-    g = TruncatedSeries(field, terms[:n])
-    powers = [TruncatedSeries(field, [1] + [0] * (n - 1))]
-    d = 0
-    while True:
-        while len(powers) <= d:
-            powers.append(series_mul(powers[-1], g, n))
-        for j in range(d + 1):
-            i = d - j
-            pj = powers[j].coeffs
-            col = [0] * n
-            for t in range(n - i):
-                col[i + t] = pj[t]
-            yield col
-        d += 1
+    top = 1 << n
+    keep = ~top
+    mask = top - 1
+    width = kernel_degree_bound(n) + 1
+    # G times every 4-bit polynomial, for a windowed carry-less multiply
+    times_g = [0] * 16
+    for k in range(1, 16):
+        low = k & -k
+        times_g[k] = times_g[k ^ low] ^ (bits << (low.bit_length() - 1))
+    pivots: dict[int, int] = {}
+    power = 1  # G^d mod x^n
+    reduced: list[int] = []  # the previous degree block, reduced
+    for d in range(width):
+        if d:
+            acc = shift = 0
+            rest = power
+            while rest:
+                acc ^= times_g[rest & 15] << shift
+                rest >>= 4
+                shift += 4
+            power = acc & mask
+        block = [(row << 1) & keep for row in reduced]
+        block.append(power | top << d * width)
+        reduced = []
+        for row in block:
+            low = row & -row
+            while low < top:
+                hit = pivots.get(low)
+                if hit is None:
+                    pivots[low] = row
+                    break
+                row ^= hit
+                low = row & -row
+            reduced.append(row)
+            yield (low.bit_length() - 1 if low < top else n), row >> n
 
 
 def _reduce_generic(field: Field, terms, n: int):
-    """Yield (birth row, combination {column index: coefficient}) for each
-    canonical column; stored pivots are scaled to 1 at their birth row.
+    """Yield (birth row, combination {key: coefficient}) for each canonical
+    column of total degree <= kernel_degree_bound(n); stored pivots are
+    scaled to 1 at their birth row.
+
+    Column x^i G^j with i >= 1 starts as x times the reduced x^(i-1) G^j:
+    its rows move down by one, its combination keys up by one, and the
+    reduction resumes one row below the earlier column's birth row.
 
     Once a true value is sent in, later combinations are no longer kept up
     to date; plain iteration keeps all of them.
     """
+    mul, sub = field.mul, field.sub
+    width = kernel_degree_bound(n) + 1
+    g = TruncatedSeries(field, terms[:n])
+    power = TruncatedSeries(field, [1] + [0] * (n - 1))
     pivots: dict[int, tuple[list[int], dict[int, int]]] = {}
     settled = False
-    for index, col in enumerate(_columns_generic(field, terms, n)):
-        comb = {index: 1}
-        birth = n
-        for row in range(n):
-            v = col[row]
-            if not v:
-                continue
-            hit = pivots.get(row)
-            if hit is None:
-                inv = field.inv(v)
-                comb = {t: field.mul(inv, x) for t, x in comb.items()}
-                pivots[row] = ([field.mul(inv, x) for x in col], comb)
-                birth = row
-                break
-            pcol, pcomb = hit
-            for r2 in range(row, n):
-                if pcol[r2]:
-                    col[r2] = field.sub(col[r2], field.mul(v, pcol[r2]))
+    reduced: list = []  # (column, combination, birth row) of the previous block
+    for d in range(width):
+        if d:
+            power = series_mul(power, g, n)
+        block = []
+        for col, comb, birth in reduced:
             if not settled:
-                for t, x in pcomb.items():
-                    comb[t] = field.sub(comb.get(t, 0), field.mul(v, x))
-        settled = yield birth, comb
+                comb = {t + 1: c for t, c in comb.items()}
+            block.append(([0] + col[:-1], comb, birth + 1))
+        block.append((list(power.coeffs), {d * width: 1}, 0))
+        reduced = []
+        for col, comb, start in block:
+            birth = n
+            for row in range(start, n):
+                v = col[row]
+                if not v:
+                    continue
+                hit = pivots.get(row)
+                if hit is None:
+                    inv = field.inv(v)
+                    col = [mul(inv, x) for x in col]
+                    if not settled:
+                        comb = {t: mul(inv, x) for t, x in comb.items()}
+                    pivots[row] = (col, comb)
+                    birth = row
+                    break
+                pcol, pcomb = hit
+                for r2 in range(row, n):
+                    if pcol[r2]:
+                        col[r2] = sub(col[r2], mul(v, pcol[r2]))
+                if not settled:
+                    for t, x in pcomb.items():
+                        comb[t] = sub(comb.get(t, 0), mul(v, x))
+            reduced.append((col, comb, birth))
+            settled = yield birth, comb
 
 
 def _kernel_pass(field: Field, terms, n: int):
     """Birth rows and combinations of the canonical columns over n rows.
 
-    Pulled lazily up to the first column born at row n, whose combination is
-    the last one any witness needs, then to the end of its degree block for
-    the rank of every decisive system.
+    Pulled up to the first column born at row n, whose combination is the
+    last one any witness needs, then to the end of its degree block for the
+    rank of every decisive system.  A reducer that runs out before any
+    column is born at row n has overrun the counting bound.
     """
     if field.q == 2:
         bits = sum(1 << idx for idx, s in enumerate(terms) if s)
         reducer = _reduce_gf2(bits, n)
     else:
         reducer = _reduce_generic(field, list(terms), n)
-    cap = kernel_degree_bound(n)
-    births: list[int] = []
-    combs: list = []
-    stop = None
-    birth, comb = next(reducer)
-    while True:
-        births.append(birth)
-        combs.append(comb)
-        if stop is None:
-            degree = kernel_degree_bound(len(births) - 1)
-            if birth >= n:
-                stop = monomial_count(degree)
-            elif degree > cap:
-                raise RuntimeError("kernel search overran its counting bound")
-        if len(births) == stop:
-            return births, combs
-        birth, comb = reducer.send(stop is not None)
+    columns = []
+    for column in reducer:
+        columns.append(column)
+        if column[0] >= n:
+            break
+    else:
+        raise RuntimeError("kernel search overran its counting bound")
+    block_end = monomial_count(kernel_degree_bound(len(columns) - 1))
+    while len(columns) < block_end:
+        columns.append(reducer.send(True))
+    births, combs = zip(*columns)
+    return births, combs
 
 
 def _profile(field: Field, terms, n: int) -> ExpansionProfile:
@@ -236,27 +255,28 @@ def _profile(field: Field, terms, n: int) -> ExpansionProfile:
         return ExpansionProfile((0,) * n, field, (), ())
     births, combs = _kernel_pass(field, window, n)
     values = [0] * zeros
-    k = 0
+    k, degree, block_end = 0, 0, 1  # column k has total degree `degree`
     for m in range(zeros + 1, n + 1):
         while births[k] < m:
             k += 1
-        values.append(kernel_degree_bound(k))
-    return ExpansionProfile(tuple(values), field, tuple(births), tuple(combs))
+            if k == block_end:
+                degree += 1
+                block_end += degree + 1
+        values.append(degree)
+    return ExpansionProfile(tuple(values), field, births, combs)
 
 
-def _witness_from_combo(field: Field, combo) -> BivariatePoly:
+def _witness_from_combo(field: Field, combo, width: int) -> BivariatePoly:
     """Build the certificate polynomial from a column combination (an F_2 bit
-    mask, or {column index: coefficient}), scaled so that its first nonzero
-    coefficient in the canonical monomial order is 1."""
+    mask, or {key: coefficient}, key j * width + i for x^i y^j), scaled so
+    that its first nonzero coefficient in the canonical monomial order is 1."""
     if isinstance(combo, int):
         combo = {t: 1 for t in range(combo.bit_length()) if (combo >> t) & 1}
     terms = {}
     for t, c in combo.items():
         if c:
-            # column t has total degree d and y-degree t - M_{d-1}
-            d = kernel_degree_bound(t)
-            j = t - d * (d + 1) // 2
-            terms[(d - j, j)] = c
+            j, i = divmod(t, width)
+            terms[(i, j)] = c
     first = min(terms, key=monomial_key)
     scale = field.inv(terms[first])
     return BivariatePoly(field, {m: field.mul(scale, c) for m, c in terms.items()})
@@ -289,11 +309,10 @@ def expansion_profile(seq: Sequence, n_max: int) -> ExpansionProfile:
         raise ValueError(f"n_max={n_max} is outside 0..{len(seq.terms)}")
     profile = _profile(seq.field, seq.terms, n_max)
     values = profile.values
-    for i in range(len(values) - 1):
-        lo, hi = values[i], values[i + 1]
-        if not (lo <= hi <= max(lo, 1) + 1):
+    for i, (lo, hi) in enumerate(zip(values, values[1:]), start=1):
+        if not (lo <= hi <= lo + 1 or (lo, hi) == (0, 2)):
             raise RuntimeError(
-                f"expansion profile growth violated at n={i + 1}: {lo} -> {hi}"
+                f"expansion profile growth violated at n={i}: {lo} -> {hi}"
             )
     return profile
 

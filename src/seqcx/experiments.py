@@ -210,8 +210,25 @@ def draw_element(seed: int, stream: int, index: int, q: int) -> int:
         attempt += 1
 
 
+_PAIR = struct.Struct(">QQ")
+
+
 def sample_terms(seed: int, stream: int, length: int, q: int) -> list[int]:
-    return [draw_element(seed, stream, i, q) for i in range(length)]
+    """draw_element(seed, stream, i, q) for i in range(length).
+
+    The (seed, stream) half of every hashed block is packed once; a draw
+    rejected on its first attempt is redrawn by draw_element itself.
+    """
+    head = _PAIR.pack(seed & _U64, stream & _U64)
+    pack = _PAIR.pack
+    sha256 = hashlib.sha256
+    from_bytes = int.from_bytes
+    limit = (1 << 64) // q * q
+    out = []
+    for i in range(length):
+        value = from_bytes(sha256(head + pack(i, 0)).digest()[:8], "big")
+        out.append(value % q if value < limit else draw_element(seed, stream, i, q))
+    return out
 
 
 # -- exhaustive enumeration ---------------------------------------------------

@@ -234,10 +234,14 @@ class Field:
     __slots__ = ("p", "m", "modulus", "q", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
+        # p >= 2 gives p^m >= 2^m: reject an oversized p or m before the
+        # trial division in is_prime and before computing p^m
+        if p > PRIME_POWER_CAP or (p >= 2 and m >= PRIME_POWER_CAP.bit_length()):
+            raise ValueError(f"field size {p}^{m} exceeds cap {PRIME_POWER_CAP}")
+        if not is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         q = p**m
         if q > PRIME_POWER_CAP:
             raise ValueError(f"field size {p}^{m} exceeds cap {PRIME_POWER_CAP}")

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's own algorithms: recurrence
 lengths come from explicit enumeration, binomial terms from math.comb,
-series products from a direct convolution, and extension-field arithmetic
+series products from a direct convolution, extension-field arithmetic
 from the polynomial basis (sharing only the library's division in F_p[x]),
-so a bug in the library cannot vanish by checking itself.
+and the expansion-complexity elimination from columns each reduced from
+scratch, so a bug in the library cannot vanish by checking itself.
 """
 
 import math
@@ -208,3 +209,143 @@ def default_modulus_unfiltered(p, m):
         if _is_irreducible(candidate, p, m):
             return candidate
     raise AssertionError("no irreducible polynomial found")
+
+
+# -- expansion complexity: every column reduced from scratch ------------------
+
+
+def canonical_monomials(n):
+    """Exponents (i, j) of x^i y^j in the order (i+j, j, i), through the
+    least total degree d with (d+1)(d+2)/2 > n."""
+    out = []
+    d = 0
+    while len(out) <= n:
+        out.extend((d - j, j) for j in range(d + 1))
+        d += 1
+    return out
+
+
+def _columns_gf2(bits, n):
+    """The canonical-order columns x^i G^j mod x^n as n-bit masks, with G^j
+    from a bit-by-bit carry-less multiply."""
+    mask = (1 << n) - 1
+    powers = [1]
+    d = 0
+    while True:
+        while len(powers) <= d:
+            prev = powers[-1]
+            acc = 0
+            g = bits
+            shift = 0
+            while g:
+                if g & 1:
+                    acc ^= prev << shift
+                g >>= 1
+                shift += 1
+            powers.append(acc & mask)
+        for j in range(d + 1):
+            yield (powers[j] << (d - j)) & mask
+        d += 1
+
+
+def reduce_gf2_unshifted(bits, n):
+    """Yield (birth row, combination bit mask over column indices) for each
+    canonical column, each column reduced from its raw bits."""
+    pivots = {}
+    for index, col in enumerate(_columns_gf2(bits, n)):
+        comb = 1 << index
+        birth = n
+        while col:
+            row = (col & -col).bit_length() - 1
+            hit = pivots.get(row)
+            if hit is None:
+                pivots[row] = (col, comb)
+                birth = row
+                break
+            col ^= hit[0]
+            comb ^= hit[1]
+        yield birth, comb
+
+
+def _columns_generic(field, terms, n):
+    """The canonical-order columns with G^j from a direct convolution."""
+    g = list(terms[:n])
+    powers = [[1] + [0] * (n - 1)]
+    d = 0
+    while True:
+        while len(powers) <= d:
+            prev = powers[-1]
+            nxt = [0] * n
+            for a, x in enumerate(prev):
+                if x:
+                    for b in range(n - a):
+                        if g[b]:
+                            nxt[a + b] = field.add(nxt[a + b], field.mul(x, g[b]))
+            powers.append(nxt)
+        for j in range(d + 1):
+            i = d - j
+            yield [0] * i + powers[j][: n - i]
+        d += 1
+
+
+def reduce_generic_unshifted(field, terms, n):
+    """Yield (birth row, {column index: coefficient}) for each canonical
+    column, each column reduced from its raw entries."""
+    pivots = {}
+    for index, col in enumerate(_columns_generic(field, terms, n)):
+        comb = {index: 1}
+        birth = n
+        for row in range(n):
+            v = col[row]
+            if not v:
+                continue
+            hit = pivots.get(row)
+            if hit is None:
+                inv = field.inv(v)
+                comb = {t: field.mul(inv, x) for t, x in comb.items()}
+                pivots[row] = ([field.mul(inv, x) for x in col], comb)
+                birth = row
+                break
+            pcol, pcomb = hit
+            for r2 in range(row, n):
+                if pcol[r2]:
+                    col[r2] = field.sub(col[r2], field.mul(v, pcol[r2]))
+            for t, x in pcomb.items():
+                comb[t] = field.sub(comb.get(t, 0), field.mul(v, x))
+        yield birth, comb
+
+
+def unshifted_expansion(field, terms, n):
+    """(births, per_m) from reducing every canonical column from scratch:
+    births of every column through the least total degree with more
+    monomials than n rows, and per_m[m - 1] = (E_m, witness terms
+    {(i, j): coefficient} scaled to a leading 1, rank, monomial count),
+    with witness None for an all-zero prefix."""
+    monos = canonical_monomials(n)
+    if field.q == 2:
+        bits = sum(1 << idx for idx, s in enumerate(terms[:n]) if s)
+        reducer = reduce_gf2_unshifted(bits, n)
+    else:
+        reducer = reduce_generic_unshifted(field, list(terms[:n]), n)
+    births, combs = [], []
+    for birth, comb in reducer:
+        if isinstance(comb, int):
+            comb = {t: 1 for t in range(comb.bit_length()) if (comb >> t) & 1}
+        births.append(birth)
+        combs.append(comb)
+        if len(births) == len(monos):
+            break
+    per_m = []
+    for m in range(1, n + 1):
+        if not any(terms[:m]):
+            per_m.append((0, None, 0, 0))
+            continue
+        k = next(k for k, birth in enumerate(births) if birth >= m)
+        e = sum(monos[k])
+        count = (e + 1) * (e + 2) // 2
+        rank = sum(1 for birth in births[:count] if birth < m)
+        comb = {t: c for t, c in combs[k].items() if c}
+        scale = field.inv(comb[min(comb)])
+        poly = {monos[t]: field.mul(scale, c) for t, c in comb.items()}
+        per_m.append((e, poly, rank, count))
+    return births, per_m

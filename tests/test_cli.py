@@ -200,6 +200,13 @@ BAD_INPUT_CASES = {
     "exhaustive-negative-n": [
         "experiment", "--mode", "exhaustive", "--q", "2", "--n", "-1",
         "--out", "{out}"],
+    # a prime far above the cap, and an exponent too large to evaluate
+    "exhaustive-huge-prime-q": [
+        "experiment", "--mode", "exhaustive", "--q", "2305843009213693951",
+        "--n", "3", "--out", "{out}"],
+    "mc-huge-extension-degree": [
+        "experiment", "--mode", "mc", "--q", "2^1000000000000", "--samples",
+        "4", "--n", "5", "--out", "{out}"],
 }
 
 
@@ -218,6 +225,22 @@ def test_bad_input_exit_3_one_error_line(case, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
     assert res.stdout == ""
     assert not out.exists()
+
+
+def test_internal_error_exit_4_one_error_line(monkeypatch, capsys, ones_file):
+    from seqcx import cli, expcomp
+
+    def overrun(*args):
+        raise RuntimeError("kernel search overran its counting bound")
+
+    monkeypatch.setattr(expcomp, "_kernel_pass", overrun)
+    assert cli.main(["expcomp", "--input", ones_file, "--n", "5"]) == 4
+    res = capsys.readouterr()
+    assert "Traceback" not in res.err
+    assert res.err.splitlines() == [
+        "error: internal: kernel search overran its counting bound"
+    ]
+    assert res.out == ""
 
 
 def test_experiment_exhaustive_summary(tmp_path):

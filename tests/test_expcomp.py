@@ -21,6 +21,8 @@ from seqcx.lincomp import Sequence
 from seqcx.seqfile import witness_triples
 from seqcx.series import BivariatePoly, substitute
 
+from oracles import unshifted_expansion
+
 PROFILES = Path(__file__).parent / "fixtures" / "expansion_profiles.json"
 
 
@@ -138,6 +140,31 @@ def test_one_pass_reproduces_per_n_search_fixture():
                 got = [wit.complexity, poly, wit.matrix_rank, wit.monomial_count]
                 assert got == expected
             assert expansion_value(field, case["terms"], m) == expected[0]
+
+
+def test_shifted_reduction_matches_unshifted_oracle():
+    # every column's birth row up to the kernel bound, and E_m, the witness
+    # and the rank at every m, against columns reduced from scratch
+    rng = random.Random(2024)
+    cases = [(Field(2), n) for n in (64, 128, 256) for _ in range(3)]
+    for p, m in ((3, 1), (2, 2), (101, 1)):
+        cases += [(Field(p, m), 40)] * 3
+    for field, n in cases:
+        zeros = rng.randrange(4)  # some prefixes start with zeros
+        terms = [0] * zeros + [rng.randrange(field.q) for _ in range(n - zeros)]
+        births, per_m = unshifted_expansion(field, terms, n)
+        if field.q == 2:
+            packed = sum(1 << i for i, s in enumerate(terms) if s)
+            reducer = _reduce_gf2(packed, n)
+        else:
+            reducer = _reduce_generic(field, terms, n)
+        assert [birth for birth, _ in reducer] == births
+        profile = expansion_profile(Sequence(field, terms), n)
+        for m, (e, poly, rank, count) in enumerate(per_m, start=1):
+            wit = profile.witness(m)
+            got = (wit.complexity, wit.poly.terms if wit.poly else None,
+                   wit.matrix_rank, wit.monomial_count)
+            assert got == (e, poly, rank, count), (field, terms, m)
 
 
 def test_profile_witness_bounds(f2):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from seqcx.experiments import (
@@ -14,6 +17,9 @@ from seqcx.experiments import (
     sample_terms,
     tn_ambiguity_scan,
 )
+from seqcx.field import Field
+
+MC_DISTRIBUTIONS = Path(__file__).parent / "fixtures" / "mc_distributions.json"
 
 
 def exhaustive(field, n, **kw):
@@ -95,6 +101,13 @@ def test_draw_element_deterministic_and_in_range(f3):
     assert sample_terms(7, 3, 50, 3) == values
     # different stream, different values
     assert sample_terms(7, 4, 50, 3) != values
+    # sample_terms draws exactly what draw_element defines; at q = 2^63 + 1
+    # about half the first attempts are rejected and redrawn
+    for q in (2, 3, 9, 101, (1 << 63) + 1):
+        for seed, stream in ((0, 0), (7, 3), (5, 1 << 40), (-1, 12345)):
+            terms = sample_terms(seed, stream, 40, q)
+            assert terms == [draw_element(seed, stream, i, q) for i in range(40)]
+            assert all(0 <= v < q for v in terms)
 
 
 def test_monte_carlo_reproducible(f2):
@@ -102,6 +115,17 @@ def test_monte_carlo_reproducible(f2):
     first = monte_carlo(cfg).to_dict()
     second = monte_carlo(cfg).to_dict()
     assert first == second
+
+
+def test_monte_carlo_matches_recorded_distributions():
+    # whole MonteCarloResult records, recorded with an engine that reduced
+    # every column from scratch and a sampler that drew term by term
+    for case in json.loads(MC_DISTRIBUTIONS.read_text()):
+        cfg = ExperimentConfig(
+            Field(case["p"], case["m"]), 0, "montecarlo", samples=case["samples"],
+            seed=case["seed"], schedule=tuple(case["schedule"]),
+        )
+        assert monte_carlo(cfg).to_dict() == case["result"]
 
 
 def test_monte_carlo_workers_invariant(f2):

@@ -39,6 +39,10 @@ def test_make_field_rejects_cap():
     with pytest.raises(ValueError):
         Field(2, 21)
     assert 2**20 == PRIME_POWER_CAP
+    # rejected before trial division (2^61 - 1 is prime) or computing p^m
+    for p, m in ((2**61 - 1, 1), (2, 10**12), (PRIME_POWER_CAP + 1, 1)):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            Field(p, m)
 
 
 def test_make_field_rejects_wrong_degree_modulus():
