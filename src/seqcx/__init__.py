@@ -16,7 +16,6 @@ from .lincomp import (
 from .expcomp import (
     ExpansionProfile,
     ExpansionWitness,
-    brute_force_expansion,
     expansion_complexity,
     expansion_profile,
     kernel_degree_bound,
@@ -51,7 +50,6 @@ __all__ = [
     "ExpansionProfile",
     "expansion_complexity",
     "expansion_profile",
-    "brute_force_expansion",
     "kernel_degree_bound",
     "Poly",
     "TruncatedSeries",

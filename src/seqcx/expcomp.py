@@ -1,4 +1,4 @@
-"""Expansion complexity by one column pass, with a brute-force oracle.
+"""Expansion complexity by one column pass.
 
 The n-th expansion complexity of a sequence prefix is the least total degree
 of a nonzero bivariate polynomial h with h(x, G(x)) = 0 mod x^n, where G is
@@ -40,17 +40,7 @@ from typing import Optional
 
 from .field import Field
 from .lincomp import Sequence
-from .series import (
-    BivariatePoly,
-    TruncatedSeries,
-    monomial_key,
-    monomials_up_to,
-    series_mul,
-    substitute,
-)
-
-# Enumerating q^{M_d} candidate polynomials is the oracle's budget.
-BRUTE_FORCE_CAP = 1 << 16
+from .series import BivariatePoly, TruncatedSeries, monomial_key, series_mul
 
 
 def monomial_count(d: int) -> int:
@@ -279,7 +269,9 @@ def _witness_from_combo(field: Field, combo, width: int) -> BivariatePoly:
             terms[(i, j)] = c
     first = min(terms, key=monomial_key)
     scale = field.inv(terms[first])
-    return BivariatePoly(field, {m: field.mul(scale, c) for m, c in terms.items()})
+    return BivariatePoly._unchecked(
+        field, {m: field.mul(scale, c) for m, c in terms.items()}
+    )
 
 
 def expansion_complexity(seq: Sequence, n: int) -> ExpansionWitness:
@@ -316,40 +308,3 @@ def expansion_profile(seq: Sequence, n_max: int) -> ExpansionProfile:
             )
     return profile
 
-
-def brute_force_expansion(
-    seq: Sequence, n: int, d_max: int
-) -> Optional[ExpansionWitness]:
-    """Independent oracle: enumerate every nonzero h of total degree <= d_max.
-
-    Candidates are checked by direct substitution (series module) in a fixed
-    order, degree stage by degree stage; the first hit therefore has total
-    degree exactly E_n.  Returns None when no witness of degree <= d_max
-    exists.
-    """
-    if n < 1 or n > len(seq.terms):
-        raise ValueError("invalid prefix length")
-    field = seq.field
-    q = field.q
-    if q ** monomial_count(d_max) > BRUTE_FORCE_CAP:
-        raise ValueError(
-            f"q^M = {q}^{monomial_count(d_max)} exceeds enumeration cap"
-        )
-    terms = seq.terms[:n]
-    if not any(terms):
-        return ExpansionWitness(n, 0, None)
-    g = TruncatedSeries(field, terms)
-    for stage in range(d_max + 1):
-        monos = list(monomials_up_to(stage))
-        m = len(monos)
-        for code in range(1, q**m):
-            coeffs = {}
-            c = code
-            for t in range(m):
-                c, digit = divmod(c, q)
-                if digit:
-                    coeffs[monos[t]] = digit
-            h = BivariatePoly(field, coeffs)
-            if substitute(h, g, n).is_zero():
-                return ExpansionWitness(n, h.total_degree, h)
-    return None

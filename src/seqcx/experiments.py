@@ -67,8 +67,13 @@ class ExperimentConfig:
                 raise ValueError("montecarlo mode requires samples >= 1")
             if self.schedule is not None:
                 object.__setattr__(self, "schedule", tuple(sorted(self.schedule)))
-            if min(self.resolved_schedule()) < 1:
+            schedule = self.resolved_schedule()
+            if min(schedule) < 1:
                 raise ValueError("schedule entries must be >= 1")
+            # every sample is tallied once per entry, so a repeat counts twice
+            repeated = sorted({a for a, b in zip(schedule, schedule[1:]) if a == b})
+            if repeated:
+                raise ValueError(f"schedule entries must be distinct: {repeated}")
 
     def resolved_schedule(self) -> tuple[int, ...]:
         if self.schedule:
@@ -251,17 +256,20 @@ def _check_prefix(field: Field, terms: list[int], n: int):
     seq = Sequence(field, terms)
     fits = lincomp.linear_fits(seq, n)
     profile = expcomp.expansion_profile(seq, n)
+    series = seq.prefix_series(n)  # one table of powers of G for every check
     witness_failures = 0
     for m in range(1, n + 1):
         wit = profile.witness(m)
         if wit.poly is not None:
             ok = (
                 wit.poly.total_degree == wit.complexity
-                and substitute(wit.poly, seq.prefix_series(m), m).is_zero()
+                and substitute(wit.poly, series, m).is_zero()
             )
             if not ok:
                 witness_failures += 1
-    reports = theorems.run_all_checks(seq, n, fits=fits, expansion=profile)
+    reports = theorems.run_all_checks(
+        seq, n, fits=fits, expansion=profile, series=series
+    )
     fails = Counter(rep.claim_id for rep in reports if rep.failed)
     return fits[-1], profile.values[-1], fails, witness_failures
 

@@ -228,6 +228,16 @@ def _zech_table(p: int, q: int, exp: array, log: array) -> array:
     return zech
 
 
+def check_field_size(p: int, m: int) -> None:
+    """Reject a field F_{p^m} above PRIME_POWER_CAP, before any trial
+    division of p and without computing a huge p^m (p >= 2 gives
+    p^m >= 2^m).  A p below 2 is left to the primality check."""
+    if p > PRIME_POWER_CAP or (
+        p >= 2 and (m >= PRIME_POWER_CAP.bit_length() or p**m > PRIME_POWER_CAP)
+    ):
+        raise ValueError(f"field size {p}^{m} exceeds cap {PRIME_POWER_CAP}")
+
+
 class Field:
     """Arithmetic context for F_q, q = p^m, with integer-indexed elements."""
 
@@ -236,15 +246,10 @@ class Field:
     def __init__(self, p: int, m: int = 1, modulus=None):
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
-        # p >= 2 gives p^m >= 2^m: reject an oversized p or m before the
-        # trial division in is_prime and before computing p^m
-        if p > PRIME_POWER_CAP or (p >= 2 and m >= PRIME_POWER_CAP.bit_length()):
-            raise ValueError(f"field size {p}^{m} exceeds cap {PRIME_POWER_CAP}")
+        check_field_size(p, m)
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         q = p**m
-        if q > PRIME_POWER_CAP:
-            raise ValueError(f"field size {p}^{m} exceeds cap {PRIME_POWER_CAP}")
         self.p = p
         self.m = m
         self.q = q
@@ -268,6 +273,8 @@ class Field:
             self._zech = _zech_table(p, q, self._exp, self._log)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Field)
             and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)

@@ -64,7 +64,7 @@ class Sequence:
     def prefix_series(self, n: int) -> TruncatedSeries:
         if n > len(self.terms):
             raise ValueError(f"prefix of length {n} exceeds known terms")
-        return TruncatedSeries(self.field, self.terms[:n])
+        return TruncatedSeries._unchecked(self.field, self.terms[:n])
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .field import Field
+from .field import Field, check_field_size
 from .lincomp import Periodicity, Sequence
 from .series import BivariatePoly
 
@@ -90,6 +90,8 @@ def parse_sequence(text: str) -> Sequence:
     if not body:
         raise SequenceFileError("empty sequence body")
     p, m = header
+    # a field above the cap is a precondition violation, not a malformed file
+    check_field_size(p, m)
     try:
         field = Field(p, m, modulus)
         return Sequence(field, body, meta=meta)

@@ -7,6 +7,9 @@ zeros included, because the order itself is data.
 
 The degree of the zero polynomial is reported as None rather than -1 so that
 accidental arithmetic on it fails loudly instead of producing nonsense.
+
+The public constructors validate every coefficient; results computed here
+from values already validated are built with ``_unchecked`` instead.
 """
 
 from __future__ import annotations
@@ -141,13 +144,28 @@ def poly_pow(a: Poly, e: int) -> Poly:
 
 
 class TruncatedSeries:
-    """The first N coefficients of a formal power series (mod x^N)."""
+    """The first N coefficients of a formal power series (mod x^N).
 
-    __slots__ = ("field", "coeffs")
+    _powers memoises G^0..G^j mod x^N for substitute.  It is only ever
+    replaced by a longer tuple, never changed in place, so a reader holding
+    the old tuple never sees a wrong index.
+    """
+
+    __slots__ = ("field", "coeffs", "_powers")
 
     def __init__(self, field: Field, coeffs):
         self.field = field
         self.coeffs = tuple(field.validate(c) for c in coeffs)
+        self._powers = ()
+
+    @classmethod
+    def _unchecked(cls, field: Field, coeffs) -> "TruncatedSeries":
+        """A series over element indices the library computed itself."""
+        series = cls.__new__(cls)
+        series.field = field
+        series.coeffs = tuple(coeffs)
+        series._powers = ()
+        return series
 
     @property
     def order(self) -> int:
@@ -159,7 +177,7 @@ class TruncatedSeries:
     def truncate(self, n: int) -> "TruncatedSeries":
         if n > self.order:
             raise ValueError(f"series of order {self.order} cannot extend to {n}")
-        return TruncatedSeries(self.field, self.coeffs[:n])
+        return TruncatedSeries._unchecked(self.field, self.coeffs[:n])
 
     def __eq__(self, other):
         return (
@@ -173,7 +191,7 @@ class TruncatedSeries:
 
 
 def poly_to_series(p: Poly, n: int) -> TruncatedSeries:
-    return TruncatedSeries(p.field, [p.coeff(i) for i in range(n)])
+    return TruncatedSeries._unchecked(p.field, [p.coeff(i) for i in range(n)])
 
 
 def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -181,7 +199,9 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     if a.order != b.order:
         raise ValueError("series orders differ")
     f = a.field
-    return TruncatedSeries(f, [f.add(x, y) for x, y in zip(a.coeffs, b.coeffs)])
+    return TruncatedSeries._unchecked(
+        f, [f.add(x, y) for x, y in zip(a.coeffs, b.coeffs)]
+    )
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries, n: int) -> TruncatedSeries:
@@ -190,14 +210,16 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries, n: int) -> TruncatedSerie
     if a.order < n or b.order < n:
         raise ValueError(f"operands must be defined to order {n}")
     f = a.field
+    add, mul = f.add, f.mul
+    bc = b.coeffs
     out = [0] * n
     for i, ai in enumerate(a.coeffs[:n]):
         if ai:
             for j in range(n - i):
-                bj = b.coeffs[j]
+                bj = bc[j]
                 if bj:
-                    out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-    return TruncatedSeries(f, out)
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+    return TruncatedSeries._unchecked(f, out)
 
 
 def series_pow(a: TruncatedSeries, e: int, n: int) -> TruncatedSeries:
@@ -234,7 +256,7 @@ def rational_expand(f: Poly, g: Poly, n: int) -> TruncatedSeries:
             if gt and out[i - t]:
                 acc = fl.sub(acc, fl.mul(gt, out[i - t]))
         out[i] = fl.mul(acc, inv_g0)
-    return TruncatedSeries(fl, out)
+    return TruncatedSeries._unchecked(fl, out)
 
 
 def monomial_key(mono: tuple[int, int]) -> tuple[int, int, int]:
@@ -265,6 +287,15 @@ class BivariatePoly:
                 clean[(i, j)] = c
         self.field = field
         self.terms = clean
+
+    @classmethod
+    def _unchecked(cls, field: Field, terms: dict) -> "BivariatePoly":
+        """A polynomial over nonzero element indices the library computed
+        itself, keyed by exponent pairs (i, j) with i, j >= 0."""
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly.terms = terms
+        return poly
 
     @property
     def total_degree(self):
@@ -333,20 +364,36 @@ class BivariatePoly:
         return BivariatePoly(f, {m: f.mul(c, v) for m, v in self.terms.items()})
 
 
+def _power_table(g: TruncatedSeries, j: int) -> tuple:
+    """G^0..G^j mod x^N for N = g.order, built on demand by series_mul and
+    kept on g for later calls."""
+    powers = g._powers
+    if len(powers) <= j:
+        one = ((1,) + (0,) * (g.order - 1))[: g.order]
+        grown = list(powers) or [TruncatedSeries._unchecked(g.field, one)]
+        while len(grown) <= j:
+            grown.append(series_mul(grown[-1], g, g.order))
+        g._powers = powers = tuple(grown)
+    return powers
+
+
 def substitute(h: BivariatePoly, g: TruncatedSeries, n: int) -> TruncatedSeries:
-    """Evaluate h(x, G(x)) modulo x^n.
+    """Evaluate h(x, G(x)) modulo x^n, for any g of order at least n.
 
     This is the reference checker used to validate expansion-complexity
-    witnesses, independent of how they were produced.
+    witnesses, independent of how they were produced.  G^j mod x^n is read
+    as the first n coefficients of G^j mod x^N (N = g.order; truncation is a
+    ring homomorphism), from one table of powers kept on g, so every check
+    against the same g shares it.
     """
     if h.field != g.field:
         raise ValueError("operands belong to different fields")
+    if n > g.order:
+        raise ValueError(f"series of order {g.order} cannot extend to {n}")
     f = h.field
-    gn = g.truncate(n)
+    add, mul = f.add, f.mul
     max_j = max((j for _, j in h.terms), default=0)
-    powers = [TruncatedSeries(f, [1] + [0] * (n - 1))]
-    for _ in range(max_j):
-        powers.append(series_mul(powers[-1], gn, n))
+    powers = _power_table(g, max_j)
     out = [0] * n
     for (i, j), c in h.terms.items():
         if i >= n:
@@ -354,5 +401,5 @@ def substitute(h: BivariatePoly, g: TruncatedSeries, n: int) -> TruncatedSeries:
         pj = powers[j].coeffs
         for t in range(n - i):
             if pj[t]:
-                out[i + t] = f.add(out[i + t], f.mul(c, pj[t]))
-    return TruncatedSeries(f, out)
+                out[i + t] = add(out[i + t], mul(c, pj[t]))
+    return TruncatedSeries._unchecked(f, out)

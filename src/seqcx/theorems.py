@@ -38,7 +38,7 @@ from typing import Optional
 
 from . import expcomp, lincomp
 from .lincomp import Sequence
-from .series import BivariatePoly, substitute
+from .series import BivariatePoly, TruncatedSeries, substitute
 
 PASS = "pass"
 FAIL = "fail"
@@ -144,7 +144,7 @@ def frobenius_witness(seq: Sequence, n: int) -> BivariatePoly:
         c = f.neg(f.frobenius(seq.terms[i], k))
         if c:
             terms[(i * pk, 0)] = c
-    return BivariatePoly(f, terms)
+    return BivariatePoly._unchecked(f, terms)
 
 
 # -- periodic-sequence checks (declared preperiod and period) ---------------
@@ -273,8 +273,14 @@ def check_misc_upper(
     n: int,
     *,
     expansion_profile=None,
+    series: Optional[TruncatedSeries] = None,
 ) -> list[BoundReport]:
-    """R.simple, R.subadd, R.frobenius(.witness), and R.kernel at length n."""
+    """R.simple, R.subadd, R.frobenius(.witness), and R.kernel at length n.
+
+    series, the generating function of a prefix of at least n terms, is
+    what the Frobenius certificate is substituted into; passing the same
+    one for every n lets all of them share its table of powers.
+    """
     if n < 2:
         raise ValueError("upper-bound remarks require n >= 2")
     if expansion_profile is None:
@@ -307,8 +313,9 @@ def check_misc_upper(
         reports.append(
             _report("R.frobenius", {"n": n, "p": seq.field.p, "k": k}, "<=", bound, e_n)
         )
-        witness = frobenius_witness(seq, n)
-        residual = substitute(witness, seq.prefix_series(n), n)
+        if series is None:
+            series = seq.prefix_series(n)
+        residual = substitute(frobenius_witness(seq, n), series, n)
         reports.append(
             _report(
                 "R.frobenius.witness",
@@ -330,13 +337,15 @@ def run_all_checks(
     *,
     fits: Optional[list[lincomp.LinearFit]] = None,
     expansion: Optional[expcomp.ExpansionProfile] = None,
+    series: Optional[TruncatedSeries] = None,
 ) -> list[BoundReport]:
     """Every applicable checker for the first n terms (driver for `verify`).
 
     T1 checks run only when the sequence declares its periodicity; growth
     checks cover every step up to n; T4 and the upper-bound remarks run at
     each prefix length where their preconditions hold.  fits (one per prefix
-    length 1..n) and expansion (the profile of the first n terms) are
+    length 1..n), expansion (the profile of the first n terms) and series
+    (their generating function, shared by every Frobenius certificate) are
     computed here unless the caller already has them.
     """
     if n < 1:
@@ -345,6 +354,8 @@ def run_all_checks(
         fits = lincomp.linear_fits(seq, n)
     if expansion is None:
         expansion = expcomp.expansion_profile(seq, n)
+    if series is None:
+        series = seq.prefix_series(n)
     profile_e = expansion.values
     reports = check_growth([fit.complexity for fit in fits], profile_e)
     for m in range(2, n + 1):
@@ -353,7 +364,9 @@ def run_all_checks(
                 check_theorem4(seq, m, fit=fits[m - 1], expansion=profile_e[m - 1])
             )
             reports.extend(
-                check_misc_upper(seq, m, expansion_profile=profile_e)
+                check_misc_upper(
+                    seq, m, expansion_profile=profile_e, series=series
+                )
             )
     if seq.meta is not None and any(seq.terms):
         t_decl, period = seq.meta

@@ -4,14 +4,21 @@ Everything here deliberately avoids the package's own algorithms: recurrence
 lengths come from explicit enumeration, binomial terms from math.comb,
 series products from a direct convolution, extension-field arithmetic
 from the polynomial basis (sharing only the library's division in F_p[x]),
-and the expansion-complexity elimination from columns each reduced from
-scratch, so a bug in the library cannot vanish by checking itself.
+the expansion-complexity elimination from columns each reduced from
+scratch, substitution h(x, G(x)) from powers of G convolved afresh on every
+call, and E_n from enumerating every candidate polynomial, so a bug in the
+library cannot vanish by checking itself.
 """
 
 import math
 from itertools import product
 
+from seqcx.expcomp import ExpansionWitness, monomial_count
 from seqcx.field import _is_irreducible, _poly_divmod, _trim
+from seqcx.series import BivariatePoly, monomials_up_to
+
+# Enumerating q^{M_d} candidate polynomials is the brute-force oracle's budget.
+BRUTE_FORCE_CAP = 1 << 16
 
 
 def min_recurrence_length_gf2(terms, n):
@@ -349,3 +356,61 @@ def unshifted_expansion(field, terms, n):
         poly = {monos[t]: field.mul(scale, c) for t, c in comb.items()}
         per_m.append((e, poly, rank, count))
     return births, per_m
+
+
+# -- substitution and brute-force expansion complexity -----------------------
+
+
+def naive_substitute(field, h_terms, g, n):
+    """Coefficients of h(x, G(x)) mod x^n, h given as {(i, j): coefficient}
+    and G by at least its first n coefficients.  Every call rebuilds
+    G^0..G^j mod x^n by direct convolution."""
+    g = list(g[:n])
+    max_j = max((j for _, j in h_terms), default=0)
+    powers = [[1] + [0] * (n - 1)] if n else [[]]
+    for _ in range(max_j):
+        prev = powers[-1]
+        nxt = [0] * n
+        for a, x in enumerate(prev):
+            for b in range(n - a):
+                nxt[a + b] = field.add(nxt[a + b], field.mul(x, g[b]))
+        powers.append(nxt)
+    out = [0] * n
+    for (i, j), c in h_terms.items():
+        for t in range(n - i):
+            out[i + t] = field.add(out[i + t], field.mul(c, powers[j][t]))
+    return out
+
+
+def brute_force_expansion(seq, n, d_max):
+    """Enumerate every nonzero h of total degree <= d_max.
+
+    Candidates are checked by naive_substitute in a fixed order, degree
+    stage by degree stage; the first hit therefore has total degree exactly
+    E_n.  Returns None when no witness of degree <= d_max exists.
+    """
+    if n < 1 or n > len(seq.terms):
+        raise ValueError("invalid prefix length")
+    field = seq.field
+    q = field.q
+    if q ** monomial_count(d_max) > BRUTE_FORCE_CAP:
+        raise ValueError(
+            f"q^M = {q}^{monomial_count(d_max)} exceeds enumeration cap"
+        )
+    terms = seq.terms[:n]
+    if not any(terms):
+        return ExpansionWitness(n, 0, None)
+    for stage in range(d_max + 1):
+        monos = list(monomials_up_to(stage))
+        m = len(monos)
+        for code in range(1, q**m):
+            coeffs = {}
+            c = code
+            for t in range(m):
+                c, digit = divmod(c, q)
+                if digit:
+                    coeffs[monos[t]] = digit
+            if not any(naive_substitute(field, coeffs, terms, n)):
+                h = BivariatePoly(field, coeffs)
+                return ExpansionWitness(n, h.total_degree, h)
+    return None

@@ -12,7 +12,6 @@ import pytest
 
 from seqcx import binomial
 from seqcx.expcomp import (
-    brute_force_expansion,
     expansion_complexity,
     expansion_value,
     kernel_degree_bound,
@@ -29,7 +28,7 @@ from seqcx.experiments import (
     monte_carlo,
 )
 
-from oracles import min_recurrence_length_gf2
+from oracles import brute_force_expansion, min_recurrence_length_gf2
 
 PRIMES_TO_31 = [p for p in range(2, 32) if is_prime(p)]
 FIXTURE = Path(__file__).parent / "fixtures" / "e16_q2_distribution.json"

@@ -207,6 +207,14 @@ BAD_INPUT_CASES = {
     "mc-huge-extension-degree": [
         "experiment", "--mode", "mc", "--q", "2^1000000000000", "--samples",
         "4", "--n", "5", "--out", "{out}"],
+    # each sample would be tallied once per copy of n = 4
+    "mc-repeated-schedule-entry": [
+        "experiment", "--mode", "mc", "--q", "2", "--samples", "3",
+        "--schedule", "4,4", "--out", "{out}"],
+    # a well-formed file whose field is above the cap
+    "lincomp-file-q-above-cap": ["lincomp", "--input", "{huge_q}", "--n", "3"],
+    "verify-file-extension-above-cap": [
+        "verify", "--input", "{huge_m}", "--n", "3"],
 }
 
 
@@ -216,8 +224,13 @@ def test_bad_input_exit_3_one_error_line(case, tmp_path):
     bits.write_text("q=2\n1 0 1 1 0 1 0 0 1 1\n")
     periodic = tmp_path / "periodic.seq"
     periodic.write_text("q=3\nmeta=t:0,T:2\n1 2 1 2 1 2 1 2\n")
+    huge_q = tmp_path / "huge_q.seq"
+    huge_q.write_text("q=2305843009213693951\n1 0 1\n")
+    huge_m = tmp_path / "huge_m.seq"
+    huge_m.write_text("q=3^13\n1 0 1\n")
     out = tmp_path / "out"
-    paths = {"bits": str(bits), "periodic": str(periodic), "out": str(out)}
+    paths = {"bits": str(bits), "periodic": str(periodic), "out": str(out),
+             "huge_q": str(huge_q), "huge_m": str(huge_m)}
     res = run_cli(*(arg.format(**paths) for arg in BAD_INPUT_CASES[case]))
     assert res.returncode == 3, res.stderr
     assert "Traceback" not in res.stderr
@@ -225,6 +238,26 @@ def test_bad_input_exit_3_one_error_line(case, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
     assert res.stdout == ""
     assert not out.exists()
+
+
+MALFORMED_FILES = {
+    "reducible-modulus": "q=2^2\nmod=1,0,1\n1 0 1\n",
+    "element-out-of-range": "q=3\n1 0 3\n",
+    "non-prime-q": "q=4\n1 0 1\n",
+    "bad-field-spec": "q=2^x\n1 0 1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_exit_2_one_error_line(case, tmp_path):
+    path = tmp_path / "bad.seq"
+    path.write_text(MALFORMED_FILES[case])
+    res = run_cli("lincomp", "--input", str(path), "--n", "3")
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert res.stdout == ""
 
 
 def test_internal_error_exit_4_one_error_line(monkeypatch, capsys, ones_file):

@@ -6,10 +6,8 @@ from pathlib import Path
 import pytest
 
 from seqcx.expcomp import (
-    BRUTE_FORCE_CAP,
     _reduce_generic,
     _reduce_gf2,
-    brute_force_expansion,
     expansion_complexity,
     expansion_profile,
     expansion_value,
@@ -21,7 +19,11 @@ from seqcx.lincomp import Sequence
 from seqcx.seqfile import witness_triples
 from seqcx.series import BivariatePoly, substitute
 
-from oracles import unshifted_expansion
+from oracles import (
+    BRUTE_FORCE_CAP,
+    brute_force_expansion,
+    unshifted_expansion,
+)
 
 PROFILES = Path(__file__).parent / "fixtures" / "expansion_profiles.json"
 

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from seqcx.expcomp import expansion_profile
 from seqcx.field import Field
+from seqcx.lincomp import Sequence
 from seqcx.series import (
     BivariatePoly,
     Poly,
@@ -18,7 +20,9 @@ from seqcx.series import (
     substitute,
 )
 
-from oracles import convolve_mod
+from seqcx.theorems import frobenius_parameters, frobenius_witness, run_all_checks
+
+from oracles import convolve_mod, naive_substitute
 
 
 def test_poly_normalization(f7):
@@ -203,3 +207,88 @@ def test_bivariate_total_degree_and_normalization(f5):
 def test_monomial_order():
     order = list(monomials_up_to(2))
     assert order == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+SUBSTITUTION_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (101, 1)]
+
+
+@pytest.mark.parametrize("q_spec", SUBSTITUTION_FIELDS)
+def test_shared_power_table_matches_naive_substitution(q_spec):
+    """Every check of one prefix reads one table of powers kept on one
+    series, grown in a random order; the oracle convolves G^j afresh."""
+    field = Field(*q_spec)
+    rng = random.Random(1000 * field.q + 5)
+    n = 10
+    for _ in range(4):
+        terms = [rng.randrange(field.q) for _ in range(n)]
+        seq = Sequence(field, terms)
+        g = seq.prefix_series(n)
+        assert g == TruncatedSeries(field, terms)
+        checks = []  # (h, m, must vanish)
+        profile = expansion_profile(seq, n)
+        for m in range(1, n + 1):
+            poly = profile.witness(m).poly
+            if poly is not None:
+                assert poly == BivariatePoly(field, poly.terms)
+                checks.append((poly, m, True))
+        top_pk = 0
+        for m in range(2, n + 1):
+            certificate = frobenius_witness(seq, m)
+            assert certificate == BivariatePoly(field, certificate.terms)
+            top_pk = max(top_pk, max(j for _, j in certificate.terms))
+            checks.append((certificate, m, True))
+        k, _ = frobenius_parameters(field.p, n)
+        assert top_pk == field.p**k  # the largest p^k <= n - 1
+        for _ in range(12):
+            h = BivariatePoly(
+                field,
+                {
+                    (rng.randrange(n + 2), rng.randrange(7)): rng.randrange(field.q)
+                    for _ in range(rng.randrange(1, 6))
+                },
+            )
+            checks.append((h, rng.randrange(n + 1), False))
+        rng.shuffle(checks)
+        for h, m, vanishes in checks:
+            got = substitute(h, g, m)
+            assert list(got.coeffs) == naive_substitute(field, h.terms, terms, m)
+            if vanishes:
+                assert got.is_zero()
+
+
+@pytest.mark.parametrize("q_spec", SUBSTITUTION_FIELDS)
+def test_run_all_checks_same_with_caller_series(q_spec):
+    field = Field(*q_spec)
+    rng = random.Random(77 + field.q)
+    n = 8
+    for _ in range(3):
+        seq = Sequence(field, [rng.randrange(field.q) for _ in range(n + 3)])
+        reports = run_all_checks(seq, n)
+        assert reports == run_all_checks(seq, n, series=seq.prefix_series(n))
+        # a longer series gives the same residues mod x^m
+        assert reports == run_all_checks(seq, n, series=seq.prefix_series(n + 3))
+
+
+def test_power_table_replaced_not_extended(f3):
+    g = TruncatedSeries(f3, [1, 2, 0, 1, 1])
+    substitute(BivariatePoly(f3, {(0, 1): 1}), g, 5)
+    before = g._powers
+    substitute(BivariatePoly(f3, {(0, 4): 1}), g, 3)
+    assert len(before) == 2 and len(g._powers) == 5
+    assert g._powers[:2] == before
+    with pytest.raises(ValueError):
+        substitute(BivariatePoly(f3, {(0, 1): 1}), g, 6)
+
+
+@pytest.mark.parametrize("q_spec", [(2, 1), (3, 2), (101, 1)])
+def test_public_constructors_reject_bad_coefficients(q_spec):
+    field = Field(*q_spec)
+    for bad in (field.q, -1, 1.0, "1", None):
+        with pytest.raises(ValueError):
+            TruncatedSeries(field, [0, bad])
+        with pytest.raises(ValueError):
+            Poly(field, [bad, 1])
+        with pytest.raises(ValueError):
+            BivariatePoly(field, {(0, 1): bad})
+        with pytest.raises(ValueError):
+            Sequence(field, [1, bad])
