@@ -168,8 +168,8 @@ def _reduce_generic(field: Field, terms, n: int):
     """
     mul, sub = field.mul, field.sub
     width = kernel_degree_bound(n) + 1
-    g = TruncatedSeries(field, terms[:n])
-    power = TruncatedSeries(field, [1] + [0] * (n - 1))
+    g = TruncatedSeries._unchecked(field, terms[:n])
+    power = TruncatedSeries._unchecked(field, [1] + [0] * (n - 1))
     pivots: dict[int, tuple[list[int], dict[int, int]]] = {}
     settled = False
     reduced: list = []  # (column, combination, birth row) of the previous block
@@ -284,7 +284,13 @@ def expansion_complexity(seq: Sequence, n: int) -> ExpansionWitness:
 
 
 def expansion_value(field: Field, terms, n: int) -> int:
-    """E_n without witness construction (hot path for sweeps)."""
+    """E_n without witness construction (hot path for sweeps).
+
+    terms are raw element indices, so the first n are validated here: the
+    kernel pass trusts its input (over F_2 it reads any nonzero as 1).
+    """
+    for s in terms[:n]:
+        field.validate(s)
     values = _profile(field, terms, n).values
     return values[-1] if values else 0
 

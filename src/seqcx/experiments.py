@@ -253,7 +253,7 @@ def _check_prefix(field: Field, terms: list[int], n: int):
 
     Returns (fit, e_n, fail_counter, witness_failures) for the whole prefix.
     """
-    seq = Sequence(field, terms)
+    seq = Sequence._unchecked(field, terms)  # digits from _decode_prefix
     fits = lincomp.linear_fits(seq, n)
     profile = expcomp.expansion_profile(seq, n)
     series = seq.prefix_series(n)  # one table of powers of G for every check
@@ -363,7 +363,7 @@ def _mc_chunk(p, m, modulus, schedule, seed, start, stop):
     length = max(schedule)
     counters = {n: Counter() for n in schedule}
     for j in range(start, stop):
-        seq = Sequence(field, sample_terms(seed, j, length, q))
+        seq = Sequence._unchecked(field, sample_terms(seed, j, length, q))
         values = expcomp.expansion_profile(seq, length).values
         for n in schedule:
             counters[n][values[n - 1]] += 1

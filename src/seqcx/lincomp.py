@@ -58,6 +58,16 @@ class Sequence:
                         f"terms contradict declared periodicity at index {i}"
                     )
 
+    @classmethod
+    def _unchecked(cls, field: Field, terms) -> "Sequence":
+        """A sequence without periodicity meta over element indices that
+        were drawn or decoded in range."""
+        seq = cls.__new__(cls)
+        object.__setattr__(seq, "field", field)
+        object.__setattr__(seq, "terms", tuple(terms))
+        object.__setattr__(seq, "meta", None)
+        return seq
+
     def __len__(self):
         return len(self.terms)
 

@@ -147,6 +147,12 @@ def frobenius_witness(seq: Sequence, n: int) -> BivariatePoly:
     return BivariatePoly._unchecked(f, terms)
 
 
+def _first_nonzero(seq: Sequence) -> int:
+    """Index of the first nonzero term (the length if there is none): the
+    first n terms are all zero exactly when n <= this index."""
+    return next((i for i, s in enumerate(seq.terms) if s), len(seq.terms))
+
+
 # -- periodic-sequence checks (declared preperiod and period) ---------------
 
 
@@ -179,7 +185,7 @@ def check_theorem1(
     if l == 0:
         raise ValueError("zero generating function is excluded")
     inputs = {"l": l, "t": t, "n": n}
-    if not any(seq.terms[:n]):
+    if n <= _first_nonzero(seq):
         return [
             _not_applicable("T1.lower", inputs, "all-zero prefix"),
             _not_applicable("T1.upper", inputs, "all-zero prefix"),
@@ -200,7 +206,7 @@ def check_theorem1_remark(
     if l == 0:
         raise ValueError("zero generating function is excluded")
     inputs = {"l": l, "t": t, "n": n}
-    if not any(seq.terms[:n]):
+    if n <= _first_nonzero(seq):
         return _not_applicable("T1.remark", inputs, "all-zero prefix")
     if t > 2:
         return _not_applicable("T1.remark", inputs, "requires preperiod <= 2")
@@ -224,7 +230,7 @@ def check_theorem4(
     """Both T4 bounds at prefix length n, using the canonical fitted t_n."""
     if n < 2:
         raise ValueError("prefix bounds require n >= 2")
-    if not any(seq.terms[:n]):
+    if n <= _first_nonzero(seq):
         raise ValueError("all-zero prefix is excluded")
     if fit is None:
         fit = lincomp.berlekamp_massey(seq, n)
@@ -287,7 +293,8 @@ def check_misc_upper(
         expansion_profile = expcomp.expansion_profile(seq, n).values
     e_n = expansion_profile[n - 1]
     reports = []
-    if any(seq.terms[:n]):
+    first = _first_nonzero(seq)
+    if first < n:
         reports.append(
             _report("R.simple", {"n": n}, "<=", simple_upper_bound(n), e_n)
         )
@@ -298,7 +305,7 @@ def check_misc_upper(
         best = None
         for n1 in range(1, n):
             n2 = n - n1
-            if not any(seq.terms[: min(n1, n2)]):
+            if min(n1, n2) <= first:
                 continue
             total = expansion_profile[n1 - 1] + expansion_profile[n2 - 1]
             if best is None or total < best:
@@ -358,17 +365,15 @@ def run_all_checks(
         series = seq.prefix_series(n)
     profile_e = expansion.values
     reports = check_growth([fit.complexity for fit in fits], profile_e)
-    for m in range(2, n + 1):
-        if any(seq.terms[:m]):
-            reports.extend(
-                check_theorem4(seq, m, fit=fits[m - 1], expansion=profile_e[m - 1])
-            )
-            reports.extend(
-                check_misc_upper(
-                    seq, m, expansion_profile=profile_e, series=series
-                )
-            )
-    if seq.meta is not None and any(seq.terms):
+    first = _first_nonzero(seq)
+    for m in range(max(2, first + 1), n + 1):
+        reports.extend(
+            check_theorem4(seq, m, fit=fits[m - 1], expansion=profile_e[m - 1])
+        )
+        reports.extend(
+            check_misc_upper(seq, m, expansion_profile=profile_e, series=series)
+        )
+    if seq.meta is not None and first < len(seq.terms):
         t_decl, period = seq.meta
         if len(seq.terms) >= t_decl + 2 * period:
             reports.extend(check_theorem1(seq, n, expansion=profile_e[n - 1]))

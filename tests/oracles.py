@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own algorithms: recurrence
 lengths come from explicit enumeration, binomial terms from math.comb,
 series products from a direct convolution, extension-field arithmetic
 from the polynomial basis (sharing only the library's division in F_p[x]),
-the expansion-complexity elimination from columns each reduced from
+binary exp/log tables from a walk of the cosets of <x>, the
+expansion-complexity elimination from columns each reduced from
 scratch, substitution h(x, G(x)) from powers of G convolved afresh on every
 call, and E_n from enumerating every candidate polynomial, so a bug in the
 library cannot vanish by checking itself.
@@ -14,7 +15,7 @@ import math
 from itertools import product
 
 from seqcx.expcomp import ExpansionWitness, monomial_count
-from seqcx.field import _is_irreducible, _poly_divmod, _trim
+from seqcx.field import _poly_divmod, _trim
 from seqcx.series import BivariatePoly, monomials_up_to
 
 # Enumerating q^{M_d} candidate polynomials is the brute-force oracle's budget.
@@ -208,14 +209,119 @@ class PolyBasisField:
         return a
 
 
+def _mulmod_lists(a, b, f, p):
+    """a * b mod f in F_p[x], on constant-first coefficient lists."""
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    return _poly_divmod(_trim(prod), f, p)[1]
+
+
+def is_irreducible_lists(coeffs, p, m):
+    """Ben-Or's test on coefficient lists, for every p: a monic f of degree
+    m >= 2 is irreducible iff gcd(x^(p^i) - x, f) = 1 for i = 1..m//2.
+    A root in F_p, found by Horner evaluation, rejects f at once."""
+    f = list(coeffs)
+    for a in range(p):
+        value = 0
+        for c in reversed(f):
+            value = (value * a + c) % p
+        if not value:
+            return False
+    power = [0, 1]  # x^(p^i) mod f
+    for _ in range(m // 2):
+        acc = [1]
+        for _ in range(p):
+            acc = _mulmod_lists(acc, power, f, p)
+        power = acc
+        diff = power + [0] * (2 - len(power))
+        diff[1] = (diff[1] - 1) % p
+        a, b = f, _trim(diff)
+        while b:
+            a, b = b, _poly_divmod(a, b, p)[1]
+        if len(a) > 1:
+            return False
+    return True
+
+
 def default_modulus_unfiltered(p, m):
     """The lexicographically smallest monic irreducible, trying every
     coefficient tuple (c_0, ..., c_{m-1}) in order, c_0 = 0 included."""
     for tail in product(range(p), repeat=m):
         candidate = tuple(tail) + (1,)
-        if _is_irreducible(candidate, p, m):
+        if is_irreducible_lists(candidate, p, m):
             return candidate
     raise AssertionError("no irreducible polynomial found")
+
+
+def log_tables_coset_walk(modulus):
+    """exp and log of F_{2^m} over its primitive element with the smallest
+    index, built by walking the cosets of <x> with a shift-and-XOR step.
+
+    Each coset y_c <x> (y_c the smallest index not yet seen) is walked in
+    turn, so x^j * y_c lands at position c*d + j, d the order of x.  If x
+    is not primitive, g is the least index whose powers reach <x> first
+    after `cosets` steps, at g^cosets = x^j with gcd(j, d) = 1; a second
+    walk then reads the powers of g off the coset positions.
+    """
+    m = len(modulus) - 1
+    q = 1 << m
+    q1 = q - 1
+    poly = sum(c << i for i, c in enumerate(modulus))
+
+    def step(a):
+        a <<= 1
+        return a ^ poly if a & q else a
+
+    coset_walk = [0] * q1
+    log = [-1] * q
+    n = cosets = 0
+    rep = 1
+    while n < q1:
+        while log[rep] >= 0:
+            rep += 1
+        cosets += 1
+        a = rep
+        while log[a] < 0:
+            log[a] = n
+            coset_walk[n] = a
+            n += 1
+            a = step(a)
+    if cosets == 1:
+        return coset_walk * 2, log
+    d = q1 // cosets
+
+    def times(b, c):
+        """b * y_c as (coset, exponent): the sum of b_i * x^i * y_c."""
+        acc = 0
+        for i in range(m):
+            if (b >> i) & 1:
+                acc ^= coset_walk[c * d + i]
+        return divmod(log[acc], d)
+
+    for g in range(2, q):
+        moves = {}
+        c = j = 0
+        for steps in range(1, cosets + 1):
+            if c not in moves:
+                moves[c] = times(g, c)
+            c, t = moves[c]
+            j = (j + t) % d
+            if c == 0:
+                break
+        if steps == cosets and math.gcd(j, d) == 1:
+            break
+    exp = [0] * q1
+    c = j = 0
+    for k in range(q1):
+        a = coset_walk[c * d + j]
+        exp[k] = a
+        log[a] = k
+        c, t = moves[c]
+        j = (j + t) % d
+    return exp * 2, log
 
 
 # -- expansion complexity: every column reduced from scratch ------------------

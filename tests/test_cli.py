@@ -336,3 +336,28 @@ def test_experiment_probe_and_scan(tmp_path):
     assert (probe["count"], probe["reference_q_b_squared"]) == (4, 2)
     assert probe["exploratory"] is True
     assert summary["tn_ambiguity"]["canonical_choice_failures"] == 0
+
+
+def test_verify_json_zero_led_matches_fixture(tmp_path, capsys):
+    # verify --json bytes recorded before the bound checkers compared
+    # prefix lengths with the index of the first nonzero term: zero-led
+    # inputs over F_2 and F_3 (first nonzero at 0, 1, n//2, n-1, and at n
+    # with declared periodicity)
+    import hashlib
+    import re
+    from pathlib import Path
+
+    from seqcx import cli
+
+    fixture = Path(__file__).parent / "fixtures" / "verify_zero_led.json"
+    cases = json.loads(fixture.read_text())["cases"]
+    assert len(cases) == 12
+    for case in cases:
+        path = tmp_path / (case["name"] + ".seq")
+        path.write_text(case["file"])
+        argv = ["verify", "--input", str(path), "--n", str(case["n"]), "--json"]
+        assert cli.main(argv) == case["exit"], case["name"]
+        out = re.sub(r'"timing": [^,\n]+', '"timing": 0', capsys.readouterr().out)
+        assert len(json.loads(out)["bounds"]) == case["bounds"], case["name"]
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == case["stdout_sha256"], case["name"]

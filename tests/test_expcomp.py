@@ -273,3 +273,24 @@ def test_invalid_n(f2):
         expansion_complexity(seq, 0)
     with pytest.raises(ValueError):
         expansion_complexity(seq, 3)
+
+
+@pytest.mark.parametrize(
+    "field,terms",
+    [
+        (Field(2), [2, 0, 1, 1]),
+        (Field(2), [1, 0, 1, -1]),
+        (Field(3), [1, 5, 0, 2]),
+        (Field(2, 2), [0, 3, 4, 1]),
+    ],
+    ids=["q2-two", "q2-negative", "q3-five", "q4-four"],
+)
+def test_expansion_value_rejects_out_of_range_terms(field, terms):
+    # the bit-packed F_2 kernel reads any nonzero as 1, so the check must
+    # come before it
+    with pytest.raises(ValueError, match="not an element index"):
+        expansion_value(field, terms, 4)
+    # terms past n are not read
+    assert expansion_value(field, [1] * 4 + [field.q], 4) == expansion_value(
+        field, [1] * 4, 4
+    )

@@ -1,8 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
-from oracles import PolyBasisField, default_modulus_unfiltered
+from oracles import (
+    PolyBasisField,
+    default_modulus_unfiltered,
+    is_irreducible_lists,
+    log_tables_coset_walk,
+)
 from seqcx.field import PRIME_POWER_CAP, Field, is_prime
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
@@ -209,10 +215,41 @@ def test_tables_with_nonprimitive_given_modulus():
 
 @pytest.mark.parametrize(
     "p,m",
-    [(2, m) for m in range(2, 11)]
+    [(2, m) for m in range(2, 21)]
     + [(3, m) for m in range(2, 6)]
-    + [(5, 2), (5, 3), (7, 2), (2, 16)],
+    + [(5, 2), (5, 3), (7, 2)],
     ids=lambda v: str(v),
 )
 def test_default_modulus_matches_unfiltered_search(p, m):
     assert Field(p, m).modulus == default_modulus_unfiltered(p, m)
+
+
+# -- binary tables against the coset walk of x ------------------------------
+
+
+def _assert_tables_match_coset_walk(field):
+    exp, log = log_tables_coset_walk(field.modulus)
+    assert field._exp.tolist() == exp
+    assert field._log.tolist() == log
+
+
+@pytest.mark.parametrize("m", range(2, 21))
+def test_binary_tables_match_coset_walk_default_modulus(m):
+    _assert_tables_match_coset_walk(Field(2, m))
+
+
+def test_binary_tables_match_coset_walk_every_small_modulus():
+    # every monic polynomial of degree 2..8 over F_2: the irreducible ones
+    # (69 of them, x primitive or not) give the oracle's tables, the others
+    # are rejected
+    irreducible = 0
+    for m in range(2, 9):
+        for tail in product(range(2), repeat=m):
+            modulus = tail + (1,)
+            if is_irreducible_lists(modulus, 2, m):
+                irreducible += 1
+                _assert_tables_match_coset_walk(Field(2, m, modulus))
+            else:
+                with pytest.raises(ValueError, match="reducible"):
+                    Field(2, m, modulus)
+    assert irreducible == 69

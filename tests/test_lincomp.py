@@ -247,3 +247,13 @@ def test_extension_is_ultimately_periodic_with_small_preperiod(f2, f3):
                     found = True
                     break
             assert found
+
+
+def test_unchecked_sequence_equals_validated(f2, f9):
+    rng = random.Random("unchecked-sequence")
+    for field in (f2, f9):
+        terms = [rng.randrange(field.q) for _ in range(20)]
+        seq = Sequence._unchecked(field, terms)
+        assert seq == Sequence(field, terms)
+        assert seq.terms == tuple(terms) and seq.meta is None
+        assert linear_fits(seq, 20) == linear_fits(Sequence(field, terms), 20)
