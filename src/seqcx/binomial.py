@@ -119,13 +119,12 @@ def analyze(spec: BinomialSpec) -> list[BoundReport]:
     """Recompute L, the L_n profile, and E_p, and grade each prediction."""
     p, k = spec.p, spec.k
     seq = generate(spec, 2 * p)
-    fit = lincomp.berlekamp_massey(seq, 2 * p)
+    fits = lincomp.linear_fits(seq, 2 * p)
     predicted_l, bound = predicted_linear_complexity(spec)
     reports = [
-        _report("P1.L", {"p": p, "k": k}, "==", predicted_l, fit.complexity)
+        _report("P1.L", {"p": p, "k": k}, "==", predicted_l, fits[-1].complexity)
     ]
-    profile = lincomp.linear_profile(seq, 2 * p)
-    worst = min(profile[n - 1] - bound(n) for n in range(1, 2 * p + 1))
+    worst = min(fit.complexity - bound(fit.n) for fit in fits)
     reports.append(
         _report("P1.profile", {"p": p, "k": k, "n_max": 2 * p}, ">=", 0, worst)
     )

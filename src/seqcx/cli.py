@@ -175,7 +175,9 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     fits = lincomp.linear_fits(seq, args.n)
     profile = expcomp.expansion_profile(seq, args.n)
-    reports = theorems.run_all_checks(seq, args.n, fits=fits, expansion=profile)
+    reports = theorems.run_all_checks(
+        seq, args.n, fits=fits, expansion=profile, series=seq.prefix_series(args.n)
+    )
     elapsed = time.perf_counter() - start
     failures = [r for r in reports if r.failed]
     if args.json:
@@ -208,6 +210,14 @@ def cmd_verify(args) -> int:
 
 
 def _experiment_config(args) -> experiments.ExperimentConfig:
+    if args.mode == "mc":
+        given = {"--tn-scan": args.tn_scan, "--low-b": args.low_b is not None,
+                 "--no-checks": args.no_checks}
+    else:
+        given = {"--schedule": args.schedule is not None}
+    for flag, present in given.items():
+        if present:
+            raise ValueError(f"{flag} does not apply to --mode {args.mode}")
     p, m = parse_field_spec(args.q)
     field = Field(p, m)
     schedule = None
@@ -241,6 +251,8 @@ def _dist_csv(record) -> str:
 
 def cmd_experiment(args) -> int:
     cfg = _experiment_config(args)
+    # the scan rejects its inputs before the sweep, and before any output
+    scan = experiments.tn_ambiguity_scan(cfg) if args.tn_scan else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     qtag = args.q.replace("^", "e")
@@ -258,8 +270,8 @@ def cmd_experiment(args) -> int:
         if cfg.low_b is not None:
             probe = experiments.count_low_expansion(result.record, cfg.low_b)
             summary["low_expansion_probe"] = probe.to_dict()
-        if args.tn_scan:
-            summary["tn_ambiguity"] = experiments.tn_ambiguity_scan(cfg).to_dict()
+        if scan is not None:
+            summary["tn_ambiguity"] = scan.to_dict()
         stem = f"exhaustive_q{qtag}_n{cfg.n}"
         _write(out / f"{stem}.csv", _dist_csv(result.record))
         _write(out / f"{stem}.json", dump_json(summary))

@@ -247,15 +247,12 @@ def _decode_prefix(index: int, q: int, n: int) -> list[int]:
     return digits
 
 
-def _check_prefix(field: Field, terms: list[int], n: int):
-    """One Berlekamp-Massey pass and one kernel pass over one prefix, every
-    E_m witness re-validated by substitution, then the full checker battery.
+def _check_prefix(seq: Sequence, n: int, fits, profile):
+    """Every E_m witness of one prefix re-validated by substitution, then the
+    full checker battery over its fits and expansion profile.
 
-    Returns (fit, e_n, fail_counter, witness_failures) for the whole prefix.
+    Returns (fail_counter, witness_failures) for the whole prefix.
     """
-    seq = Sequence._unchecked(field, terms)  # digits from _decode_prefix
-    fits = lincomp.linear_fits(seq, n)
-    profile = expcomp.expansion_profile(seq, n)
     series = seq.prefix_series(n)  # one table of powers of G for every check
     witness_failures = 0
     for m in range(1, n + 1):
@@ -270,8 +267,7 @@ def _check_prefix(field: Field, terms: list[int], n: int):
     reports = theorems.run_all_checks(
         seq, n, fits=fits, expansion=profile, series=series
     )
-    fails = Counter(rep.claim_id for rep in reports if rep.failed)
-    return fits[-1], profile.values[-1], fails, witness_failures
+    return Counter(rep.claim_id for rep in reports if rep.failed), witness_failures
 
 
 def _enumerate_chunk(p, m, modulus, n, checks, start, stop):
@@ -283,15 +279,17 @@ def _enumerate_chunk(p, m, modulus, n, checks, start, stop):
     fails = Counter()
     witness_failures = 0
     for index in range(start, stop):
-        terms = _decode_prefix(index, q, n)
+        seq = Sequence._unchecked(field, _decode_prefix(index, q, n))
         if checks:
-            fit, e_n, prefix_fails, wf = _check_prefix(field, terms, n)
+            fits = lincomp.linear_fits(seq, n)
+            profile = expcomp.expansion_profile(seq, n)
+            prefix_fails, wf = _check_prefix(seq, n, fits, profile)
             fails.update(prefix_fails)
             witness_failures += wf
+            fit, e_n = fits[-1], profile.values[-1]
         else:
-            length, conn = lincomp._bm_core(field, terms)[n]
-            fit = lincomp._fit_from_core(n, length, conn)
-            e_n = expcomp.expansion_value(field, terms, n)
+            fit = lincomp.berlekamp_massey(seq, n)
+            e_n = expcomp.expansion_profile(seq, n).values[-1]
         counts[e_n] += 1
         counts_l[fit.complexity] += 1
         counts_t[fit.t] += 1
@@ -400,58 +398,6 @@ def monte_carlo(cfg: ExperimentConfig) -> MonteCarloResult:
     return MonteCarloResult(cfg.seed, cfg.samples, schedule, records, low_fractions)
 
 
-def chi_square_consistency(
-    observed: dict, expected_probs: dict, total: int, *, min_expected: float = 5.0
-) -> dict:
-    """Chi-square comparison of observed counts against exact probabilities.
-
-    Adjacent values are pooled (ascending) until each bin's expected count
-    reaches min_expected; a trailing underfull bin is merged backwards.
-    Returns the statistic, degrees of freedom, and p-value.
-    """
-    values = sorted(set(observed) | set(expected_probs))
-    bins = []
-    acc_obs = 0.0
-    acc_exp = 0.0
-    for v in values:
-        acc_obs += observed.get(v, 0)
-        acc_exp += expected_probs.get(v, 0.0) * total
-        if acc_exp >= min_expected:
-            bins.append((acc_obs, acc_exp))
-            acc_obs = 0.0
-            acc_exp = 0.0
-    if acc_exp > 0 or acc_obs > 0:
-        if bins:
-            last_obs, last_exp = bins.pop()
-            bins.append((last_obs + acc_obs, last_exp + acc_exp))
-        else:
-            bins.append((acc_obs, acc_exp))
-    if len(bins) < 2:
-        raise ValueError("not enough mass to form two chi-square bins")
-    stat = sum((obs - exp) ** 2 / exp for obs, exp in bins)
-    df = len(bins) - 1
-    p_value = chi_square_sf(stat, df)
-    return {"statistic": stat, "df": df, "p_value": p_value, "bins": len(bins)}
-
-
-def chi_square_sf(stat: float, df: int) -> float:
-    """P(X >= stat) for X chi-square distributed with df >= 1 degrees of freedom.
-
-    This is Q(df/2, stat/2), the regularized upper incomplete gamma function,
-    summed from Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1), starting at
-    Q(1, y) = e^-y for even df and Q(1/2, y) = erfc(sqrt(y)) for odd df.
-    """
-    if stat <= 0:
-        return 1.0
-    y = stat / 2.0
-    a = 0.5 if df % 2 else 1.0
-    total = math.erfc(math.sqrt(y)) if df % 2 else math.exp(-y)
-    while a < df / 2:
-        total += math.exp(a * math.log(y) - y - math.lgamma(a + 1))
-        a += 1
-    return total
-
-
 # -- shortest-recurrence ambiguity scan --------------------------------------
 
 
@@ -520,9 +466,10 @@ def tn_ambiguity_scan(cfg: ExperimentConfig) -> TnAmbiguityReport:
         for i, s in enumerate(terms):
             if s:
                 bits |= 1 << i
-        length, conn = lincomp._bm_core(field, terms)[n]
-        fit = lincomp._fit_from_core(n, length, conn)
-        e_n = expcomp.expansion_value(field, terms, n)
+        seq = Sequence._unchecked(field, terms)
+        fit = lincomp.berlekamp_massey(seq, n)
+        e_n = expcomp.expansion_profile(seq, n).values[-1]
+        length = fit.complexity
         t_set = _attainable_t_values(bits, n, length)
         if len(t_set) == 1:
             singleton += 1

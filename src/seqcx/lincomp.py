@@ -185,20 +185,6 @@ def linear_profile(seq: Sequence, n_max: int) -> list[int]:
     return [fit.complexity for fit in linear_fits(seq, n_max)]
 
 
-def fit_annihilates(seq: Sequence, fit: LinearFit) -> bool:
-    """Direct re-evaluation of the recurrence against the prefix."""
-    f = seq.field
-    length = fit.complexity
-    for i in range(fit.n - length):
-        acc = seq.terms[i + length]
-        for l, cl in enumerate(fit.coeffs):
-            if cl and seq.terms[i + l]:
-                acc = f.add(acc, f.mul(cl, seq.terms[i + l]))
-        if acc != 0:
-            return False
-    return True
-
-
 def rational_form(fit: LinearFit, seq: Sequence) -> RationalForm:
     """Reconstruct G = f/g from a fit that is valid for the whole sequence.
 

@@ -64,16 +64,6 @@ class Poly:
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(f, [f.add(self.coeff(i), other.coeff(i)) for i in range(n)])
 
-    def __sub__(self, other):
-        _check_same_field(self, other)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(f, [f.sub(self.coeff(i), other.coeff(i)) for i in range(n)])
-
-    def __neg__(self):
-        f = self.field
-        return Poly(f, [f.neg(c) for c in self.coeffs])
-
     def __mul__(self, other):
         _check_same_field(self, other)
         f = self.field
@@ -105,9 +95,6 @@ class Poly:
                 for j, bj in enumerate(other.coeffs):
                     rem[i + j] = f.sub(rem[i + j], f.mul(factor, bj))
         return Poly(f, quo), Poly(f, rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -190,20 +177,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)})"
 
 
-def poly_to_series(p: Poly, n: int) -> TruncatedSeries:
-    return TruncatedSeries._unchecked(p.field, [p.coeff(i) for i in range(n)])
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    _check_same_field(a, b)
-    if a.order != b.order:
-        raise ValueError("series orders differ")
-    f = a.field
-    return TruncatedSeries._unchecked(
-        f, [f.add(x, y) for x, y in zip(a.coeffs, b.coeffs)]
-    )
-
-
 def series_mul(a: TruncatedSeries, b: TruncatedSeries, n: int) -> TruncatedSeries:
     """Product modulo x^n by schoolbook convolution."""
     _check_same_field(a, b)
@@ -263,13 +236,6 @@ def monomial_key(mono: tuple[int, int]) -> tuple[int, int, int]:
     """Canonical ordering of bivariate monomials x^i y^j: by (i+j, j, i)."""
     i, j = mono
     return (i + j, j, i)
-
-
-def monomials_up_to(d: int):
-    """All (i, j) with i + j <= d in canonical order."""
-    for total in range(d + 1):
-        for j in range(total + 1):
-            yield (total - j, j)
 
 
 class BivariatePoly:
@@ -341,14 +307,6 @@ class BivariatePoly:
             out[mono] = f.add(out.get(mono, 0), c)
         return BivariatePoly(f, out)
 
-    def __sub__(self, other):
-        _check_same_field(self, other)
-        f = self.field
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = f.sub(out.get(mono, 0), c)
-        return BivariatePoly(f, out)
-
     def __mul__(self, other):
         _check_same_field(self, other)
         f = self.field
@@ -358,10 +316,6 @@ class BivariatePoly:
                 mono = (i1 + i2, j1 + j2)
                 out[mono] = f.add(out.get(mono, 0), f.mul(c1, c2))
         return BivariatePoly(f, out)
-
-    def scale(self, c: int) -> "BivariatePoly":
-        f = self.field
-        return BivariatePoly(f, {m: f.mul(c, v) for m, v in self.terms.items()})
 
 
 def _power_table(g: TruncatedSeries, j: int) -> tuple:

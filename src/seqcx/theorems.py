@@ -26,15 +26,17 @@ An all-zero prefix has none (its expansion complexity is 0 by convention,
 while y is a degree-1 annihilator), so the sharpest universally valid law
 is E_{n+1} <= max(E_n, 1) + 1; that is what this module checks.
 
-The checkers never recompute complexities with logic of their own: all
-L_n / t_n / E_n inputs come from the lincomp and expcomp modules, so a bug
-there cannot cancel out here.
+The checkers grade engine outputs they are given: every L_n / t_n / E_n
+input is a required argument, computed by the lincomp and expcomp modules
+and never recomputed here, so a bug there cannot cancel out here.  The one
+exception is the (L, t) of a declared periodic sequence, which
+run_all_checks establishes once from a full-prefix fit and its rational
+reconstruction before the T1 checks grade it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import expcomp, lincomp
 from .lincomp import Sequence
@@ -156,7 +158,7 @@ def _first_nonzero(seq: Sequence) -> int:
 # -- periodic-sequence checks (declared preperiod and period) ---------------
 
 
-def _established_l_t(seq: Sequence) -> tuple[int, int, lincomp.LinearFit]:
+def _established_l_t(seq: Sequence) -> tuple[int, int]:
     """Linear complexity and true preperiod of a declared periodic sequence.
 
     The fit is taken over the full known prefix and validated through the
@@ -165,15 +167,17 @@ def _established_l_t(seq: Sequence) -> tuple[int, int, lincomp.LinearFit]:
     """
     if seq.meta is None:
         raise ValueError("sequence must declare (preperiod, period)")
-    fit = lincomp.berlekamp_massey(seq, len(seq.terms))
-    rf = lincomp.rational_form(fit, seq)
-    return rf.complexity, rf.t, fit
+    rf = lincomp.rational_form(lincomp.berlekamp_massey(seq, len(seq.terms)), seq)
+    if rf.complexity == 0:
+        raise ValueError("zero generating function is excluded")
+    return rf.complexity, rf.t
 
 
 def check_theorem1(
-    seq: Sequence, n: int, *, expansion: Optional[int] = None
+    l: int, t: int, n: int, *, expansion: int, first: int
 ) -> list[BoundReport]:
-    """Both T1 bounds for an ultimately periodic sequence at prefix length n.
+    """Both T1 bounds at prefix length n for an ultimately periodic sequence
+    with established (L, t) and first nonzero term at index first.
 
     A nonzero generating function can still have an all-zero length-n prefix
     (positive valuation); there the expansion complexity is 0 by convention
@@ -181,17 +185,12 @@ def check_theorem1(
     not-applicable, mirroring the explicit nonzero-prefix guard of the
     prefix-based bounds.
     """
-    l, t, _ = _established_l_t(seq)
-    if l == 0:
-        raise ValueError("zero generating function is excluded")
     inputs = {"l": l, "t": t, "n": n}
-    if n <= _first_nonzero(seq):
+    if n <= first:
         return [
             _not_applicable("T1.lower", inputs, "all-zero prefix"),
             _not_applicable("T1.upper", inputs, "all-zero prefix"),
         ]
-    if expansion is None:
-        expansion = expcomp.expansion_value(seq.field, seq.terms, n)
     return [
         _report("T1.lower", inputs, ">=", periodic_lower_bound(l, t, n), expansion),
         _report("T1.upper", inputs, "<=", periodic_upper_bound(l, t), expansion),
@@ -199,44 +198,29 @@ def check_theorem1(
 
 
 def check_theorem1_remark(
-    seq: Sequence, n: int, *, expansion: Optional[int] = None
+    l: int, t: int, n: int, *, expansion: int, first: int
 ) -> BoundReport:
     """Exact value E_n = L - t + 1 when t <= 2 and n > (L-t)(L-t+1)."""
-    l, t, _ = _established_l_t(seq)
-    if l == 0:
-        raise ValueError("zero generating function is excluded")
     inputs = {"l": l, "t": t, "n": n}
-    if n <= _first_nonzero(seq):
+    if n <= first:
         return _not_applicable("T1.remark", inputs, "all-zero prefix")
     if t > 2:
         return _not_applicable("T1.remark", inputs, "requires preperiod <= 2")
     if n <= (l - t) * (l - t + 1):
         return _not_applicable("T1.remark", inputs, "prefix too short for equality")
-    if expansion is None:
-        expansion = expcomp.expansion_value(seq.field, seq.terms, n)
     return _report("T1.remark", inputs, "==", l - t + 1, expansion)
 
 
 # -- prefix checks (no periodicity assumption) -------------------------------
 
 
-def check_theorem4(
-    seq: Sequence,
-    n: int,
-    *,
-    fit: Optional[lincomp.LinearFit] = None,
-    expansion: Optional[int] = None,
-) -> list[BoundReport]:
-    """Both T4 bounds at prefix length n, using the canonical fitted t_n."""
+def check_theorem4(fit: lincomp.LinearFit, expansion: int) -> list[BoundReport]:
+    """Both T4 bounds at prefix length n = fit.n, using the canonical t_n."""
+    n, l_n, t_n = fit.n, fit.complexity, fit.t
     if n < 2:
         raise ValueError("prefix bounds require n >= 2")
-    if n <= _first_nonzero(seq):
+    if l_n == 0:
         raise ValueError("all-zero prefix is excluded")
-    if fit is None:
-        fit = lincomp.berlekamp_massey(seq, n)
-    if expansion is None:
-        expansion = expcomp.expansion_value(seq.field, seq.terms, n)
-    l_n, t_n = fit.complexity, fit.t
     inputs = {"l_n": l_n, "t_n": t_n, "n": n}
     return [
         _report("T4.lower", inputs, ">=", periodic_lower_bound(l_n, t_n, n), expansion),
@@ -278,22 +262,22 @@ def check_misc_upper(
     seq: Sequence,
     n: int,
     *,
-    expansion_profile=None,
-    series: Optional[TruncatedSeries] = None,
+    profile_e: list[int],
+    series: TruncatedSeries,
+    first: int,
 ) -> list[BoundReport]:
     """R.simple, R.subadd, R.frobenius(.witness), and R.kernel at length n.
 
-    series, the generating function of a prefix of at least n terms, is
-    what the Frobenius certificate is substituted into; passing the same
-    one for every n lets all of them share its table of powers.
+    profile_e holds E_1..E_m for some m >= n and first is the index of the
+    first nonzero term of seq.  series, the generating function of a prefix
+    of at least n terms, is what the Frobenius certificate is substituted
+    into; passing the same one for every n lets all of them share its table
+    of powers.
     """
     if n < 2:
         raise ValueError("upper-bound remarks require n >= 2")
-    if expansion_profile is None:
-        expansion_profile = expcomp.expansion_profile(seq, n).values
-    e_n = expansion_profile[n - 1]
+    e_n = profile_e[n - 1]
     reports = []
-    first = _first_nonzero(seq)
     if first < n:
         reports.append(
             _report("R.simple", {"n": n}, "<=", simple_upper_bound(n), e_n)
@@ -307,7 +291,7 @@ def check_misc_upper(
             n2 = n - n1
             if min(n1, n2) <= first:
                 continue
-            total = expansion_profile[n1 - 1] + expansion_profile[n2 - 1]
+            total = profile_e[n1 - 1] + profile_e[n2 - 1]
             if best is None or total < best:
                 best = total
         if best is None:
@@ -320,8 +304,6 @@ def check_misc_upper(
         reports.append(
             _report("R.frobenius", {"n": n, "p": seq.field.p, "k": k}, "<=", bound, e_n)
         )
-        if series is None:
-            series = seq.prefix_series(n)
         residual = substitute(frobenius_witness(seq, n), series, n)
         reports.append(
             _report(
@@ -342,42 +324,38 @@ def run_all_checks(
     seq: Sequence,
     n: int,
     *,
-    fits: Optional[list[lincomp.LinearFit]] = None,
-    expansion: Optional[expcomp.ExpansionProfile] = None,
-    series: Optional[TruncatedSeries] = None,
+    fits: list[lincomp.LinearFit],
+    expansion: expcomp.ExpansionProfile,
+    series: TruncatedSeries,
 ) -> list[BoundReport]:
     """Every applicable checker for the first n terms (driver for `verify`).
 
-    T1 checks run only when the sequence declares its periodicity; growth
-    checks cover every step up to n; T4 and the upper-bound remarks run at
-    each prefix length where their preconditions hold.  fits (one per prefix
-    length 1..n), expansion (the profile of the first n terms) and series
-    (their generating function, shared by every Frobenius certificate) are
-    computed here unless the caller already has them.
+    fits holds one fit per prefix length 1..n, expansion is the profile of
+    the first n terms and series their generating function, shared by every
+    Frobenius certificate.  Growth checks cover every step up to n; T4 and
+    the upper-bound remarks run at each prefix length where their
+    preconditions hold; T1 runs only when the sequence declares its
+    periodicity, on the (L, t) established once here.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if fits is None:
-        fits = lincomp.linear_fits(seq, n)
-    if expansion is None:
-        expansion = expcomp.expansion_profile(seq, n)
-    if series is None:
-        series = seq.prefix_series(n)
     profile_e = expansion.values
     reports = check_growth([fit.complexity for fit in fits], profile_e)
     first = _first_nonzero(seq)
     for m in range(max(2, first + 1), n + 1):
+        reports.extend(check_theorem4(fits[m - 1], profile_e[m - 1]))
         reports.extend(
-            check_theorem4(seq, m, fit=fits[m - 1], expansion=profile_e[m - 1])
-        )
-        reports.extend(
-            check_misc_upper(seq, m, expansion_profile=profile_e, series=series)
+            check_misc_upper(
+                seq, m, profile_e=profile_e, series=series, first=first
+            )
         )
     if seq.meta is not None and first < len(seq.terms):
         t_decl, period = seq.meta
         if len(seq.terms) >= t_decl + 2 * period:
-            reports.extend(check_theorem1(seq, n, expansion=profile_e[n - 1]))
+            l, t = _established_l_t(seq)
+            e_n = profile_e[n - 1]
+            reports.extend(check_theorem1(l, t, n, expansion=e_n, first=first))
             reports.append(
-                check_theorem1_remark(seq, n, expansion=profile_e[n - 1])
+                check_theorem1_remark(l, t, n, expansion=e_n, first=first)
             )
     return reports

@@ -16,7 +16,7 @@ from itertools import product
 
 from seqcx.expcomp import ExpansionWitness, monomial_count
 from seqcx.field import _poly_divmod, _trim
-from seqcx.series import BivariatePoly, monomials_up_to
+from seqcx.series import BivariatePoly, TruncatedSeries, _check_same_field
 
 # Enumerating q^{M_d} candidate polynomials is the brute-force oracle's budget.
 BRUTE_FORCE_CAP = 1 << 16
@@ -520,3 +520,91 @@ def brute_force_expansion(seq, n, d_max):
                 h = BivariatePoly(field, coeffs)
                 return ExpansionWitness(n, h.total_degree, h)
     return None
+
+
+# -- small helpers with no caller in the package -------------------------------
+
+
+def monomials_up_to(d):
+    """All (i, j) with i + j <= d in canonical order."""
+    for total in range(d + 1):
+        for j in range(total + 1):
+            yield (total - j, j)
+
+
+def poly_to_series(p, n):
+    return TruncatedSeries._unchecked(p.field, [p.coeff(i) for i in range(n)])
+
+
+def series_add(a, b):
+    _check_same_field(a, b)
+    if a.order != b.order:
+        raise ValueError("series orders differ")
+    f = a.field
+    return TruncatedSeries._unchecked(
+        f, [f.add(x, y) for x, y in zip(a.coeffs, b.coeffs)]
+    )
+
+
+def fit_annihilates(seq, fit):
+    """Direct re-evaluation of the recurrence against the prefix."""
+    f = seq.field
+    length = fit.complexity
+    for i in range(fit.n - length):
+        acc = seq.terms[i + length]
+        for l, cl in enumerate(fit.coeffs):
+            if cl and seq.terms[i + l]:
+                acc = f.add(acc, f.mul(cl, seq.terms[i + l]))
+        if acc != 0:
+            return False
+    return True
+
+
+def chi_square_consistency(observed, expected_probs, total, *, min_expected=5.0):
+    """Chi-square comparison of observed counts against exact probabilities.
+
+    Adjacent values are pooled (ascending) until each bin's expected count
+    reaches min_expected; a trailing underfull bin is merged backwards.
+    Returns the statistic, degrees of freedom, and p-value.
+    """
+    values = sorted(set(observed) | set(expected_probs))
+    bins = []
+    acc_obs = 0.0
+    acc_exp = 0.0
+    for v in values:
+        acc_obs += observed.get(v, 0)
+        acc_exp += expected_probs.get(v, 0.0) * total
+        if acc_exp >= min_expected:
+            bins.append((acc_obs, acc_exp))
+            acc_obs = 0.0
+            acc_exp = 0.0
+    if acc_exp > 0 or acc_obs > 0:
+        if bins:
+            last_obs, last_exp = bins.pop()
+            bins.append((last_obs + acc_obs, last_exp + acc_exp))
+        else:
+            bins.append((acc_obs, acc_exp))
+    if len(bins) < 2:
+        raise ValueError("not enough mass to form two chi-square bins")
+    stat = sum((obs - exp) ** 2 / exp for obs, exp in bins)
+    df = len(bins) - 1
+    p_value = chi_square_sf(stat, df)
+    return {"statistic": stat, "df": df, "p_value": p_value, "bins": len(bins)}
+
+
+def chi_square_sf(stat, df):
+    """P(X >= stat) for X chi-square distributed with df >= 1 degrees of freedom.
+
+    This is Q(df/2, stat/2), the regularized upper incomplete gamma function,
+    summed from Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1), starting at
+    Q(1, y) = e^-y for even df and Q(1/2, y) = erfc(sqrt(y)) for odd df.
+    """
+    if stat <= 0:
+        return 1.0
+    y = stat / 2.0
+    a = 0.5 if df % 2 else 1.0
+    total = math.erfc(math.sqrt(y)) if df % 2 else math.exp(-y)
+    while a < df / 2:
+        total += math.exp(a * math.log(y) - y - math.lgamma(a + 1))
+        a += 1
+    return total

@@ -22,13 +22,17 @@ from seqcx.seqfile import dump_json
 from seqcx.series import substitute
 from seqcx.experiments import (
     ExperimentConfig,
-    chi_square_consistency,
     count_low_expansion,
     enumerate_all,
     monte_carlo,
 )
 
-from oracles import brute_force_expansion, min_recurrence_length_gf2
+from oracles import (
+    brute_force_expansion,
+    chi_square_consistency,
+    min_recurrence_length_gf2,
+    poly_to_series,
+)
 
 PRIMES_TO_31 = [p for p in range(2, 32) if is_prime(p)]
 FIXTURE = Path(__file__).parent / "fixtures" / "e16_q2_distribution.json"
@@ -93,7 +97,7 @@ def test_criterion_3_linear_complexity_predictions():
 
 
 def test_criterion_4_generating_function_identity():
-    from seqcx.series import poly_to_series, series_mul
+    from seqcx.series import series_mul
 
     for p, k in binomial_cases():
         spec = binomial.BinomialSpec(p, k)

@@ -12,9 +12,9 @@ from seqcx.binomial import (
 )
 from seqcx.expcomp import expansion_value
 from seqcx.field import is_prime
-from seqcx.series import poly_to_series, series_mul, substitute
+from seqcx.series import series_mul, substitute
 
-from oracles import binomial_terms
+from oracles import binomial_terms, poly_to_series
 
 PRIMES_TO_31 = [p for p in range(2, 32) if is_prime(p)]
 

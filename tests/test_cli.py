@@ -211,6 +211,26 @@ BAD_INPUT_CASES = {
     "mc-repeated-schedule-entry": [
         "experiment", "--mode", "mc", "--q", "2", "--samples", "3",
         "--schedule", "4,4", "--out", "{out}"],
+    # flags the chosen mode would ignore
+    "mc-tn-scan": [
+        "experiment", "--mode", "mc", "--q", "2", "--samples", "4", "--n", "5",
+        "--tn-scan", "--out", "{out}"],
+    "mc-low-b": [
+        "experiment", "--mode", "mc", "--q", "2", "--samples", "4", "--n", "5",
+        "--low-b", "0", "--out", "{out}"],
+    "mc-no-checks": [
+        "experiment", "--mode", "mc", "--q", "2", "--samples", "4", "--n", "5",
+        "--no-checks", "--out", "{out}"],
+    "exhaustive-schedule": [
+        "experiment", "--mode", "exhaustive", "--q", "2", "--n", "4",
+        "--schedule", "4", "--out", "{out}"],
+    # the scan's own limits, checked before the sweep
+    "exhaustive-tn-scan-n-too-large": [
+        "experiment", "--mode", "exhaustive", "--q", "2", "--n", "13",
+        "--tn-scan", "--out", "{out}"],
+    "exhaustive-tn-scan-q3": [
+        "experiment", "--mode", "exhaustive", "--q", "3", "--n", "4",
+        "--tn-scan", "--out", "{out}"],
     # a well-formed file whose field is above the cap
     "lincomp-file-q-above-cap": ["lincomp", "--input", "{huge_q}", "--n", "3"],
     "verify-file-extension-above-cap": [
@@ -336,6 +356,21 @@ def test_experiment_probe_and_scan(tmp_path):
     assert (probe["count"], probe["reference_q_b_squared"]) == (4, 2)
     assert probe["exploratory"] is True
     assert summary["tn_ambiguity"]["canonical_choice_failures"] == 0
+
+
+def test_tn_scan_limits_rejected_before_the_sweep(tmp_path, monkeypatch, capsys):
+    from seqcx import cli, experiments
+
+    def sweep(cfg):
+        raise AssertionError("enumerate_all ran before the scan's limits")
+
+    monkeypatch.setattr(experiments, "enumerate_all", sweep)
+    out = tmp_path / "out"
+    argv = ["experiment", "--mode", "exhaustive", "--q", "2", "--n", "13",
+            "--tn-scan", "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "error: scan is limited to q=2 and n <= 10\n"
+    assert not out.exists()
 
 
 def test_verify_json_zero_led_matches_fixture(tmp_path, capsys):

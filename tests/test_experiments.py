@@ -8,8 +8,6 @@ from seqcx.experiments import (
     EXHAUSTIVE_CAP,
     ExperimentConfig,
     _attainable_t_values,
-    chi_square_consistency,
-    chi_square_sf,
     count_low_expansion,
     draw_element,
     enumerate_all,
@@ -18,6 +16,8 @@ from seqcx.experiments import (
     tn_ambiguity_scan,
 )
 from seqcx.field import Field
+
+from oracles import chi_square_consistency, chi_square_sf
 
 MC_DISTRIBUTIONS = Path(__file__).parent / "fixtures" / "mc_distributions.json"
 
@@ -239,3 +239,16 @@ def test_tn_scan_full_cap(f2):
     assert d["canonical_choice_failures"] == 0
     assert d["bounds_fail_for_some_choice"] == 0
     assert d["bounds_hold_for_all_choices"] == 255
+
+
+@pytest.mark.parametrize(
+    "q_spec, n", [((2, 1), 8), ((3, 1), 5), ((2, 2), 4), ((3, 2), 3)]
+)
+def test_checked_and_unchecked_sweeps_tally_alike(q_spec, n):
+    # the checked sweep reads L_n, t_n and E_n off whole profiles, the
+    # unchecked one off a single fit and the last profile value
+    field = Field(*q_spec)
+    checked = enumerate_all(exhaustive(field, n))
+    unchecked = enumerate_all(exhaustive(field, n, checks=False))
+    assert checked.violations == 0
+    assert checked.record.to_dict() == unchecked.record.to_dict()

@@ -9,7 +9,6 @@ from seqcx.lincomp import (
     Sequence,
     berlekamp_massey,
     extend_by_recurrence,
-    fit_annihilates,
     linear_fits,
     linear_profile,
     preperiod_from_rational,
@@ -17,7 +16,7 @@ from seqcx.lincomp import (
 )
 from seqcx.series import Poly, poly_pow, rational_expand
 
-from oracles import min_recurrence_length_gf2
+from oracles import fit_annihilates, min_recurrence_length_gf2
 
 
 def test_bm_example(f2):

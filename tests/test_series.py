@@ -4,17 +4,14 @@ import pytest
 
 from seqcx.expcomp import expansion_profile
 from seqcx.field import Field
-from seqcx.lincomp import Sequence
+from seqcx.lincomp import Sequence, linear_fits
 from seqcx.series import (
     BivariatePoly,
     Poly,
     TruncatedSeries,
-    monomials_up_to,
     poly_gcd,
     poly_pow,
-    poly_to_series,
     rational_expand,
-    series_add,
     series_mul,
     series_pow,
     substitute,
@@ -22,7 +19,13 @@ from seqcx.series import (
 
 from seqcx.theorems import frobenius_parameters, frobenius_witness, run_all_checks
 
-from oracles import convolve_mod, naive_substitute
+from oracles import (
+    convolve_mod,
+    monomials_up_to,
+    naive_substitute,
+    poly_to_series,
+    series_add,
+)
 
 
 def test_poly_normalization(f7):
@@ -263,10 +266,17 @@ def test_run_all_checks_same_with_caller_series(q_spec):
     n = 8
     for _ in range(3):
         seq = Sequence(field, [rng.randrange(field.q) for _ in range(n + 3)])
-        reports = run_all_checks(seq, n)
-        assert reports == run_all_checks(seq, n, series=seq.prefix_series(n))
-        # a longer series gives the same residues mod x^m
-        assert reports == run_all_checks(seq, n, series=seq.prefix_series(n + 3))
+        fits, profile = linear_fits(seq, n), expansion_profile(seq, n)
+
+        def run(series):
+            return run_all_checks(seq, n, fits=fits, expansion=profile, series=series)
+
+        reports = run(seq.prefix_series(n))
+        assert reports == run(seq.prefix_series(n))
+        # a longer series gives the same residues mod x^m, also when its
+        # table of powers is kept from an earlier call
+        longer = seq.prefix_series(n + 3)
+        assert reports == run(longer) == run(longer)
 
 
 def test_power_table_replaced_not_extended(f3):

@@ -2,12 +2,21 @@ import itertools
 
 import pytest
 
-from seqcx.expcomp import expansion_value
-from seqcx.lincomp import Periodicity, Sequence, linear_profile
+from seqcx import lincomp
+from seqcx.expcomp import expansion_profile, expansion_value
+from seqcx.lincomp import (
+    Periodicity,
+    Sequence,
+    berlekamp_massey,
+    linear_fits,
+    linear_profile,
+)
 from seqcx.theorems import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
+    _established_l_t,
+    _first_nonzero,
     check_growth,
     check_misc_upper,
     check_theorem1,
@@ -32,6 +41,48 @@ def by_claim(reports):
     return {r.claim_id: r for r in reports}
 
 
+# The checkers grade engine outputs; these helpers compute the outputs that
+# run_all_checks would hand them for the first n terms of seq.
+
+
+def t1(seq, n):
+    l, t = _established_l_t(seq)
+    e_n = expansion_value(seq.field, seq.terms, n)
+    return check_theorem1(l, t, n, expansion=e_n, first=_first_nonzero(seq))
+
+
+def remark(seq, n):
+    l, t = _established_l_t(seq)
+    e_n = expansion_value(seq.field, seq.terms, n)
+    return check_theorem1_remark(l, t, n, expansion=e_n, first=_first_nonzero(seq))
+
+
+def t4(seq, n):
+    return check_theorem4(
+        berlekamp_massey(seq, n), expansion_value(seq.field, seq.terms, n)
+    )
+
+
+def misc(seq, n):
+    return check_misc_upper(
+        seq,
+        n,
+        profile_e=expansion_profile(seq, n).values,
+        series=seq.prefix_series(n),
+        first=_first_nonzero(seq),
+    )
+
+
+def run_all(seq, n):
+    return run_all_checks(
+        seq,
+        n,
+        fits=linear_fits(seq, n),
+        expansion=expansion_profile(seq, n),
+        series=seq.prefix_series(n),
+    )
+
+
 def test_bound_formula_values():
     # all-ones: L=1, t=0
     assert periodic_lower_bound(1, 0, 5) == 2
@@ -49,14 +100,14 @@ def test_bound_formula_values():
 
 
 def test_check_theorem1_all_ones(f3):
-    reports = by_claim(check_theorem1(ones(f3, 12), 5))
+    reports = by_claim(t1(ones(f3, 12), 5))
     low, up = reports["T1.lower"], reports["T1.upper"]
     assert (low.expected, low.observed, low.outcome) == (2, 2, PASS)
     assert (up.expected, up.observed, up.outcome) == (2, 2, PASS)
 
 
 def test_check_theorem1_short_prefix_branch(f3):
-    reports = by_claim(check_theorem1(ones(f3, 12), 2))
+    reports = by_claim(t1(ones(f3, 12), 2))
     assert reports["T1.lower"].expected == 1  # ceil(2/2)
     assert reports["T1.lower"].observed == 1
     assert reports["T1.lower"].passed
@@ -66,7 +117,7 @@ def test_check_theorem1_binomial():
     from seqcx.binomial import BinomialSpec, generate
 
     seq = generate(BinomialSpec(13, 2), 39)
-    reports = by_claim(check_theorem1(seq, 13))
+    reports = by_claim(t1(seq, 13))
     assert reports["T1.lower"].expected == 4
     assert reports["T1.upper"].expected == 4
     assert reports["T1.lower"].observed == 4
@@ -75,45 +126,45 @@ def test_check_theorem1_binomial():
 
 def test_check_theorem1_rejects_zero(f2):
     with pytest.raises(ValueError):
-        check_theorem1(Sequence(f2, [0] * 6, meta=Periodicity(0, 1)), 3)
+        t1(Sequence(f2, [0] * 6, meta=Periodicity(0, 1)), 3)
 
 
 def test_remark_equality_cases(f2):
-    rep = check_theorem1_remark(ones(f2, 10), 3)
+    rep = remark(ones(f2, 10), 3)
     assert rep.outcome == PASS and rep.expected == 2
 
     # preperiod 3 sequence: 0,0,0 then ones
     seq = Sequence(f2, [0, 0, 0] + [1] * 9, meta=Periodicity(3, 1))
-    rep = check_theorem1_remark(seq, 10)
+    rep = remark(seq, 10)
     assert rep.outcome == NOT_APPLICABLE
 
     # too-short prefix: n <= (L-t)(L-t+1)
-    rep = check_theorem1_remark(ones(f2, 10), 2)
+    rep = remark(ones(f2, 10), 2)
     assert rep.outcome == NOT_APPLICABLE
 
 
 def test_check_theorem4_examples(f2):
     # degenerate [0,0,1]
-    reports = by_claim(check_theorem4(Sequence(f2, [0, 0, 1]), 3))
+    reports = by_claim(t4(Sequence(f2, [0, 0, 1]), 3))
     assert reports["T4.upper"].expected == 2
     assert reports["T4.upper"].observed == 2
     assert all(r.passed for r in reports.values())
 
-    reports = by_claim(check_theorem4(Sequence(f2, [1] * 5), 5))
+    reports = by_claim(t4(Sequence(f2, [1] * 5), 5))
     assert reports["T4.lower"].expected == 2
     assert reports["T4.upper"].expected == 2
     assert all(r.passed for r in reports.values())
 
-    reports = by_claim(check_theorem4(Sequence(f2, [1, 0, 0, 0]), 4))
+    reports = by_claim(t4(Sequence(f2, [1, 0, 0, 0]), 4))
     assert reports["T4.upper"].expected == 1
     assert reports["T4.upper"].observed == 1
 
 
 def test_check_theorem4_preconditions(f2):
     with pytest.raises(ValueError):
-        check_theorem4(Sequence(f2, [0, 0, 0]), 3)
+        t4(Sequence(f2, [0, 0, 0]), 3)
     with pytest.raises(ValueError):
-        check_theorem4(Sequence(f2, [1, 1]), 1)
+        t4(Sequence(f2, [1, 1]), 1)
 
 
 def test_check_growth_examples(f2):
@@ -147,13 +198,13 @@ def test_check_growth_detects_violations(f2):
 
 def test_check_misc_upper_examples(f2):
     seq = Sequence(f2, [1] * 6)
-    reports = by_claim(check_misc_upper(seq, 4))
+    reports = by_claim(misc(seq, 4))
     assert reports["R.simple"].expected == 3
     assert reports["R.kernel"].expected == 2
     assert reports["R.frobenius"].expected == 2  # floor(3/2)*2
     assert all(r.outcome == PASS for r in reports.values())
 
-    reports = by_claim(check_misc_upper(seq, 6))
+    reports = by_claim(misc(seq, 6))
     # split 3+3 gives E_3 + E_3 = 4; best split is 1+5 or 2+4 -> 1+2 = 3
     assert reports["R.subadd"].observed == 2
     assert reports["R.subadd"].passed
@@ -161,7 +212,7 @@ def test_check_misc_upper_examples(f2):
 
 def test_misc_upper_not_applicable_for_zero_prefix(f2):
     seq = Sequence(f2, [0, 0, 0, 1])
-    reports = check_misc_upper(seq, 3)
+    reports = misc(seq, 3)
     assert all(r.outcome == NOT_APPLICABLE for r in reports)
 
 
@@ -200,10 +251,10 @@ def test_check_theorem1_preperiod_one_branch(f3):
     # 2 then (1,0) repeating: true preperiod 1, L = 3
     seq = Sequence(f3, [2] + [1, 0] * 8, meta=Periodicity(1, 2))
     for n in (4, 8, 12):
-        assert all(r.passed for r in check_theorem1(seq, n))
+        assert all(r.passed for r in t1(seq, n))
     # remark applies for t = 1 once n > (L-t)(L-t+1) = 6
-    assert check_theorem1_remark(seq, 8).outcome == PASS
-    assert check_theorem1_remark(seq, 4).outcome == NOT_APPLICABLE
+    assert remark(seq, 8).outcome == PASS
+    assert remark(seq, 4).outcome == NOT_APPLICABLE
 
 
 def test_check_theorem1_preperiod_two_branch(f2):
@@ -215,11 +266,11 @@ def test_check_theorem1_preperiod_two_branch(f2):
     rf = rational_form(berlekamp_massey(seq, len(seq.terms)), seq)
     assert (rf.complexity, rf.t) == (3, 2)
     for n in (4, 9, 14):
-        reports = by_claim(check_theorem1(seq, n))
+        reports = by_claim(t1(seq, n))
         assert reports["T1.lower"].expected == 2
         assert reports["T1.upper"].expected == 2
         assert all(r.passed for r in reports.values())
-        assert check_theorem1_remark(seq, n).outcome == PASS
+        assert remark(seq, n).outcome == PASS
 
 
 def test_equality_remark_on_binomial_tail():
@@ -229,14 +280,14 @@ def test_equality_remark_on_binomial_tail():
 
     seq = generate(BinomialSpec(5, 2), 20)
     for n in range(13, 19):
-        rep = check_theorem1_remark(seq, n)
+        rep = remark(seq, n)
         assert rep.outcome == PASS and rep.expected == 4
     assert expansion_value(seq.field, seq.terms, 12) in (3, 4)
 
 
 def test_run_all_checks_extension_field(f4):
     seq = Sequence(f4, [1, 2, 3] * 6, meta=Periodicity(0, 3))
-    reports = run_all_checks(seq, 9)
+    reports = run_all(seq, 9)
     assert reports and not any(r.failed for r in reports)
 
 
@@ -255,12 +306,12 @@ def test_theorem1_exhaustive_periodic_families(f2):
                     ]
                     seq = Sequence(f2, terms, meta=Periodicity(t, period))
                     for n in (3, 6, 10, 14):
-                        for rep in check_theorem1(seq, n):
+                        for rep in t1(seq, n):
                             if any(terms[:n]):
                                 assert rep.passed, (terms[:8], n, rep)
                             else:
                                 assert rep.outcome == NOT_APPLICABLE
-                        rep = check_theorem1_remark(seq, n)
+                        rep = remark(seq, n)
                         assert rep.outcome in (PASS, NOT_APPLICABLE)
                         checked += 1
     assert checked > 300
@@ -269,17 +320,34 @@ def test_theorem1_exhaustive_periodic_families(f2):
 def test_reports_are_self_contained(f2):
     for bits in itertools.product((0, 1), repeat=6):
         seq = Sequence(f2, list(bits))
-        for rep in run_all_checks(seq, 6):
+        for rep in run_all(seq, 6):
             assert rep.evaluate() == rep.outcome
 
 
 def test_report_serialization_roundtrip(f2):
-    rep = check_theorem4(Sequence(f2, [1, 1, 0, 1]), 4)[0]
+    rep = t4(Sequence(f2, [1, 1, 0, 1]), 4)[0]
     d = rep.to_dict()
     assert set(d) == {"claim", "inputs", "relation", "expected", "observed", "outcome"}
 
 
 def test_run_all_checks_clean_on_samples(f2, f3):
-    assert not any(r.failed for r in run_all_checks(ones(f3, 12), 10))
+    assert not any(r.failed for r in run_all(ones(f3, 12), 10))
     seq = Sequence(f2, [1, 0, 1, 1, 0, 1, 1, 1])
-    assert not any(r.failed for r in run_all_checks(seq, 8))
+    assert not any(r.failed for r in run_all(seq, 8))
+
+
+def test_run_all_checks_establishes_l_t_once(f3, monkeypatch):
+    # T1 and its remark grade one (L, t), so the declared periodicity is
+    # reconstructed once per call
+    calls = []
+    real = lincomp.rational_form
+
+    def counting(fit, seq):
+        calls.append(fit.n)
+        return real(fit, seq)
+
+    monkeypatch.setattr(lincomp, "rational_form", counting)
+    seq = Sequence(f3, [2] + [1, 0] * 8, meta=Periodicity(1, 2))
+    claims = {r.claim_id for r in run_all(seq, 12)}
+    assert {"T1.lower", "T1.upper", "T1.remark"} <= claims
+    assert calls == [len(seq.terms)]
