@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import expcomp, lincomp
 from .field import Field, is_prime
 from .lincomp import Periodicity, RationalForm, Sequence
-from .series import BivariatePoly, Poly, poly_pow, rational_expand
+from .series import Poly, poly_pow, rational_expand
 from .theorems import BoundReport, _report
 
 
@@ -98,21 +98,6 @@ def predicted_expansion(spec: BinomialSpec) -> ExpansionPrediction:
     lo = -(-p // (k + 2))
     hi = max(lo, p % (k + 1))
     return ExpansionPrediction("interval", lo, hi)
-
-
-def upper_bound_witness(spec: BinomialSpec) -> BivariatePoly:
-    """The certificate y^d - (1-x)^(p - d(k+1)) with
-    d = min{floor(p/(k+1)), ceil(p/(k+2))}, which annihilates the
-    generating function mod x^p."""
-    p, k = spec.p, spec.k
-    d = min(p // (k + 1), -(-p // (k + 2)))
-    field = Field(p)
-    poly = poly_pow(Poly(field, [1, field.neg(1)]), p - d * (k + 1))
-    terms = {(0, d): 1}
-    for i, c in enumerate(poly.coeffs):
-        if c:
-            terms[(i, 0)] = field.neg(c)
-    return BivariatePoly(field, terms)
 
 
 def analyze(spec: BinomialSpec) -> list[BoundReport]:

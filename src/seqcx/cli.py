@@ -210,25 +210,21 @@ def cmd_verify(args) -> int:
 
 
 def _experiment_config(args) -> experiments.ExperimentConfig:
-    if args.mode == "mc":
-        given = {"--tn-scan": args.tn_scan, "--low-b": args.low_b is not None,
-                 "--no-checks": args.no_checks}
-    else:
-        given = {"--schedule": args.schedule is not None}
-    for flag, present in given.items():
-        if present:
-            raise ValueError(f"{flag} does not apply to --mode {args.mode}")
+    # every other flag the mode would ignore is a config field, rejected there
+    if args.mode == "mc" and args.tn_scan:
+        raise ValueError("--tn-scan does not apply to --mode mc")
     p, m = parse_field_spec(args.q)
     field = Field(p, m)
     schedule = None
-    if args.schedule:
+    if args.schedule is not None:
         schedule = tuple(int(tok) for tok in args.schedule.split(","))
     mode = "exhaustive" if args.mode == "exhaustive" else "montecarlo"
+    samples = 0 if mode == "exhaustive" else 1024
     return experiments.ExperimentConfig(
         field=field,
         n=args.n or 0,
         mode=mode,
-        samples=args.samples,
+        samples=args.samples if args.samples is not None else samples,
         seed=args.seed,
         schedule=schedule,
         checks=not args.no_checks,
@@ -343,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_runs.add_argument("--mode", choices=("exhaustive", "mc"), required=True)
     p_runs.add_argument("--q", required=True, help="field size, e.g. 2 or 3^2")
     p_runs.add_argument("--n", type=int, default=0)
-    p_runs.add_argument("--samples", type=int, default=1024)
+    # the default depends on the mode: 1024 samples in mc mode, none otherwise
+    p_runs.add_argument("--samples", type=int, default=None,
+                        help="Monte Carlo sample count (default 1024)")
     p_runs.add_argument("--seed", type=int, default=0)
     p_runs.add_argument("--schedule", help="comma-separated prefix lengths (mc)")
     p_runs.add_argument("--workers", type=int, default=1)

@@ -2,7 +2,10 @@
 
 Exhaustive mode walks every length-n prefix over F_q in lexicographic order,
 tallies the distribution of E_n (and of L_n, t_n), and optionally runs the
-full bound-checker battery on each prefix, counting violations.  Monte Carlo
+full bound-checker battery over every prefix length m <= n, counting
+violations.  What is graded at length m reads the first m terms only, so
+each distinct length-m prefix is graded once, on the leaf whose later terms
+are all zero, and its outcomes count with weight q^(n-m).  Monte Carlo
 mode samples sequences with i.i.d. uniform terms and reports the E_n
 distribution across a schedule of prefix lengths, together with the fraction
 of samples falling below sqrt((1-eps) * n) for a couple of eps values; the
@@ -55,7 +58,12 @@ class ExperimentConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.low_b is not None and self.low_b < 0:
             raise ValueError(f"low_b must be >= 0, got {self.low_b}")
+        # a field the mode never reads is rejected rather than ignored
         if self.mode == "exhaustive":
+            if self.samples or self.seed:
+                raise ValueError("samples and seed do not apply to exhaustive mode")
+            if self.schedule is not None:
+                raise ValueError("a schedule does not apply to exhaustive mode")
             if self.n < 1:
                 raise ValueError("exhaustive mode requires n >= 1")
             if self.field.q**self.n > EXHAUSTIVE_CAP:
@@ -63,6 +71,12 @@ class ExperimentConfig:
                     f"q^n = {self.field.q}^{self.n} exceeds exhaustive cap"
                 )
         else:
+            if self.low_b is not None:
+                raise ValueError("low_b does not apply to montecarlo mode")
+            if not self.checks:
+                raise ValueError("montecarlo mode runs no bound checks to turn off")
+            if self.n and self.schedule is not None:
+                raise ValueError("montecarlo mode takes n or a schedule, not both")
             if self.samples < 1:
                 raise ValueError("montecarlo mode requires samples >= 1")
             if self.schedule is not None:
@@ -248,14 +262,29 @@ def _decode_prefix(index: int, q: int, n: int) -> list[int]:
 
 
 def _check_prefix(seq: Sequence, n: int, fits, profile):
-    """Every E_m witness of one prefix re-validated by substitution, then the
-    full checker battery over its fits and expansion profile.
+    """The battery for every prefix length m this leaf represents.
 
-    Returns (fail_counter, witness_failures) for the whole prefix.
+    Everything graded at length m (the E_m witness substitution, the growth
+    step m-1 -> m, T4 and the R.* claims at m) reads the first m terms only,
+    so each length-m prefix is graded once, on its leaf whose terms after
+    position m are all zero, and its outcomes count q^(n-m) times, once
+    for every leaf below it.  That leaf represents every m from
+    n - (trailing zero terms), but at least 1, up to n.
+
+    Returns (fail_counter, witness_failures), weighted.
     """
+    terms = seq.terms
+    lo = n
+    while lo > 1 and not terms[lo - 1]:
+        lo -= 1
+    q = seq.field.q
     series = seq.prefix_series(n)  # one table of powers of G for every check
+    first = theorems._first_nonzero(seq)
+    profile_e = profile.values
+    fails = Counter()
     witness_failures = 0
-    for m in range(1, n + 1):
+    for m in range(lo, n + 1):
+        weight = q ** (n - m)
         wit = profile.witness(m)
         if wit.poly is not None:
             ok = (
@@ -263,11 +292,17 @@ def _check_prefix(seq: Sequence, n: int, fits, profile):
                 and substitute(wit.poly, series, m).is_zero()
             )
             if not ok:
-                witness_failures += 1
-    reports = theorems.run_all_checks(
-        seq, n, fits=fits, expansion=profile, series=series
-    )
-    return Counter(rep.claim_id for rep in reports if rep.failed), witness_failures
+                witness_failures += weight
+        if m < 2:
+            continue
+        reports = theorems.check_growth_step(fits, profile_e, m)
+        reports += theorems.check_length(
+            seq, m, fits=fits, profile_e=profile_e, series=series, first=first
+        )
+        for rep in reports:
+            if rep.failed:
+                fails[rep.claim_id] += weight
+    return fails, witness_failures
 
 
 def _enumerate_chunk(p, m, modulus, n, checks, start, stop):

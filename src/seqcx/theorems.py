@@ -32,6 +32,12 @@ and never recomputed here, so a bug there cannot cancel out here.  The one
 exception is the (L, t) of a declared periodic sequence, which
 run_all_checks establishes once from a full-prefix fit and its rational
 reconstruction before the T1 checks grade it.
+
+Two per-length entries hold everything graded for one prefix length m:
+check_growth_step (P2 and L3 for the step m-1 -> m) and check_length (T4
+and the R.* claims at m).  Both read only the first m terms, so a sweep can
+grade each distinct prefix once; run_all_checks and check_growth are loops
+over them.
 """
 
 from __future__ import annotations
@@ -228,33 +234,37 @@ def check_theorem4(fit: lincomp.LinearFit, expansion: int) -> list[BoundReport]:
     ]
 
 
-def check_growth(profile_l, profile_e) -> list[BoundReport]:
-    """Per-step growth laws for both profiles (claims P2 and L3)."""
-    if len(profile_l) != len(profile_e):
+def check_growth_step(
+    fits: list[lincomp.LinearFit], profile_e, m: int
+) -> list[BoundReport]:
+    """The growth laws for the step from m-1 to m terms (claims P2 and L3).
+
+    fits and profile_e cover at least m prefix lengths, indexed from length
+    1; the step reads entries m-2 and m-1 of each.  The L3 law depends on
+    the absolute length m-1, so a caller hands the whole profiles and the
+    absolute index, never a slice.
+    """
+    n = m - 1
+    e_n, e_next = profile_e[n - 1], profile_e[n]
+    l_n, l_next = fits[n - 1].complexity, fits[n].complexity
+    growth_e = _report(
+        "P2", {"n": n, "e_n": e_n}, "in", (e_n, max(e_n, 1) + 1), e_next
+    )
+    if 2 * l_n > n:
+        growth_l = _report("L3", {"n": n, "l_n": l_n}, "==", l_n, l_next)
+    else:
+        allowed = tuple(sorted({l_n, n + 1 - l_n}))
+        growth_l = _report("L3", {"n": n, "l_n": l_n}, "in_set", allowed, l_next)
+    return [growth_e, growth_l]
+
+
+def check_growth(fits: list[lincomp.LinearFit], profile_e) -> list[BoundReport]:
+    """Per-step growth laws over whole profiles: every step m-1 -> m."""
+    if len(fits) != len(profile_e):
         raise ValueError("profiles must cover the same prefix")
     reports = []
-    for idx in range(len(profile_e) - 1):
-        n = idx + 1
-        e_n, e_next = profile_e[idx], profile_e[idx + 1]
-        reports.append(
-            _report(
-                "P2",
-                {"n": n, "e_n": e_n},
-                "in",
-                (e_n, max(e_n, 1) + 1),
-                e_next,
-            )
-        )
-        l_n, l_next = profile_l[idx], profile_l[idx + 1]
-        if 2 * l_n > n:
-            reports.append(
-                _report("L3", {"n": n, "l_n": l_n}, "==", l_n, l_next)
-            )
-        else:
-            allowed = tuple(sorted({l_n, n + 1 - l_n}))
-            reports.append(
-                _report("L3", {"n": n, "l_n": l_n}, "in_set", allowed, l_next)
-            )
+    for m in range(2, len(profile_e) + 1):
+        reports.extend(check_growth_step(fits, profile_e, m))
     return reports
 
 
@@ -320,6 +330,31 @@ def check_misc_upper(
     return reports
 
 
+def check_length(
+    seq: Sequence,
+    m: int,
+    *,
+    fits: list[lincomp.LinearFit],
+    profile_e,
+    series: TruncatedSeries,
+    first: int,
+) -> list[BoundReport]:
+    """T4 and the upper-bound remarks at prefix length m.
+
+    fits and profile_e cover at least m prefix lengths, series at least m
+    terms, and first is the index of the first nonzero term of seq.  Every
+    report depends on the first m terms only.  Nothing applies, and the
+    list is empty, when m < 2 or the first m terms are all zero.
+    """
+    if m < 2 or m <= first:
+        return []
+    reports = check_theorem4(fits[m - 1], profile_e[m - 1])
+    reports.extend(
+        check_misc_upper(seq, m, profile_e=profile_e, series=series, first=first)
+    )
+    return reports
+
+
 def run_all_checks(
     seq: Sequence,
     n: int,
@@ -332,21 +367,19 @@ def run_all_checks(
 
     fits holds one fit per prefix length 1..n, expansion is the profile of
     the first n terms and series their generating function, shared by every
-    Frobenius certificate.  Growth checks cover every step up to n; T4 and
-    the upper-bound remarks run at each prefix length where their
-    preconditions hold; T1 runs only when the sequence declares its
-    periodicity, on the (L, t) established once here.
+    Frobenius certificate.  The growth reports of every step up to n come
+    first, then check_length at each m = 2..n; T1 runs only when the
+    sequence declares its periodicity, on the (L, t) established once here.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     profile_e = expansion.values
-    reports = check_growth([fit.complexity for fit in fits], profile_e)
+    reports = check_growth(fits, profile_e)
     first = _first_nonzero(seq)
-    for m in range(max(2, first + 1), n + 1):
-        reports.extend(check_theorem4(fits[m - 1], profile_e[m - 1]))
+    for m in range(2, n + 1):
         reports.extend(
-            check_misc_upper(
-                seq, m, profile_e=profile_e, series=series, first=first
+            check_length(
+                seq, m, fits=fits, profile_e=profile_e, series=series, first=first
             )
         )
     if seq.meta is not None and first < len(seq.terms):

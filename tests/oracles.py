@@ -8,15 +8,28 @@ binary exp/log tables from a walk of the cosets of <x>, the
 expansion-complexity elimination from columns each reduced from
 scratch, substitution h(x, G(x)) from powers of G convolved afresh on every
 call, and E_n from enumerating every candidate polynomial, so a bug in the
-library cannot vanish by checking itself.
+library cannot vanish by checking itself.  The one exception is the
+per-leaf sweep, which runs the library's engines and battery on every
+leaf: it is the oracle for how the sweep shares that work between leaves,
+not for the work itself.
 """
 
 import math
+from collections import Counter
 from itertools import product
 
+from seqcx import expcomp, lincomp, series, theorems
+from seqcx.experiments import DistributionRecord, EnumerationResult
 from seqcx.expcomp import ExpansionWitness, monomial_count
-from seqcx.field import _poly_divmod, _trim
-from seqcx.series import BivariatePoly, TruncatedSeries, _check_same_field
+from seqcx.field import Field, _poly_divmod, _trim
+from seqcx.lincomp import Sequence
+from seqcx.series import (
+    BivariatePoly,
+    Poly,
+    TruncatedSeries,
+    _check_same_field,
+    poly_pow,
+)
 
 # Enumerating q^{M_d} candidate polynomials is the brute-force oracle's budget.
 BRUTE_FORCE_CAP = 1 << 16
@@ -47,6 +60,21 @@ def min_recurrence_length_gf2(terms, n):
 def binomial_terms(p, k, length):
     """a_i = C(i+k, k) mod p via exact integer binomials."""
     return [math.comb((i % p) + k, k) % p for i in range(length)]
+
+
+def binomial_upper_bound_witness(spec):
+    """The certificate y^d - (1-x)^(p - d(k+1)) with
+    d = min{floor(p/(k+1)), ceil(p/(k+2))}, which annihilates the binomial
+    family's generating function mod x^p."""
+    p, k = spec.p, spec.k
+    d = min(p // (k + 1), -(-p // (k + 2)))
+    field = Field(p)
+    poly = poly_pow(Poly(field, [1, field.neg(1)]), p - d * (k + 1))
+    terms = {(0, d): 1}
+    for i, c in enumerate(poly.coeffs):
+        if c:
+            terms[(i, 0)] = field.neg(c)
+    return BivariatePoly(field, terms)
 
 
 def convolve_mod(a, b, n, q):
@@ -608,3 +636,43 @@ def chi_square_sf(stat, df):
         total += math.exp(a * math.log(y) - y - math.lgamma(a + 1))
         a += 1
     return total
+
+
+def per_leaf_sweep(field, n):
+    """The checked exhaustive sweep with the whole battery on every leaf.
+
+    Each of the q^n prefixes has every E_m witness (m = 1..n) substituted
+    and run_all_checks run over its first n terms, so a length-m prefix is
+    graded once per leaf below it.  substitute and the battery are looked
+    up at call time, so failures injected into them reach this sweep too.
+    Returns what EnumerationResult.to_dict() gives for the same sweep.
+    """
+    counts, counts_l, counts_t, fails = Counter(), Counter(), Counter(), Counter()
+    witness_failures = 0
+    for terms in product(range(field.q), repeat=n):
+        seq = Sequence(field, list(terms))
+        fits = lincomp.linear_fits(seq, n)
+        profile = expcomp.expansion_profile(seq, n)
+        g = seq.prefix_series(n)
+        for m in range(1, n + 1):
+            wit = profile.witness(m)
+            if wit.poly is not None and not (
+                wit.poly.total_degree == wit.complexity
+                and series.substitute(wit.poly, g, m).is_zero()
+            ):
+                witness_failures += 1
+        reports = theorems.run_all_checks(
+            seq, n, fits=fits, expansion=profile, series=g
+        )
+        fails.update(rep.claim_id for rep in reports if rep.failed)
+        counts[profile.values[-1]] += 1
+        counts_l[fits[-1].complexity] += 1
+        counts_t[fits[-1].t] += 1
+    record = DistributionRecord(
+        field.q, n, "exhaustive", field.q**n, dict(counts),
+        dict(counts_l), dict(counts_t),
+    )
+    violations = sum(fails.values()) + witness_failures
+    return EnumerationResult(
+        record, violations, dict(fails), witness_failures, True
+    ).to_dict()

@@ -8,13 +8,12 @@ from seqcx.binomial import (
     gf,
     predicted_expansion,
     predicted_linear_complexity,
-    upper_bound_witness,
 )
 from seqcx.expcomp import expansion_value
 from seqcx.field import is_prime
 from seqcx.series import series_mul, substitute
 
-from oracles import binomial_terms, poly_to_series
+from oracles import binomial_terms, binomial_upper_bound_witness, poly_to_series
 
 PRIMES_TO_31 = [p for p in range(2, 32) if is_prime(p)]
 
@@ -105,7 +104,7 @@ def test_predicted_expansion_values():
 
 def test_upper_bound_witness_annihilates():
     for spec in all_specs():
-        witness = upper_bound_witness(spec)
+        witness = binomial_upper_bound_witness(spec)
         seq = generate(spec, spec.p)
         assert substitute(witness, seq.prefix_series(spec.p), spec.p).is_zero()
         # the construction realizes the interval's upper endpoint; in the

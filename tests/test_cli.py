@@ -224,6 +224,15 @@ BAD_INPUT_CASES = {
     "exhaustive-schedule": [
         "experiment", "--mode", "exhaustive", "--q", "2", "--n", "4",
         "--schedule", "4", "--out", "{out}"],
+    "exhaustive-samples": [
+        "experiment", "--mode", "exhaustive", "--q", "2", "--n", "4",
+        "--samples", "8", "--out", "{out}"],
+    "exhaustive-seed": [
+        "experiment", "--mode", "exhaustive", "--q", "2", "--n", "4",
+        "--seed", "7", "--out", "{out}"],
+    "mc-n-and-schedule": [
+        "experiment", "--mode", "mc", "--q", "2", "--samples", "4", "--n", "5",
+        "--schedule", "4,6", "--out", "{out}"],
     # the scan's own limits, checked before the sweep
     "exhaustive-tn-scan-n-too-large": [
         "experiment", "--mode", "exhaustive", "--q", "2", "--n", "13",

@@ -1,8 +1,10 @@
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
 
+from seqcx import experiments, series, theorems
 from seqcx.experiments import (
     DEFAULT_SCHEDULE,
     EXHAUSTIVE_CAP,
@@ -17,7 +19,7 @@ from seqcx.experiments import (
 )
 from seqcx.field import Field
 
-from oracles import chi_square_consistency, chi_square_sf
+from oracles import chi_square_consistency, chi_square_sf, per_leaf_sweep
 
 MC_DISTRIBUTIONS = Path(__file__).parent / "fixtures" / "mc_distributions.json"
 
@@ -70,6 +72,43 @@ def test_mode_mismatch(f2):
         ExperimentConfig(f2, 4, "nonsense")
     with pytest.raises(ValueError):
         ExperimentConfig(f2, 0, "montecarlo", samples=0)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"samples": 5},
+        {"seed": 3},
+        {"samples": -1},
+        {"schedule": (2,)},
+        {"schedule": ()},
+    ],
+)
+def test_exhaustive_config_rejects_monte_carlo_fields(f2, fields):
+    with pytest.raises(ValueError):
+        exhaustive(f2, 3, **fields)
+
+
+@pytest.mark.parametrize(
+    "n, fields",
+    [
+        (0, {"low_b": 1}),
+        (0, {"low_b": 0}),
+        (4, {"checks": False}),
+        (3, {"schedule": (2, 4)}),
+    ],
+)
+def test_montecarlo_config_rejects_unread_fields(f2, n, fields):
+    with pytest.raises(ValueError):
+        ExperimentConfig(f2, n, "montecarlo", samples=2, **fields)
+
+
+def test_configs_accept_the_fields_their_mode_reads(f2):
+    # the unset values of the other mode's fields are accepted
+    assert exhaustive(f2, 3, samples=0, seed=0, low_b=1, checks=False).n == 3
+    cfg = ExperimentConfig(f2, 0, "montecarlo", samples=2, seed=4, schedule=(3,))
+    assert cfg.resolved_schedule() == (3,)
+    assert ExperimentConfig(f2, 5, "montecarlo", samples=2).resolved_schedule() == (5,)
 
 
 def test_count_low_expansion_examples(f2):
@@ -252,3 +291,74 @@ def test_checked_and_unchecked_sweeps_tally_alike(q_spec, n):
     unchecked = enumerate_all(exhaustive(field, n, checks=False))
     assert checked.violations == 0
     assert checked.record.to_dict() == unchecked.record.to_dict()
+
+
+# -- each distinct prefix graded once, weighted by the leaves below it -------
+
+WEIGHTING_CASES = [((2, 1), 9), ((3, 1), 5), ((2, 2), 4), ((3, 2), 3)]
+INJECTED_CLAIMS = {"L3", "R.simple", "R.frobenius.witness", "T4.lower"}
+
+
+def inject_failures(monkeypatch):
+    """Make the battery fail on some prefixes, each time as a function of
+    the first m terms alone, as every real check is."""
+    real_simple = theorems.simple_upper_bound
+    real_lower = theorems.periodic_lower_bound
+    real_substitute = series.substitute
+    real_report = theorems._report
+
+    def simple(n):
+        return real_simple(n) - n % 2
+
+    def lower(l, t, n):
+        return real_lower(l, t, n) + ((l + t + n) % 3 == 0)
+
+    def substitute(h, g, n):
+        residual = real_substitute(h, g, n)
+        if (n + h.total_degree) % 3 == 0:
+            return series.TruncatedSeries._unchecked(g.field, [1] + [0] * (n - 1))
+        return residual
+
+    def report(claim_id, inputs, relation, expected, observed):
+        rep = real_report(claim_id, inputs, relation, expected, observed)
+        if claim_id == "L3" and inputs["l_n"] % 2 and inputs["n"] % 3 == 2:
+            return theorems.BoundReport(
+                claim_id, inputs, relation, expected, observed, theorems.FAIL
+            )
+        return rep
+
+    monkeypatch.setattr(theorems, "simple_upper_bound", simple)
+    monkeypatch.setattr(theorems, "periodic_lower_bound", lower)
+    for module in (series, theorems, experiments):
+        monkeypatch.setattr(module, "substitute", substitute)
+    monkeypatch.setattr(theorems, "_report", report)
+
+
+_ORACLE = {}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("injected", [False, True], ids=["clean", "injected"])
+@pytest.mark.parametrize(
+    "q_spec, n", WEIGHTING_CASES, ids=[f"q{p}^{m}-n{n}" for (p, m), n in WEIGHTING_CASES]
+)
+def test_weighted_sweep_equals_per_leaf_battery(q_spec, n, injected, workers,
+                                                monkeypatch):
+    # the sweep grades each length-m prefix on one leaf and weights it by
+    # q^(n-m); the oracle grades it on every leaf below it
+    if injected and workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("injected failures reach pool workers only when forked")
+    field = Field(*q_spec)
+    if injected:
+        inject_failures(monkeypatch)
+    key = (q_spec, n, injected)
+    if key not in _ORACLE:
+        _ORACLE[key] = per_leaf_sweep(field, n)
+    expected = _ORACLE[key]
+    got = enumerate_all(exhaustive(field, n, workers=workers)).to_dict()
+    assert got == expected
+    if injected:
+        assert expected["witness_failures"] > 0
+        assert INJECTED_CLAIMS <= set(expected["failures_by_claim"])
+    else:
+        assert expected["violations"] == 0

@@ -1,15 +1,16 @@
 import itertools
+import random
 
 import pytest
 
 from seqcx import lincomp
 from seqcx.expcomp import expansion_profile, expansion_value
 from seqcx.lincomp import (
+    LinearFit,
     Periodicity,
     Sequence,
     berlekamp_massey,
     linear_fits,
-    linear_profile,
 )
 from seqcx.theorems import (
     FAIL,
@@ -18,6 +19,8 @@ from seqcx.theorems import (
     _established_l_t,
     _first_nonzero,
     check_growth,
+    check_growth_step,
+    check_length,
     check_misc_upper,
     check_theorem1,
     check_theorem1_remark,
@@ -167,10 +170,16 @@ def test_check_theorem4_preconditions(f2):
         t4(Sequence(f2, [1, 1]), 1)
 
 
+def stated_fits(profile_l):
+    """Fits that carry only the given L-profile, which is all the growth
+    laws read."""
+    return [LinearFit(n, l, (0,) * l, l) for n, l in enumerate(profile_l, 1)]
+
+
 def test_check_growth_examples(f2):
     seq = Sequence(f2, [1] * 6)
     reports = check_growth(
-        linear_profile(seq, 6),
+        linear_fits(seq, 6),
         [expansion_value(f2, seq.terms, n) for n in range(1, 7)],
     )
     assert all(r.passed for r in reports)
@@ -179,21 +188,71 @@ def test_check_growth_examples(f2):
     # E-profile jumps 0 -> 2 (allowed at the zero boundary)
     seq = Sequence(f2, [0, 0, 1])
     reports = check_growth(
-        linear_profile(seq, 3),
+        linear_fits(seq, 3),
         [expansion_value(f2, seq.terms, n) for n in range(1, 4)],
     )
     assert all(r.passed for r in reports)
 
     # zero sequence: vacuous pass
-    reports = check_growth([0, 0, 0], [0, 0, 0])
+    reports = check_growth(stated_fits([0, 0, 0]), [0, 0, 0])
     assert all(r.passed for r in reports)
 
 
 def test_check_growth_detects_violations(f2):
-    bad_e = check_growth([1, 1], [1, 3])
+    bad_e = check_growth(stated_fits([1, 1]), [1, 3])
     assert any(r.claim_id == "P2" and r.outcome == FAIL for r in bad_e)
-    bad_l = check_growth([2, 1], [1, 1])
+    bad_l = check_growth(stated_fits([2, 1]), [1, 1])
     assert any(r.claim_id == "L3" and r.outcome == FAIL for r in bad_l)
+
+
+def test_growth_step_reads_the_absolute_length():
+    # L_3 = 1 may stay at 1 or jump to 3 + 1 - 1 = 3 at n = 3 but not at
+    # n = 1, where 2 * L_1 > 1 pins it: the law reads where the step is
+    fits = stated_fits([0, 0, 1, 3])
+    step = by_claim(check_growth_step(fits, [0, 0, 1, 2], 4))
+    assert step["L3"].inputs == {"n": 3, "l_n": 1}
+    assert step["L3"].expected == (1, 3) and step["L3"].passed
+    sliced = by_claim(check_growth_step(fits[2:], [1, 2], 2))
+    assert sliced["L3"].failed
+
+
+def test_run_all_checks_is_growth_then_each_length(f2, f3, f4):
+    # run_all_checks is every growth step, then check_length at each m, and
+    # each per-length entry reads only the first m terms
+    rng = random.Random(5)
+    for field in (f2, f3, f4):
+        for _ in range(6):
+            n = 7
+            zeros = rng.randrange(3)  # some prefixes start with zeros
+            terms = [0] * zeros + [rng.randrange(field.q) for _ in range(n - zeros)]
+            seq = Sequence(field, terms)
+            fits, profile = linear_fits(seq, n), expansion_profile(seq, n)
+            series = seq.prefix_series(n)
+            first = _first_nonzero(seq)
+            steps = [
+                rep for m in range(2, n + 1)
+                for rep in check_growth_step(fits, profile.values, m)
+            ]
+            lengths = [
+                check_length(
+                    seq, m, fits=fits, profile_e=profile.values,
+                    series=series, first=first,
+                )
+                for m in range(1, n + 1)
+            ]
+            assert run_all(seq, n) == steps + [r for part in lengths for r in part]
+            for m in range(2, n + 1):
+                short = Sequence(field, terms[:m])
+                short_fits = linear_fits(short, m)
+                short_e = expansion_profile(short, m).values
+                assert check_growth_step(fits, profile.values, m) == (
+                    check_growth(short_fits, short_e)[-2:]
+                )
+                assert lengths[m - 1] == check_length(
+                    short, m, fits=short_fits, profile_e=short_e,
+                    series=short.prefix_series(m), first=_first_nonzero(short),
+                )
+            assert lengths[0] == []
 
 
 def test_check_misc_upper_examples(f2):
