@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expcomp, lincomp
-from .field import Field, is_prime
+from .field import Field, check_field_size, is_prime
 from .lincomp import Periodicity, RationalForm, Sequence
 from .series import Poly, poly_pow, rational_expand
 from .theorems import BoundReport, _report
@@ -25,6 +25,7 @@ class BinomialSpec:
     k: int
 
     def __post_init__(self):
+        check_field_size(self.p, 1)  # before trial division of a huge p
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if not 1 <= self.k <= self.p - 1:
@@ -51,12 +52,12 @@ def generate(spec: BinomialSpec, length: int) -> Sequence:
     if length < 1:
         raise ValueError("length must be >= 1")
     p, k = spec.p, spec.k
+    field = Field(p)
     period = [1] + [0] * (p - 1)
     for i in range(p - 1):
         if period[i] == 0:
             continue
         period[i + 1] = period[i] * ((i + k + 1) % p) * pow(i + 1, p - 2, p) % p
-    field = Field(p)
     terms = [(period[i % p]) for i in range(length)]
     return Sequence(field, terms, meta=Periodicity(0, p))
 

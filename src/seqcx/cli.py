@@ -175,9 +175,7 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     fits = lincomp.linear_fits(seq, args.n)
     profile = expcomp.expansion_profile(seq, args.n)
-    reports = theorems.run_all_checks(
-        seq, args.n, fits=fits, expansion=profile, series=seq.prefix_series(args.n)
-    )
+    reports = theorems.run_all_checks(seq, args.n, fits=fits, expansion=profile)
     elapsed = time.perf_counter() - start
     failures = [r for r in reports if r.failed]
     if args.json:

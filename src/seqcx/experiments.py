@@ -278,7 +278,8 @@ def _check_prefix(seq: Sequence, n: int, fits, profile):
     while lo > 1 and not terms[lo - 1]:
         lo -= 1
     q = seq.field.q
-    series = seq.prefix_series(n)  # one table of powers of G for every check
+    series = seq.prefix_series(n)
+    frobenius = theorems.frobenius_residuals(seq, n, lo)
     first = theorems._first_nonzero(seq)
     profile_e = profile.values
     fails = Counter()
@@ -297,7 +298,7 @@ def _check_prefix(seq: Sequence, n: int, fits, profile):
             continue
         reports = theorems.check_growth_step(fits, profile_e, m)
         reports += theorems.check_length(
-            seq, m, fits=fits, profile_e=profile_e, series=series, first=first
+            seq, m, fits=fits, profile_e=profile_e, frobenius=frobenius, first=first
         )
         for rep in reports:
             if rep.failed:

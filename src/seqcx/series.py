@@ -131,19 +131,13 @@ def poly_pow(a: Poly, e: int) -> Poly:
 
 
 class TruncatedSeries:
-    """The first N coefficients of a formal power series (mod x^N).
+    """The first N coefficients of a formal power series (mod x^N)."""
 
-    _powers memoises G^0..G^j mod x^N for substitute.  It is only ever
-    replaced by a longer tuple, never changed in place, so a reader holding
-    the old tuple never sees a wrong index.
-    """
-
-    __slots__ = ("field", "coeffs", "_powers")
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
         self.field = field
         self.coeffs = tuple(field.validate(c) for c in coeffs)
-        self._powers = ()
 
     @classmethod
     def _unchecked(cls, field: Field, coeffs) -> "TruncatedSeries":
@@ -151,7 +145,6 @@ class TruncatedSeries:
         series = cls.__new__(cls)
         series.field = field
         series.coeffs = tuple(coeffs)
-        series._powers = ()
         return series
 
     @property
@@ -196,17 +189,20 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries, n: int) -> TruncatedSerie
 
 
 def series_pow(a: TruncatedSeries, e: int, n: int) -> TruncatedSeries:
-    """a^e modulo x^n by square-and-multiply; e = 0 gives the series 1."""
+    """a^e modulo x^n by square-and-multiply; e = 0 gives the series 1.
+
+    Takes no product for e = 1 and k products for e = 2^k.
+    """
     if e < 0:
         raise ValueError("series exponent must be >= 0")
-    f = a.field
-    out = TruncatedSeries(f, [1] + [0] * (n - 1))
-    base = a.truncate(n)
+    out = None if e else TruncatedSeries._unchecked(a.field, ([1] + [0] * (n - 1))[:n])
+    base = a if a.order == n else a.truncate(n)
     while e:
         if e & 1:
-            out = series_mul(out, base, n)
-        base = series_mul(base, base, n)
+            out = base if out is None else series_mul(out, base, n)
         e >>= 1
+        if e:
+            base = series_mul(base, base, n)
     return out
 
 
@@ -318,27 +314,13 @@ class BivariatePoly:
         return BivariatePoly(f, out)
 
 
-def _power_table(g: TruncatedSeries, j: int) -> tuple:
-    """G^0..G^j mod x^N for N = g.order, built on demand by series_mul and
-    kept on g for later calls."""
-    powers = g._powers
-    if len(powers) <= j:
-        one = ((1,) + (0,) * (g.order - 1))[: g.order]
-        grown = list(powers) or [TruncatedSeries._unchecked(g.field, one)]
-        while len(grown) <= j:
-            grown.append(series_mul(grown[-1], g, g.order))
-        g._powers = powers = tuple(grown)
-    return powers
-
-
 def substitute(h: BivariatePoly, g: TruncatedSeries, n: int) -> TruncatedSeries:
     """Evaluate h(x, G(x)) modulo x^n, for any g of order at least n.
 
     This is the reference checker used to validate expansion-complexity
-    witnesses, independent of how they were produced.  G^j mod x^n is read
-    as the first n coefficients of G^j mod x^N (N = g.order; truncation is a
-    ring homomorphism), from one table of powers kept on g, so every check
-    against the same g shares it.
+    witnesses, independent of how they were produced.  It works on G mod x^n
+    and builds the powers of G that h needs in increasing order, each from
+    the one before it by generic series multiplication.
     """
     if h.field != g.field:
         raise ValueError("operands belong to different fields")
@@ -346,13 +328,19 @@ def substitute(h: BivariatePoly, g: TruncatedSeries, n: int) -> TruncatedSeries:
         raise ValueError(f"series of order {g.order} cannot extend to {n}")
     f = h.field
     add, mul = f.add, f.mul
-    max_j = max((j for _, j in h.terms), default=0)
-    powers = _power_table(g, max_j)
+    base = g if g.order == n else g.truncate(n)
+    power, have = None, 0  # power is G^have, for have >= 1
     out = [0] * n
-    for (i, j), c in h.terms.items():
+    for (i, j), c in sorted(h.terms.items(), key=lambda term: term[0][1]):
         if i >= n:
             continue
-        pj = powers[j].coeffs
+        if j != have:
+            step = base if j - have == 1 else series_pow(base, j - have, n)
+            power, have = step if have == 0 else series_mul(power, step, n), j
+        if not have:
+            out[i] = add(out[i], c)
+            continue
+        pj = power.coeffs
         for t in range(n - i):
             if pj[t]:
                 out[i + t] = add(out[i + t], mul(c, pj[t]))

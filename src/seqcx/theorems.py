@@ -37,7 +37,8 @@ Two per-length entries hold everything graded for one prefix length m:
 check_growth_step (P2 and L3 for the step m-1 -> m) and check_length (T4
 and the R.* claims at m).  Both read only the first m terms, so a sweep can
 grade each distinct prefix once; run_all_checks and check_growth are loops
-over them.
+over them; frobenius_residuals substitutes the Frobenius certificate once
+per k for every length m of that k.
 """
 
 from __future__ import annotations
@@ -153,6 +154,23 @@ def frobenius_witness(seq: Sequence, n: int) -> BivariatePoly:
         if c:
             terms[(i * pk, 0)] = c
     return BivariatePoly._unchecked(f, terms)
+
+
+def frobenius_residuals(seq: Sequence, n: int, lo: int = 2) -> list:
+    """For each k with p^k <= n-1, the certificate for top = min(n, p^(k+1))
+    terms substituted into their generating function mod x^top, or None if
+    top < lo, when no graded length m >= lo reads it.  Every m with
+    p^k <= m-1 < p^(k+1) has that certificate cut to its terms below x^m,
+    so its residual is the first m coefficients of entry k."""
+    p, g = seq.field.p, seq.prefix_series(n)
+    residuals, pk = [], 1
+    while pk <= n - 1:
+        top = min(n, pk * p)
+        residuals.append(
+            substitute(frobenius_witness(seq, top), g, top) if top >= lo else None
+        )
+        pk *= p
+    return residuals
 
 
 def _first_nonzero(seq: Sequence) -> int:
@@ -273,16 +291,15 @@ def check_misc_upper(
     n: int,
     *,
     profile_e: list[int],
-    series: TruncatedSeries,
+    frobenius: list[TruncatedSeries],
     first: int,
 ) -> list[BoundReport]:
     """R.simple, R.subadd, R.frobenius(.witness), and R.kernel at length n.
 
-    profile_e holds E_1..E_m for some m >= n and first is the index of the
-    first nonzero term of seq.  series, the generating function of a prefix
-    of at least n terms, is what the Frobenius certificate is substituted
-    into; passing the same one for every n lets all of them share its table
-    of powers.
+    profile_e holds E_1..E_m for some m >= n, frobenius is the list
+    frobenius_residuals(seq, m, lo) for some m >= n >= lo, and first is the
+    index of the first nonzero term of seq.  The certificate at length n is
+    graded by the nonzero coefficients among the first n of entry k.
     """
     if n < 2:
         raise ValueError("upper-bound remarks require n >= 2")
@@ -314,16 +331,9 @@ def check_misc_upper(
         reports.append(
             _report("R.frobenius", {"n": n, "p": seq.field.p, "k": k}, "<=", bound, e_n)
         )
-        residual = substitute(frobenius_witness(seq, n), series, n)
-        reports.append(
-            _report(
-                "R.frobenius.witness",
-                {"n": n, "k": k},
-                "==",
-                0,
-                sum(1 for c in residual.coeffs if c),
-            )
-        )
+        nonzero = sum(1 for c in frobenius[k].coeffs[:n] if c)
+        witness = _report("R.frobenius.witness", {"n": n, "k": k}, "==", 0, nonzero)
+        reports.append(witness)
     else:
         for claim in ("R.simple", "R.kernel", "R.subadd", "R.frobenius"):
             reports.append(_not_applicable(claim, {"n": n}, "all-zero prefix"))
@@ -336,21 +346,22 @@ def check_length(
     *,
     fits: list[lincomp.LinearFit],
     profile_e,
-    series: TruncatedSeries,
+    frobenius: list[TruncatedSeries],
     first: int,
 ) -> list[BoundReport]:
     """T4 and the upper-bound remarks at prefix length m.
 
-    fits and profile_e cover at least m prefix lengths, series at least m
-    terms, and first is the index of the first nonzero term of seq.  Every
-    report depends on the first m terms only.  Nothing applies, and the
-    list is empty, when m < 2 or the first m terms are all zero.
+    fits and profile_e cover at least m prefix lengths, frobenius is the
+    list frobenius_residuals(seq, n, lo) for some n >= m >= lo, and first is
+    the index of the first nonzero term of seq.  Every report depends on
+    the first m terms only.  Nothing applies, and the list is empty, when
+    m < 2 or the first m terms are all zero.
     """
     if m < 2 or m <= first:
         return []
     reports = check_theorem4(fits[m - 1], profile_e[m - 1])
     reports.extend(
-        check_misc_upper(seq, m, profile_e=profile_e, series=series, first=first)
+        check_misc_upper(seq, m, profile_e=profile_e, frobenius=frobenius, first=first)
     )
     return reports
 
@@ -361,13 +372,11 @@ def run_all_checks(
     *,
     fits: list[lincomp.LinearFit],
     expansion: expcomp.ExpansionProfile,
-    series: TruncatedSeries,
 ) -> list[BoundReport]:
     """Every applicable checker for the first n terms (driver for `verify`).
 
-    fits holds one fit per prefix length 1..n, expansion is the profile of
-    the first n terms and series their generating function, shared by every
-    Frobenius certificate.  The growth reports of every step up to n come
+    fits holds one fit per prefix length 1..n and expansion is the profile
+    of the first n terms.  The growth reports of every step up to n come
     first, then check_length at each m = 2..n; T1 runs only when the
     sequence declares its periodicity, on the (L, t) established once here.
     """
@@ -376,10 +385,11 @@ def run_all_checks(
     profile_e = expansion.values
     reports = check_growth(fits, profile_e)
     first = _first_nonzero(seq)
+    frobenius = frobenius_residuals(seq, n)
     for m in range(2, n + 1):
         reports.extend(
             check_length(
-                seq, m, fits=fits, profile_e=profile_e, series=series, first=first
+                seq, m, fits=fits, profile_e=profile_e, frobenius=frobenius, first=first
             )
         )
     if seq.meta is not None and first < len(seq.terms):

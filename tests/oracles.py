@@ -661,9 +661,7 @@ def per_leaf_sweep(field, n):
                 and series.substitute(wit.poly, g, m).is_zero()
             ):
                 witness_failures += 1
-        reports = theorems.run_all_checks(
-            seq, n, fits=fits, expansion=profile, series=g
-        )
+        reports = theorems.run_all_checks(seq, n, fits=fits, expansion=profile)
         fails.update(rep.claim_id for rep in reports if rep.failed)
         counts[profile.values[-1]] += 1
         counts_l[fits[-1].complexity] += 1

@@ -244,6 +244,10 @@ BAD_INPUT_CASES = {
     "lincomp-file-q-above-cap": ["lincomp", "--input", "{huge_q}", "--n", "3"],
     "verify-file-extension-above-cap": [
         "verify", "--input", "{huge_m}", "--n", "3"],
+    # the field cap is checked before p is tested for primality
+    "binomial-huge-prime-p": ["binomial", "--p", "2305843009213693951", "--k", "1"],
+    "binomial-prime-above-cap-analyze": [
+        "binomial", "--p", "1048583", "--k", "1", "--analyze"],
 }
 
 
@@ -382,20 +386,18 @@ def test_tn_scan_limits_rejected_before_the_sweep(tmp_path, monkeypatch, capsys)
     assert not out.exists()
 
 
-def test_verify_json_zero_led_matches_fixture(tmp_path, capsys):
-    # verify --json bytes recorded before the bound checkers compared
-    # prefix lengths with the index of the first nonzero term: zero-led
-    # inputs over F_2 and F_3 (first nonzero at 0, 1, n//2, n-1, and at n
-    # with declared periodicity)
+def _check_verify_fixture(name, count, tmp_path, capsys):
+    """Run every case of a verify --json fixture and compare the bound
+    count and the SHA-256 of stdout, with the timing value written as 0."""
     import hashlib
     import re
     from pathlib import Path
 
     from seqcx import cli
 
-    fixture = Path(__file__).parent / "fixtures" / "verify_zero_led.json"
+    fixture = Path(__file__).parent / "fixtures" / name
     cases = json.loads(fixture.read_text())["cases"]
-    assert len(cases) == 12
+    assert len(cases) == count
     for case in cases:
         path = tmp_path / (case["name"] + ".seq")
         path.write_text(case["file"])
@@ -405,3 +407,18 @@ def test_verify_json_zero_led_matches_fixture(tmp_path, capsys):
         assert len(json.loads(out)["bounds"]) == case["bounds"], case["name"]
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == case["stdout_sha256"], case["name"]
+
+
+def test_verify_json_zero_led_matches_fixture(tmp_path, capsys):
+    # verify --json bytes recorded before the bound checkers compared
+    # prefix lengths with the index of the first nonzero term: zero-led
+    # inputs over F_2 and F_3 (first nonzero at 0, 1, n//2, n-1, and at n
+    # with declared periodicity)
+    _check_verify_fixture("verify_zero_led.json", 12, tmp_path, capsys)
+
+
+def test_verify_json_long_prefixes_match_fixture(tmp_path, capsys):
+    # verify --json bytes recorded while every Frobenius certificate was
+    # substituted at its own length: random terms over F_2 (n=512), F_101
+    # (n=128) and F_9 (n=96), and a declared-periodic F_7 file (n=64)
+    _check_verify_fixture("verify_long.json", 4, tmp_path, capsys)

@@ -314,8 +314,13 @@ def inject_failures(monkeypatch):
         return real_lower(l, t, n) + ((l + t + n) % 3 == 0)
 
     def substitute(h, g, n):
+        # a Frobenius certificate is substituted once, at the longest length
+        # of its k, and its terms past a shorter length m can differ between
+        # leaves that share the first m terms; its y-degree p^k and constant
+        # term -s_0^(p^k) cannot, nor can anything of an E_m witness
         residual = real_substitute(h, g, n)
-        if (n + h.total_degree) % 3 == 0:
+        y_degree = max(j for _, j in h.terms)
+        if (n + y_degree + h.terms.get((0, 0), 0)) % 3 == 0:
             return series.TruncatedSeries._unchecked(g.field, [1] + [0] * (n - 1))
         return residual
 

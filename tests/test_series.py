@@ -4,7 +4,7 @@ import pytest
 
 from seqcx.expcomp import expansion_profile
 from seqcx.field import Field
-from seqcx.lincomp import Sequence, linear_fits
+from seqcx.lincomp import Sequence
 from seqcx.series import (
     BivariatePoly,
     Poly,
@@ -17,7 +17,7 @@ from seqcx.series import (
     substitute,
 )
 
-from seqcx.theorems import frobenius_parameters, frobenius_witness, run_all_checks
+from seqcx.theorems import frobenius_parameters, frobenius_witness
 
 from oracles import (
     convolve_mod,
@@ -105,6 +105,34 @@ def test_series_pow_examples(f7, f2):
     assert series_pow(ones, 2, 4).coeffs == (1, 2, 3, 4 % 7)
     valuation = TruncatedSeries(f2, [0, 1, 1, 1])
     assert series_pow(valuation, 4, 4).coeffs == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("q_spec", [(2, 1), (3, 1), (3, 2)])
+def test_series_pow_products_and_values(q_spec, monkeypatch):
+    # e costs one squaring per bit below the top one and one product per
+    # further set bit: 0 products for e = 0 and 1, k for e = 2^k
+    from seqcx import series
+
+    field = Field(*q_spec)
+    rng = random.Random(field.q)
+    a = TruncatedSeries(field, [rng.randrange(field.q) for _ in range(8)])
+    n = 6
+    real_mul = series.series_mul
+    calls = []
+
+    def counting_mul(x, y, order):
+        calls.append(order)
+        return real_mul(x, y, order)
+
+    monkeypatch.setattr(series, "series_mul", counting_mul)
+    repeated = TruncatedSeries(field, [1] + [0] * (n - 1))
+    for e in range(18):
+        calls.clear()
+        got = series_pow(a, e, n)
+        expected_products = 0 if e < 2 else e.bit_length() - 2 + bin(e).count("1")
+        assert len(calls) == expected_products, e
+        assert got == repeated, e
+        repeated = real_mul(repeated, a.truncate(n), n)
 
 
 def test_series_pow_additive_exponents(f5):
@@ -217,8 +245,9 @@ SUBSTITUTION_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (101, 1)]
 
 @pytest.mark.parametrize("q_spec", SUBSTITUTION_FIELDS)
 def test_shared_power_table_matches_naive_substitution(q_spec):
-    """Every check of one prefix reads one table of powers kept on one
-    series, grown in a random order; the oracle convolves G^j afresh."""
+    """Every check of one prefix against one series, in a random order, and
+    random polynomials whose y-degrees leave gaps; the oracle convolves
+    G^j afresh."""
     field = Field(*q_spec)
     rng = random.Random(1000 * field.q + 5)
     n = 10
@@ -257,37 +286,8 @@ def test_shared_power_table_matches_naive_substitution(q_spec):
             assert list(got.coeffs) == naive_substitute(field, h.terms, terms, m)
             if vanishes:
                 assert got.is_zero()
-
-
-@pytest.mark.parametrize("q_spec", SUBSTITUTION_FIELDS)
-def test_run_all_checks_same_with_caller_series(q_spec):
-    field = Field(*q_spec)
-    rng = random.Random(77 + field.q)
-    n = 8
-    for _ in range(3):
-        seq = Sequence(field, [rng.randrange(field.q) for _ in range(n + 3)])
-        fits, profile = linear_fits(seq, n), expansion_profile(seq, n)
-
-        def run(series):
-            return run_all_checks(seq, n, fits=fits, expansion=profile, series=series)
-
-        reports = run(seq.prefix_series(n))
-        assert reports == run(seq.prefix_series(n))
-        # a longer series gives the same residues mod x^m, also when its
-        # table of powers is kept from an earlier call
-        longer = seq.prefix_series(n + 3)
-        assert reports == run(longer) == run(longer)
-
-
-def test_power_table_replaced_not_extended(f3):
-    g = TruncatedSeries(f3, [1, 2, 0, 1, 1])
-    substitute(BivariatePoly(f3, {(0, 1): 1}), g, 5)
-    before = g._powers
-    substitute(BivariatePoly(f3, {(0, 4): 1}), g, 3)
-    assert len(before) == 2 and len(g._powers) == 5
-    assert g._powers[:2] == before
-    with pytest.raises(ValueError):
-        substitute(BivariatePoly(f3, {(0, 1): 1}), g, 6)
+        with pytest.raises(ValueError):  # g holds only n terms
+            substitute(checks[0][0], g, n + 1)
 
 
 @pytest.mark.parametrize("q_spec", [(2, 1), (3, 2), (101, 1)])

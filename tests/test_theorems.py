@@ -26,6 +26,7 @@ from seqcx.theorems import (
     check_theorem1_remark,
     check_theorem4,
     frobenius_parameters,
+    frobenius_residuals,
     frobenius_witness,
     periodic_lower_bound,
     periodic_upper_bound,
@@ -33,7 +34,11 @@ from seqcx.theorems import (
     run_all_checks,
     simple_upper_bound,
 )
-from seqcx.series import substitute
+from seqcx import theorems
+from seqcx.field import Field
+from seqcx.series import BivariatePoly, substitute
+
+from oracles import naive_substitute
 
 
 def ones(field, n):
@@ -71,7 +76,7 @@ def misc(seq, n):
         seq,
         n,
         profile_e=expansion_profile(seq, n).values,
-        series=seq.prefix_series(n),
+        frobenius=frobenius_residuals(seq, n),
         first=_first_nonzero(seq),
     )
 
@@ -82,7 +87,6 @@ def run_all(seq, n):
         n,
         fits=linear_fits(seq, n),
         expansion=expansion_profile(seq, n),
-        series=seq.prefix_series(n),
     )
 
 
@@ -227,7 +231,7 @@ def test_run_all_checks_is_growth_then_each_length(f2, f3, f4):
             terms = [0] * zeros + [rng.randrange(field.q) for _ in range(n - zeros)]
             seq = Sequence(field, terms)
             fits, profile = linear_fits(seq, n), expansion_profile(seq, n)
-            series = seq.prefix_series(n)
+            frobenius = frobenius_residuals(seq, n)
             first = _first_nonzero(seq)
             steps = [
                 rep for m in range(2, n + 1)
@@ -236,7 +240,7 @@ def test_run_all_checks_is_growth_then_each_length(f2, f3, f4):
             lengths = [
                 check_length(
                     seq, m, fits=fits, profile_e=profile.values,
-                    series=series, first=first,
+                    frobenius=frobenius, first=first,
                 )
                 for m in range(1, n + 1)
             ]
@@ -250,7 +254,8 @@ def test_run_all_checks_is_growth_then_each_length(f2, f3, f4):
                 )
                 assert lengths[m - 1] == check_length(
                     short, m, fits=short_fits, profile_e=short_e,
-                    series=short.prefix_series(m), first=_first_nonzero(short),
+                    frobenius=frobenius_residuals(short, m),
+                    first=_first_nonzero(short),
                 )
             assert lengths[0] == []
 
@@ -410,3 +415,52 @@ def test_run_all_checks_establishes_l_t_once(f3, monkeypatch):
     claims = {r.claim_id for r in run_all(seq, 12)}
     assert {"T1.lower", "T1.upper", "T1.remark"} <= claims
     assert calls == [len(seq.terms)]
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["certificate", "perturbed"])
+@pytest.mark.parametrize("q_spec", [(2, 1), (3, 1), (2, 2), (3, 2), (101, 1)])
+def test_frobenius_residuals_match_naive_substitution(q_spec, perturbed, monkeypatch):
+    # each k is substituted once, at its longest length, and the certificate
+    # at every length m is graded on the first m coefficients of that
+    # residual.  A valid certificate leaves only zeros, so the perturbed run
+    # adds a fixed x*y^2 term to every certificate: its residual is not
+    # zero, and is the same function of the first m terms at every m
+    field = Field(*q_spec)
+    if perturbed:
+        real_witness = theorems.frobenius_witness
+
+        def witness(seq, n):
+            terms = dict(real_witness(seq, n).terms)
+            terms[(1, 2)] = field.add(terms.get((1, 2), 0), 1)
+            return BivariatePoly(field, terms)
+
+        monkeypatch.setattr(theorems, "frobenius_witness", witness)
+    rng = random.Random(31 * field.q + perturbed)
+    for n, zeros in ((40, 0), (40, 3), (rng.randrange(8, 40), rng.randrange(3))):
+        # zero-led prefixes too; x*G^2 mod x^n is not zero while 2*zeros+1 < n
+        terms = [0] * zeros + [rng.randrange(1, field.q)]
+        terms += [rng.randrange(field.q) for _ in range(n + 1 - zeros)]
+        seq = Sequence(field, terms)
+        residuals = frobenius_residuals(seq, n)
+        assert [r.order for r in residuals] == [
+            min(n, field.p ** (k + 1)) for k in range(len(residuals))
+        ]
+        assert len(residuals) == frobenius_parameters(field.p, n)[0] + 1
+        lo = rng.randrange(2, n + 1)  # a sweep leaf grades lengths lo..n only
+        assert frobenius_residuals(seq, n, lo) == [
+            r if r.order >= lo else None for r in residuals
+        ]
+        observed = {
+            rep.inputs["n"]: rep.observed
+            for rep in run_all(seq, n)
+            if rep.claim_id == "R.frobenius.witness"
+        }
+        assert sorted(observed) == list(range(max(2, zeros + 1), n + 1))
+        for m in range(2, n + 1):
+            k, _ = frobenius_parameters(field.p, m)
+            got = list(residuals[k].coeffs[:m])
+            certificate = theorems.frobenius_witness(seq, m)
+            assert got == naive_substitute(field, certificate.terms, terms, m), m
+            if m in observed:
+                assert observed[m] == sum(1 for c in got if c), m
+        assert any(observed.values()) == perturbed
