@@ -108,18 +108,22 @@ def cmd_expcomp(args) -> int:
     start = time.perf_counter()
     profile = expcomp.expansion_profile(seq, args.n)
     ns = range(1, args.n + 1) if args.profile else [args.n]
+    # a witness is built only where one is printed
+    shows_witness = args.witness and not args.csv
     rows = []
     for n in ns:
-        wit = profile.witness(n)
-        row = {"n": n, "e_n": wit.complexity}
-        if args.witness:
+        row = {"n": n, "e_n": profile.values[n - 1]}
+        wit = None
+        if shows_witness:
+            wit = profile.witness(n)
             row["witness"] = witness_triples(wit.poly) if wit.poly else None
             row["matrix_rank"] = wit.matrix_rank
             row["monomial_count"] = wit.monomial_count
         rows.append((row, wit))
+    if args.json:
+        final_wit = rows[-1][1] or profile.witness(args.n)
     elapsed = time.perf_counter() - start
     if args.json:
-        final_wit = rows[-1][1]
         record = result_record(
             "expcomp",
             seq,

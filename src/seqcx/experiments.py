@@ -16,6 +16,10 @@ Sampling is counter-based: term i of sample j is derived by hashing
 (seed, j, i, attempt) and mapping the 64-bit draw into [0, q) by rejection,
 so results are independent of worker count and chunking.  Identical configs
 therefore produce bit-identical records.
+
+Both modes split their range into chunks, one per worker.  Every chunk
+receives the caller's Field, tables included (pickled to pool workers), so
+no chunk builds a field of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 import struct
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import expcomp, lincomp, theorems
@@ -306,8 +310,7 @@ def _check_prefix(seq: Sequence, n: int, fits, profile):
     return fails, witness_failures
 
 
-def _enumerate_chunk(p, m, modulus, n, checks, start, stop):
-    field = Field(p, m, modulus or None)
+def _enumerate_chunk(field, n, checks, start, stop):
     q = field.q
     counts = Counter()
     counts_l = Counter()
@@ -354,10 +357,7 @@ def enumerate_all(cfg: ExperimentConfig) -> EnumerationResult:
     field = cfg.field
     total = field.q**cfg.n
     ranges = _chunk_ranges(total, cfg.workers)
-    args = [
-        (field.p, field.m, field.modulus, cfg.n, cfg.checks, lo, hi)
-        for lo, hi in ranges
-    ]
+    args = [(field, cfg.n, cfg.checks, lo, hi) for lo, hi in ranges]
     counts = Counter()
     counts_l = Counter()
     counts_t = Counter()
@@ -391,8 +391,7 @@ def count_low_expansion(record: DistributionRecord, b: int) -> LowExpansionProbe
 # -- Monte Carlo --------------------------------------------------------------
 
 
-def _mc_chunk(p, m, modulus, schedule, seed, start, stop):
-    field = Field(p, m, modulus or None)
+def _mc_chunk(field, schedule, seed, start, stop):
     q = field.q
     length = max(schedule)
     counters = {n: Counter() for n in schedule}
@@ -411,10 +410,7 @@ def monte_carlo(cfg: ExperimentConfig) -> MonteCarloResult:
     schedule = cfg.resolved_schedule()
     field = cfg.field
     ranges = _chunk_ranges(cfg.samples, cfg.workers)
-    args = [
-        (field.p, field.m, field.modulus, schedule, cfg.seed, lo, hi)
-        for lo, hi in ranges
-    ]
+    args = [(field, schedule, cfg.seed, lo, hi) for lo, hi in ranges]
     counters = {n: Counter() for n in schedule}
     for part in _run_chunks(_mc_chunk, args, cfg.workers):
         for n in schedule:
@@ -513,9 +509,9 @@ def tn_ambiguity_scan(cfg: ExperimentConfig) -> TnAmbiguityReport:
             ambiguous += 1
         if n >= 2:
             holds = {
-                t: (
-                    e_n >= theorems.periodic_lower_bound(length, t, n)
-                    and e_n <= theorems.prefix_upper_bound(length, t, n)
+                t: all(
+                    r.passed
+                    for r in theorems.check_theorem4(replace(fit, t=t), e_n)
                 )
                 for t in t_set
             }

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .field import Field
-from .series import Poly, TruncatedSeries, poly_gcd, rational_expand
+from .series import Poly, TruncatedSeries, poly_gcd, rational_expand, series_mul
 
 
 class Periodicity(NamedTuple):
@@ -203,14 +203,8 @@ def rational_form(fit: LinearFit, seq: Sequence) -> RationalForm:
     g = Poly(f, [1] + [fit.coeffs[length - j] for j in range(1, length - fit.t + 1)])
     # numerator = g * G, which must be a polynomial of degree < L
     avail = len(seq.terms)
-    prod = [0] * avail
-    gc = g.coeffs
-    for i, gi in enumerate(gc):
-        if gi:
-            for j in range(avail - i):
-                sj = seq.terms[j]
-                if sj:
-                    prod[i + j] = f.add(prod[i + j], f.mul(gi, sj))
+    g_series = TruncatedSeries._unchecked(f, (g.coeffs + (0,) * avail)[:avail])
+    prod = series_mul(g_series, seq.prefix_series(avail), avail).coeffs
     for idx in range(length, avail):
         if prod[idx]:
             raise ValueError(

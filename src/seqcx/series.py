@@ -118,15 +118,20 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_pow(a: Poly, e: int) -> Poly:
+    """a^e by square-and-multiply; e = 0 gives the polynomial 1.
+
+    Takes no product for e = 1 and k products for e = 2^k.
+    """
     if e < 0:
         raise ValueError("polynomial exponent must be >= 0")
-    out = Poly(a.field, [1])
+    out = None if e else Poly(a.field, [1])
     base = a
     while e:
         if e & 1:
-            out = out * base
-        base = base * base
+            out = base if out is None else out * base
         e >>= 1
+        if e:
+            base = base * base
     return out
 
 

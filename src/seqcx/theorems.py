@@ -312,15 +312,15 @@ def check_misc_upper(
         reports.append(
             _report("R.kernel", {"n": n}, "<=", expcomp.kernel_degree_bound(n), e_n)
         )
-        # subadditivity over every split with a nonzero leading part
-        best = None
-        for n1 in range(1, n):
-            n2 = n - n1
-            if min(n1, n2) <= first:
-                continue
-            total = profile_e[n1 - 1] + profile_e[n2 - 1]
-            if best is None or total < best:
-                best = total
+        # subadditivity over every split with a nonzero leading part; a
+        # split n1 + n2 and its mirror give the same sum, so n1 <= n2
+        best = min(
+            (
+                profile_e[n1 - 1] + profile_e[n - n1 - 1]
+                for n1 in range(first + 1, n // 2 + 1)
+            ),
+            default=None,
+        )
         if best is None:
             reports.append(
                 _not_applicable("R.subadd", {"n": n}, "no split with nonzero start")

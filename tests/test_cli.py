@@ -309,6 +309,43 @@ def test_internal_error_exit_4_one_error_line(monkeypatch, capsys, ones_file):
     assert res.out == ""
 
 
+@pytest.mark.parametrize(
+    "flags, witnesses",
+    [
+        (["--csv"], 0),
+        (["--json"], 1),
+        ([], 0),
+        (["--witness"], 12),
+        (["--witness", "--json"], 12),
+        (["--witness", "--csv"], 0),
+    ],
+)
+def test_expcomp_profile_builds_only_printed_witnesses(
+    flags, witnesses, tmp_path, monkeypatch, capsys
+):
+    # E_n comes off the profile's values; a witness is built for each row
+    # that prints one, and for the final witness of the JSON record
+    from seqcx import cli, expcomp
+
+    path = tmp_path / "f3.seq"
+    path.write_text("q=3\n1 2 0 1 1 0 2 2 1 0 1 2\n")
+    real_witness = expcomp.ExpansionProfile.witness
+    built = []
+
+    def counting_witness(self, m):
+        built.append(m)
+        return real_witness(self, m)
+
+    monkeypatch.setattr(expcomp.ExpansionProfile, "witness", counting_witness)
+    argv = ["expcomp", "--input", str(path), "--n", "12", "--profile", *flags]
+    assert cli.main(argv) == 0
+    assert len(built) == witnesses
+    out = capsys.readouterr().out
+    if "--json" in flags:
+        record = json.loads(out)
+        assert record["witness"] is not None and record["e_n"] > 0
+
+
 def test_experiment_exhaustive_summary(tmp_path):
     res = run_cli(
         "experiment", "--mode", "exhaustive", "--q", "2", "--n", "6",

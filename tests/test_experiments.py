@@ -175,6 +175,40 @@ def test_monte_carlo_workers_invariant(f2):
     assert monte_carlo(base).to_dict() == monte_carlo(split).to_dict()
 
 
+# fields whose modulus is not the default one: F_9 with x^2 + x + 2, and
+# F_16 with 1 + x + x^2 + x^3 + x^4, where x is not primitive
+GIVEN_MODULUS_FIELDS = [(3, 2, (2, 1, 1)), (2, 4, (1, 1, 1, 1, 1))]
+
+
+@pytest.mark.parametrize("p, m, modulus", GIVEN_MODULUS_FIELDS)
+def test_given_modulus_field_same_records_across_workers(p, m, modulus):
+    field = Field(p, m, modulus)
+    assert field.modulus != Field(p, m).modulus
+    one = enumerate_all(exhaustive(field, 3))
+    two = enumerate_all(exhaustive(field, 3, workers=2))
+    assert one.violations == 0
+    assert one.to_dict() == two.to_dict()
+    cfg = dict(samples=24, seed=7, schedule=(6, 9))
+    one = monte_carlo(ExperimentConfig(field, 0, "montecarlo", **cfg))
+    two = monte_carlo(ExperimentConfig(field, 0, "montecarlo", workers=2, **cfg))
+    assert one.to_dict() == two.to_dict()
+
+
+def test_chunks_use_the_callers_field(f9, monkeypatch):
+    # the field and its tables travel with the chunk; none is built again
+    built = []
+    real_init = Field.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "__init__", counting_init)
+    enumerate_all(exhaustive(f9, 2))
+    monte_carlo(ExperimentConfig(f9, 0, "montecarlo", samples=4, schedule=(5,)))
+    assert built == []
+
+
 def test_monte_carlo_extension_field(f4):
     cfg = ExperimentConfig(f4, 0, "montecarlo", samples=16, seed=3, schedule=(6,))
     result = monte_carlo(cfg)

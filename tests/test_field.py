@@ -253,3 +253,37 @@ def test_binary_tables_match_coset_walk_every_small_modulus():
                 with pytest.raises(ValueError, match="reducible"):
                     Field(2, m, modulus)
     assert irreducible == 69
+
+
+# -- pickling, as pool workers receive a field ------------------------------
+
+
+@pytest.mark.parametrize(
+    "p, m, modulus",
+    [(3, 2, None), (101, 2, None), (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))],
+    ids=["F_9", "F_101^2", "F_2^8-aes-modulus"],
+)
+def test_pickle_round_trip_keeps_modulus_tables_and_ops(p, m, modulus):
+    import pickle
+
+    field = Field(p, m, modulus)
+    if modulus is not None:
+        assert field.modulus == modulus != Field(p, m).modulus
+    back = pickle.loads(pickle.dumps(field))
+    assert back is not field and back == field
+    assert (back.p, back.m, back.q, back.modulus) == (p, m, p**m, field.modulus)
+    for name in ("_exp", "_log", "_zech"):
+        assert getattr(back, name) == getattr(field, name), name
+    rng = random.Random(f"pickle:{p}^{m}")
+    pairs = [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(3000)]
+    pairs += [(0, 0), (0, 1), (1, 0), (field.q - 1, field.q - 1)]
+    for a, b in pairs:
+        for op in ("add", "sub", "mul"):
+            assert getattr(back, op)(a, b) == getattr(field, op)(a, b), (op, a, b)
+        assert back.neg(a) == field.neg(a)
+        assert back.pow(a, b) == field.pow(a, b)
+        assert back.frobenius(a, b % m + 1) == field.frobenius(a, b % m + 1)
+        assert back.to_coeffs(a) == field.to_coeffs(a)
+        if b:
+            assert back.inv(b) == field.inv(b)
+            assert back.div(a, b) == field.div(a, b)

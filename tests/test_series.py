@@ -135,6 +135,30 @@ def test_series_pow_products_and_values(q_spec, monkeypatch):
         repeated = real_mul(repeated, a.truncate(n), n)
 
 
+@pytest.mark.parametrize("q_spec", [(2, 1), (7, 1), (3, 2)])
+def test_poly_pow_products_and_values(q_spec, monkeypatch):
+    # the same product count as series_pow: 0 for e = 0 and 1, k for e = 2^k
+    field = Field(*q_spec)
+    rng = random.Random(field.q)
+    a = Poly(field, [rng.randrange(field.q) for _ in range(3)] + [1])
+    real_mul = Poly.__mul__
+    calls = []
+
+    def counting_mul(x, y):
+        calls.append(1)
+        return real_mul(x, y)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    repeated = Poly(field, [1])
+    for e in range(18):
+        calls.clear()
+        got = poly_pow(a, e)
+        expected_products = 0 if e < 2 else e.bit_length() - 2 + bin(e).count("1")
+        assert len(calls) == expected_products, e
+        assert got == repeated, e
+        repeated = real_mul(repeated, a)
+
+
 def test_series_pow_additive_exponents(f5):
     rng = random.Random(3)
     for _ in range(20):

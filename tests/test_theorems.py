@@ -274,6 +274,36 @@ def test_check_misc_upper_examples(f2):
     assert reports["R.subadd"].passed
 
 
+def test_subadd_equals_brute_force_minimum_over_every_split(f2, f3):
+    # random profiles, not engine outputs, so that no symmetry of a real
+    # profile can hide a split the minimum skips
+    rng = random.Random(17)
+    for field in (f2, f3):
+        for n in range(2, 26):
+            seq = Sequence(field, [rng.randrange(field.q) for _ in range(n)])
+            frobenius = frobenius_residuals(seq, n)
+            for _ in range(3):
+                profile_e = [rng.randrange(n + 1) for _ in range(n)]
+                for first in range(n):
+                    rep = by_claim(
+                        check_misc_upper(
+                            seq, n, profile_e=profile_e, frobenius=frobenius,
+                            first=first,
+                        )
+                    )["R.subadd"]
+                    sums = [
+                        profile_e[n1 - 1] + profile_e[n - n1 - 1]
+                        for n1 in range(1, n)
+                        if min(n1, n - n1) > first
+                    ]
+                    if sums:
+                        assert rep.outcome != NOT_APPLICABLE, (n, first)
+                        assert rep.expected == min(sums), (n, first)
+                        assert rep.observed == profile_e[n - 1]
+                    else:
+                        assert rep.outcome == NOT_APPLICABLE, (n, first)
+
+
 def test_misc_upper_not_applicable_for_zero_prefix(f2):
     seq = Sequence(f2, [0, 0, 0, 1])
     reports = misc(seq, 3)
