@@ -211,15 +211,26 @@ def cmd_verify(args) -> int:
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
+def _schedule_entry(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"--schedule entry {token!r} is not an integer") from None
+
+
 def _experiment_config(args) -> experiments.ExperimentConfig:
     # every other flag the mode would ignore is a config field, rejected there
     if args.mode == "mc" and args.tn_scan:
         raise ValueError("--tn-scan does not apply to --mode mc")
-    p, m = parse_field_spec(args.q)
+    try:
+        p, m = parse_field_spec(args.q)
+    except SequenceFileError as exc:
+        # no file is involved: a bad flag value is a precondition violation
+        raise ValueError(f"--q: {exc}") from None
     field = Field(p, m)
     schedule = None
     if args.schedule is not None:
-        schedule = tuple(int(tok) for tok in args.schedule.split(","))
+        schedule = tuple(_schedule_entry(tok) for tok in args.schedule.split(","))
     mode = "exhaustive" if args.mode == "exhaustive" else "montecarlo"
     samples = 0 if mode == "exhaustive" else 1024
     return experiments.ExperimentConfig(

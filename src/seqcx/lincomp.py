@@ -14,6 +14,11 @@ The central conventions, used everywhere in this package:
 *   In the degenerate case L = N the recurrence is vacuous; the fit is
     reported with all-zero coefficients and t_N = L, and extension by such
     a fit is refused.
+
+Over F_2, berlekamp_massey and linear_fits run _bm_gf2, a bit-packed pass
+whose fits are read straight off the connection polynomial as an int.  The
+generic field-method pass _bm_core runs for every other field and is the
+packed pass's oracle in the tests: both give equal fits at every length.
 """
 
 from __future__ import annotations
@@ -22,7 +27,14 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .field import Field
-from .series import Poly, TruncatedSeries, poly_gcd, rational_expand, series_mul
+from .series import (
+    _FROM_DIGITS,
+    Poly,
+    TruncatedSeries,
+    poly_gcd,
+    rational_expand,
+    series_mul,
+)
 
 
 class Periodicity(NamedTuple):
@@ -164,20 +176,66 @@ def _fit_from_core(n: int, length: int, conn: list[int]) -> LinearFit:
     return LinearFit(n, length, coeffs, length - deg_c)
 
 
+def _bm_gf2(terms) -> list[tuple[int, int]]:
+    """_bm_core over F_2 with the connection polynomial packed in an int.
+
+    Entry k of the result is (L, C) for the first k terms, where bit i of C
+    is C[i].  With R the reversed prefix (bit i = s_{n-i}), the discrepancy
+    at step n is the parity of C & R, and the update C -= (d/b) x^(n-m) B
+    is one shift and XOR.
+    """
+    c = b = 1
+    length = 0
+    m = -1
+    r = 0
+    cores = [(0, 1)]
+    for n, s_n in enumerate(terms):
+        r = r << 1 | s_n
+        if (c & r).bit_count() & 1:
+            old_c = c
+            c ^= b << (n - m)
+            if 2 * length <= n:
+                length = n + 1 - length
+                b = old_c
+                m = n
+        cores.append((length, c))
+    return cores
+
+
+def _fit_from_gf2(n: int, length: int, conn: int) -> LinearFit:
+    """_fit_from_core for a connection polynomial packed by _bm_gf2."""
+    if length == n and length > 0:
+        return LinearFit(n, length, (0,) * length, length)
+    if not length:
+        return LinearFit(n, 0, (), 0)
+    # c_l = C[L - l] for l = 0..L-1 are the L binary digits of C >> 1, most
+    # significant first; deg C <= L keeps C >> 1 below 2^L
+    digits = format(conn >> 1, f"0{length}b").encode().translate(_FROM_DIGITS)
+    return LinearFit(n, length, tuple(digits), length + 1 - conn.bit_length())
+
+
+def _bm_pass(seq: Sequence, n: int):
+    """The pass entries for the first n terms, and the fit built from one:
+    packed over F_2, generic over every other field."""
+    if seq.field.q == 2:
+        return _bm_gf2(seq.terms[:n]), _fit_from_gf2
+    return _bm_core(seq.field, seq.terms[:n]), _fit_from_core
+
+
 def berlekamp_massey(seq: Sequence, n: int) -> LinearFit:
     """Shortest linear recurrence for the first n terms of seq."""
     if not 0 <= n <= len(seq.terms):
         raise ValueError(f"n={n} is outside 0..{len(seq.terms)}")
-    length, conn = _bm_core(seq.field, seq.terms[:n])[-1]
-    return _fit_from_core(n, length, conn)
+    cores, fit = _bm_pass(seq, n)
+    return fit(n, *cores[n])
 
 
 def linear_fits(seq: Sequence, n_max: int) -> list[LinearFit]:
     """The shortest recurrence for every prefix length n = 1..n_max."""
     if not 0 <= n_max <= len(seq.terms):
         raise ValueError(f"n_max={n_max} is outside 0..{len(seq.terms)}")
-    cores = _bm_core(seq.field, seq.terms[:n_max])
-    return [_fit_from_core(n, *cores[n]) for n in range(1, n_max + 1)]
+    cores, fit = _bm_pass(seq, n_max)
+    return [fit(n, *cores[n]) for n in range(1, n_max + 1)]
 
 
 def linear_profile(seq: Sequence, n_max: int) -> list[int]:

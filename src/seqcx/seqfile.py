@@ -17,7 +17,7 @@ of that text encoded as UTF-8.
 from __future__ import annotations
 
 import hashlib
-import json
+from json.encoder import encode_basestring_ascii
 
 from .field import Field, check_field_size
 from .lincomp import Periodicity, Sequence
@@ -138,5 +138,97 @@ def result_record(command: str, seq: Sequence, n: int, **extra) -> dict:
     return record
 
 
+_INF = float("inf")
+
+
+def _scalar(value):
+    """The JSON text of a str, None, bool, int or float; None for any other
+    value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _emit(value, nl: str, out: list) -> None:
+    """Append the JSON text of value to out; nl is the newline and indent
+    of the line value starts on."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        # sorted on the original keys, as sort_keys does
+        for key, item in sorted(value.items()):
+            text = key if isinstance(key, str) else _scalar(key)
+            if text is None:
+                raise TypeError(
+                    "keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}"
+                )
+            head = sep + encode_basestring_ascii(text) + ": "
+            # the exact types int and str need no dispatch (bool is not int)
+            kind = type(item)
+            if kind is int:
+                out.append(head + int.__repr__(item))
+            elif kind is str:
+                out.append(head + encode_basestring_ascii(item))
+            else:
+                out.append(head)
+                _emit(item, inner, out)
+            sep = comma
+        out.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        if set(map(type, value)) == {int}:
+            out.append("[" + inner + comma.join(map(int.__repr__, value)) + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = comma
+        out.append(nl + "]")
+    else:
+        text = _scalar(value)
+        if text is None:
+            raise TypeError(
+                f"Object of type {value.__class__.__name__} is not JSON serializable"
+            )
+        out.append(text)
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.
+
+    With indent set, json.dumps runs its pure-Python encoder, one generator
+    per container.  This emitter writes the same bytes: keys sorted on their
+    original values, strings escaped to ASCII by json's own
+    encode_basestring_ascii, NaN and the infinities spelt as json spells
+    them, and each list of plain ints joined in one call.
+    """
+    out: list = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)

@@ -43,6 +43,7 @@ per k for every length m of that k.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import expcomp, lincomp
@@ -313,11 +314,13 @@ def check_misc_upper(
             _report("R.kernel", {"n": n}, "<=", expcomp.kernel_degree_bound(n), e_n)
         )
         # subadditivity over every split with a nonzero leading part; a
-        # split n1 + n2 and its mirror give the same sum, so n1 <= n2
+        # split n1 + n2 and its mirror give the same sum, so n1 <= n2:
+        # E_{n1} for n1 = first+1..n//2 pairs with E_{n-n1}, read backwards
         best = min(
-            (
-                profile_e[n1 - 1] + profile_e[n - n1 - 1]
-                for n1 in range(first + 1, n // 2 + 1)
+            map(
+                operator.add,
+                profile_e[first : n // 2],
+                reversed(profile_e[n - n // 2 - 1 : n - first - 1]),
             ),
             default=None,
         )

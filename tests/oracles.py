@@ -574,6 +574,28 @@ def series_add(a, b):
     )
 
 
+def bivariate_add(h1, h2):
+    """h1 + h2 for BivariatePoly operands, term by term."""
+    _check_same_field(h1, h2)
+    f = h1.field
+    out = dict(h1.terms)
+    for mono, c in h2.terms.items():
+        out[mono] = f.add(out.get(mono, 0), c)
+    return BivariatePoly(f, out)
+
+
+def bivariate_mul(h1, h2):
+    """h1 * h2 for BivariatePoly operands, every pair of terms."""
+    _check_same_field(h1, h2)
+    f = h1.field
+    out = {}
+    for (i1, j1), c1 in h1.terms.items():
+        for (i2, j2), c2 in h2.terms.items():
+            mono = (i1 + i2, j1 + j2)
+            out[mono] = f.add(out.get(mono, 0), f.mul(c1, c2))
+    return BivariatePoly(f, out)
+
+
 def fit_annihilates(seq, fit):
     """Direct re-evaluation of the recurrence against the prefix."""
     f = seq.field

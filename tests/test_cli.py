@@ -3,16 +3,29 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CMD = [sys.executable, "-m", "seqcx.cli"]
 
 
+def _assert_stdlib_json(text):
+    """A JSON record is byte for byte what the stdlib encoder writes."""
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
 def run_cli(*args, cwd=None):
-    return subprocess.run(
+    res = subprocess.run(
         CMD + list(args), capture_output=True, text=True, cwd=cwd, timeout=300
     )
+    if res.stdout.startswith("{"):
+        _assert_stdlib_json(res.stdout)
+    if "--out" in args and res.returncode == 0:
+        out = Path(cwd or ".") / args[args.index("--out") + 1]
+        for path in out.glob("*.json"):
+            _assert_stdlib_json(path.read_text())
+    return res
 
 
 @pytest.fixture
@@ -182,6 +195,17 @@ BAD_INPUT_CASES = {
         "expcomp", "--input", "{bits}", "--n", "0", "--profile", "--json"],
     "verify-zero-n-periodic": ["verify", "--input", "{periodic}", "--n", "0"],
     "verify-negative-n": ["verify", "--input", "{bits}", "--n", "-1", "--json"],
+    # flag values that are not a field size or a prefix length; no file
+    # is involved, so these are not parse errors
+    "mc-bad-q": [
+        "experiment", "--mode", "mc", "--q", "abc", "--samples", "4",
+        "--n", "5", "--out", "{out}"],
+    "exhaustive-bad-q-exponent": [
+        "experiment", "--mode", "exhaustive", "--q", "2^x", "--n", "4",
+        "--out", "{out}"],
+    "mc-bad-schedule-entry": [
+        "experiment", "--mode", "mc", "--q", "2", "--samples", "4",
+        "--schedule", "3,x", "--out", "{out}"],
     "mc-zero-schedule-entry": [
         "experiment", "--mode", "mc", "--q", "2", "--samples", "4",
         "--schedule", "0,3", "--out", "{out}"],
@@ -271,6 +295,17 @@ def test_bad_input_exit_3_one_error_line(case, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
     assert res.stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--q", "2^x", "--n", "5"], "--q: bad field spec '2^x'"),
+    (["--q", "2", "--schedule", "3,x"], "--schedule entry 'x' is not an integer"),
+])
+def test_bad_flag_value_names_flag_and_entry(flags, message, tmp_path):
+    res = run_cli("experiment", "--mode", "mc", "--samples", "4", *flags,
+                  "--out", str(tmp_path / "out"))
+    assert res.returncode == 3
+    assert res.stderr == f"error: {message}\n"
 
 
 MALFORMED_FILES = {

@@ -5,6 +5,8 @@ import pytest
 
 from seqcx.lincomp import (
     LinearFit,
+    _bm_core,
+    _fit_from_core,
     Periodicity,
     Sequence,
     berlekamp_massey,
@@ -81,6 +83,47 @@ def test_profile_consistent_with_isolated_runs(f2, f7):
         fits = linear_fits(seq, n_max)
         assert fits == [berlekamp_massey(seq, n) for n in range(1, n_max + 1)]
         assert all(fit_annihilates(seq, fit) for fit in fits)
+
+
+def _gf2_inputs(rng):
+    """Bit strings for the packed BM: random, zero-led, constant,
+    impulse, Thue-Morse and ultimately periodic."""
+    yield [rng.randrange(2) for _ in range(2048)]
+    for n in (1, 2, 3, 5, 17, 63, 64, 65, 256, 500):
+        yield [rng.randrange(2) for _ in range(n)]
+    for lead in (1, 7, 64, 200):
+        yield [0] * lead + [rng.randrange(2) for _ in range(300)]
+    yield [0] * 300
+    yield [1] * 300
+    yield [0] * 99 + [1]
+    yield [bin(i).count("1") & 1 for i in range(1024)]
+    for t, period in ((0, 1), (0, 7), (3, 5), (10, 31), (40, 100)):
+        head = [rng.randrange(2) for _ in range(t + period)]
+        yield [head[i] if i < t else head[t + (i - t) % period] for i in range(600)]
+
+
+def test_packed_bm_equals_generic_pass_at_every_length(f2):
+    # over F_2 both entries run the bit-packed pass; _bm_core, the pass
+    # every other field runs, is its oracle
+    rng = random.Random(2048)
+    for terms in _gf2_inputs(rng):
+        seq = Sequence(f2, terms)
+        cores = _bm_core(f2, terms)
+        expected = [_fit_from_core(n, *core) for n, core in enumerate(cores)]
+        assert linear_fits(seq, len(terms)) == expected[1:]
+        for n in {0, 1, len(terms) // 3, len(terms) - 1, len(terms)}:
+            assert berlekamp_massey(seq, n) == expected[n], n
+
+
+def test_packed_profile_matches_bruteforce_oracle(f2):
+    rng = random.Random(14)
+    for _ in range(60):
+        n = rng.randrange(1, 15)
+        terms = [0] * rng.randrange(4) + [rng.randrange(2) for _ in range(n)]
+        seq = Sequence(f2, terms)
+        assert linear_profile(seq, len(terms)) == [
+            min_recurrence_length_gf2(terms, m) for m in range(1, len(terms) + 1)
+        ]
 
 
 def test_profile_growth_law_exhaustive_n12(f2):

@@ -1,9 +1,13 @@
+import json
+import random
+
 import pytest
 
 from seqcx.field import Field
 from seqcx.lincomp import Periodicity, Sequence
 from seqcx.seqfile import (
     SequenceFileError,
+    dump_json,
     format_field_spec,
     format_sequence,
     input_digest,
@@ -112,3 +116,58 @@ def test_long_body_wraps(f2):
     body_lines = [l for l in text.splitlines() if not l.startswith(("q=", "mod=", "meta="))]
     assert len(body_lines) == 3
     assert parse_sequence(text).terms == seq.terms
+
+
+def _stdlib_dump(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_STRINGS = ["", "plain", 'quote " and \\ backslash', "\x00\x1f\n\t\x7f",
+            "caf\u00e9 \u20ac \U0001f600", "\ud800 lone surrogate", "10", "2"]
+_SCALARS = [None, True, False, 0, 1, -7, 2**70, -(3**50), 0.0, -0.0, 0.1,
+            -2.5e-8, 1e300, float("nan"), float("inf"), float("-inf")]
+
+
+def _random_json(rng, depth=0):
+    roll = rng.randrange(10 if depth < 4 else 5)
+    if roll < 2:
+        return rng.choice(_STRINGS)
+    if roll < 4:
+        return rng.choice(_SCALARS)
+    if roll == 4:
+        return rng.randrange(-50, 1000)
+    if roll == 5:
+        return [rng.randrange(-9, 99) for _ in range(rng.randrange(5))]
+    if roll in (6, 7):
+        items = [_random_json(rng, depth + 1) for _ in range(rng.randrange(5))]
+        return tuple(items) if rng.random() < 0.3 else items
+    # keys of one kind per dict: sort_keys cannot order mixed kinds
+    keys = rng.choice([
+        _STRINGS,
+        [2, 10, -1, 0, 2**65],
+        [0.5, -2.0, 1e300, float("inf"), float("-inf")],
+        [True, False],
+        [None],
+    ])
+    return {rng.choice(keys): _random_json(rng, depth + 1)
+            for _ in range(rng.randrange(5))}
+
+
+def test_dump_json_matches_stdlib_on_random_records():
+    rng = random.Random(2)
+    for _ in range(2000):
+        obj = _random_json(rng)
+        assert dump_json(obj) == _stdlib_dump(obj), obj
+    # int keys 2 and 10 sort as numbers, not as their strings
+    obj = {10: [], 2: {}, 3: {10: "a", 2: ("b", 1.5)}}
+    assert dump_json({"k": obj}) == _stdlib_dump({"k": obj})
+    assert dump_json(["\u00e9"]) == '[\n  "\\u00e9"\n]\n'
+
+
+def test_dump_json_rejects_what_stdlib_rejects():
+    for obj in ({1, 2}, {"k": object()}, [b"bytes"], {(1, 2): 0}, {1: 0, "a": 1}):
+        with pytest.raises(TypeError) as ours:
+            dump_json(obj)
+        with pytest.raises(TypeError) as stdlib:
+            _stdlib_dump(obj)
+        assert str(ours.value) == str(stdlib.value)

@@ -20,6 +20,8 @@ from seqcx.series import (
 from seqcx.theorems import frobenius_parameters, frobenius_witness
 
 from oracles import (
+    bivariate_add,
+    bivariate_mul,
     convolve_mod,
     monomials_up_to,
     naive_substitute,
@@ -235,10 +237,10 @@ def test_substitute_is_linear_and_multiplicative(q_spec):
         g = TruncatedSeries(field, [rng.randrange(field.q) for _ in range(n)])
         h1 = _random_bivariate(field, rng)
         h2 = _random_bivariate(field, rng)
-        assert substitute(h1 + h2, g, n) == series_add(
+        assert substitute(bivariate_add(h1, h2), g, n) == series_add(
             substitute(h1, g, n), substitute(h2, g, n)
         )
-        assert substitute(h1 * h2, g, n) == series_mul(
+        assert substitute(bivariate_mul(h1, h2), g, n) == series_mul(
             substitute(h1, g, n), substitute(h2, g, n), n
         )
 
@@ -250,6 +252,40 @@ def test_series_mul_matches_convolution_oracle(f5):
         b = [rng.randrange(5) for _ in range(7)]
         got = series_mul(TruncatedSeries(f5, a), TruncatedSeries(f5, b), 7)
         assert list(got.coeffs) == convolve_mod(a, b, 7, 5)
+
+
+def test_gf2_series_mul_matches_schoolbook(f2):
+    # over F_2 series_mul is a carry-less product of packed ints; operands
+    # may be longer than n and must be cut to their first n terms
+    rng = random.Random(31)
+    for n in (0, 1, 2, 3, 7, 63, 64, 65, 300):
+        operands = [[0] * n, [1] * n, [0] * (n - 1) + [1] if n else []]
+        operands += [[rng.randrange(2) for _ in range(n)] for _ in range(4)]
+        for a in operands:
+            b = rng.choice(operands)
+            a_long = a + [rng.randrange(2) for _ in range(rng.randrange(3))]
+            got = series_mul(TruncatedSeries(f2, a_long), TruncatedSeries(f2, b), n)
+            assert list(got.coeffs) == convolve_mod(a, b, n, 2), (a, b)
+            assert all(type(c) is int for c in got.coeffs)
+
+
+def test_gf2_substitute_matches_naive_substitution(f2):
+    # powers of G come from the packed product, Frobenius certificates
+    # (y^(2^k) terms) included
+    rng = random.Random(37)
+    n = 160
+    terms = [rng.randrange(2) for _ in range(n)]
+    seq = Sequence(f2, terms)
+    g = seq.prefix_series(n)
+    checks = [(frobenius_witness(seq, m), m) for m in (2, 3, 9, 64, 65, n)]
+    for _ in range(8):
+        h = BivariatePoly(
+            f2, {(rng.randrange(n), rng.randrange(12)): 1 for _ in range(5)}
+        )
+        checks.append((h, rng.randrange(n + 1)))
+    for h, m in checks:
+        got = substitute(h, g, m)
+        assert list(got.coeffs) == naive_substitute(f2, h.terms, terms, m)
 
 
 def test_bivariate_total_degree_and_normalization(f5):
