@@ -28,9 +28,9 @@ from typing import NamedTuple, Optional
 
 from .field import Field
 from .series import (
-    _FROM_DIGITS,
     Poly,
     TruncatedSeries,
+    _unpack_gf2,
     poly_gcd,
     rational_expand,
     series_mul,
@@ -208,10 +208,10 @@ def _fit_from_gf2(n: int, length: int, conn: int) -> LinearFit:
         return LinearFit(n, length, (0,) * length, length)
     if not length:
         return LinearFit(n, 0, (), 0)
-    # c_l = C[L - l] for l = 0..L-1 are the L binary digits of C >> 1, most
+    # c_l = C[L - l] for l = 0..L-1: the L low bits of C >> 1, most
     # significant first; deg C <= L keeps C >> 1 below 2^L
-    digits = format(conn >> 1, f"0{length}b").encode().translate(_FROM_DIGITS)
-    return LinearFit(n, length, tuple(digits), length + 1 - conn.bit_length())
+    coeffs = _unpack_gf2(conn >> 1, length)[::-1]
+    return LinearFit(n, length, coeffs, length + 1 - conn.bit_length())
 
 
 def _bm_pass(seq: Sequence, n: int):

@@ -183,16 +183,8 @@ def _emit(value, nl: str, out: list) -> None:
                     "keys must be str, int, float, bool or None, "
                     f"not {key.__class__.__name__}"
                 )
-            head = sep + encode_basestring_ascii(text) + ": "
-            # the exact types int and str need no dispatch (bool is not int)
-            kind = type(item)
-            if kind is int:
-                out.append(head + int.__repr__(item))
-            elif kind is str:
-                out.append(head + encode_basestring_ascii(item))
-            else:
-                out.append(head)
-                _emit(item, inner, out)
+            out.append(sep + encode_basestring_ascii(text) + ": ")
+            _emit(item, inner, out)
             sep = comma
         out.append(nl + "}")
     elif isinstance(value, (list, tuple)):

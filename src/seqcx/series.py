@@ -186,6 +186,12 @@ _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _unpack_gf2(x: int, k: int) -> tuple[int, ...]:
+    """The k low bits of x as F_2 element indices, least significant first."""
+    digits = format(x & ((1 << k) - 1), f"0{k}b")[::-1]
+    return tuple(digits.encode().translate(_FROM_DIGITS))
+
+
 def _mul_gf2(ac, bc, n: int) -> tuple[int, ...]:
     """The first n >= 1 coefficients of a*b over F_2: b packed in an int
     (bit j = b_j), shifted by i and XORed in for every a_i = 1."""
@@ -194,8 +200,7 @@ def _mul_gf2(ac, bc, n: int) -> tuple[int, ...]:
     for i, ai in enumerate(ac[:n]):
         if ai:
             acc ^= b << i
-    digits = format(acc & ((1 << n) - 1), f"0{n}b")[::-1]
-    return tuple(digits.encode().translate(_FROM_DIGITS))
+    return _unpack_gf2(acc, n)
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries, n: int) -> TruncatedSeries:

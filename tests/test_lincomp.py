@@ -115,17 +115,6 @@ def test_packed_bm_equals_generic_pass_at_every_length(f2):
             assert berlekamp_massey(seq, n) == expected[n], n
 
 
-def test_packed_profile_matches_bruteforce_oracle(f2):
-    rng = random.Random(14)
-    for _ in range(60):
-        n = rng.randrange(1, 15)
-        terms = [0] * rng.randrange(4) + [rng.randrange(2) for _ in range(n)]
-        seq = Sequence(f2, terms)
-        assert linear_profile(seq, len(terms)) == [
-            min_recurrence_length_gf2(terms, m) for m in range(1, len(terms) + 1)
-        ]
-
-
 def test_profile_growth_law_exhaustive_n12(f2):
     # stay when L_n > n/2, else stay or jump to n+1-L_n; covering every
     # length-12 prefix covers all shorter prefixes as well
