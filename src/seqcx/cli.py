@@ -218,44 +218,59 @@ def _schedule_entry(token: str) -> int:
         raise ValueError(f"--schedule entry {token!r} is not an integer") from None
 
 
-def _experiment_config(args) -> experiments.ExperimentConfig:
-    # every other flag the mode would ignore is a config field, rejected there
-    if args.mode == "mc" and args.tn_scan:
-        raise ValueError("--tn-scan does not apply to --mode mc")
+# in each mode, the flags that only the other mode reads; None means not given
+_OTHER_MODE_FLAGS = {
+    "exhaustive": ("samples", "seed", "schedule"),
+    "mc": ("no_checks", "low_b", "tn_scan"),
+}
+
+
+def _experiment_config(args):
+    for dest in _OTHER_MODE_FLAGS[args.mode]:
+        if getattr(args, dest) is not None:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to --mode {args.mode}")
+    if args.low_b is not None and args.low_b < 0:
+        raise ValueError(f"--low-b must be >= 0, got {args.low_b}")
     try:
         p, m = parse_field_spec(args.q)
     except SequenceFileError as exc:
         # no file is involved: a bad flag value is a precondition violation
         raise ValueError(f"--q: {exc}") from None
     field = Field(p, m)
-    schedule = None
-    if args.schedule is not None:
+    if args.mode == "exhaustive":
+        if args.n is None:
+            raise ValueError("--mode exhaustive requires --n")
+        return experiments.ExhaustiveConfig(
+            field, args.n, checks=not args.no_checks, workers=args.workers
+        )
+    if args.schedule is None:
+        schedule = experiments.DEFAULT_SCHEDULE if args.n is None else (args.n,)
+    elif args.n is None:
         schedule = tuple(_schedule_entry(tok) for tok in args.schedule.split(","))
-    mode = "exhaustive" if args.mode == "exhaustive" else "montecarlo"
-    samples = 0 if mode == "exhaustive" else 1024
-    return experiments.ExperimentConfig(
-        field=field,
-        n=args.n or 0,
-        mode=mode,
-        samples=args.samples if args.samples is not None else samples,
-        seed=args.seed,
+    else:
+        raise ValueError("--mode mc takes --n or --schedule, not both")
+    return experiments.MonteCarloConfig(
+        field,
+        samples=1024 if args.samples is None else args.samples,
+        seed=0 if args.seed is None else args.seed,
         schedule=schedule,
-        checks=not args.no_checks,
         workers=args.workers,
-        low_b=args.low_b,
     )
 
 
 def _write(path: Path, text: str):
-    path.write_text(text)
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ValueError(f"--out: {exc}") from None
     sys.stderr.write(f"wrote {path}\n")
 
 
 def _dist_csv(record) -> str:
-    lines = ["value,count"]
-    for value in sorted(record.counts):
-        lines.append(f"{value},{record.counts[value]}")
-    return "\n".join(lines) + "\n"
+    return "value,count\n" + "".join(
+        f"{value},{count}\n" for value, count in sorted(record.counts.items())
+    )
 
 
 def cmd_experiment(args) -> int:
@@ -263,9 +278,12 @@ def cmd_experiment(args) -> int:
     # the scan rejects its inputs before the sweep, and before any output
     scan = experiments.tn_ambiguity_scan(cfg) if args.tn_scan else None
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out: {exc}") from None
     qtag = args.q.replace("^", "e")
-    if cfg.mode == "exhaustive":
+    if args.mode == "exhaustive":
         result = experiments.enumerate_all(cfg)
         summary = {
             "config": {
@@ -276,8 +294,8 @@ def cmd_experiment(args) -> int:
             },
             "result": result.to_dict(),
         }
-        if cfg.low_b is not None:
-            probe = experiments.count_low_expansion(result.record, cfg.low_b)
+        if args.low_b is not None:
+            probe = experiments.count_low_expansion(result.record, args.low_b)
             summary["low_expansion_probe"] = probe.to_dict()
         if scan is not None:
             summary["tn_ambiguity"] = scan.to_dict()
@@ -351,17 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_runs = sub.add_parser("experiment", help="distribution experiments")
     p_runs.add_argument("--mode", choices=("exhaustive", "mc"), required=True)
     p_runs.add_argument("--q", required=True, help="field size, e.g. 2 or 3^2")
-    p_runs.add_argument("--n", type=int, default=0)
-    # the default depends on the mode: 1024 samples in mc mode, none otherwise
-    p_runs.add_argument("--samples", type=int, default=None,
+    # None means not given: _experiment_config checks and fills in these
+    p_runs.add_argument("--n", type=int)
+    p_runs.add_argument("--samples", type=int,
                         help="Monte Carlo sample count (default 1024)")
-    p_runs.add_argument("--seed", type=int, default=0)
+    p_runs.add_argument("--seed", type=int)
     p_runs.add_argument("--schedule", help="comma-separated prefix lengths (mc)")
     p_runs.add_argument("--workers", type=int, default=1)
-    p_runs.add_argument("--no-checks", action="store_true")
-    p_runs.add_argument("--low-b", type=int, default=None,
+    p_runs.add_argument("--no-checks", action="store_true", default=None)
+    p_runs.add_argument("--low-b", type=int,
                         help="also count prefixes with E_n <= b (exploratory)")
-    p_runs.add_argument("--tn-scan", action="store_true")
+    p_runs.add_argument("--tn-scan", action="store_true", default=None)
     p_runs.add_argument("--out", default=".")
     p_runs.set_defaults(func=cmd_experiment)
     return parser

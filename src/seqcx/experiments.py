@@ -17,7 +17,12 @@ Sampling is counter-based: term i of sample j is derived by hashing
 so results are independent of worker count and chunking.  Identical configs
 therefore produce bit-identical records.
 
-Both modes split their range into chunks, one per worker.  Every chunk
+Each mode has a config type holding only what it reads: ExhaustiveConfig
+(enumerate_all, tn_ambiguity_scan) and MonteCarloConfig (monte_carlo).
+
+Both modes split their range into cfg.workers chunks, fewer if the range is
+shorter.  One chunk runs in-process; more run on a process pool, started
+only then, of one process per chunk but at most one per core.  Every chunk
 receives the caller's Field, tables included (pickled to pool workers), so
 no chunk builds a field of its own.
 """
@@ -26,9 +31,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -44,59 +49,42 @@ LOW_FRACTION_EPS = (0.25, 0.5)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExhaustiveConfig:
     field: Field
     n: int
-    mode: str  # "exhaustive" | "montecarlo"
-    samples: int = 0
-    seed: int = 0
-    schedule: Optional[tuple[int, ...]] = None
     checks: bool = True
     workers: int = 1
-    low_b: Optional[int] = None  # exhaustive: also count prefixes with E_n <= b
 
     def __post_init__(self):
-        if self.mode not in ("exhaustive", "montecarlo"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.n < 1:
+            raise ValueError("exhaustive mode requires n >= 1")
+        if self.field.q**self.n > EXHAUSTIVE_CAP:
+            raise ValueError(f"q^n = {self.field.q}^{self.n} exceeds exhaustive cap")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.low_b is not None and self.low_b < 0:
-            raise ValueError(f"low_b must be >= 0, got {self.low_b}")
-        # a field the mode never reads is rejected rather than ignored
-        if self.mode == "exhaustive":
-            if self.samples or self.seed:
-                raise ValueError("samples and seed do not apply to exhaustive mode")
-            if self.schedule is not None:
-                raise ValueError("a schedule does not apply to exhaustive mode")
-            if self.n < 1:
-                raise ValueError("exhaustive mode requires n >= 1")
-            if self.field.q**self.n > EXHAUSTIVE_CAP:
-                raise ValueError(
-                    f"q^n = {self.field.q}^{self.n} exceeds exhaustive cap"
-                )
-        else:
-            if self.low_b is not None:
-                raise ValueError("low_b does not apply to montecarlo mode")
-            if not self.checks:
-                raise ValueError("montecarlo mode runs no bound checks to turn off")
-            if self.n and self.schedule is not None:
-                raise ValueError("montecarlo mode takes n or a schedule, not both")
-            if self.samples < 1:
-                raise ValueError("montecarlo mode requires samples >= 1")
-            if self.schedule is not None:
-                object.__setattr__(self, "schedule", tuple(sorted(self.schedule)))
-            schedule = self.resolved_schedule()
-            if min(schedule) < 1:
-                raise ValueError("schedule entries must be >= 1")
-            # every sample is tallied once per entry, so a repeat counts twice
-            repeated = sorted({a for a, b in zip(schedule, schedule[1:]) if a == b})
-            if repeated:
-                raise ValueError(f"schedule entries must be distinct: {repeated}")
 
-    def resolved_schedule(self) -> tuple[int, ...]:
-        if self.schedule:
-            return self.schedule
-        return (self.n,) if self.n else DEFAULT_SCHEDULE
+
+@dataclass(frozen=True)
+class MonteCarloConfig:
+    field: Field
+    samples: int
+    seed: int = 0
+    schedule: tuple[int, ...] = DEFAULT_SCHEDULE
+    workers: int = 1
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError("montecarlo mode requires samples >= 1")
+        schedule = tuple(sorted(self.schedule))
+        if not schedule or schedule[0] < 1:
+            raise ValueError("schedule entries must be >= 1")
+        # every sample is tallied once per entry, so a repeat counts twice
+        repeated = sorted({a for a, b in zip(schedule, schedule[1:]) if a == b})
+        if repeated:
+            raise ValueError(f"schedule entries must be distinct: {repeated}")
+        object.__setattr__(self, "schedule", schedule)
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -312,10 +300,7 @@ def _check_prefix(seq: Sequence, n: int, fits, profile):
 
 def _enumerate_chunk(field, n, checks, start, stop):
     q = field.q
-    counts = Counter()
-    counts_l = Counter()
-    counts_t = Counter()
-    fails = Counter()
+    counts, counts_l, counts_t, fails = (Counter() for _ in range(4))
     witness_failures = 0
     for index in range(start, stop):
         seq = Sequence._unchecked(field, _decode_prefix(index, q, n))
@@ -341,37 +326,32 @@ def _chunk_ranges(total: int, workers: int):
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-def _run_chunks(worker, args_list, workers):
-    if workers <= 1 or len(args_list) <= 1:
+def _run_chunks(worker, args_list):
+    if len(args_list) <= 1:
         return [worker(*args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+
+    processes = min(len(args_list), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         futures = [pool.submit(worker, *args) for args in args_list]
         return [f.result() for f in futures]
 
 
-def enumerate_all(cfg: ExperimentConfig) -> EnumerationResult:
+def enumerate_all(cfg: ExhaustiveConfig) -> EnumerationResult:
     """Walk all q^n prefixes (lexicographic), tally distributions, and count
     bound violations when cfg.checks is set."""
-    if cfg.mode != "exhaustive":
-        raise ValueError("enumerate_all requires exhaustive mode")
     field = cfg.field
     total = field.q**cfg.n
     ranges = _chunk_ranges(total, cfg.workers)
     args = [(field, cfg.n, cfg.checks, lo, hi) for lo, hi in ranges]
-    counts = Counter()
-    counts_l = Counter()
-    counts_t = Counter()
-    fails = Counter()
+    *counts, fails = tallies = [Counter() for _ in range(4)]  # E_n, L_n, t_n
     witness_failures = 0
-    for part in _run_chunks(_enumerate_chunk, args, cfg.workers):
-        counts.update(part[0])
-        counts_l.update(part[1])
-        counts_t.update(part[2])
-        fails.update(part[3])
-        witness_failures += part[4]
+    for *parts, part_witness_failures in _run_chunks(_enumerate_chunk, args):
+        for tally, part in zip(tallies, parts):
+            tally.update(part)
+        witness_failures += part_witness_failures
     record = DistributionRecord(
-        field.q, cfg.n, "exhaustive", total, dict(counts),
-        dict(counts_l), dict(counts_t),
+        field.q, cfg.n, "exhaustive", total, *map(dict, counts)
     )
     violations = sum(fails.values()) + witness_failures
     return EnumerationResult(record, violations, dict(fails), witness_failures, cfg.checks)
@@ -403,16 +383,14 @@ def _mc_chunk(field, schedule, seed, start, stop):
     return counters
 
 
-def monte_carlo(cfg: ExperimentConfig) -> MonteCarloResult:
+def monte_carlo(cfg: MonteCarloConfig) -> MonteCarloResult:
     """Sample cfg.samples sequences and tabulate E_n across the schedule."""
-    if cfg.mode != "montecarlo":
-        raise ValueError("monte_carlo requires montecarlo mode")
-    schedule = cfg.resolved_schedule()
+    schedule = cfg.schedule
     field = cfg.field
     ranges = _chunk_ranges(cfg.samples, cfg.workers)
     args = [(field, schedule, cfg.seed, lo, hi) for lo, hi in ranges]
     counters = {n: Counter() for n in schedule}
-    for part in _run_chunks(_mc_chunk, args, cfg.workers):
+    for part in _run_chunks(_mc_chunk, args):
         for n in schedule:
             counters[n].update(part[n])
     records = {
@@ -465,28 +443,21 @@ def _attainable_t_values(bits: int, n: int, length: int) -> set:
         if all(
             ((bits >> i) & full).bit_count() % 2 == 0 for i in range(n - length)
         ):
-            t = length
-            for l in range(length):
-                if (mask >> l) & 1:
-                    t = l
-                    break
-            out.add(t)
+            # t is the index of the lowest set bit of the mask, L if none
+            out.add((mask & -mask).bit_length() - 1 if mask else length)
     return out
 
 
-def tn_ambiguity_scan(cfg: ExperimentConfig) -> TnAmbiguityReport:
+def tn_ambiguity_scan(cfg: ExhaustiveConfig) -> TnAmbiguityReport:
     """Enumerate every shortest recurrence of every q=2 prefix of length n,
     and grade the prefix bounds under each attainable t choice.
 
     Quantifies how much the bounds depend on which shortest recurrence is
     picked when it is not unique (possible for n < 2 L_n).
     """
-    if cfg.mode != "exhaustive":
-        raise ValueError("tn_ambiguity_scan requires exhaustive mode")
     if cfg.field.q != 2 or cfg.n > 10:
         raise ValueError("scan is limited to q=2 and n <= 10")
-    n = cfg.n
-    field = cfg.field
+    n, field = cfg.n, cfg.field
     zero_skipped = singleton = ambiguous = 0
     all_hold = some_fail = canonical_failures = 0
     for index in range(2**n):
@@ -494,10 +465,7 @@ def tn_ambiguity_scan(cfg: ExperimentConfig) -> TnAmbiguityReport:
         if not any(terms):
             zero_skipped += 1
             continue
-        bits = 0
-        for i, s in enumerate(terms):
-            if s:
-                bits |= 1 << i
+        bits = sum(1 << i for i, s in enumerate(terms) if s)
         seq = Sequence._unchecked(field, terms)
         fit = lincomp.berlekamp_massey(seq, n)
         e_n = expcomp.expansion_profile(seq, n).values[-1]

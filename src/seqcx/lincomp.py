@@ -250,12 +250,14 @@ def rational_form(fit: LinearFit, seq: Sequence) -> RationalForm:
     with c_L = 1), the numerator as the polynomial part of g*G.  Raises if
     the fit does not actually generate the sequence (the product g*G has a
     nonzero coefficient at or beyond index L) or is not minimal (gcd != 1).
+    The fit must span 2(t + T) >= 2L terms of the declared (t, T): on fewer,
+    a fit that passes both checks can still give the wrong (L, t).
     """
     if seq.meta is None:
         raise ValueError("rational_form requires a declared (preperiod, period)")
     t_decl, period = seq.meta
-    if fit.n < t_decl + 2 * period:
-        raise ValueError("fit must be computed on at least t + 2T terms")
+    if fit.n < 2 * (t_decl + period):
+        raise ValueError("fit must be computed on at least 2(t + T) terms")
     f = seq.field
     length = fit.complexity
     g = Poly(f, [1] + [fit.coeffs[length - j] for j in range(1, length - fit.t + 1)])

@@ -186,12 +186,21 @@ def _first_nonzero(seq: Sequence) -> int:
 def _established_l_t(seq: Sequence) -> tuple[int, int]:
     """Linear complexity and true preperiod of a declared periodic sequence.
 
-    The fit is taken over the full known prefix and validated through the
-    rational reconstruction, so an undersized or inconsistent declaration
-    surfaces as an error rather than a wrong bound.
+    A shortest recurrence is unique only on 2L <= 2(t + T) terms or more,
+    so a known prefix shorter than that is first extended by the declared
+    period, which fixes every term after the first t + T.  The fit over the
+    (extended) prefix is validated through the rational reconstruction, so
+    an undersized or inconsistent declaration surfaces as an error rather
+    than a wrong bound.
     """
     if seq.meta is None:
         raise ValueError("sequence must declare (preperiod, period)")
+    t, period = seq.meta
+    terms = list(seq.terms)
+    while t + period <= len(terms) < 2 * (t + period):
+        terms.append(terms[-period])
+    if len(terms) > len(seq):
+        seq = Sequence(seq.field, terms, seq.meta)
     rf = lincomp.rational_form(lincomp.berlekamp_massey(seq, len(seq.terms)), seq)
     if rf.complexity == 0:
         raise ValueError("zero generating function is excluded")

@@ -21,7 +21,8 @@ from seqcx.lincomp import Periodicity, Sequence, berlekamp_massey, linear_profil
 from seqcx.seqfile import dump_json
 from seqcx.series import substitute
 from seqcx.experiments import (
-    ExperimentConfig,
+    ExhaustiveConfig,
+    MonteCarloConfig,
     count_low_expansion,
     enumerate_all,
     monte_carlo,
@@ -51,10 +52,7 @@ def e_at_full_period(p, k):
 
 @pytest.fixture(scope="module")
 def mc_result():
-    cfg = ExperimentConfig(
-        F2, 0, "montecarlo", samples=4096, seed=7,
-        schedule=(16, 25, 36, 49, 64),
-    )
+    cfg = MonteCarloConfig(F2, samples=4096, seed=7, schedule=(16, 25, 36, 49, 64))
     return monte_carlo(cfg)
 
 
@@ -124,10 +122,10 @@ def test_criterion_5_all_ones_exact_values():
 
 
 def test_criterion_6_exhaustive_zero_violation_sweep():
-    res2 = enumerate_all(ExperimentConfig(F2, 8, "exhaustive"))
+    res2 = enumerate_all(ExhaustiveConfig(F2, 8))
     assert res2.record.total == 256
     assert res2.violations == 0, res2.failures_by_claim
-    res3 = enumerate_all(ExperimentConfig(Field(3), 5, "exhaustive"))
+    res3 = enumerate_all(ExhaustiveConfig(Field(3), 5))
     assert res3.record.total == 243
     assert res3.violations == 0, res3.failures_by_claim
     print(
@@ -189,7 +187,7 @@ def test_criterion_8_witness_validity():
 
 def test_criterion_9a_exact_e16_distribution_matches_fixture():
     fixture = json.loads(FIXTURE.read_text())
-    res = enumerate_all(ExperimentConfig(F2, 16, "exhaustive", checks=False))
+    res = enumerate_all(ExhaustiveConfig(F2, 16, checks=False))
     counts = [[v, res.record.counts[v]] for v in sorted(res.record.counts)]
     assert res.record.total == fixture["total"] == 65536
     assert counts == fixture["counts"]
@@ -230,11 +228,11 @@ def test_criterion_9c_schedule_report(mc_result):
 
 
 def test_criterion_10_low_expansion_probe():
-    record = enumerate_all(ExperimentConfig(F2, 4, "exhaustive")).record
+    record = enumerate_all(ExhaustiveConfig(F2, 4)).record
     probe = count_low_expansion(record, 1)
     assert (probe.count, probe.reference) == (4, 2)
     assert probe.exploratory and probe.to_dict()["exploratory"] is True
-    again_record = enumerate_all(ExperimentConfig(F2, 4, "exhaustive")).record
+    again_record = enumerate_all(ExhaustiveConfig(F2, 4)).record
     again = count_low_expansion(again_record, 1)
     assert probe.to_dict() == again.to_dict()
     print(
@@ -245,22 +243,20 @@ def test_criterion_10_low_expansion_probe():
 
 def test_criterion_11_experiment_determinism():
     runs = [
-        enumerate_all(ExperimentConfig(F2, 7, "exhaustive", workers=w)).to_dict()
+        enumerate_all(ExhaustiveConfig(F2, 7, workers=w)).to_dict()
         for w in (1, 1, 3)
     ]
     assert dump_json(runs[0]) == dump_json(runs[1]) == dump_json(runs[2])
     mc_runs = [
         monte_carlo(
-            ExperimentConfig(
-                F2, 0, "montecarlo", samples=64, seed=42, schedule=(9, 16), workers=w
-            )
+            MonteCarloConfig(F2, samples=64, seed=42, schedule=(9, 16), workers=w)
         ).to_dict()
         for w in (1, 2)
     ]
     assert dump_json(mc_runs[0]) == dump_json(mc_runs[1])
     probes = [
         count_low_expansion(
-            enumerate_all(ExperimentConfig(F2, 6, "exhaustive")).record, 2
+            enumerate_all(ExhaustiveConfig(F2, 6)).record, 2
         ).to_dict()
         for _ in range(2)
     ]

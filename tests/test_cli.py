@@ -257,6 +257,20 @@ BAD_INPUT_CASES = {
     "mc-n-and-schedule": [
         "experiment", "--mode", "mc", "--q", "2", "--samples", "4", "--n", "5",
         "--schedule", "4,6", "--out", "{out}"],
+    # explicit values equal to the defaults: given, so rejected all the same
+    "exhaustive-seed-zero": [
+        "experiment", "--mode", "exhaustive", "--q", "2", "--n", "3",
+        "--seed", "0", "--out", "{out}"],
+    "exhaustive-samples-zero": [
+        "experiment", "--mode", "exhaustive", "--q", "2", "--n", "3",
+        "--samples", "0", "--out", "{out}"],
+    "mc-zero-n": [
+        "experiment", "--mode", "mc", "--q", "2", "--n", "0", "--out", "{out}"],
+    "mc-zero-n-and-schedule": [
+        "experiment", "--mode", "mc", "--q", "2", "--n", "0", "--schedule", "5",
+        "--out", "{out}"],
+    "exhaustive-no-n": [
+        "experiment", "--mode", "exhaustive", "--q", "2", "--out", "{out}"],
     # the scan's own limits, checked before the sweep
     "exhaustive-tn-scan-n-too-large": [
         "experiment", "--mode", "exhaustive", "--q", "2", "--n", "13",
@@ -443,6 +457,52 @@ def test_experiment_probe_and_scan(tmp_path):
     assert summary["tn_ambiguity"]["canonical_choice_failures"] == 0
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+def test_experiment_bad_out_exit_3_one_error_line(under, tmp_path):
+    # --out names an existing file, or a path below one
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / under if under else blocker
+    res = run_cli("experiment", "--mode", "exhaustive", "--q", "2", "--n", "3",
+                  "--out", str(out))
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --out: "), res.stderr
+    assert res.stdout == ""
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_experiment_unwritable_output_file_exit_3(tmp_path, monkeypatch, capsys):
+    # an OSError while writing the files is reported the same way
+    from seqcx import cli
+
+    def refuse(self, text):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    argv = ["experiment", "--mode", "mc", "--q", "2", "--samples", "2",
+            "--n", "4", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --out: "), err
+    assert "Permission denied" in err[0]
+
+
+def test_import_starts_no_pool_machinery():
+    # concurrent.futures.process, and multiprocessing with it, is imported
+    # only where a pool starts
+    code = (
+        "import sys, seqcx.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
 def test_tn_scan_limits_rejected_before_the_sweep(tmp_path, monkeypatch, capsys):
     from seqcx import cli, experiments
 
@@ -485,7 +545,9 @@ def test_verify_json_zero_led_matches_fixture(tmp_path, capsys):
     # verify --json bytes recorded before the bound checkers compared
     # prefix lengths with the index of the first nonzero term: zero-led
     # inputs over F_2 and F_3 (first nonzero at 0, 1, n//2, n-1, and at n
-    # with declared periodicity)
+    # with declared periodicity).  The digests of q2-first6-periodic,
+    # q2-first12-periodic and q3-first4-periodic were recorded again once T1
+    # read (L, t) off a fit on 2(t + T) terms: (8, 6), (13, 12) and (7, 3)
     _check_verify_fixture("verify_zero_led.json", 12, tmp_path, capsys)
 
 

@@ -8,7 +8,8 @@ from seqcx import experiments, series, theorems
 from seqcx.experiments import (
     DEFAULT_SCHEDULE,
     EXHAUSTIVE_CAP,
-    ExperimentConfig,
+    ExhaustiveConfig,
+    MonteCarloConfig,
     _attainable_t_values,
     count_low_expansion,
     draw_element,
@@ -24,25 +25,21 @@ from oracles import chi_square_consistency, chi_square_sf, per_leaf_sweep
 MC_DISTRIBUTIONS = Path(__file__).parent / "fixtures" / "mc_distributions.json"
 
 
-def exhaustive(field, n, **kw):
-    return ExperimentConfig(field, n, "exhaustive", **kw)
-
-
 def test_enumerate_n1_distribution(f2):
-    res = enumerate_all(exhaustive(f2, 1))
+    res = enumerate_all(ExhaustiveConfig(f2, 1))
     assert res.record.counts == {0: 1, 1: 1}
     assert res.violations == 0
 
 
 def test_enumerate_n4_kernel_bound(f2):
-    res = enumerate_all(exhaustive(f2, 4))
+    res = enumerate_all(ExhaustiveConfig(f2, 4))
     assert res.record.total == 16
     assert sum(c for v, c in res.record.counts.items() if v <= 2) == 16
     assert res.violations == 0
 
 
 def test_enumerate_counts_l_and_t(f2):
-    res = enumerate_all(exhaustive(f2, 4))
+    res = enumerate_all(ExhaustiveConfig(f2, 4))
     assert sum(res.record.counts_l.values()) == 16
     # L=0 only for the zero prefix; L=4 only for [0,0,0,1]
     assert res.record.counts_l[0] == 1
@@ -53,25 +50,45 @@ def test_enumerate_cap():
     from seqcx.field import Field
 
     with pytest.raises(ValueError):
-        exhaustive(Field(2), 40)
+        ExhaustiveConfig(Field(2), 40)
     assert 2**40 > EXHAUSTIVE_CAP
 
 
 def test_enumerate_deterministic_across_workers(f2):
-    one = enumerate_all(exhaustive(f2, 6))
-    two = enumerate_all(exhaustive(f2, 6, workers=3))
+    one = enumerate_all(ExhaustiveConfig(f2, 6))
+    two = enumerate_all(ExhaustiveConfig(f2, 6, workers=3))
     assert one.to_dict() == two.to_dict()
 
 
-def test_mode_mismatch(f2):
+def _experiment_exit(capsys, tmp_path, *flags):
+    """Exit code and stderr of an experiment run that should stop before
+    creating its --out directory."""
+    from seqcx import cli
+
+    out = tmp_path / "out"
+    code = cli.main(["experiment", *flags, "--out", str(out)])
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
+
+def test_mode_mismatch(f2, capsys, tmp_path):
+    # each flag that only one mode reads is rejected in the other mode, an
+    # explicit default value included
+    for mode, flags in [
+        ("exhaustive", ["--samples", "0"]),
+        ("exhaustive", ["--seed", "0"]),
+        ("exhaustive", ["--schedule", "5"]),
+        ("mc", ["--no-checks"]),
+        ("mc", ["--low-b", "0"]),
+        ("mc", ["--tn-scan"]),
+    ]:
+        code, err = _experiment_exit(
+            capsys, tmp_path, "--mode", mode, "--q", "2", "--n", "4", *flags
+        )
+        assert code == 3
+        assert err == f"error: {flags[0]} does not apply to --mode {mode}\n"
     with pytest.raises(ValueError):
-        enumerate_all(ExperimentConfig(f2, 0, "montecarlo", samples=4))
-    with pytest.raises(ValueError):
-        monte_carlo(exhaustive(f2, 4))
-    with pytest.raises(ValueError):
-        ExperimentConfig(f2, 4, "nonsense")
-    with pytest.raises(ValueError):
-        ExperimentConfig(f2, 0, "montecarlo", samples=0)
+        MonteCarloConfig(f2, samples=0)
 
 
 @pytest.mark.parametrize(
@@ -84,9 +101,19 @@ def test_mode_mismatch(f2):
         {"schedule": ()},
     ],
 )
-def test_exhaustive_config_rejects_monte_carlo_fields(f2, fields):
-    with pytest.raises(ValueError):
-        exhaustive(f2, 3, **fields)
+def test_exhaustive_config_rejects_monte_carlo_fields(f2, fields, capsys, tmp_path):
+    # the exhaustive config has no field for them, and the command line
+    # rejects the flags that would set them
+    with pytest.raises(TypeError):
+        ExhaustiveConfig(f2, 3, **fields)
+    (name, value), = fields.items()
+    if name == "schedule":
+        value = ",".join(map(str, value))
+    code, err = _experiment_exit(
+        capsys, tmp_path, "--mode", "exhaustive", "--q", "2", "--n", "3",
+        f"--{name}", str(value),
+    )
+    assert (code, err) == (3, f"error: --{name} does not apply to --mode exhaustive\n")
 
 
 @pytest.mark.parametrize(
@@ -98,21 +125,47 @@ def test_exhaustive_config_rejects_monte_carlo_fields(f2, fields):
         (3, {"schedule": (2, 4)}),
     ],
 )
-def test_montecarlo_config_rejects_unread_fields(f2, n, fields):
-    with pytest.raises(ValueError):
-        ExperimentConfig(f2, n, "montecarlo", samples=2, **fields)
+def test_montecarlo_config_rejects_unread_fields(f2, n, fields, capsys, tmp_path):
+    # the Monte Carlo config has no n, low_b or checks field: the command
+    # line turns --n into a one-entry schedule, so it rejects --n alongside
+    # --schedule, and it rejects --low-b and --no-checks
+    with pytest.raises(TypeError):
+        MonteCarloConfig(f2, samples=2, n=n)
+    (name, value), = fields.items()
+    flags, message = {
+        "low_b": (["--low-b", str(value)], "--low-b does not apply to --mode mc"),
+        "checks": (["--no-checks"], "--no-checks does not apply to --mode mc"),
+        "schedule": (["--schedule", "2,4"], "--mode mc takes --n or --schedule, not both"),
+    }[name]
+    code, err = _experiment_exit(
+        capsys, tmp_path, "--mode", "mc", "--q", "2", "--samples", "2",
+        "--n", str(n), *flags,
+    )
+    assert (code, err) == (3, f"error: {message}\n")
 
 
 def test_configs_accept_the_fields_their_mode_reads(f2):
-    # the unset values of the other mode's fields are accepted
-    assert exhaustive(f2, 3, samples=0, seed=0, low_b=1, checks=False).n == 3
-    cfg = ExperimentConfig(f2, 0, "montecarlo", samples=2, seed=4, schedule=(3,))
-    assert cfg.resolved_schedule() == (3,)
-    assert ExperimentConfig(f2, 5, "montecarlo", samples=2).resolved_schedule() == (5,)
+    from seqcx import cli
+
+    assert ExhaustiveConfig(f2, 3, checks=False).n == 3
+    cfg = MonteCarloConfig(f2, samples=2, seed=4, schedule=(3,))
+    assert cfg.schedule == (3,)
+
+    def config(*flags):
+        args = cli.build_parser().parse_args(["experiment", "--q", "2", *flags])
+        return cli._experiment_config(args)
+
+    cfg = config("--mode", "exhaustive", "--n", "3", "--low-b", "1", "--no-checks")
+    assert (cfg.n, cfg.checks) == (3, False)
+    # --n, --schedule or neither becomes the schedule
+    assert config("--mode", "mc", "--n", "5").schedule == (5,)
+    assert config("--mode", "mc", "--schedule", "9,4").schedule == (4, 9)
+    cfg = config("--mode", "mc")
+    assert (cfg.samples, cfg.seed, cfg.schedule) == (1024, 0, DEFAULT_SCHEDULE)
 
 
 def test_count_low_expansion_examples(f2):
-    record = enumerate_all(exhaustive(f2, 4)).record
+    record = enumerate_all(ExhaustiveConfig(f2, 4)).record
     probe = count_low_expansion(record, 1)
     assert (probe.count, probe.reference) == (4, 2)
     assert probe.ratio == 2.0
@@ -121,15 +174,15 @@ def test_count_low_expansion_examples(f2):
 
     assert count_low_expansion(record, 0).count == 1
 
-    wide_record = enumerate_all(exhaustive(f2, 10, checks=False)).record
+    wide_record = enumerate_all(ExhaustiveConfig(f2, 10, checks=False)).record
     wide = count_low_expansion(wide_record, 2)
     assert wide.reference == 16
-    again = enumerate_all(exhaustive(f2, 10, checks=False)).record
+    again = enumerate_all(ExhaustiveConfig(f2, 10, checks=False)).record
     assert wide.count == count_low_expansion(again, 2).count
 
     with pytest.raises(ValueError):
         count_low_expansion(monte_carlo(
-            ExperimentConfig(f2, 0, "montecarlo", samples=1, schedule=(4,))
+            MonteCarloConfig(f2, samples=1, schedule=(4,))
         ).records[4], 1)
 
 
@@ -150,7 +203,7 @@ def test_draw_element_deterministic_and_in_range(f3):
 
 
 def test_monte_carlo_reproducible(f2):
-    cfg = ExperimentConfig(f2, 0, "montecarlo", samples=1, seed=123, schedule=(8,))
+    cfg = MonteCarloConfig(f2, samples=1, seed=123, schedule=(8,))
     first = monte_carlo(cfg).to_dict()
     second = monte_carlo(cfg).to_dict()
     assert first == second
@@ -160,19 +213,64 @@ def test_monte_carlo_matches_recorded_distributions():
     # whole MonteCarloResult records, recorded with an engine that reduced
     # every column from scratch and a sampler that drew term by term
     for case in json.loads(MC_DISTRIBUTIONS.read_text()):
-        cfg = ExperimentConfig(
-            Field(case["p"], case["m"]), 0, "montecarlo", samples=case["samples"],
+        cfg = MonteCarloConfig(
+            Field(case["p"], case["m"]), samples=case["samples"],
             seed=case["seed"], schedule=tuple(case["schedule"]),
         )
         assert monte_carlo(cfg).to_dict() == case["result"]
 
 
 def test_monte_carlo_workers_invariant(f2):
-    base = ExperimentConfig(f2, 0, "montecarlo", samples=40, seed=5, schedule=(8, 9))
-    split = ExperimentConfig(
-        f2, 0, "montecarlo", samples=40, seed=5, schedule=(8, 9), workers=3
-    )
+    base = MonteCarloConfig(f2, samples=40, seed=5, schedule=(8, 9))
+    split = MonteCarloConfig(f2, samples=40, seed=5, schedule=(8, 9), workers=3)
     assert monte_carlo(base).to_dict() == monte_carlo(split).to_dict()
+
+
+@pytest.mark.parametrize(
+    "mode, workers, cores, processes",
+    [
+        ("exhaustive", 1, 8, None),  # one chunk runs in-process
+        ("exhaustive", 6, 8, 2),  # q^n = 2 prefixes make 2 chunks
+        ("exhaustive", 3, 8, 3),
+        ("exhaustive", 3, 1, 1),  # a pool all the same, so the Field pickles
+        ("montecarlo", 4, 2, 2),
+        ("montecarlo", 5, None, 1),  # os.cpu_count() may not know
+    ],
+)
+def test_pool_never_exceeds_chunks_or_cores(f2, monkeypatch, mode, workers, cores,
+                                             processes):
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class RecordingPool:
+        # runs every chunk in-process and records the pool size asked for
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    if mode == "exhaustive":
+        n = 1 if workers == 6 else 4
+        got = enumerate_all(ExhaustiveConfig(f2, n, workers=workers)).to_dict()
+        assert got == enumerate_all(ExhaustiveConfig(f2, n)).to_dict()
+    else:
+        cfg = dict(samples=12, seed=2, schedule=(5,))
+        got = monte_carlo(MonteCarloConfig(f2, workers=workers, **cfg)).to_dict()
+        assert got == monte_carlo(MonteCarloConfig(f2, **cfg)).to_dict()
+    assert started == ([] if processes is None else [processes])
 
 
 # fields whose modulus is not the default one: F_9 with x^2 + x + 2, and
@@ -184,13 +282,13 @@ GIVEN_MODULUS_FIELDS = [(3, 2, (2, 1, 1)), (2, 4, (1, 1, 1, 1, 1))]
 def test_given_modulus_field_same_records_across_workers(p, m, modulus):
     field = Field(p, m, modulus)
     assert field.modulus != Field(p, m).modulus
-    one = enumerate_all(exhaustive(field, 3))
-    two = enumerate_all(exhaustive(field, 3, workers=2))
+    one = enumerate_all(ExhaustiveConfig(field, 3))
+    two = enumerate_all(ExhaustiveConfig(field, 3, workers=2))
     assert one.violations == 0
     assert one.to_dict() == two.to_dict()
     cfg = dict(samples=24, seed=7, schedule=(6, 9))
-    one = monte_carlo(ExperimentConfig(field, 0, "montecarlo", **cfg))
-    two = monte_carlo(ExperimentConfig(field, 0, "montecarlo", workers=2, **cfg))
+    one = monte_carlo(MonteCarloConfig(field, **cfg))
+    two = monte_carlo(MonteCarloConfig(field, workers=2, **cfg))
     assert one.to_dict() == two.to_dict()
 
 
@@ -204,13 +302,13 @@ def test_chunks_use_the_callers_field(f9, monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(Field, "__init__", counting_init)
-    enumerate_all(exhaustive(f9, 2))
-    monte_carlo(ExperimentConfig(f9, 0, "montecarlo", samples=4, schedule=(5,)))
+    enumerate_all(ExhaustiveConfig(f9, 2))
+    monte_carlo(MonteCarloConfig(f9, samples=4, schedule=(5,)))
     assert built == []
 
 
 def test_monte_carlo_extension_field(f4):
-    cfg = ExperimentConfig(f4, 0, "montecarlo", samples=16, seed=3, schedule=(6,))
+    cfg = MonteCarloConfig(f4, samples=16, seed=3, schedule=(6,))
     result = monte_carlo(cfg)
     record = result.records[6]
     assert record.total == 16
@@ -219,16 +317,16 @@ def test_monte_carlo_extension_field(f4):
 
 
 def test_monte_carlo_default_schedule(f2):
-    cfg = ExperimentConfig(f2, 0, "montecarlo", samples=1, seed=1)
-    assert cfg.resolved_schedule() == DEFAULT_SCHEDULE
+    cfg = MonteCarloConfig(f2, samples=1, seed=1)
+    assert cfg.schedule == DEFAULT_SCHEDULE
 
 
 def test_monte_carlo_matches_exhaustive_at_small_n(f2):
     # sampled distribution at n=8 vs the exact one over all 256 prefixes
-    exact = enumerate_all(exhaustive(f2, 8, checks=False))
+    exact = enumerate_all(ExhaustiveConfig(f2, 8, checks=False))
     probs = {v: c / exact.record.total for v, c in exact.record.counts.items()}
     mc = monte_carlo(
-        ExperimentConfig(f2, 0, "montecarlo", samples=2048, seed=11, schedule=(8,))
+        MonteCarloConfig(f2, samples=2048, seed=11, schedule=(8,))
     )
     result = chi_square_consistency(mc.records[8].counts, probs, 2048)
     assert result["p_value"] >= 0.01
@@ -265,7 +363,7 @@ def test_attainable_t_examples():
 
 
 def test_tn_scan(f2):
-    report = tn_ambiguity_scan(exhaustive(f2, 6))
+    report = tn_ambiguity_scan(ExhaustiveConfig(f2, 6))
     d = report.to_dict()
     assert d["zero_skipped"] == 1
     assert d["singleton_t"] + d["ambiguous_t"] + 1 == 64
@@ -276,13 +374,13 @@ def test_tn_scan(f2):
 
 def test_tn_scan_guards(f2, f3):
     with pytest.raises(ValueError):
-        tn_ambiguity_scan(exhaustive(f3, 4))
+        tn_ambiguity_scan(ExhaustiveConfig(f3, 4))
     with pytest.raises(ValueError):
-        tn_ambiguity_scan(exhaustive(f2, 12))
+        tn_ambiguity_scan(ExhaustiveConfig(f2, 12))
 
 
 def test_records_serialize_canonically(f2):
-    res = enumerate_all(exhaustive(f2, 5))
+    res = enumerate_all(ExhaustiveConfig(f2, 5))
     d = res.record.to_dict()
     assert d["counts"] == sorted(d["counts"])
     assert sum(c for _, c in d["counts"]) == d["total"]
@@ -307,7 +405,7 @@ def test_e16_fixture_low_bins_against_direct_oracle(f2):
 def test_tn_scan_full_cap(f2):
     # within the scan's whole admissible range, the prefix bounds hold for
     # every attainable shortest-recurrence choice, not just the canonical one
-    report = tn_ambiguity_scan(exhaustive(f2, 8))
+    report = tn_ambiguity_scan(ExhaustiveConfig(f2, 8))
     d = report.to_dict()
     assert d["canonical_choice_failures"] == 0
     assert d["bounds_fail_for_some_choice"] == 0
@@ -321,8 +419,8 @@ def test_checked_and_unchecked_sweeps_tally_alike(q_spec, n):
     # the checked sweep reads L_n, t_n and E_n off whole profiles, the
     # unchecked one off a single fit and the last profile value
     field = Field(*q_spec)
-    checked = enumerate_all(exhaustive(field, n))
-    unchecked = enumerate_all(exhaustive(field, n, checks=False))
+    checked = enumerate_all(ExhaustiveConfig(field, n))
+    unchecked = enumerate_all(ExhaustiveConfig(field, n, checks=False))
     assert checked.violations == 0
     assert checked.record.to_dict() == unchecked.record.to_dict()
 
@@ -394,7 +492,7 @@ def test_weighted_sweep_equals_per_leaf_battery(q_spec, n, injected, workers,
     if key not in _ORACLE:
         _ORACLE[key] = per_leaf_sweep(field, n)
     expected = _ORACLE[key]
-    got = enumerate_all(exhaustive(field, n, workers=workers)).to_dict()
+    got = enumerate_all(ExhaustiveConfig(field, n, workers=workers)).to_dict()
     assert got == expected
     if injected:
         assert expected["witness_failures"] > 0

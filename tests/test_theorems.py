@@ -411,6 +411,33 @@ def test_theorem1_exhaustive_periodic_families(f2):
     assert checked > 300
 
 
+@pytest.mark.parametrize("q, max_t, max_period", [(2, 3, 4), (3, 3, 3)])
+def test_established_l_t_on_short_known_prefixes(q, max_t, max_period):
+    # T1 runs from t + 2T known terms, but a shortest recurrence is unique
+    # only from 2L <= 2(t + T) terms on: every shorter prefix of every
+    # declared (head, cycle) must give the (L, t) of a long extension
+    field = Field(q)
+    checked = 0
+    for t in range(max_t + 1):
+        for period in range(1, max_period + 1):
+            for head in itertools.product(range(q), repeat=t):
+                for cycle in itertools.product(range(q), repeat=period):
+                    if not any(head) and not any(cycle):
+                        continue
+
+                    def prefix(length):
+                        terms = list(head) + [cycle[i % period]
+                                              for i in range(length - t)]
+                        return Sequence(field, terms, meta=Periodicity(t, period))
+
+                    expected = _established_l_t(prefix(6 * (t + period)))
+                    for n in range(t + 2 * period, 2 * (t + period)):
+                        assert _established_l_t(prefix(n)) == expected, (
+                            head, cycle, n)
+                        checked += 1
+    assert checked > 0
+
+
 def test_reports_are_self_contained(f2):
     for bits in itertools.product((0, 1), repeat=6):
         seq = Sequence(f2, list(bits))
