@@ -227,18 +227,19 @@ def test_monte_carlo_workers_invariant(f2):
 
 
 @pytest.mark.parametrize(
-    "mode, workers, cores, processes",
+    "mode, size, workers, cores, processes",
     [
-        ("exhaustive", 1, 8, None),  # one chunk runs in-process
-        ("exhaustive", 6, 8, 2),  # q^n = 2 prefixes make 2 chunks
-        ("exhaustive", 3, 8, 3),
-        ("exhaustive", 3, 1, 1),  # a pool all the same, so the Field pickles
-        ("montecarlo", 4, 2, 2),
-        ("montecarlo", 5, None, 1),  # os.cpu_count() may not know
+        ("exhaustive", 4, 1, 8, None),  # one chunk runs in-process
+        ("exhaustive", 1, 6, 8, 2),  # q^n = 2 prefixes make 2 chunks
+        ("exhaustive", 4, 3, 8, 3),
+        ("exhaustive", 4, 3, 1, 1),  # a pool all the same, so the Field pickles
+        ("montecarlo", 12, 4, 2, 2),
+        ("montecarlo", 12, 5, None, 1),  # os.cpu_count() may not know
     ],
 )
-def test_pool_never_exceeds_chunks_or_cores(f2, monkeypatch, mode, workers, cores,
-                                             processes):
+def test_pool_never_exceeds_chunks_or_cores(f2, monkeypatch, mode, size, workers,
+                                             cores, processes):
+    # size is n for a sweep over F_2, the sample count for Monte Carlo
     import concurrent.futures
     import os
 
@@ -263,11 +264,10 @@ def test_pool_never_exceeds_chunks_or_cores(f2, monkeypatch, mode, workers, core
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     if mode == "exhaustive":
-        n = 1 if workers == 6 else 4
-        got = enumerate_all(ExhaustiveConfig(f2, n, workers=workers)).to_dict()
-        assert got == enumerate_all(ExhaustiveConfig(f2, n)).to_dict()
+        got = enumerate_all(ExhaustiveConfig(f2, size, workers=workers)).to_dict()
+        assert got == enumerate_all(ExhaustiveConfig(f2, size)).to_dict()
     else:
-        cfg = dict(samples=12, seed=2, schedule=(5,))
+        cfg = dict(samples=size, seed=2, schedule=(5,))
         got = monte_carlo(MonteCarloConfig(f2, workers=workers, **cfg)).to_dict()
         assert got == monte_carlo(MonteCarloConfig(f2, **cfg)).to_dict()
     assert started == ([] if processes is None else [processes])
