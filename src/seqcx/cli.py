@@ -29,6 +29,7 @@ from .field import Field
 from .seqfile import (
     SequenceFileError,
     dump_json,
+    format_field_spec,
     format_sequence,
     parse_field_spec,
     parse_sequence,
@@ -103,18 +104,19 @@ def cmd_lincomp(args) -> int:
 
 
 def cmd_expcomp(args) -> int:
+    if args.witness and args.csv:
+        raise ValueError("--witness does not apply to --csv")
     seq = _load_sequence(args.input)
     _check_prefix_length(args.n, seq)
     start = time.perf_counter()
     profile = expcomp.expansion_profile(seq, args.n)
     ns = range(1, args.n + 1) if args.profile else [args.n]
     # a witness is built only where one is printed
-    shows_witness = args.witness and not args.csv
     rows = []
     for n in ns:
         row = {"n": n, "e_n": profile.values[n - 1]}
         wit = None
-        if shows_witness:
+        if args.witness:
             wit = profile.witness(n)
             row["witness"] = witness_triples(wit.poly) if wit.poly else None
             row["matrix_rank"] = wit.matrix_rank
@@ -148,6 +150,10 @@ def cmd_expcomp(args) -> int:
 
 
 def cmd_binomial(args) -> int:
+    if args.analyze and args.len is not None:
+        raise ValueError("--len does not apply to --analyze")
+    if args.json and not args.analyze:
+        raise ValueError("--json requires --analyze")
     spec = binomial.BinomialSpec(args.p, args.k)
     if args.analyze:
         reports = binomial.analyze(spec)
@@ -282,7 +288,7 @@ def cmd_experiment(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"--out: {exc}") from None
-    qtag = args.q.replace("^", "e")
+    qtag = format_field_spec(cfg.field).replace("^", "e")
     if args.mode == "exhaustive":
         result = experiments.enumerate_all(cfg)
         summary = {

@@ -25,11 +25,15 @@ so they, E_m, the witnesses and the ranks are those of reducing every column
 from scratch.  A combination is keyed by the monomial layout j * W + i with
 W = D + 1, which turns the multiplication by x into adding 1 to every key.
 
+The pass returns the birth rows through the end of the degree block that
+holds the first column born at row n, which completes every decisive rank,
+and the combinations through that column, the last one a witness needs.
+
 Columns come in one of two row representations, chosen by the field: one
 int per column over F_2 (rows in the low n bits, the combination above
 them), lists of field elements elsewhere.  Both follow the same column order
-and emit identical combinations; the tests pin this equivalence, and check
-both against columns reduced from scratch.
+and return identical births and combinations; the tests pin this
+equivalence, and check both against columns reduced from scratch.
 """
 
 from __future__ import annotations
@@ -78,10 +82,11 @@ class ExpansionWitness:
 class ExpansionProfile:
     """E_1..E_n of one prefix, read off one column pass.
 
-    births and combs hold each reduced column's birth row and combination
-    (keyed j * W + i for x^i y^j, W = kernel_degree_bound(n) + 1), so that
-    witness(m) can build the certificate for any m on demand (combinations
-    are kept current up to the first column born at row n).
+    births holds the birth rows through the end of the degree block that
+    holds the first column born at row n, and combs the combinations (keyed
+    j * W + i for x^i y^j, W = kernel_degree_bound(n) + 1) through that
+    column, so that witness(m) can build the certificate for any m on
+    demand; both are empty for an all-zero prefix.
     """
 
     values: tuple[int, ...]
@@ -107,15 +112,16 @@ class ExpansionProfile:
 
 
 def _reduce_gf2(bits: int, n: int):
-    """Yield (birth row, combination bit mask) for each canonical column of
-    total degree <= kernel_degree_bound(n).
+    """(births, combs): the birth row and combination bit mask of each
+    canonical column, through the end of the first degree block that holds
+    a column born at row n, or of degree kernel_degree_bound(n).
 
     A column and its combination travel as one int: rows in bits 0..n-1,
     combination key k in bit n + k.  Column x^i G^j with i >= 1 starts as
     x times the reduced x^(i-1) G^j, one shift that moves both halves (the
     row pushed past x^(n-1) is dropped).  A reduction step is one lookup of
-    the lowest set bit among the pivots and one XOR.  Values sent in are
-    ignored: tracking the combination costs next to nothing.
+    the lowest set bit among the pivots and one XOR.  Tracking every
+    combination costs next to nothing here.
     """
     top = 1 << n
     keep = ~top
@@ -127,6 +133,7 @@ def _reduce_gf2(bits: int, n: int):
         low = k & -k
         times_g[k] = times_g[k ^ low] ^ (bits << (low.bit_length() - 1))
     pivots: dict[int, int] = {}
+    births, combs = [], []
     power = 1  # G^d mod x^n
     reduced: list[int] = []  # the previous degree block, reduced
     for d in range(width):
@@ -151,36 +158,39 @@ def _reduce_gf2(bits: int, n: int):
                 row ^= hit
                 low = row & -row
             reduced.append(row)
-            yield (low.bit_length() - 1 if low < top else n), row >> n
+            births.append(low.bit_length() - 1 if low < top else n)
+            combs.append(row >> n)
+        if n in births[-len(block):]:
+            break
+    return births, combs
 
 
 def _reduce_generic(field: Field, terms, n: int):
-    """Yield (birth row, combination {key: coefficient}) for each canonical
-    column of total degree <= kernel_degree_bound(n); stored pivots are
-    scaled to 1 at their birth row.
+    """(births, combs) as _reduce_gf2 returns them, with combinations as
+    {key: coefficient}; stored pivots are scaled to 1 at their birth row.
 
     Column x^i G^j with i >= 1 starts as x times the reduced x^(i-1) G^j:
     its rows move down by one, its combination keys up by one, and the
     reduction resumes one row below the earlier column's birth row.
 
-    Once a true value is sent in, later combinations are no longer kept up
-    to date; plain iteration keeps all of them.
+    No witness needs a combination after the first column born at row n,
+    so the rest of its block leaves them stale (settled).
     """
     mul, sub = field.mul, field.sub
     width = kernel_degree_bound(n) + 1
     g = TruncatedSeries._unchecked(field, terms[:n])
     power = TruncatedSeries._unchecked(field, [1] + [0] * (n - 1))
     pivots: dict[int, tuple[list[int], dict[int, int]]] = {}
+    births, combs = [], []
     settled = False
     reduced: list = []  # (column, combination, birth row) of the previous block
     for d in range(width):
         if d:
             power = series_mul(power, g, n)
-        block = []
-        for col, comb, birth in reduced:
-            if not settled:
-                comb = {t + 1: c for t, c in comb.items()}
-            block.append(([0] + col[:-1], comb, birth + 1))
+        block = [
+            ([0] + col[:-1], {t + 1: c for t, c in comb.items()}, birth + 1)
+            for col, comb, birth in reduced
+        ]
         block.append((list(power.coeffs), {d * width: 1}, 0))
         reduced = []
         for col, comb, start in block:
@@ -206,40 +216,34 @@ def _reduce_generic(field: Field, terms, n: int):
                     for t, x in pcomb.items():
                         comb[t] = sub(comb.get(t, 0), mul(v, x))
             reduced.append((col, comb, birth))
-            settled = yield birth, comb
-
-
-def _kernel_pass(field: Field, terms, n: int):
-    """Birth rows and combinations of the canonical columns over n rows.
-
-    Pulled up to the first column born at row n, whose combination is the
-    last one any witness needs, then to the end of its degree block for the
-    rank of every decisive system.  A reducer that runs out before any
-    column is born at row n has overrun the counting bound.
-    """
-    if field.q == 2:
-        bits = sum(1 << idx for idx, s in enumerate(terms) if s)
-        reducer = _reduce_gf2(bits, n)
-    else:
-        reducer = _reduce_generic(field, list(terms), n)
-    columns = []
-    for column in reducer:
-        columns.append(column)
-        if column[0] >= n:
+            births.append(birth)
+            combs.append(comb)
+            settled = settled or birth == n
+        if settled:
             break
-    else:
-        raise RuntimeError("kernel search overran its counting bound")
-    block_end = monomial_count(kernel_degree_bound(len(columns) - 1))
-    while len(columns) < block_end:
-        columns.append(reducer.send(True))
-    births, combs = zip(*columns)
     return births, combs
 
 
+def _kernel_pass(field: Field, terms, n: int):
+    """(births, combs) as tuples: births through the end of the degree block
+    holding the first column born at row n, combs through that column.  A
+    pass with no column born at row n has overrun the counting bound."""
+    if field.q == 2:
+        bits = sum(1 << idx for idx, s in enumerate(terms) if s)
+        births, combs = _reduce_gf2(bits, n)
+    else:
+        births, combs = _reduce_generic(field, list(terms), n)
+    if n not in births:
+        raise RuntimeError("kernel search overran its counting bound")
+    return tuple(births), tuple(combs[: births.index(n) + 1])
+
+
 def _profile(field: Field, terms, n: int) -> ExpansionProfile:
-    """E_m for m = 1..n from one pass over the first n terms."""
-    window = terms[:n] if n > 0 else ()
-    n = len(window)
+    """E_m for m = 1..n from one pass over the first n terms: the one range
+    check of every public entry, and its growth-law guard."""
+    if not 0 <= n <= len(terms):
+        raise ValueError(f"n={n} is outside 0..{len(terms)}")
+    window = terms[:n]
     zeros = next((idx for idx, s in enumerate(window) if s), n)
     if zeros == n:
         return ExpansionProfile((0,) * n, field, (), ())
@@ -253,6 +257,11 @@ def _profile(field: Field, terms, n: int) -> ExpansionProfile:
                 degree += 1
                 block_end += degree + 1
         values.append(degree)
+    for i, (lo, hi) in enumerate(zip(values, values[1:]), start=1):
+        if not (lo <= hi <= lo + 1 or (lo, hi) == (0, 2)):
+            raise RuntimeError(
+                f"expansion profile growth violated at n={i}: {lo} -> {hi}"
+            )
     return ExpansionProfile(tuple(values), field, births, combs)
 
 
@@ -275,16 +284,13 @@ def _witness_from_combo(field: Field, combo, width: int) -> BivariatePoly:
 
 
 def expansion_complexity(seq: Sequence, n: int) -> ExpansionWitness:
-    """E_n of seq's first n terms, with a minimal witness polynomial."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > len(seq.terms):
-        raise ValueError(f"n={n} exceeds available prefix of {len(seq.terms)}")
+    """E_n of seq's first n terms (1 <= n <= len), with a minimal witness
+    polynomial."""
     return _profile(seq.field, seq.terms, n).witness(n)
 
 
 def expansion_value(field: Field, terms, n: int) -> int:
-    """E_n without witness construction (hot path for sweeps).
+    """E_n of the first n terms (0 <= n <= len), without building a witness.
 
     terms are raw element indices, so the first n are validated here: the
     kernel pass trusts its input (over F_2 it reads any nonzero as 1).
@@ -296,21 +302,12 @@ def expansion_value(field: Field, terms, n: int) -> int:
 
 
 def expansion_profile(seq: Sequence, n_max: int) -> ExpansionProfile:
-    """E_n for n = 1..n_max, all from one pass over the first n_max terms.
+    """E_n for n = 1..n_max (0 <= n_max <= len), all from one pass over the
+    first n_max terms.
 
     The growth law is enforced before returning: values never decrease and
     rise by at most 1, except that leaving an all-zero prefix may jump from
     0 to 2 (there is no witness to carry over; y itself is only a degree-1
     witness while the prefix is still zero).
     """
-    if not 0 <= n_max <= len(seq.terms):
-        raise ValueError(f"n_max={n_max} is outside 0..{len(seq.terms)}")
-    profile = _profile(seq.field, seq.terms, n_max)
-    values = profile.values
-    for i, (lo, hi) in enumerate(zip(values, values[1:]), start=1):
-        if not (lo <= hi <= lo + 1 or (lo, hi) == (0, 2)):
-            raise RuntimeError(
-                f"expansion profile growth violated at n={i}: {lo} -> {hi}"
-            )
-    return profile
-
+    return _profile(seq.field, seq.terms, n_max)

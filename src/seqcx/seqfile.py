@@ -9,6 +9,8 @@ A sequence file is plain text:
     meta=t:0,T:7     optional declared preperiod and period
     0 1 2 3 ...      body: whitespace/newline separated element indices
 
+Every integer in a file is written in ASCII decimal digits, with no sign.
+
 The canonical serialization (exactly what format_sequence emits, without
 comments) is also the digest input: input_digest = "sha256:" + the hex digest
 of that text encoded as UTF-8.
@@ -28,15 +30,22 @@ class SequenceFileError(ValueError):
     """Malformed sequence file (distinct from precondition violations)."""
 
 
+def _decimal(token: str) -> int:
+    """int(token) for ASCII decimal digits only; int() would also take a
+    sign, underscores, surrounding whitespace and other scripts' digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def parse_field_spec(token: str) -> tuple[int, int]:
     """'2' -> (2, 1); '3^2' -> (3, 2)."""
-    token = token.strip()
     try:
         if "^" in token:
             p_str, m_str = token.split("^", 1)
-            p, m = int(p_str), int(m_str)
+            p, m = _decimal(p_str), _decimal(m_str)
         else:
-            p, m = int(token), 1
+            p, m = _decimal(token), 1
     except ValueError as exc:
         raise SequenceFileError(f"bad field spec {token!r}") from exc
     return p, m
@@ -65,7 +74,7 @@ def parse_sequence(text: str) -> Sequence:
             if modulus is not None:
                 raise SequenceFileError("duplicate mod= line")
             try:
-                modulus = [int(c) for c in line[4:].split(",")]
+                modulus = [_decimal(c) for c in line[4:].split(",")]
             except ValueError as exc:
                 raise SequenceFileError(f"bad modulus line {line!r}") from exc
             continue
@@ -76,13 +85,15 @@ def parse_sequence(text: str) -> Sequence:
                 fields = dict(
                     part.split(":", 1) for part in line[5:].split(",")
                 )
-                meta = Periodicity(int(fields["t"]), int(fields["T"]))
+                meta = Periodicity(
+                    _decimal(fields["t"]), _decimal(fields["T"])
+                )
             except (ValueError, KeyError) as exc:
                 raise SequenceFileError(f"bad meta line {line!r}") from exc
             continue
         for tok in line.split():
             try:
-                body.append(int(tok))
+                body.append(_decimal(tok))
             except ValueError as exc:
                 raise SequenceFileError(f"bad element {tok!r}") from exc
     if header is None:

@@ -286,6 +286,21 @@ BAD_INPUT_CASES = {
     "binomial-huge-prime-p": ["binomial", "--p", "2305843009213693951", "--k", "1"],
     "binomial-prime-above-cap-analyze": [
         "binomial", "--p", "1048583", "--k", "1", "--analyze"],
+    # flags the command would ignore
+    "expcomp-witness-csv": [
+        "expcomp", "--input", "{bits}", "--n", "10", "--profile", "--witness",
+        "--csv"],
+    "binomial-json-without-analyze": [
+        "binomial", "--p", "13", "--k", "2", "--json"],
+    "binomial-analyze-len": [
+        "binomial", "--p", "13", "--k", "2", "--analyze", "--len", "3"],
+    # --q takes ASCII decimal digits only, as sequence files do
+    "exhaustive-q-underscore-space": [
+        "experiment", "--mode", "exhaustive", "--q", " 1_1", "--n", "1",
+        "--out", "{out}"],
+    "mc-q-signed-exponent": [
+        "experiment", "--mode", "mc", "--q", "2^+1", "--samples", "4",
+        "--n", "5", "--out", "{out}"],
 }
 
 
@@ -327,6 +342,13 @@ MALFORMED_FILES = {
     "element-out-of-range": "q=3\n1 0 3\n",
     "non-prime-q": "q=4\n1 0 1\n",
     "bad-field-spec": "q=2^x\n1 0 1\n",
+    # integers are ASCII decimal digits only, though int() takes more
+    "q-underscore": "q=1_1\n1 0 3\n",
+    "element-underscore": "q=11\n1_0 3 0\n",
+    "element-plus-sign": "q=11\n1 +3 0\n",
+    "element-arabic-indic-digit": "q=11\n1 \u0663 0\n",
+    "meta-spaces-and-sign": "q=2\nmeta=t: 0 ,T:+1\n1 1 1\n",
+    "mod-plus-sign": "q=2^2\nmod=+1,1,1\n1 2 3\n",
 }
 
 
@@ -366,7 +388,6 @@ def test_internal_error_exit_4_one_error_line(monkeypatch, capsys, ones_file):
         ([], 0),
         (["--witness"], 12),
         (["--witness", "--json"], 12),
-        (["--witness", "--csv"], 0),
     ],
 )
 def test_expcomp_profile_builds_only_printed_witnesses(
@@ -421,15 +442,17 @@ def test_experiment_cap_exit_3(tmp_path):
 
 
 def test_experiment_deterministic_bytes(tmp_path):
-    out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    base = ["experiment", "--mode", "exhaustive", "--q", "2", "--n", "5"]
-    run_cli(*base, "--out", str(out1))
-    run_cli(*base, "--out", str(out2))
-    run_cli(*base, "--workers", "2", "--out", str(out3))
+    out1, out2, out3, out4 = (tmp_path / d for d in ("a", "b", "c", "d"))
+    base = ["experiment", "--mode", "exhaustive", "--n", "5"]
+    run_cli(*base, "--q", "2", "--out", str(out1))
+    run_cli(*base, "--q", "2", "--out", str(out2))
+    run_cli(*base, "--q", "2", "--workers", "2", "--out", str(out3))
+    # 2^1 names F_2 as well: file names come from the field, not the flag
+    run_cli(*base, "--q", "2^1", "--out", str(out4))
     for name in ("exhaustive_q2_n5.csv", "exhaustive_q2_n5.json"):
         first = (out1 / name).read_bytes()
-        assert first == (out2 / name).read_bytes()
-        assert first == (out3 / name).read_bytes()
+        for out in (out2, out3, out4):
+            assert first == (out / name).read_bytes()
 
 
 def test_experiment_mc_deterministic_bytes(tmp_path):

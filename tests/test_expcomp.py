@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from seqcx import expcomp
 from seqcx.expcomp import (
+    _kernel_pass,
     _reduce_generic,
-    _reduce_gf2,
     expansion_complexity,
     expansion_profile,
     expansion_value,
@@ -91,24 +92,27 @@ def test_diagnostics_fields(f2):
     assert wit.matrix_rank == 3
 
 
-def reduced_columns(reducer, n):
-    """(birth row, {column index: coefficient}) for every column of degree
-    up to the kernel bound, whichever row representation produced them."""
-    out = []
-    width = monomial_count(kernel_degree_bound(n))
-    for birth, comb in itertools.islice(reducer, width):
-        if isinstance(comb, int):
-            comb = {t: 1 for t in range(comb.bit_length()) if (comb >> t) & 1}
-        out.append((birth, {t: c for t, c in comb.items() if c}))
-    return out
+def nonzero_terms(comb):
+    """{key: coefficient} of the nonzero terms of a combination, whichever
+    row representation produced it."""
+    if isinstance(comb, int):
+        return {t: 1 for t in range(comb.bit_length()) if (comb >> t) & 1}
+    return {t: c for t, c in comb.items() if c}
 
 
 def assert_representations_agree(f2, bits):
+    # the same _kernel_pass over F_2, once on each reducer
     n = len(bits)
-    packed = sum(b << i for i, b in enumerate(bits))
-    assert reduced_columns(_reduce_gf2(packed, n), n) == reduced_columns(
-        _reduce_generic(f2, list(bits), n), n
-    )
+    packed_births, packed_combs = _kernel_pass(f2, bits, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            expcomp, "_reduce_gf2",
+            lambda _bits, _n: _reduce_generic(f2, list(bits), n),
+        )
+        births, combs = _kernel_pass(f2, bits, n)
+    assert births == packed_births
+    assert len(combs) == len(packed_combs) == births.index(n) + 1
+    assert list(map(nonzero_terms, combs)) == list(map(nonzero_terms, packed_combs))
 
 
 def test_gf2_and_generic_paths_agree(f2):
@@ -155,12 +159,13 @@ def test_shifted_reduction_matches_unshifted_oracle():
         zeros = rng.randrange(4)  # some prefixes start with zeros
         terms = [0] * zeros + [rng.randrange(field.q) for _ in range(n - zeros)]
         births, per_m = unshifted_expansion(field, terms, n)
-        if field.q == 2:
-            packed = sum(1 << i for i, s in enumerate(terms) if s)
-            reducer = _reduce_gf2(packed, n)
-        else:
-            reducer = _reduce_generic(field, terms, n)
-        assert [birth for birth, _ in reducer] == births
+        got, _ = _kernel_pass(field, terms, n)
+        assert list(got) == births[: len(got)]
+        # the pass ends on the end of the block holding the first column
+        # born at row n
+        last = kernel_degree_bound(len(got) - 1)
+        assert len(got) == monomial_count(last)
+        assert kernel_degree_bound(got.index(n)) == last
         profile = expansion_profile(Sequence(field, terms), n)
         for m, (e, poly, rank, count) in enumerate(per_m, start=1):
             wit = profile.witness(m)
@@ -271,8 +276,28 @@ def test_invalid_n(f2):
     seq = Sequence(f2, [1, 0])
     with pytest.raises(ValueError):
         expansion_complexity(seq, 0)
-    with pytest.raises(ValueError):
-        expansion_complexity(seq, 3)
+    # every entry checks 0 <= n <= len(terms) the same way
+    for n in (-1, 3):
+        with pytest.raises(ValueError):
+            expansion_complexity(seq, n)
+        with pytest.raises(ValueError):
+            expansion_value(f2, seq.terms, n)
+        with pytest.raises(ValueError):
+            expansion_profile(seq, n)
+    assert expansion_value(f2, seq.terms, 0) == 0
+    assert expansion_profile(seq, 0).values == ()
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (101, 1)])
+def test_profile_keeps_no_combination_past_first_dependency(p, m):
+    # combinations after the first column born at row n are not kept
+    # current, so the profile must not hold them
+    field = Field(p, m)
+    rng = random.Random(7)
+    for n in (4, 9, 24, 32):
+        terms = [1] + [rng.randrange(field.q) for _ in range(n - 1)]
+        profile = expansion_profile(Sequence(field, terms), n)
+        assert len(profile.combs) == profile.births.index(n) + 1
 
 
 @pytest.mark.parametrize(
