@@ -46,8 +46,8 @@ EXIT_INTERNAL = 4
 
 def _load_sequence(path: str):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SequenceFileError(f"cannot read {path}: {exc}") from exc
     return parse_sequence(text)
 

@@ -13,11 +13,12 @@ Zech logarithms ``zech[k] = log(1 + g^k)``.  Products, quotients, inverses,
 powers and Frobenius maps are then table lookups; sums are XOR when p = 2
 and a Zech lookup otherwise.
 
-For p = 2 the tables come from one walk of g: multiplying by g is F_2-linear,
-so each step is two lookups (the products of g with the low and the high
-half of the bits) and one XOR, and F_{2^16} builds in about 10 ms.  For odd
-p the build walks the cosets of <x> with a multiply-by-x step, finds g from
-the coset structure when x is not primitive, and walks g a second time.
+Every extension field builds its tables in one walk of g.  Multiplying by g
+is F_p-linear, so each step adds two looked-up products, of g with the low
+and with the high half of the digits.  For p = 2 the sum is one XOR, and
+F_{2^16} builds in about 10 ms.  For odd p the products are written with
+base-(2p - 1) digits, so an integer sum keeps the digit sums apart, and two
+more lookups reduce them mod p.
 
 A Field instance is immutable after construction and all operations are pure,
 so instances can be shared freely between threads or worker processes.
@@ -26,8 +27,8 @@ so instances can be shared freely between threads or worker processes.
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from itertools import product
-from math import gcd
 
 # Largest q supported.  An extension field holds 12 bytes of tables per
 # element (16 for odd p): 12 MiB for F_{2^20}.
@@ -127,49 +128,26 @@ def _digits(a: int, p: int, m: int) -> list[int]:
     return out
 
 
-def _shifted(vec: list[int], p: int) -> list[int]:
-    """Entry i is the index of digits(i) + vec, digit by digit mod p."""
+def _reduced(p: int, base: int, scale: int, width: int) -> list[int]:
+    """Entry s is scale times the index of the element whose digits are the
+    `width` base-`base` digits of s, each taken mod p."""
     table = [0]
-    scale = 1
-    for v in vec:
-        table = [t + scale * ((b + v) % p) for b in range(p) for t in table]
+    for _ in range(width):
+        table = [t + d % p * scale for d in range(base) for t in table]
         scale *= p
     return table
 
 
-def _times_x(p: int, m: int, modulus: tuple[int, ...]):
-    """The map from the index of a to the index of x * a, for odd p and
-    m >= 2."""
-    q = p**m
-    # x^m = red_0 + red_1 x + ... + red_{m-1} x^{m-1}
-    red = [(-c) % p for c in modulus[:m]]
-    if m == 2:  # direct: the lookup tables below would need p^2 = q entries
-        r0, r1 = red
-
-        def step(a):
-            t, r = divmod(a, p)
-            return t * r0 % p + p * ((r + t * r1) % p)
-
-        return step
-    # x * a = p * r + t * red digit by digit, where t is a's top digit and r
-    # its lower m-1 digits; the sum is two lookups, one per half of r, in
-    # tables indexed by t and that half.
-    top = q // p
-    half = (m - 1) // 2
-    low = p**half
-    high = top // low
-    lo_tab, hi_tab = [], []
-    for t in range(p):
-        v = [t * c % p for c in red]
-        lo_tab += [v[0] + p * s for s in _shifted(v[1 : half + 1], p)]
-        hi_tab += [p * low * s for s in _shifted(v[half + 1 :], p)]
-
-    def step(a):
-        t, r = divmod(a, top)
-        hi, lo = divmod(r, low)
-        return lo_tab[t * low + lo] + hi_tab[t * high + hi]
-
-    return step
+def _span(vectors: list[list[int]], p: int, base: int) -> list[int]:
+    """Entry i is the sum of d_k * vectors[k] over the base-p digits d_k of
+    i, reduced mod p digit by digit and read as a base-`base` integer."""
+    sums = [[0] * len(vectors[0])]
+    for v in vectors:
+        sums = [
+            [(a + d * b) % p for a, b in zip(w, v)] for d in range(p) for w in sums
+        ]
+    weights = [base**i for i in range(len(vectors[0]))]
+    return [sum(c * w for c, w in zip(s, weights)) for s in sums]
 
 
 def _mulmod_gf2(a: int, b: int, poly: int, m: int) -> int:
@@ -186,13 +164,22 @@ def _mulmod_gf2(a: int, b: int, poly: int, m: int) -> int:
     return acc
 
 
-def _powmod_gf2(a: int, e: int, poly: int, m: int) -> int:
-    out = 1
-    while e:
-        if e & 1:
-            out = _mulmod_gf2(out, a, poly, m)
-        a = _mulmod_gf2(a, a, poly, m)
-        e >>= 1
+def _mulmod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
+    """a * b modulo modulus on coefficient lists over F_p, constant first."""
+    prod = [0] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return _poly_divmod(_trim([c % p for c in prod]), modulus, p)[1]
+
+
+def _power(a, e: int, mul):
+    """a^e for e >= 1 by square-and-multiply under the product mul."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, a)
     return out
 
 
@@ -210,108 +197,81 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _binary_log_tables(m: int, modulus: tuple[int, ...]) -> tuple[array, array]:
-    """_log_tables for p = 2, in one walk of the primitive element g.
+def _primitive_element(p: int, m: int, modulus: tuple[int, ...]) -> int:
+    """The least index g >= p with g^((q-1)/r) != 1 for every prime r | q-1.
 
-    g is the least index >= 2 with g^((q-1)/r) != 1 for every prime r | q-1.
-    Multiplying by g is F_2-linear, so b * g is lo[low bits of b] ^ hi[high
-    bits of b], where lo and hi hold the reduced products of g with every
-    polynomial over the low h = m // 2 and the high m - h bits.
+    Indices below p are F_p, which holds no primitive element when m >= 2.
     """
-    q = 1 << m
-    q1 = q - 1
-    poly = _pack_gf2(modulus)
+    q1 = p**m - 1
     exponents = [q1 // r for r in _prime_factors(q1)]
-    g = 2
-    while any(_powmod_gf2(g, e, poly, m) == 1 for e in exponents):
+    if p == 2:
+        mul = partial(_mulmod_gf2, poly=_pack_gf2(modulus), m=m)
+        one = 1
+    else:
+        mul = partial(_mulmod, modulus=modulus, p=p)
+        one = [1]
+    g = p
+    while True:
+        a = g if p == 2 else _trim(_digits(g, p, m))
+        if all(_power(a, e, mul) != one for e in exponents):
+            return g
         g += 1
-    basis = [g]  # x^i * g
-    for _ in range(m - 1):
-        a = basis[-1] << 1
-        basis.append(a ^ poly if a & q else a)
-    h = m // 2
-    lo = [0]
-    for v in basis[:h]:
-        lo += [a ^ v for a in lo]
-    hi = [0]
-    for v in basis[h:]:
-        hi += [a ^ v for a in hi]
-    low = (1 << h) - 1
-    exp = array("I", bytes(8 * q1))
-    log = array("i", [-1]) * q
-    a = 1
-    for k in range(q1):
-        exp[k] = a
-        log[a] = k
-        a = lo[a & low] ^ hi[a >> h]
-    exp[q1:] = exp[:q1]
-    return exp, log
 
 
 def _log_tables(p: int, m: int, modulus: tuple[int, ...]) -> tuple[array, array]:
-    """exp (length 2(q-1)) and log (log[0] = -1) over the primitive element
-    with the smallest index, in O(q) steps."""
-    if p == 2:
-        return _binary_log_tables(m, modulus)
+    """exp (length 2(q-1)) and log (log[0] = -1) over the primitive element g
+    with the smallest index, in one walk of g.
+
+    Multiplying by g is F_p-linear, so b * g is the digit-wise sum of lo[low
+    h = m // 2 digits of b] and hi[high m - h digits of b], the products of g
+    with every element over those digits.  For p = 2 the sum is an XOR of
+    bit-packed products.  For odd p, lo and hi write their products with
+    digits in base 2p - 1, so one integer sum keeps each digit sum (at most
+    2p - 2) apart, and to_lo and to_hi read its low and high digits back,
+    each mod p, as an index.
+    """
     q = p**m
     q1 = q - 1
-    step = _times_x(p, m, modulus)
-    # Walk the cosets y_c <x> in turn, y_c the smallest index not yet seen:
-    # x^j * y_c lands in exp[q1 + c*d + j] and its position c*d + j in log.
+    g = _primitive_element(p, m, modulus)
+    h = m // 2
     exp = array("I", bytes(8 * q1))
     log = array("i", [-1]) * q
-    n = 0
-    cosets = 0
-    rep = 1
-    while n < q1:
-        while log[rep] >= 0:
-            rep += 1
-        cosets += 1
-        a = rep
-        while log[a] < 0:
-            log[a] = n
-            exp[q1 + n] = a
-            n += 1
-            a = step(a)
-    if cosets == 1:  # x is primitive: exp and log are the powers of x
-        exp[:q1] = exp[q1:]
-        return exp, log
-    d = q1 // cosets  # the order of x; d > m since x^m != 1
-
-    def times(b, c):
-        """b * y_c as (coset, exponent): the sum of b_i * x^i * y_c."""
-        acc = [0] * m
-        for i, bi in enumerate(_digits(b, p, m)):
-            if bi:
-                for k, v in enumerate(_digits(exp[q1 + c * d + i], p, m)):
-                    acc[k] = (acc[k] + bi * v) % p
-        return divmod(log[sum(v * p**k for k, v in enumerate(acc))], d)
-
-    # g is primitive iff its powers reach the coset <x> first after
-    # `cosets` steps, at g^cosets = x^j with gcd(j, d) = 1.
-    for g in range(p, q):
-        moves = {}
-        c = j = 0
-        for steps in range(1, cosets + 1):
-            if c not in moves:
-                moves[c] = times(g, c)
-            c, t = moves[c]
-            j = (j + t) % d
-            if c == 0:
-                break
-        if steps == cosets and gcd(j, d) == 1:
-            break
-    nxt = [moves[c][0] for c in range(cosets)]
-    shift = [moves[c][1] for c in range(cosets)]
-    c = j = 0
-    for k in range(q1):
-        a = exp[q1 + c * d + j]
-        exp[k] = a
-        log[a] = k
-        j += shift[c]
-        if j >= d:
-            j -= d
-        c = nxt[c]
+    a = 1
+    if p == 2:
+        poly = _pack_gf2(modulus)
+        basis = [g]  # x^i * g
+        for _ in range(m - 1):
+            b = basis[-1] << 1
+            basis.append(b ^ poly if b & q else b)
+        lo = [0]
+        for v in basis[:h]:
+            lo += [b ^ v for b in lo]
+        hi = [0]
+        for v in basis[h:]:
+            hi += [b ^ v for b in hi]
+        low = (1 << h) - 1
+        for k in range(q1):
+            exp[k] = a
+            log[a] = k
+            a = lo[a & low] ^ hi[a >> h]
+    else:
+        basis = [_digits(g, p, m)]  # the digits of x^i * g
+        for _ in range(m - 1):
+            v = basis[-1]
+            top = v[-1]
+            basis.append([(c - top * r) % p for c, r in zip([0] + v[:-1], modulus)])
+        base = 2 * p - 1
+        lo = _span(basis[:h], p, base)
+        hi = _span(basis[h:], p, base)
+        low = p**h
+        split = base**h
+        to_lo = _reduced(p, base, 1, h)
+        to_hi = _reduced(p, base, low, m - h)
+        for k in range(q1):
+            exp[k] = a
+            log[a] = k
+            s = lo[a % low] + hi[a // low]
+            a = to_lo[s % split] + to_hi[s // split]
     exp[q1:] = exp[:q1]
     return exp, log
 

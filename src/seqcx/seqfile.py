@@ -4,9 +4,10 @@ A sequence file is plain text:
 
     # comments run to end of line
     q=3^2            header: q=<p> or q=<p>^<m>
-    mod=1,2,0,1      optional; monic modulus c_0,...,c_m (required to pick a
-                     non-default modulus when m > 1)
-    meta=t:0,T:7     optional declared preperiod and period
+    mod=1,2,0,1      optional; monic modulus c_0,...,c_m, each below p
+                     (required to pick a non-default modulus when m > 1)
+    meta=t:0,T:7     optional declared preperiod t and period T, each key
+                     exactly once
     0 1 2 3 ...      body: whitespace/newline separated element indices
 
 Every integer in a file is written in ASCII decimal digits, with no sign.
@@ -82,13 +83,14 @@ def parse_sequence(text: str) -> Sequence:
             if meta is not None:
                 raise SequenceFileError("duplicate meta= line")
             try:
-                fields = dict(
-                    part.split(":", 1) for part in line[5:].split(",")
-                )
+                parts = line[5:].split(",")
+                fields = dict(part.split(":", 1) for part in parts)
+                if len(parts) != 2 or fields.keys() != {"t", "T"}:
+                    raise ValueError("meta= takes the keys t and T once each")
                 meta = Periodicity(
                     _decimal(fields["t"]), _decimal(fields["T"])
                 )
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise SequenceFileError(f"bad meta line {line!r}") from exc
             continue
         for tok in line.split():
@@ -103,6 +105,11 @@ def parse_sequence(text: str) -> Sequence:
     p, m = header
     # a field above the cap is a precondition violation, not a malformed file
     check_field_size(p, m)
+    # Field reduces a modulus mod p; a file spells each coefficient below p
+    if modulus is not None and max(modulus) >= p:
+        raise SequenceFileError(
+            f"modulus coefficient {max(modulus)} is not below p = {p}"
+        )
     try:
         field = Field(p, m, modulus)
         return Sequence(field, body, meta=meta)
@@ -110,7 +117,11 @@ def parse_sequence(text: str) -> Sequence:
         raise SequenceFileError(str(exc)) from exc
 
 
-def format_sequence(seq: Sequence, per_line: int = 20) -> str:
+# body terms per line of the canonical serialization
+_TERMS_PER_LINE = 20
+
+
+def format_sequence(seq: Sequence) -> str:
     """Canonical serialization; parsing it back yields an equal Sequence."""
     lines = [f"q={format_field_spec(seq.field)}"]
     if seq.field.m > 1:
@@ -118,8 +129,8 @@ def format_sequence(seq: Sequence, per_line: int = 20) -> str:
     if seq.meta is not None:
         lines.append(f"meta=t:{seq.meta.preperiod},T:{seq.meta.period}")
     terms = seq.terms
-    for i in range(0, len(terms), per_line):
-        lines.append(" ".join(str(c) for c in terms[i : i + per_line]))
+    for i in range(0, len(terms), _TERMS_PER_LINE):
+        lines.append(" ".join(str(c) for c in terms[i : i + _TERMS_PER_LINE]))
     return "\n".join(lines) + "\n"
 
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own algorithms: recurrence
 lengths come from explicit enumeration, binomial terms from math.comb,
 series products from a direct convolution, extension-field arithmetic
 from the polynomial basis (sharing only the library's division in F_p[x]),
-binary exp/log tables from a walk of the cosets of <x>, the
+binary exp/log tables from a walk of the cosets of <x>, other exp/log
+tables from the powers of g under polynomial-basis arithmetic, the
 expansion-complexity elimination from columns each reduced from
 scratch, substitution h(x, G(x)) from powers of G convolved afresh on every
 call, and E_n from enumerating every candidate polynomial, so a bug in the
@@ -349,6 +350,30 @@ def log_tables_coset_walk(modulus):
         log[a] = k
         c, t = moves[c]
         j = (j + t) % d
+    return exp * 2, log
+
+
+def log_tables_poly_basis(field):
+    """exp and log of an extension field over its primitive element with the
+    smallest index, from PolyBasisField products alone.
+
+    g is the least index >= p whose powers reach all q - 1 nonzero elements
+    (indices below p are F_p, which holds no primitive element), and
+    exp[k] = g^k.
+    """
+    ref = PolyBasisField(field)
+    q1 = field.q - 1
+    for g in range(field.p, field.q):
+        exp = [1]
+        a = g
+        while a != 1:
+            exp.append(a)
+            a = ref.mul(a, g)
+        if len(exp) == q1:
+            break
+    log = [-1] * field.q
+    for k, a in enumerate(exp):
+        log[a] = k
     return exp * 2, log
 
 

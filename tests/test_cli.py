@@ -349,6 +349,11 @@ MALFORMED_FILES = {
     "element-arabic-indic-digit": "q=11\n1 \u0663 0\n",
     "meta-spaces-and-sign": "q=2\nmeta=t: 0 ,T:+1\n1 1 1\n",
     "mod-plus-sign": "q=2^2\nmod=+1,1,1\n1 2 3\n",
+    # meta= takes t and T once each, and mod= spells coefficients below p
+    "meta-repeated-key": "q=2\nmeta=t:0,t:5,T:1\n1 1 1\n",
+    "meta-unknown-key": "q=2\nmeta=t:0,T:1,x:3\n1 1 1\n",
+    "mod-constant-above-p": "q=3^2\nmod=4,0,1\n1 2 3\n",
+    "mod-leading-above-p": "q=3^2\nmod=1,0,4\n1 2 3\n",
 }
 
 
@@ -361,6 +366,16 @@ def test_malformed_file_exit_2_one_error_line(case, tmp_path):
     assert "Traceback" not in res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert res.stdout == ""
+
+
+def test_non_utf8_file_exit_2_names_file(tmp_path):
+    path = tmp_path / "bad.seq"
+    path.write_bytes(b"q=2\n1 0 \xff 1\n")
+    res = run_cli("lincomp", "--input", str(path), "--n", "3")
+    assert res.returncode == 2, res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {path}: ")
     assert res.stdout == ""
 
 

@@ -8,6 +8,7 @@ from oracles import (
     default_modulus_unfiltered,
     is_irreducible_lists,
     log_tables_coset_walk,
+    log_tables_poly_basis,
 )
 from seqcx.field import PRIME_POWER_CAP, Field, is_prime
 
@@ -195,11 +196,26 @@ def test_tables_match_polynomial_basis_every_pair(p, m):
     _check_against_oracle(field, pairs, random.Random(f"pairs:{p}^{m}"))
 
 
-@pytest.mark.parametrize("p,m", [(2, 16), (3, 10)], ids=lambda v: str(v))
-def test_tables_match_polynomial_basis_random_pairs(p, m):
+@pytest.mark.parametrize(
+    "p,m,count",
+    [
+        pytest.param(p, m, count, id=f"{p}-{m}")
+        for p, m, count in [
+            (2, 16, 20000),
+            (3, 10, 20000),
+            # the largest digit sums of the odd-p walk; odd m splits the
+            # digits unevenly
+            (1021, 2, 2000),
+            (101, 3, 2000),
+            (3, 12, 2000),
+            (7, 7, 2000),
+        ]
+    ],
+)
+def test_tables_match_polynomial_basis_random_pairs(p, m, count):
     field = Field(p, m)
     rng = random.Random(f"random-pairs:{p}^{m}")
-    pairs = [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(20000)]
+    pairs = [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(count)]
     pairs += [(0, 0), (0, 1), (1, 0), (field.q - 1, field.q - 1)]
     _check_against_oracle(field, pairs, rng, powers_every=20)
 
@@ -253,6 +269,29 @@ def test_binary_tables_match_coset_walk_every_small_modulus():
                 with pytest.raises(ValueError, match="reducible"):
                     Field(2, m, modulus)
     assert irreducible == 69
+
+
+# -- odd-p tables against the powers of g in the polynomial basis -----------
+
+
+@pytest.mark.parametrize(
+    "p, degrees, irreducible",
+    [(3, (2, 3, 4), 29), (5, (2, 3), 50), (7, (2,), 21)],
+    ids=["F_3", "F_5", "F_7"],
+)
+def test_odd_tables_match_poly_basis_every_small_modulus(p, degrees, irreducible):
+    # every irreducible monic modulus of these degrees, x primitive or not
+    count = 0
+    for m in degrees:
+        for tail in product(range(p), repeat=m):
+            modulus = tail + (1,)
+            if is_irreducible_lists(modulus, p, m):
+                count += 1
+                field = Field(p, m, modulus)
+                exp, log = log_tables_poly_basis(field)
+                assert field._exp.tolist() == exp, modulus
+                assert field._log.tolist() == log, modulus
+    assert count == irreducible
 
 
 # -- pickling, as pool workers receive a field ------------------------------
