@@ -247,9 +247,17 @@ def _experiment_config(args):
     if args.mode == "exhaustive":
         if args.n is None:
             raise ValueError("--mode exhaustive requires --n")
-        return experiments.ExhaustiveConfig(
+        cfg = experiments.ExhaustiveConfig(
             field, args.n, checks=not args.no_checks, workers=args.workers
         )
+        # no E_n exceeds the kernel degree bound, so a larger b counts every
+        # prefix, against a q^(b^2) too large to compute or to print
+        bound = expcomp.kernel_degree_bound(args.n)
+        if args.low_b is not None and args.low_b > bound:
+            raise ValueError(
+                f"--low-b must be <= {bound} at --n {args.n}, got {args.low_b}"
+            )
+        return cfg
     if args.schedule is None:
         schedule = experiments.DEFAULT_SCHEDULE if args.n is None else (args.n,)
     elif args.n is None:

@@ -1,4 +1,4 @@
-"""Expansion complexity by one column pass.
+"""Expansion complexity by one column pass, or one row at a time.
 
 The n-th expansion complexity of a sequence prefix is the least total degree
 of a nonzero bivariate polynomial h with h(x, G(x)) = 0 mod x^n, where G is
@@ -34,6 +34,15 @@ int per column over F_2 (rows in the low n bits, the combination above
 them), lists of field elements elsewhere.  Both follow the same column order
 and return identical births and combinations; the tests pin this
 equivalence, and check both against columns reduced from scratch.
+
+The exhaustive sweep cannot extend this pass by a term, since it reduces
+whole columns top-down.  It uses online_kernel instead: the same columns
+in row echelon form, one row per term, with pivot rows keyed by their
+leading column, a term appended or dropped at a time.  E_m is the degree of
+the first column that leads no pivot row, and back-substitution through the
+pivots of the columns before it gives the same witness as the column pass.
+It too packs F_2 in ints and uses lists elsewhere.  The column pass still
+serves single sequences, verify and Monte Carlo.
 """
 
 from __future__ import annotations
@@ -281,6 +290,235 @@ def _witness_from_combo(field: Field, combo, width: int) -> BivariatePoly:
     return BivariatePoly._unchecked(
         field, {m: field.mul(scale, c) for m, c in terms.items()}
     )
+
+
+def _growth_guard(values, m: int, e: int) -> None:
+    """Raise unless E_m = e keeps both invariants of the kernel search: the
+    growth law from E_{m-1} (values[-1], 0 for m = 1), and the counting
+    bound kernel_degree_bound(m)."""
+    if e > kernel_degree_bound(m):
+        raise RuntimeError("kernel search overran its counting bound")
+    lo = values[-1] if values else 0
+    if not (lo <= e <= lo + 1 or (lo, e) == (0, 2)):
+        raise RuntimeError(
+            f"expansion profile growth violated at n={m - 1}: {lo} -> {e}"
+        )
+
+
+class _OnlineKernel:
+    """The monomial columns of _reduce_generic in row echelon form, one row
+    per term of a prefix that grows and shrinks at its end.
+
+    The columns are x^i G^j with i + j <= D = kernel_degree_bound(n), in
+    the canonical order (i+j, j, i).  push(s) appends a term s_r: it extends
+    [x^r] G^j for every j <= D from the coefficients of the powers already
+    held, forms row r of every column, and reduces it against pivot rows
+    keyed by their leading (lowest) column, each scaled to 1 there; pop()
+    undoes the last push.  On the first m rows, a column depends on the
+    columns before it exactly when no pivot row leads with it, so E_m is
+    the degree of the first such column, as in the column pass, and the
+    pivots of the columns before it give its combination by
+    back-substitution.
+
+    terms and values hold the prefix and E_1..E_m; push raises RuntimeError
+    when E_m breaks the growth law or the counting bound, as _profile does.
+    """
+
+    def __init__(self, field: Field, n: int):
+        degree = kernel_degree_bound(n)
+        self.field = field
+        self.width = degree + 1
+        self.columns = [(d - j, j) for d in range(degree + 1) for j in range(d + 1)]
+        self.degrees = [i + j for i, j in self.columns]
+        self.pivots: list = [None] * len(self.columns)
+        self.powers = [[] for _ in range(degree + 1)]  # coefficients of G^j
+        self.terms: list[int] = []
+        self.values: list[int] = []
+        self.nonzero = 0  # nonzero terms in the prefix
+        self.first = 0  # the first column that leads no pivot row
+        self._undo: list = []  # (column of the new pivot or -1, first) per push
+
+    def push(self, s: int) -> int:
+        """Append term s; return E of the longer prefix."""
+        field, terms, powers = self.field, self.terms, self.powers
+        add, mul, sub = field.add, field.mul, field.sub
+        r = len(terms)
+        terms.append(s)
+        powers[0].append(0 if r else 1)
+        for prev, power in zip(powers, powers[1:]):
+            acc = 0
+            for a in range(r + 1):
+                if prev[a] and terms[r - a]:
+                    acc = add(acc, mul(prev[a], terms[r - a]))
+            power.append(acc)
+        row = [powers[j][r - i] if r >= i else 0 for i, j in self.columns]
+        pivots = self.pivots
+        lead = -1
+        for k, v in enumerate(row):
+            if not v:
+                continue
+            pivot = pivots[k]
+            if pivot is None:
+                inv = field.inv(v)
+                pivots[k] = [0] * k + [mul(inv, x) for x in row[k:]]
+                lead = k
+                break
+            for col in range(k + 1, len(row)):
+                if pivot[col]:
+                    row[col] = sub(row[col], mul(v, pivot[col]))
+        self._undo.append((lead, self.first))
+        if lead == self.first:
+            while pivots[self.first] is not None:
+                self.first += 1
+        return self._record(r + 1, s)
+
+    def _record(self, m: int, s: int) -> int:
+        if s:
+            self.nonzero += 1
+        e = self.degrees[self.first] if self.nonzero else 0
+        _growth_guard(self.values, m, e)
+        self.values.append(e)
+        return e
+
+    def pop(self) -> None:
+        """Drop the last term."""
+        lead, self.first = self._undo.pop()
+        if lead >= 0:
+            self.pivots[lead] = None
+        if self.terms.pop():
+            self.nonzero -= 1
+        self.values.pop()
+        for power in self.powers:
+            power.pop()
+
+    def _combination(self) -> dict:
+        """{column: coefficient} of the first column that leads no pivot
+        row, as a combination of the columns before it, with coefficient 1
+        at that column."""
+        field, pivots = self.field, self.pivots
+        add, mul = field.add, field.mul
+        last = self.first
+        combo = {last: 1}
+        for k in range(last - 1, -1, -1):
+            pivot = pivots[k]
+            acc = 0
+            for col, x in combo.items():
+                if pivot[col]:
+                    acc = add(acc, mul(pivot[col], x))
+            if acc:
+                combo[k] = field.neg(acc)
+        return combo
+
+    def _rank(self, count: int) -> int:
+        """The number of pivot rows that lead with one of the first count
+        columns."""
+        return sum(1 for pivot in self.pivots[:count] if pivot is not None)
+
+    def witness_poly(self) -> Optional[BivariatePoly]:
+        """The minimal witness of the current prefix (None while it is all
+        zero), scaled as _witness_from_combo scales it: to 1 at its first
+        monomial in the canonical order, which is its first column."""
+        if not self.values[-1]:
+            return None
+        field, columns = self.field, self.columns
+        combo = self._combination()
+        scale = field.inv(combo[min(combo)])
+        return BivariatePoly._unchecked(
+            field, {columns[k]: field.mul(scale, c) for k, c in combo.items()}
+        )
+
+    def witness(self) -> ExpansionWitness:
+        """E_m of the current prefix with its minimal witness and its
+        decisive system's rank, as ExpansionProfile.witness(m) gives them."""
+        m, e = len(self.terms), self.values[-1]
+        if e == 0:
+            return ExpansionWitness(m, 0, None, 0, 0)
+        mcount = monomial_count(e)
+        return ExpansionWitness(m, e, self.witness_poly(), self._rank(mcount), mcount)
+
+
+class _OnlineKernelGF2(_OnlineKernel):
+    """_OnlineKernel over F_2 with bits for elements, as in _reduce_gf2.
+
+    Bit a of powers[j] is [x^a] G^j, a row holds column k in bit k, and
+    pivot rows are keyed by their lowest bit.  [x^r] G^j is the parity of
+    G^(j-1) & R, where bit a of R is s_{r-a}.  Row r takes the bits
+    [x^(r-i)] G^j of the columns x^i G^j with i <= D - j, one window of
+    powers[j] each, spread to their columns by one table lookup.
+    """
+
+    def __init__(self, field: Field, n: int):
+        super().__init__(field, n)
+        degree = self.width - 1
+        index = {mono: k for k, mono in enumerate(self.columns)}
+        self.pivots = {}
+        self.powers = [1] + [0] * degree
+        self.reversed = 0
+        self.windows = []  # (shift, mask, table) of each power G^j
+        for j in range(degree + 1):
+            span = degree - j + 1  # window bit b holds [x^(r-i)] G^j, i = span-1-b
+            table = [0] * (1 << span)
+            for w in range(1, 1 << span):
+                low = w & -w
+                b = low.bit_length() - 1
+                table[w] = table[w ^ low] | 1 << index[(span - 1 - b, j)]
+            self.windows.append((span - 1, (1 << span) - 1, table))
+
+    def push(self, s: int) -> int:
+        r = len(self.terms)
+        self.terms.append(s)
+        rev = self.reversed = self.reversed << 1 | s
+        powers = self.powers
+        row = 0
+        for j, (shift, mask, table) in enumerate(self.windows):
+            if j and (powers[j - 1] & rev).bit_count() & 1:
+                powers[j] |= 1 << r
+            row |= table[(powers[j] << shift) >> r & mask]
+        pivots = self.pivots
+        low = row & -row
+        while row:
+            hit = pivots.get(low)
+            if hit is None:
+                pivots[low] = row
+                break
+            row ^= hit
+            low = row & -row
+        self._undo.append((low, self.first))
+        first_bit = 1 << self.first
+        if low == first_bit:
+            while first_bit in pivots:
+                first_bit <<= 1
+                self.first += 1
+        return self._record(r + 1, s)
+
+    def pop(self) -> None:
+        low, self.first = self._undo.pop()
+        self.pivots.pop(low, None)
+        if self.terms.pop():
+            self.nonzero -= 1
+        self.values.pop()
+        self.reversed >>= 1
+        keep = (1 << len(self.terms)) - 1
+        self.powers = [1] + [power & keep for power in self.powers[1:]]
+
+    def _combination(self) -> dict:
+        pivots = self.pivots
+        last = self.first
+        combo = 1 << last
+        for k in range(last - 1, -1, -1):
+            if (pivots[1 << k] & combo).bit_count() & 1:
+                combo |= 1 << k
+        return {k: 1 for k in range(last + 1) if combo >> k & 1}
+
+    def _rank(self, count: int) -> int:
+        # the keys are distinct bits, so their sum is their union
+        return (sum(self.pivots) & (1 << count) - 1).bit_count()
+
+
+def online_kernel(field: Field, n: int) -> _OnlineKernel:
+    """An empty online kernel for prefixes of up to n terms: packed over
+    F_2, generic over every other field."""
+    return (_OnlineKernelGF2 if field.q == 2 else _OnlineKernel)(field, n)
 
 
 def expansion_complexity(seq: Sequence, n: int) -> ExpansionWitness:

@@ -1,11 +1,16 @@
 """Exhaustive and randomized distribution experiments.
 
-Exhaustive mode walks every length-n prefix over F_q in lexicographic order,
-tallies the distribution of E_n (and of L_n, t_n), and optionally runs the
-full bound-checker battery over every prefix length m <= n, counting
-violations.  What is graded at length m reads the first m terms only, so
-each distinct length-m prefix is graded once, on the leaf whose later terms
-are all zero, and its outcomes count with weight q^(n-m).  Monte Carlo
+Exhaustive mode walks the tree of prefixes over F_q depth first, in
+lexicographic order, tallies the distribution of E_n (and of L_n, t_n) over
+its q^n leaves, and optionally runs the full bound-checker battery over
+every prefix length m <= n, counting violations.  Each node appends one
+term and advances Berlekamp-Massey (lincomp's step) and the online kernel
+(expcomp's row echelon) by one step from its parent, so no engine reruns
+from term 0.  What is graded at length m reads the first m terms only, so
+each node of depth m is graded once, as the leaf whose later terms are all
+zero, and its outcomes count with weight q^(n-m).  A chunk of leaves walks
+every node whose leaves meet it, and grades those whose first leaf it
+holds, so any cut gives the same totals.  Monte Carlo
 mode samples sequences with i.i.d. uniform terms and reports the E_n
 distribution across a schedule of prefix lengths, together with the fraction
 of samples falling below sqrt((1-eps) * n) for a couple of eps values; the
@@ -29,6 +34,7 @@ no chunk builds a field of its own.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -40,7 +46,7 @@ from typing import Optional
 from . import expcomp, lincomp, theorems
 from .field import Field
 from .lincomp import Sequence
-from .series import substitute
+from .series import TruncatedSeries, substitute
 
 EXHAUSTIVE_CAP = 1 << 20
 
@@ -253,70 +259,91 @@ def _decode_prefix(index: int, q: int, n: int) -> list[int]:
     return digits
 
 
-def _check_prefix(seq: Sequence, n: int, fits, profile):
-    """The battery for every prefix length m this leaf represents.
+def _enumerate_chunk(field, n, checks, start, stop):
+    """Tallies and weighted battery outcomes of the leaves start..stop-1,
+    from a depth-first walk of the nodes of the prefix tree whose leaves
+    meet that range.
 
-    Everything graded at length m (the E_m witness substitution, the growth
-    step m-1 -> m, T4 and the R.* claims at m) reads the first m terms only,
-    so each length-m prefix is graded once, on its leaf whose terms after
-    position m are all zero, and its outcomes count q^(n-m) times, once
-    for every leaf below it.  That leaf represents every m from
-    n - (trailing zero terms), but at least 1, up to n.
-
-    Returns (fail_counter, witness_failures), weighted.
+    Each node appends one term and advances Berlekamp-Massey and the online
+    kernel by one step.  With checks on, a node of depth m is graded, with
+    weight q^(n-m), in the chunk that holds its first leaf, the one whose
+    terms after the first m are all zero: its E_m witness is substituted
+    into its m-term series, and the battery reads that leaf with the
+    Frobenius residual of the k of length m.  The residual is its parent's
+    when the node appends a zero under the same k, as the leaf is the same.
     """
-    terms = seq.terms
-    lo = n
-    while lo > 1 and not terms[lo - 1]:
-        lo -= 1
-    q = seq.field.q
-    series = seq.prefix_series(n)
-    frobenius = theorems.frobenius_residuals(seq, n, lo)
-    first = theorems._first_nonzero(seq)
-    profile_e = profile.values
-    fails = Counter()
+    q, p = field.q, field.p
+    if q == 2:
+        step, root = lincomp._bm_gf2_step, lincomp._BM_GF2_START
+        fit_of = lincomp._fit_from_gf2
+    else:
+        step, root = functools.partial(lincomp._bm_step, field), lincomp._BM_START
+        fit_of = lincomp._fit_from_core
+    kernel = expcomp.online_kernel(field, n)
+    path, values = kernel.terms, kernel.values
+    fits = []
+    residuals = []  # the (k, residual) each node on the path read, or None
+    leaves_below = [q ** (n - m) for m in range(n + 1)]
+    zeros = [0] * n
+    counts, counts_l, counts_t, fails = (Counter() for _ in range(4))
     witness_failures = 0
-    for m in range(lo, n + 1):
-        weight = q ** (n - m)
-        wit = profile.witness(m)
-        if wit.poly is not None:
-            ok = (
-                wit.poly.total_degree == wit.complexity
-                and substitute(wit.poly, series, m).is_zero()
-            )
-            if not ok:
+
+    def grade(m, weight):
+        """Grade the node of depth m; return the (k, residual) it read."""
+        nonlocal witness_failures
+        e = values[-1]
+        read = None
+        if e:
+            poly = kernel.witness_poly()
+            series = TruncatedSeries._unchecked(field, path)
+            if not (poly.total_degree == e and substitute(poly, series, m).is_zero()):
                 witness_failures += weight
         if m < 2:
-            continue
-        reports = theorems.check_growth_step(fits, profile_e, m)
-        reports += theorems.check_length(
-            seq, m, fits=fits, profile_e=profile_e, frobenius=frobenius, first=first
-        )
+            return read
+        reports = theorems.check_growth_step(fits, values, m)
+        if e:
+            leaf = Sequence._unchecked(field, path + zeros[m:])
+            k = theorems.frobenius_parameters(p, m)[0]
+            read = residuals[-1]
+            if path[-1] or read is None or read[0] != k:
+                read = k, theorems.frobenius_residual(leaf, n, k)
+            first = next(i for i, s in enumerate(path) if s)
+            reports += theorems.check_length(
+                leaf, m, fits=fits, profile_e=values, frobenius={k: read[1]},
+                first=first,
+            )
         for rep in reports:
             if rep.failed:
                 fails[rep.claim_id] += weight
-    return fails, witness_failures
+        return read
 
+    def visit(state, base, m):
+        # the children of the node of depth m whose first leaf is base
+        below = leaves_below[m + 1]
+        for s in range(q):
+            lo = base + s * below
+            if lo >= stop:
+                return
+            if lo + below <= start:
+                continue
+            kernel.push(s)
+            child = step(state, path, m)
+            if checks:
+                fits.append(fit_of(m + 1, child[2], child[0]))
+                residuals.append(grade(m + 1, below) if lo >= start else None)
+            if m + 1 < n:
+                visit(child, lo, m + 1)
+            else:
+                fit = fits[-1] if checks else fit_of(n, child[2], child[0])
+                counts[values[-1]] += 1
+                counts_l[fit.complexity] += 1
+                counts_t[fit.t] += 1
+            if checks:
+                fits.pop()
+                residuals.pop()
+            kernel.pop()
 
-def _enumerate_chunk(field, n, checks, start, stop):
-    q = field.q
-    counts, counts_l, counts_t, fails = (Counter() for _ in range(4))
-    witness_failures = 0
-    for index in range(start, stop):
-        seq = Sequence._unchecked(field, _decode_prefix(index, q, n))
-        if checks:
-            fits = lincomp.linear_fits(seq, n)
-            profile = expcomp.expansion_profile(seq, n)
-            prefix_fails, wf = _check_prefix(seq, n, fits, profile)
-            fails.update(prefix_fails)
-            witness_failures += wf
-            fit, e_n = fits[-1], profile.values[-1]
-        else:
-            fit = lincomp.berlekamp_massey(seq, n)
-            e_n = expcomp.expansion_profile(seq, n).values[-1]
-        counts[e_n] += 1
-        counts_l[fit.complexity] += 1
-        counts_t[fit.t] += 1
+    visit(root, 0, 0)
     return counts, counts_l, counts_t, fails, witness_failures
 
 

@@ -19,6 +19,9 @@ Over F_2, berlekamp_massey and linear_fits run _bm_gf2, a bit-packed pass
 whose fits are read straight off the connection polynomial as an int.  The
 generic field-method pass _bm_core runs for every other field and is the
 packed pass's oracle in the tests: both give equal fits at every length.
+Each pass is a loop over one update step, _bm_gf2_step or _bm_step, whose
+states are never mutated; the exhaustive sweep calls the same steps once
+per node of its prefix tree, so an extension shares its prefix's state.
 """
 
 from __future__ import annotations
@@ -128,6 +131,41 @@ class RationalForm:
         return rational_expand(self.f, self.g, n)
 
 
+_BM_START = ([1], [1], 0, -1, 1)
+
+
+def _bm_step(field: Field, state, terms, n: int):
+    """One Berlekamp-Massey step: the state after term n, from the state
+    after terms 0..n-1.
+
+    A state (C, B, L, m, b) holds the trimmed connection polynomial C (a
+    list, C[0] = 1, deg C <= L), the polynomial B it had before the last
+    length change at step m, and that step's discrepancy b; _BM_START is the
+    state of the empty prefix.  States are never mutated, so one can be
+    shared by every extension of its prefix.
+    """
+    c, b, length, m, b_disc = state
+    delta = terms[n]
+    for i in range(1, min(length, len(c) - 1) + 1):
+        if c[i] and terms[n - i]:
+            delta = field.add(delta, field.mul(c[i], terms[n - i]))
+    if not delta:
+        return state
+    factor = field.mul(delta, field.inv(b_disc))
+    shift = n - m
+    new_c = c + [0] * (len(b) + shift - len(c))
+    for i, bi in enumerate(b):
+        if bi:
+            new_c[i + shift] = field.sub(new_c[i + shift], field.mul(factor, bi))
+    top = len(new_c)
+    while new_c[top - 1] == 0:
+        top -= 1
+    del new_c[top:]
+    if 2 * length <= n:
+        return new_c, c, n + 1 - length, n, delta
+    return new_c, b, length, m, b_disc
+
+
 def _bm_core(field: Field, terms) -> list[tuple[int, list[int]]]:
     """Berlekamp-Massey over an arbitrary field, as one online pass.
 
@@ -135,35 +173,11 @@ def _bm_core(field: Field, terms) -> list[tuple[int, list[int]]]:
     empty prefix): C is the trimmed connection polynomial coefficient list,
     C[0] = 1, deg C <= L, and sum_i C[i] * s_{n-i} = 0 for L <= n < k.
     """
-    c = [1]
-    b = [1]
-    length = 0
-    m = -1
-    b_disc = 1
+    state = _BM_START
     cores = [(0, [1])]
-    for n, s_n in enumerate(terms):
-        delta = s_n
-        for i in range(1, min(length, len(c) - 1) + 1):
-            if c[i] and terms[n - i]:
-                delta = field.add(delta, field.mul(c[i], terms[n - i]))
-        if delta:
-            factor = field.mul(delta, field.inv(b_disc))
-            shift = n - m
-            old_c = list(c)
-            if len(c) < len(b) + shift:
-                c.extend([0] * (len(b) + shift - len(c)))
-            for i, bi in enumerate(b):
-                if bi:
-                    c[i + shift] = field.sub(c[i + shift], field.mul(factor, bi))
-            if 2 * length <= n:
-                length = n + 1 - length
-                b = old_c
-                b_disc = delta
-                m = n
-        top = len(c)
-        while c[top - 1] == 0:
-            top -= 1
-        cores.append((length, c[:top]))
+    for n in range(len(terms)):
+        state = _bm_step(field, state, terms, n)
+        cores.append((state[2], state[0]))
     return cores
 
 
@@ -176,29 +190,33 @@ def _fit_from_core(n: int, length: int, conn: list[int]) -> LinearFit:
     return LinearFit(n, length, coeffs, length - deg_c)
 
 
-def _bm_gf2(terms) -> list[tuple[int, int]]:
-    """_bm_core over F_2 with the connection polynomial packed in an int.
+_BM_GF2_START = (1, 1, 0, -1, 0)
 
-    Entry k of the result is (L, C) for the first k terms, where bit i of C
-    is C[i].  With R the reversed prefix (bit i = s_{n-i}), the discrepancy
-    at step n is the parity of C & R, and the update C -= (d/b) x^(n-m) B
-    is one shift and XOR.
+
+def _bm_gf2_step(state, terms, n: int):
+    """_bm_step over F_2 with the polynomials packed in ints: the state
+    (C, B, L, m, R) after term n, where bit i of C is C[i] and R is
+    the reversed prefix (bit i = s_{n-i}).  The discrepancy at step n is
+    the parity of C & R, and the update C -= (d/b) x^(n-m) B is one shift
+    and XOR.  _BM_GF2_START is the state of the empty prefix.
     """
-    c = b = 1
-    length = 0
-    m = -1
-    r = 0
+    c, b, length, m, r = state
+    r = r << 1 | terms[n]
+    if (c & r).bit_count() & 1:
+        if 2 * length <= n:
+            return c ^ b << (n - m), c, n + 1 - length, n, r
+        return c ^ b << (n - m), b, length, m, r
+    return c, b, length, m, r
+
+
+def _bm_gf2(terms) -> list[tuple[int, int]]:
+    """_bm_core over F_2: entry k is (L, C) for the first k terms, with C
+    packed as _bm_gf2_step packs it."""
+    state = _BM_GF2_START
     cores = [(0, 1)]
-    for n, s_n in enumerate(terms):
-        r = r << 1 | s_n
-        if (c & r).bit_count() & 1:
-            old_c = c
-            c ^= b << (n - m)
-            if 2 * length <= n:
-                length = n + 1 - length
-                b = old_c
-                m = n
-        cores.append((length, c))
+    for n in range(len(terms)):
+        state = _bm_gf2_step(state, terms, n)
+        cores.append((state[2], state[0]))
     return cores
 
 

@@ -37,8 +37,8 @@ Two per-length entries hold everything graded for one prefix length m:
 check_growth_step (P2 and L3 for the step m-1 -> m) and check_length (T4
 and the R.* claims at m).  Both read only the first m terms, so a sweep can
 grade each distinct prefix once; run_all_checks and check_growth are loops
-over them; frobenius_residuals substitutes the Frobenius certificate once
-per k for every length m of that k.
+over them; frobenius_residual substitutes the Frobenius certificate of one
+k once for every length m of that k.
 """
 
 from __future__ import annotations
@@ -157,21 +157,19 @@ def frobenius_witness(seq: Sequence, n: int) -> BivariatePoly:
     return BivariatePoly._unchecked(f, terms)
 
 
-def frobenius_residuals(seq: Sequence, n: int, lo: int = 2) -> list:
-    """For each k with p^k <= n-1, the certificate for top = min(n, p^(k+1))
-    terms substituted into their generating function mod x^top, or None if
-    top < lo, when no graded length m >= lo reads it.  Every m with
+def frobenius_residual(seq: Sequence, n: int, k: int) -> TruncatedSeries:
+    """The certificate of k for top = min(n, p^(k+1)) terms, substituted
+    into their generating function mod x^top.  Every length m <= n with
     p^k <= m-1 < p^(k+1) has that certificate cut to its terms below x^m,
-    so its residual is the first m coefficients of entry k."""
-    p, g = seq.field.p, seq.prefix_series(n)
-    residuals, pk = [], 1
-    while pk <= n - 1:
-        top = min(n, pk * p)
-        residuals.append(
-            substitute(frobenius_witness(seq, top), g, top) if top >= lo else None
-        )
-        pk *= p
-    return residuals
+    so its residual is the first m coefficients of this one."""
+    top = min(n, seq.field.p ** (k + 1))
+    return substitute(frobenius_witness(seq, top), seq.prefix_series(n), top)
+
+
+def frobenius_residuals(seq: Sequence, n: int) -> list:
+    """frobenius_residual(seq, n, k) for each k with p^k <= n-1."""
+    last = frobenius_parameters(seq.field.p, n)[0] if n >= 2 else -1
+    return [frobenius_residual(seq, n, k) for k in range(last + 1)]
 
 
 def _first_nonzero(seq: Sequence) -> int:
@@ -301,14 +299,15 @@ def check_misc_upper(
     n: int,
     *,
     profile_e: list[int],
-    frobenius: list[TruncatedSeries],
+    frobenius,
     first: int,
 ) -> list[BoundReport]:
     """R.simple, R.subadd, R.frobenius(.witness), and R.kernel at length n.
 
-    profile_e holds E_1..E_m for some m >= n, frobenius is the list
-    frobenius_residuals(seq, m, lo) for some m >= n >= lo, and first is the
-    index of the first nonzero term of seq.  The certificate at length n is
+    profile_e holds E_1..E_m for some m >= n, frobenius maps k to
+    frobenius_residual(seq, m, k) for some m >= n (the list
+    frobenius_residuals(seq, m) does), and first is the index of the first
+    nonzero term of seq.  The certificate at length n is
     graded by the nonzero coefficients among the first n of entry k.
     """
     if n < 2:
@@ -358,14 +357,14 @@ def check_length(
     *,
     fits: list[lincomp.LinearFit],
     profile_e,
-    frobenius: list[TruncatedSeries],
+    frobenius,
     first: int,
 ) -> list[BoundReport]:
     """T4 and the upper-bound remarks at prefix length m.
 
-    fits and profile_e cover at least m prefix lengths, frobenius is the
-    list frobenius_residuals(seq, n, lo) for some n >= m >= lo, and first is
-    the index of the first nonzero term of seq.  Every report depends on
+    fits and profile_e cover at least m prefix lengths, frobenius is as
+    check_misc_upper reads it, and first is the index of the first nonzero
+    term of seq.  Every report depends on
     the first m terms only.  Nothing applies, and the list is empty, when
     m < 2 or the first m terms are all zero.
     """

@@ -218,6 +218,14 @@ BAD_INPUT_CASES = {
     "exhaustive-negative-low-b": [
         "experiment", "--mode", "exhaustive", "--q", "2", "--n", "4",
         "--low-b", "-1", "--out", "{out}"],
+    # no E_n exceeds the kernel degree bound, 2 at n = 3: a larger b would
+    # compute q^(b^2), too large to finish or to print
+    "exhaustive-huge-low-b": [
+        "experiment", "--mode", "exhaustive", "--q", "3", "--n", "3",
+        "--low-b", "7000", "--out", "{out}"],
+    "exhaustive-low-b-reference-too-long-to-print": [
+        "experiment", "--mode", "exhaustive", "--q", "2", "--n", "3",
+        "--low-b", "200", "--out", "{out}"],
     "exhaustive-zero-workers": [
         "experiment", "--mode", "exhaustive", "--q", "2", "--n", "4",
         "--workers", "0", "--out", "{out}"],

@@ -319,3 +319,48 @@ def test_expansion_value_rejects_out_of_range_terms(field, terms):
     assert expansion_value(field, [1] * 4 + [field.q], 4) == expansion_value(
         field, [1] * 4, 4
     )
+
+
+# -- the online kernel of the exhaustive sweep --------------------------------
+
+
+@pytest.mark.parametrize(
+    "p, m, modulus, n",
+    [(2, 1, None, 10), (3, 1, None, 6), (2, 2, (1, 1, 1), 4), (3, 2, None, 4),
+     (5, 1, None, 4)],
+)
+def test_online_kernel_equals_column_pass_at_every_node(p, m, modulus, n):
+    # a depth-first walk pushes and pops one term per node; at every node
+    # of depth k the kernel gives E_k, its witness and its decisive rank as
+    # the column pass over that prefix does
+    field = Field(p, m, modulus)
+    kernel = expcomp.online_kernel(field, n)
+    nodes = 0
+
+    def visit(depth):
+        nonlocal nodes
+        for s in range(field.q):
+            e = kernel.push(s)
+            nodes += 1
+            want = expansion_profile(Sequence(field, kernel.terms), depth + 1)
+            assert kernel.values == list(want.values)
+            assert e == want.values[-1]
+            assert kernel.witness() == want.witness(depth + 1), kernel.terms
+            if depth + 1 < n:
+                visit(depth + 1)
+            kernel.pop()
+            assert len(kernel.terms) == len(kernel.values) == depth
+
+    visit(0)
+    assert nodes == sum(field.q**k for k in range(1, n + 1))
+
+
+def test_online_kernel_guards_its_invariants():
+    expcomp._growth_guard([], 1, 1)
+    expcomp._growth_guard([0, 0], 3, 2)  # leaving the zero prefix
+    with pytest.raises(RuntimeError, match="growth violated at n=5: 1 -> 3"):
+        expcomp._growth_guard([1, 1, 1, 1, 1], 6, 3)
+    with pytest.raises(RuntimeError, match="growth violated at n=3: 2 -> 1"):
+        expcomp._growth_guard([1, 1, 2], 4, 1)
+    with pytest.raises(RuntimeError, match="overran its counting bound"):
+        expcomp._growth_guard([1, 2], 3, 3)

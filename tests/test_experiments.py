@@ -91,6 +91,24 @@ def test_mode_mismatch(f2, capsys, tmp_path):
         MonteCarloConfig(f2, samples=0)
 
 
+def test_low_b_is_capped_at_the_kernel_degree_bound(capsys, tmp_path):
+    # E_n <= kernel_degree_bound(n), which is 2 at n = 3 and n = 4
+    from seqcx import cli
+
+    for n in (3, 4):
+        code, err = _experiment_exit(
+            capsys, tmp_path, "--mode", "exhaustive", "--q", "2", "--n", str(n),
+            "--low-b", "3",
+        )
+        assert (code, err) == (3, f"error: --low-b must be <= 2 at --n {n}, got 3\n")
+    out = tmp_path / "out"
+    argv = ["experiment", "--mode", "exhaustive", "--q", "2", "--n", "3",
+            "--low-b", "2", "--out", str(out)]
+    assert cli.main(argv) == 0
+    probe = json.loads((out / "exhaustive_q2_n3.json").read_text())["low_expansion_probe"]
+    assert (probe["count"], probe["reference_q_b_squared"]) == (8, 16)
+
+
 @pytest.mark.parametrize(
     "fields",
     [
@@ -226,6 +244,28 @@ def test_monte_carlo_workers_invariant(f2):
     assert monte_carlo(base).to_dict() == monte_carlo(split).to_dict()
 
 
+class InProcessPool:
+    """A stand-in for ProcessPoolExecutor that runs every chunk in this
+    process, so that injected failures reach each chunk however processes
+    would start."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        import concurrent.futures
+
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
 @pytest.mark.parametrize(
     "mode, size, workers, cores, processes",
     [
@@ -245,21 +285,10 @@ def test_pool_never_exceeds_chunks_or_cores(f2, monkeypatch, mode, size, workers
 
     started = []
 
-    class RecordingPool:
-        # runs every chunk in-process and records the pool size asked for
+    class RecordingPool(InProcessPool):
+        # records the pool size asked for
         def __init__(self, max_workers):
             started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
@@ -499,3 +528,58 @@ def test_weighted_sweep_equals_per_leaf_battery(q_spec, n, injected, workers,
         assert INJECTED_CLAIMS <= set(expected["failures_by_claim"])
     else:
         assert expected["violations"] == 0
+
+
+CUT_CASES = [((3, 1), 5), ((2, 1), 9)]
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["clean", "injected"])
+@pytest.mark.parametrize(
+    "q_spec, n", CUT_CASES, ids=[f"q{p}^{m}-n{n}" for (p, m), n in CUT_CASES]
+)
+def test_chunk_cuts_inside_subtrees(q_spec, n, injected, monkeypatch):
+    # 2, 5 and 7 chunks of 3^5 or 2^9 leaves cut the prefix tree inside
+    # subtrees; a node is graded only in the chunk that holds its first leaf
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    field = Field(*q_spec)
+    if injected:
+        inject_failures(monkeypatch)
+    key = (q_spec, n, injected)
+    if key not in _ORACLE:
+        _ORACLE[key] = per_leaf_sweep(field, n)
+    expected = _ORACLE[key]
+    assert enumerate_all(ExhaustiveConfig(field, n)).to_dict() == expected
+    cuts = set()
+    for workers in (2, 5, 7):
+        cuts.update(lo for lo, _ in experiments._chunk_ranges(field.q**n, workers))
+        got = enumerate_all(ExhaustiveConfig(field, n, workers=workers))
+        assert got.to_dict() == expected, workers
+    assert any(cut % field.q for cut in cuts)  # a cut between two siblings
+    unchecked = enumerate_all(ExhaustiveConfig(field, n, checks=False, workers=7))
+    assert unchecked.record.to_dict() == expected["record"]
+
+
+def test_sweeps_run_no_engine_from_term_zero(monkeypatch):
+    # every node advances Berlekamp-Massey and the kernel by one term; no
+    # pass over a whole prefix runs
+    from seqcx import expcomp, lincomp
+
+    calls = []
+    for module, name in [
+        (expcomp, "expansion_profile"), (expcomp, "_kernel_pass"),
+        (lincomp, "linear_fits"), (lincomp, "berlekamp_massey"),
+        (lincomp, "_bm_core"), (lincomp, "_bm_gf2"),
+    ]:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for q_spec, n in [((2, 1), 6), ((3, 1), 4), ((3, 2), 2)]:
+        for checks in (True, False):
+            enumerate_all(ExhaustiveConfig(Field(*q_spec), n, checks=checks))
+    assert calls == []

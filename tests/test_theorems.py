@@ -503,10 +503,9 @@ def test_frobenius_residuals_match_naive_substitution(q_spec, perturbed, monkeyp
             min(n, field.p ** (k + 1)) for k in range(len(residuals))
         ]
         assert len(residuals) == frobenius_parameters(field.p, n)[0] + 1
-        lo = rng.randrange(2, n + 1)  # a sweep leaf grades lengths lo..n only
-        assert frobenius_residuals(seq, n, lo) == [
-            r if r.order >= lo else None for r in residuals
-        ]
+        # a sweep node substitutes only the k of its own length
+        for k, residual in enumerate(residuals):
+            assert theorems.frobenius_residual(seq, n, k) == residual
         observed = {
             rep.inputs["n"]: rep.observed
             for rep in run_all(seq, n)
