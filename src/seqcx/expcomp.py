@@ -41,8 +41,10 @@ in row echelon form, one row per term, with pivot rows keyed by their
 leading column, a term appended or dropped at a time.  E_m is the degree of
 the first column that leads no pivot row, and back-substitution through the
 pivots of the columns before it gives the same witness as the column pass.
-It too packs F_2 in ints and uses lists elsewhere.  The column pass still
-serves single sequences, verify and Monte Carlo.
+It too packs F_2 in ints and uses lists elsewhere, and gives the sweep E_m
+and the witness, never a rank; both engines scale a witness alike.  The
+column pass, twice as fast on one sequence at n=128, still serves single
+sequences, verify and Monte Carlo.
 """
 
 from __future__ import annotations
@@ -76,15 +78,14 @@ class ExpansionWitness:
     """E_n together with a minimal-degree certificate.
 
     poly is None exactly when complexity == 0 (all-zero prefix).
-    matrix_rank / monomial_count describe the decisive linear system; they
-    are None for witnesses found by brute-force enumeration.
+    matrix_rank / monomial_count describe the decisive linear system.
     """
 
     n: int
     complexity: int
     poly: Optional[BivariatePoly]
-    matrix_rank: Optional[int] = None
-    monomial_count: Optional[int] = None
+    matrix_rank: int
+    monomial_count: int
 
 
 @dataclass(frozen=True)
@@ -274,10 +275,18 @@ def _profile(field: Field, terms, n: int) -> ExpansionProfile:
     return ExpansionProfile(tuple(values), field, births, combs)
 
 
+def _normalized_witness(field: Field, terms: dict) -> BivariatePoly:
+    """The witness {(i, j): coefficient} scaled to 1 at its first monomial
+    in the canonical order, as every witness and JSON record is."""
+    scale = field.inv(terms[min(terms, key=monomial_key)])
+    return BivariatePoly._unchecked(
+        field, {mono: field.mul(scale, c) for mono, c in terms.items()}
+    )
+
+
 def _witness_from_combo(field: Field, combo, width: int) -> BivariatePoly:
     """Build the certificate polynomial from a column combination (an F_2 bit
-    mask, or {key: coefficient}, key j * width + i for x^i y^j), scaled so
-    that its first nonzero coefficient in the canonical monomial order is 1."""
+    mask, or {key: coefficient}, key j * width + i for x^i y^j)."""
     if isinstance(combo, int):
         combo = {t: 1 for t in range(combo.bit_length()) if (combo >> t) & 1}
     terms = {}
@@ -285,11 +294,7 @@ def _witness_from_combo(field: Field, combo, width: int) -> BivariatePoly:
         if c:
             j, i = divmod(t, width)
             terms[(i, j)] = c
-    first = min(terms, key=monomial_key)
-    scale = field.inv(terms[first])
-    return BivariatePoly._unchecked(
-        field, {m: field.mul(scale, c) for m, c in terms.items()}
-    )
+    return _normalized_witness(field, terms)
 
 
 def _growth_guard(values, m: int, e: int) -> None:
@@ -409,32 +414,14 @@ class _OnlineKernel:
                 combo[k] = field.neg(acc)
         return combo
 
-    def _rank(self, count: int) -> int:
-        """The number of pivot rows that lead with one of the first count
-        columns."""
-        return sum(1 for pivot in self.pivots[:count] if pivot is not None)
-
     def witness_poly(self) -> Optional[BivariatePoly]:
         """The minimal witness of the current prefix (None while it is all
-        zero), scaled as _witness_from_combo scales it: to 1 at its first
-        monomial in the canonical order, which is its first column."""
+        zero), as ExpansionProfile.witness(m).poly gives it."""
         if not self.values[-1]:
             return None
-        field, columns = self.field, self.columns
-        combo = self._combination()
-        scale = field.inv(combo[min(combo)])
-        return BivariatePoly._unchecked(
-            field, {columns[k]: field.mul(scale, c) for k, c in combo.items()}
-        )
-
-    def witness(self) -> ExpansionWitness:
-        """E_m of the current prefix with its minimal witness and its
-        decisive system's rank, as ExpansionProfile.witness(m) gives them."""
-        m, e = len(self.terms), self.values[-1]
-        if e == 0:
-            return ExpansionWitness(m, 0, None, 0, 0)
-        mcount = monomial_count(e)
-        return ExpansionWitness(m, e, self.witness_poly(), self._rank(mcount), mcount)
+        columns = self.columns
+        terms = {columns[k]: c for k, c in self._combination().items()}
+        return _normalized_witness(self.field, terms)
 
 
 class _OnlineKernelGF2(_OnlineKernel):
@@ -509,10 +496,6 @@ class _OnlineKernelGF2(_OnlineKernel):
             if (pivots[1 << k] & combo).bit_count() & 1:
                 combo |= 1 << k
         return {k: 1 for k in range(last + 1) if combo >> k & 1}
-
-    def _rank(self, count: int) -> int:
-        # the keys are distinct bits, so their sum is their union
-        return (sum(self.pivots) & (1 << count) - 1).bit_count()
 
 
 def online_kernel(field: Field, n: int) -> _OnlineKernel:

@@ -3,14 +3,14 @@
 Exhaustive mode walks the tree of prefixes over F_q depth first, in
 lexicographic order, tallies the distribution of E_n (and of L_n, t_n) over
 its q^n leaves, and optionally runs the full bound-checker battery over
-every prefix length m <= n, counting violations.  Each node appends one
-term and advances Berlekamp-Massey (lincomp's step) and the online kernel
-(expcomp's row echelon) by one step from its parent, so no engine reruns
-from term 0.  What is graded at length m reads the first m terms only, so
-each node of depth m is graded once, as the leaf whose later terms are all
-zero, and its outcomes count with weight q^(n-m).  A chunk of leaves walks
-every node whose leaves meet it, and grades those whose first leaf it
-holds, so any cut gives the same totals.  Monte Carlo
+every prefix length m <= n, counting violations.  Each node appends one term
+and advances Berlekamp-Massey (lincomp.online_bm) and the online kernel
+(expcomp.online_kernel), each picked by its own module, by one step from its
+parent, so no engine reruns from term 0.  What is graded at length m reads
+the first m terms only, so each node of depth m is graded once, as the leaf
+whose later terms are all zero, and its outcomes count with weight q^(n-m).
+A chunk of leaves walks every node whose leaves meet it, and grades those
+whose first leaf it holds, so any cut gives the same totals.  Monte Carlo
 mode samples sequences with i.i.d. uniform terms and reports the E_n
 distribution across a schedule of prefix lengths, together with the fraction
 of samples falling below sqrt((1-eps) * n) for a couple of eps values; the
@@ -34,14 +34,13 @@ no chunk builds a field of its own.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 from . import expcomp, lincomp, theorems
 from .field import Field
@@ -188,7 +187,7 @@ class LowExpansionProbe:
     b: int
     count: int
     reference: int
-    exploratory: bool = True
+    exploratory: ClassVar[bool] = True
 
     @property
     def ratio(self) -> float:
@@ -268,17 +267,13 @@ def _enumerate_chunk(field, n, checks, start, stop):
     kernel by one step.  With checks on, a node of depth m is graded, with
     weight q^(n-m), in the chunk that holds its first leaf, the one whose
     terms after the first m are all zero: its E_m witness is substituted
-    into its m-term series, and the battery reads that leaf with the
-    Frobenius residual of the k of length m.  The residual is its parent's
-    when the node appends a zero under the same k, as the leaf is the same.
+    into its m-term series, and the battery grades its fits and E values
+    with the Frobenius residual of that leaf for the k of length m.  The
+    residual is its parent's when the node appends a zero under the same k,
+    as the leaf is the same; only a new residual builds the leaf.
     """
     q, p = field.q, field.p
-    if q == 2:
-        step, root = lincomp._bm_gf2_step, lincomp._BM_GF2_START
-        fit_of = lincomp._fit_from_gf2
-    else:
-        step, root = functools.partial(lincomp._bm_step, field), lincomp._BM_START
-        fit_of = lincomp._fit_from_core
+    root, step, fit_of = lincomp.online_bm(field)
     kernel = expcomp.online_kernel(field, n)
     path, values = kernel.terms, kernel.values
     fits = []
@@ -302,14 +297,14 @@ def _enumerate_chunk(field, n, checks, start, stop):
             return read
         reports = theorems.check_growth_step(fits, values, m)
         if e:
-            leaf = Sequence._unchecked(field, path + zeros[m:])
             k = theorems.frobenius_parameters(p, m)[0]
             read = residuals[-1]
             if path[-1] or read is None or read[0] != k:
+                leaf = Sequence._unchecked(field, path + zeros[m:])
                 read = k, theorems.frobenius_residual(leaf, n, k)
             first = next(i for i, s in enumerate(path) if s)
             reports += theorems.check_length(
-                leaf, m, fits=fits, profile_e=values, frobenius={k: read[1]},
+                p, m, fits=fits, profile_e=values, frobenius={k: read[1]},
                 first=first,
             )
         for rep in reports:
@@ -329,12 +324,12 @@ def _enumerate_chunk(field, n, checks, start, stop):
             kernel.push(s)
             child = step(state, path, m)
             if checks:
-                fits.append(fit_of(m + 1, child[2], child[0]))
+                fits.append(fit_of(m + 1, child))
                 residuals.append(grade(m + 1, below) if lo >= start else None)
             if m + 1 < n:
                 visit(child, lo, m + 1)
             else:
-                fit = fits[-1] if checks else fit_of(n, child[2], child[0])
+                fit = fits[-1] if checks else fit_of(n, child)
                 counts[values[-1]] += 1
                 counts_l[fit.complexity] += 1
                 counts_t[fit.t] += 1

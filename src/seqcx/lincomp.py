@@ -20,12 +20,14 @@ whose fits are read straight off the connection polynomial as an int.  The
 generic field-method pass _bm_core runs for every other field and is the
 packed pass's oracle in the tests: both give equal fits at every length.
 Each pass is a loop over one update step, _bm_gf2_step or _bm_step, whose
-states are never mutated; the exhaustive sweep calls the same steps once
-per node of its prefix tree, so an extension shares its prefix's state.
+states are never mutated; the exhaustive sweep gets the field's step from
+online_bm and calls it once per node of its prefix tree, so an extension
+shares its prefix's state.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -230,6 +232,17 @@ def _fit_from_gf2(n: int, length: int, conn: int) -> LinearFit:
     # significant first; deg C <= L keeps C >> 1 below 2^L
     coeffs = _unpack_gf2(conn >> 1, length)[::-1]
     return LinearFit(n, length, coeffs, length + 1 - conn.bit_length())
+
+
+def online_bm(field: Field):
+    """Berlekamp-Massey a term at a time: (start, step, fit), where start is
+    the empty prefix's state, step(state, terms, n) the state after term n
+    and fit(n, state) its LinearFit.  Packed over F_2, generic elsewhere."""
+    if field.q == 2:
+        start, step, fit = _BM_GF2_START, _bm_gf2_step, _fit_from_gf2
+    else:
+        start, step, fit = _BM_START, functools.partial(_bm_step, field), _fit_from_core
+    return start, step, lambda n, state: fit(n, state[2], state[0])
 
 
 def _bm_pass(seq: Sequence, n: int):

@@ -35,10 +35,11 @@ reconstruction before the T1 checks grade it.
 
 Two per-length entries hold everything graded for one prefix length m:
 check_growth_step (P2 and L3 for the step m-1 -> m) and check_length (T4
-and the R.* claims at m).  Both read only the first m terms, so a sweep can
-grade each distinct prefix once; run_all_checks and check_growth are loops
-over them; frobenius_residual substitutes the Frobenius certificate of one
-k once for every length m of that k.
+and the R.* claims at m).  Neither reads a term, only the fits, E values
+and Frobenius residuals of the first m, so a sweep can grade each distinct
+prefix once; run_all_checks and check_growth are loops over them;
+frobenius_residual substitutes the Frobenius certificate of one k once for
+every length m of that k.
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ def check_growth(fits: list[lincomp.LinearFit], profile_e) -> list[BoundReport]:
 
 
 def check_misc_upper(
-    seq: Sequence,
+    p: int,
     n: int,
     *,
     profile_e: list[int],
@@ -304,11 +305,11 @@ def check_misc_upper(
 ) -> list[BoundReport]:
     """R.simple, R.subadd, R.frobenius(.witness), and R.kernel at length n.
 
-    profile_e holds E_1..E_m for some m >= n, frobenius maps k to
-    frobenius_residual(seq, m, k) for some m >= n (the list
-    frobenius_residuals(seq, m) does), and first is the index of the first
-    nonzero term of seq.  The certificate at length n is
-    graded by the nonzero coefficients among the first n of entry k.
+    p is the characteristic, profile_e holds E_1..E_m for some m >= n,
+    frobenius maps k to frobenius_residual(seq, m, k) for some m >= n (the
+    list frobenius_residuals(seq, m) does), and first is the index of the
+    first nonzero term of seq.  The certificate at length n is graded by the
+    nonzero coefficients among the first n of entry k.
     """
     if n < 2:
         raise ValueError("upper-bound remarks require n >= 2")
@@ -338,9 +339,9 @@ def check_misc_upper(
             )
         else:
             reports.append(_report("R.subadd", {"n": n}, "<=", best, e_n))
-        k, bound = frobenius_parameters(seq.field.p, n)
+        k, bound = frobenius_parameters(p, n)
         reports.append(
-            _report("R.frobenius", {"n": n, "p": seq.field.p, "k": k}, "<=", bound, e_n)
+            _report("R.frobenius", {"n": n, "p": p, "k": k}, "<=", bound, e_n)
         )
         nonzero = sum(1 for c in frobenius[k].coeffs[:n] if c)
         witness = _report("R.frobenius.witness", {"n": n, "k": k}, "==", 0, nonzero)
@@ -352,7 +353,7 @@ def check_misc_upper(
 
 
 def check_length(
-    seq: Sequence,
+    p: int,
     m: int,
     *,
     fits: list[lincomp.LinearFit],
@@ -362,9 +363,8 @@ def check_length(
 ) -> list[BoundReport]:
     """T4 and the upper-bound remarks at prefix length m.
 
-    fits and profile_e cover at least m prefix lengths, frobenius is as
-    check_misc_upper reads it, and first is the index of the first nonzero
-    term of seq.  Every report depends on
+    fits and profile_e cover at least m prefix lengths, p, frobenius and
+    first are as check_misc_upper reads them, and every report depends on
     the first m terms only.  Nothing applies, and the list is empty, when
     m < 2 or the first m terms are all zero.
     """
@@ -372,7 +372,7 @@ def check_length(
         return []
     reports = check_theorem4(fits[m - 1], profile_e[m - 1])
     reports.extend(
-        check_misc_upper(seq, m, profile_e=profile_e, frobenius=frobenius, first=first)
+        check_misc_upper(p, m, profile_e=profile_e, frobenius=frobenius, first=first)
     )
     return reports
 
@@ -397,10 +397,11 @@ def run_all_checks(
     reports = check_growth(fits, profile_e)
     first = _first_nonzero(seq)
     frobenius = frobenius_residuals(seq, n)
+    p = seq.field.p
     for m in range(2, n + 1):
         reports.extend(
             check_length(
-                seq, m, fits=fits, profile_e=profile_e, frobenius=frobenius, first=first
+                p, m, fits=fits, profile_e=profile_e, frobenius=frobenius, first=first
             )
         )
     if seq.meta is not None and first < len(seq.terms):

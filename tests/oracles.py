@@ -18,10 +18,11 @@ not for the work itself.
 import math
 from collections import Counter
 from itertools import product
+from typing import NamedTuple
 
 from seqcx import expcomp, lincomp, series, theorems
 from seqcx.experiments import DistributionRecord, EnumerationResult
-from seqcx.expcomp import ExpansionWitness, monomial_count
+from seqcx.expcomp import monomial_count
 from seqcx.field import Field, _poly_divmod, _trim
 from seqcx.lincomp import Sequence
 from seqcx.series import (
@@ -541,6 +542,14 @@ def naive_substitute(field, h_terms, g, n):
     return out
 
 
+class BruteForceWitness(NamedTuple):
+    """E_n with a witness of that degree; enumeration finds no rank."""
+
+    n: int
+    complexity: int
+    poly: object  # BivariatePoly, or None for an all-zero prefix
+
+
 def brute_force_expansion(seq, n, d_max):
     """Enumerate every nonzero h of total degree <= d_max.
 
@@ -558,7 +567,7 @@ def brute_force_expansion(seq, n, d_max):
         )
     terms = seq.terms[:n]
     if not any(terms):
-        return ExpansionWitness(n, 0, None)
+        return BruteForceWitness(n, 0, None)
     for stage in range(d_max + 1):
         monos = list(monomials_up_to(stage))
         m = len(monos)
@@ -571,7 +580,7 @@ def brute_force_expansion(seq, n, d_max):
                     coeffs[monos[t]] = digit
             if not any(naive_substitute(field, coeffs, terms, n)):
                 h = BivariatePoly(field, coeffs)
-                return ExpansionWitness(n, h.total_degree, h)
+                return BruteForceWitness(n, h.total_degree, h)
     return None
 
 

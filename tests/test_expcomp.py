@@ -331,8 +331,8 @@ def test_expansion_value_rejects_out_of_range_terms(field, terms):
 )
 def test_online_kernel_equals_column_pass_at_every_node(p, m, modulus, n):
     # a depth-first walk pushes and pops one term per node; at every node
-    # of depth k the kernel gives E_k, its witness and its decisive rank as
-    # the column pass over that prefix does
+    # of depth k the kernel gives E_k and its witness as the column pass
+    # over that prefix does
     field = Field(p, m, modulus)
     kernel = expcomp.online_kernel(field, n)
     nodes = 0
@@ -345,7 +345,7 @@ def test_online_kernel_equals_column_pass_at_every_node(p, m, modulus, n):
             want = expansion_profile(Sequence(field, kernel.terms), depth + 1)
             assert kernel.values == list(want.values)
             assert e == want.values[-1]
-            assert kernel.witness() == want.witness(depth + 1), kernel.terms
+            assert kernel.witness_poly() == want.witness(depth + 1).poly, kernel.terms
             if depth + 1 < n:
                 visit(depth + 1)
             kernel.pop()
@@ -364,3 +364,36 @@ def test_online_kernel_guards_its_invariants():
         expcomp._growth_guard([1, 1, 2], 4, 1)
     with pytest.raises(RuntimeError, match="overran its counting bound"):
         expcomp._growth_guard([1, 2], 3, 3)
+
+
+# -- the two elimination orders past n = 64 -----------------------------------
+
+
+def assert_row_echelon_equals_column_pass(kernel, field, terms):
+    # the row echelon pushes one term at a time; the column pass reduces
+    # whole columns over all n terms at once
+    n = len(terms)
+    profile = expansion_profile(Sequence(field, terms), n)
+    for m, s in enumerate(terms, start=1):
+        kernel.push(s)
+        if m in (n // 4, n // 2, n):
+            assert kernel.witness_poly() == profile.witness(m).poly, m
+    assert kernel.values == list(profile.values)
+
+
+@pytest.mark.parametrize("p, m, n", [(101, 1, 128), (3, 2, 128), (5, 1, 160)])
+def test_online_kernel_equals_column_pass_on_long_prefixes(p, m, n):
+    field = Field(p, m)
+    rng = random.Random(field.q * n)
+    terms = [rng.randrange(field.q) for _ in range(n)]
+    kernel = expcomp.online_kernel(field, n)
+    assert type(kernel) is expcomp._OnlineKernel
+    assert_row_echelon_equals_column_pass(kernel, field, terms)
+
+
+def test_generic_online_kernel_equals_packed_column_pass_over_f2(f2):
+    # expansion_profile runs _reduce_gf2 over F_2; the generic row echelon
+    # shares neither its packing nor its elimination order
+    rng = random.Random(256)
+    terms = [rng.randrange(2) for _ in range(256)]
+    assert_row_echelon_equals_column_pass(expcomp._OnlineKernel(f2, 256), f2, terms)

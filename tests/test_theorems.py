@@ -73,7 +73,7 @@ def t4(seq, n):
 
 def misc(seq, n):
     return check_misc_upper(
-        seq,
+        seq.field.p,
         n,
         profile_e=expansion_profile(seq, n).values,
         frobenius=frobenius_residuals(seq, n),
@@ -239,7 +239,7 @@ def test_run_all_checks_is_growth_then_each_length(f2, f3, f4):
             ]
             lengths = [
                 check_length(
-                    seq, m, fits=fits, profile_e=profile.values,
+                    field.p, m, fits=fits, profile_e=profile.values,
                     frobenius=frobenius, first=first,
                 )
                 for m in range(1, n + 1)
@@ -253,7 +253,7 @@ def test_run_all_checks_is_growth_then_each_length(f2, f3, f4):
                     check_growth(short_fits, short_e)[-2:]
                 )
                 assert lengths[m - 1] == check_length(
-                    short, m, fits=short_fits, profile_e=short_e,
+                    field.p, m, fits=short_fits, profile_e=short_e,
                     frobenius=frobenius_residuals(short, m),
                     first=_first_nonzero(short),
                 )
@@ -287,7 +287,7 @@ def test_subadd_equals_brute_force_minimum_over_every_split(f2, f3):
                 for first in range(n):
                     rep = by_claim(
                         check_misc_upper(
-                            seq, n, profile_e=profile_e, frobenius=frobenius,
+                            field.p, n, profile_e=profile_e, frobenius=frobenius,
                             first=first,
                         )
                     )["R.subadd"]
