@@ -6,11 +6,14 @@ its q^n leaves, and optionally runs the full bound-checker battery over
 every prefix length m <= n, counting violations.  Each node appends one term
 and advances Berlekamp-Massey (lincomp.online_bm) and the online kernel
 (expcomp.online_kernel), each picked by its own module, by one step from its
-parent, so no engine reruns from term 0.  What is graded at length m reads
-the first m terms only, so each node of depth m is graded once, as the leaf
-whose later terms are all zero, and its outcomes count with weight q^(n-m).
-A chunk of leaves walks every node whose leaves meet it, and grades those
-whose first leaf it holds, so any cut gives the same totals.  Monte Carlo
+parent, so no engine reruns from term 0; with checks on, it also advances
+the count of nonzero Frobenius residual coefficients by one term.  What is
+graded at length m reads the first m terms only, so each node of depth m is
+graded once, as the leaf whose later terms are all zero, and its outcomes
+count with weight q^(n-m): its witness by substitution, and the rest of the
+battery in tallies (theorems.failed_claims), with no report built.  A chunk
+of leaves walks every node whose leaves meet it, and grades those whose
+first leaf it holds, so any cut gives the same totals.  Monte Carlo
 mode samples sequences with i.i.d. uniform terms and reports the E_n
 distribution across a schedule of prefix lengths, together with the fraction
 of samples falling below sqrt((1-eps) * n) for a couple of eps values; the
@@ -45,7 +48,7 @@ from typing import ClassVar, Optional
 from . import expcomp, lincomp, theorems
 from .field import Field
 from .lincomp import Sequence
-from .series import TruncatedSeries, substitute
+from .series import TruncatedSeries
 
 EXHAUSTIVE_CAP = 1 << 20
 
@@ -63,7 +66,10 @@ class ExhaustiveConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("exhaustive mode requires n >= 1")
-        if self.field.q**self.n > EXHAUSTIVE_CAP:
+        # q >= 2, so q^n is over the cap whenever 2^n is, which n alone
+        # decides: a huge n is rejected before q^n is built
+        too_long = self.n >= EXHAUSTIVE_CAP.bit_length()
+        if too_long or self.field.q**self.n > EXHAUSTIVE_CAP:
             raise ValueError(f"q^n = {self.field.q}^{self.n} exceeds exhaustive cap")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -258,59 +264,111 @@ def _decode_prefix(index: int, q: int, n: int) -> list[int]:
     return digits
 
 
+class _CarriedResidual:
+    """Nonzero coefficients of the Frobenius residual of every prefix on a
+    walk's path, carried from parent to child.
+
+    At length m the residual is the certificate of m's k substituted into
+    the m terms: [x^j] of G^(p^k) - sum_i s_i^(p^k) x^(i p^k) for j < m.
+    Every power G^(p^j) that lengths up to n need is held, built from
+    A = G^(p^(j-1)) by the products A^2 = A * A, ..., A^p = A^(p-1) * A,
+    and push() adds coefficient m-1 to each product by one convolution.  A
+    node's count is its parent's, plus one if the new coefficient of the
+    residual is nonzero, except at the lengths where k changes, which count
+    all m coefficients again.  nonzero[m] is the count at length m.
+    """
+
+    def __init__(self, field: Field, n: int, terms: list):
+        p = field.p
+        self.field = field
+        self.terms = terms  # the path, which the caller appends to first
+        self.ks = [theorems.frobenius_parameters(p, m)[0] for m in range(n + 1)]
+        self.series = [terms]  # G, then every product
+        self.factors = []  # (left, right) indices of each product in series
+        self.powers = [0]  # index of G^(p^j) in series
+        for _ in range(self.ks[n]):
+            base = prev = self.powers[-1]
+            for _ in range(p - 1):
+                self.factors.append((prev, base))
+                self.series.append([])
+                prev = len(self.series) - 1
+            self.powers.append(prev)
+        self.nonzero = [0]
+
+    def push(self) -> None:
+        """Extend every held power, and count, for the term just appended."""
+        field, series, terms = self.field, self.series, self.terms
+        add, mul = field.add, field.mul
+        r = len(terms) - 1
+        for (left, right), out in zip(self.factors, series[1:]):
+            a, b = series[left], series[right]
+            acc = 0
+            for i in range(r + 1):
+                if a[i] and b[r - i]:
+                    acc = add(acc, mul(a[i], b[r - i]))
+            out.append(acc)
+        k = self.ks[r + 1]
+        if k == self.ks[r]:
+            count, span = self.nonzero[-1], range(r, r + 1)
+        else:
+            count, span = 0, range(r + 1)
+        power, pk = series[self.powers[k]], field.p**k
+        for j in span:
+            c = power[j]
+            if j % pk == 0:
+                c = add(c, theorems.frobenius_coefficient(field, terms[j // pk], k))
+            if c:
+                count += 1
+        self.nonzero.append(count)
+
+    def pop(self) -> None:
+        for out in self.series[1:]:
+            out.pop()
+        self.nonzero.pop()
+
+
 def _enumerate_chunk(field, n, checks, start, stop):
     """Tallies and weighted battery outcomes of the leaves start..stop-1,
     from a depth-first walk of the nodes of the prefix tree whose leaves
     meet that range.
 
     Each node appends one term and advances Berlekamp-Massey and the online
-    kernel by one step.  With checks on, a node of depth m is graded, with
-    weight q^(n-m), in the chunk that holds its first leaf, the one whose
-    terms after the first m are all zero: its E_m witness is substituted
-    into its m-term series, and the battery grades its fits and E values
-    with the Frobenius residual of that leaf for the k of length m.  The
-    residual is its parent's when the node appends a zero under the same k,
-    as the leaf is the same; only a new residual builds the leaf.
+    kernel by one step.  With checks on, it also advances the count of
+    nonzero Frobenius residual coefficients (_CarriedResidual), and a node
+    of depth m is graded, with weight q^(n-m), in the chunk that holds its
+    first leaf, the one whose terms after the first m are all zero: its E_m
+    witness is substituted into its m terms, and theorems.failed_claims
+    grades its fits, E values and residual count.
     """
     q, p = field.q, field.p
     root, step, fit_of = lincomp.online_bm(field)
     kernel = expcomp.online_kernel(field, n)
     path, values = kernel.terms, kernel.values
     fits = []
-    residuals = []  # the (k, residual) each node on the path read, or None
+    residual = _CarriedResidual(field, n, path)
     leaves_below = [q ** (n - m) for m in range(n + 1)]
-    zeros = [0] * n
     counts, counts_l, counts_t, fails = (Counter() for _ in range(4))
     witness_failures = 0
 
     def grade(m, weight):
-        """Grade the node of depth m; return the (k, residual) it read."""
+        """Grade the node of depth m."""
         nonlocal witness_failures
         e = values[-1]
-        read = None
         if e:
-            poly = kernel.witness_poly()
             series = TruncatedSeries._unchecked(field, path)
-            if not (poly.total_degree == e and substitute(poly, series, m).is_zero()):
+            if not theorems.witness_holds(kernel.witness_poly(), e, series, m):
                 witness_failures += weight
         if m < 2:
-            return read
-        reports = theorems.check_growth_step(fits, values, m)
-        if e:
-            k = theorems.frobenius_parameters(p, m)[0]
-            read = residuals[-1]
-            if path[-1] or read is None or read[0] != k:
-                leaf = Sequence._unchecked(field, path + zeros[m:])
-                read = k, theorems.frobenius_residual(leaf, n, k)
-            first = next(i for i, s in enumerate(path) if s)
-            reports += theorems.check_length(
-                p, m, fits=fits, profile_e=values, frobenius={k: read[1]},
-                first=first,
-            )
-        for rep in reports:
-            if rep.failed:
-                fails[rep.claim_id] += weight
-        return read
+            return
+        # E = 0 only on an all-zero prefix, where only the growth step
+        # applies, and first = m says so
+        first = next(i for i, s in enumerate(path) if s) if e else m
+        failed = theorems.failed_claims(
+            p, m, fits=fits, profile_e=values, first=first,
+            residual_nonzero=residual.nonzero[-1],
+        )
+        for claim_id in failed:
+            fails[claim_id] += weight
 
     def visit(state, base, m):
         # the children of the node of depth m whose first leaf is base
@@ -325,7 +383,9 @@ def _enumerate_chunk(field, n, checks, start, stop):
             child = step(state, path, m)
             if checks:
                 fits.append(fit_of(m + 1, child))
-                residuals.append(grade(m + 1, below) if lo >= start else None)
+                residual.push()
+                if lo >= start:
+                    grade(m + 1, below)
             if m + 1 < n:
                 visit(child, lo, m + 1)
             else:
@@ -335,7 +395,7 @@ def _enumerate_chunk(field, n, checks, start, stop):
                 counts_t[fit.t] += 1
             if checks:
                 fits.pop()
-                residuals.pop()
+                residual.pop()
             kernel.pop()
 
     visit(root, 0, 0)

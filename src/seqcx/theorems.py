@@ -37,9 +37,18 @@ Two per-length entries hold everything graded for one prefix length m:
 check_growth_step (P2 and L3 for the step m-1 -> m) and check_length (T4
 and the R.* claims at m).  Neither reads a term, only the fits, E values
 and Frobenius residuals of the first m, so a sweep can grade each distinct
-prefix once; run_all_checks and check_growth are loops over them;
+prefix once; run_all_checks and check_growth are loops over them, and
 frobenius_residual substitutes the Frobenius certificate of one k once for
 every length m of that k.
+
+Each claim is built once, as a row (claim_id, inputs, relation, expected,
+observed) from the bound formulas and _RELATIONS, and a report is a row
+with its outcome.  failed_claims is the tally form of the two per-length
+entries: it returns the claim ids of their failed rows and builds no
+report.  It takes the count of nonzero residual coefficients in place of
+the residual, so a sweep can carry that count along its walk;
+frobenius_coefficient builds the certificate for both.  witness_holds is
+the one check of an E_m witness, by substitution.
 """
 
 from __future__ import annotations
@@ -110,6 +119,23 @@ def _not_applicable(claim_id, inputs, reason) -> BoundReport:
     return BoundReport(claim_id, inputs, "==", None, None, NOT_APPLICABLE)
 
 
+def _from_row(row) -> BoundReport:
+    """The report of a row; a row with relation None is not applicable,
+    with its reason as expected."""
+    claim_id, inputs, relation, expected, observed = row
+    if relation is None:
+        return _not_applicable(claim_id, dict(inputs), expected)
+    return _report(claim_id, dict(inputs), relation, expected, observed)
+
+
+def _failed(rows) -> list[str]:
+    return [
+        claim_id
+        for claim_id, _, relation, expected, observed in rows
+        if relation is not None and not _RELATIONS[relation](observed, expected)
+    ]
+
+
 # -- bound formulas ---------------------------------------------------------
 
 
@@ -145,6 +171,11 @@ def frobenius_parameters(p: int, n: int) -> tuple[int, int]:
     return k, (n - 1) // pk * pk
 
 
+def frobenius_coefficient(field, s: int, k: int) -> int:
+    """The certificate's coefficient of x^(i*p^k) for the term s_i = s."""
+    return field.neg(field.frobenius(s, k))
+
+
 def frobenius_witness(seq: Sequence, n: int) -> BivariatePoly:
     """The certificate y^(p^k) - sum_i s_i^(p^k) x^(i*p^k) for the first n terms."""
     f = seq.field
@@ -152,7 +183,7 @@ def frobenius_witness(seq: Sequence, n: int) -> BivariatePoly:
     pk = f.p**k
     terms = {(0, pk): 1}
     for i in range((n - 1) // pk + 1):
-        c = f.neg(f.frobenius(seq.terms[i], k))
+        c = frobenius_coefficient(f, seq.terms[i], k)
         if c:
             terms[(i * pk, 0)] = c
     return BivariatePoly._unchecked(f, terms)
@@ -171,6 +202,12 @@ def frobenius_residuals(seq: Sequence, n: int) -> list:
     """frobenius_residual(seq, n, k) for each k with p^k <= n-1."""
     last = frobenius_parameters(seq.field.p, n)[0] if n >= 2 else -1
     return [frobenius_residual(seq, n, k) for k in range(last + 1)]
+
+
+def witness_holds(poly: BivariatePoly, e: int, g: TruncatedSeries, m: int) -> bool:
+    """Whether poly witnesses E_m = e for the first m coefficients of g:
+    it has total degree e and h(x, G) vanishes mod x^m, by substitution."""
+    return poly.total_degree == e and substitute(poly, g, m).is_zero()
 
 
 def _first_nonzero(seq: Sequence) -> int:
@@ -247,17 +284,34 @@ def check_theorem1_remark(
 # -- prefix checks (no periodicity assumption) -------------------------------
 
 
+def _theorem4_rows(fit: lincomp.LinearFit, expansion: int) -> list:
+    n, l_n, t_n = fit.n, fit.complexity, fit.t
+    inputs = (("l_n", l_n), ("t_n", t_n), ("n", n))
+    return [
+        ("T4.lower", inputs, ">=", periodic_lower_bound(l_n, t_n, n), expansion),
+        ("T4.upper", inputs, "<=", prefix_upper_bound(l_n, t_n, n), expansion),
+    ]
+
+
 def check_theorem4(fit: lincomp.LinearFit, expansion: int) -> list[BoundReport]:
     """Both T4 bounds at prefix length n = fit.n, using the canonical t_n."""
-    n, l_n, t_n = fit.n, fit.complexity, fit.t
-    if n < 2:
+    if fit.n < 2:
         raise ValueError("prefix bounds require n >= 2")
-    if l_n == 0:
+    if fit.complexity == 0:
         raise ValueError("all-zero prefix is excluded")
-    inputs = {"l_n": l_n, "t_n": t_n, "n": n}
+    return [_from_row(row) for row in _theorem4_rows(fit, expansion)]
+
+
+def _growth_rows(fits: list[lincomp.LinearFit], profile_e, m: int) -> list:
+    n = m - 1
+    e_n, l_n = profile_e[n - 1], fits[n - 1].complexity
+    if 2 * l_n > n:
+        relation, allowed = "==", l_n
+    else:
+        relation, allowed = "in_set", tuple(sorted({l_n, n + 1 - l_n}))
     return [
-        _report("T4.lower", inputs, ">=", periodic_lower_bound(l_n, t_n, n), expansion),
-        _report("T4.upper", inputs, "<=", prefix_upper_bound(l_n, t_n, n), expansion),
+        ("P2", (("n", n), ("e_n", e_n)), "in", (e_n, max(e_n, 1) + 1), profile_e[n]),
+        ("L3", (("n", n), ("l_n", l_n)), relation, allowed, fits[n].complexity),
     ]
 
 
@@ -271,18 +325,7 @@ def check_growth_step(
     the absolute length m-1, so a caller hands the whole profiles and the
     absolute index, never a slice.
     """
-    n = m - 1
-    e_n, e_next = profile_e[n - 1], profile_e[n]
-    l_n, l_next = fits[n - 1].complexity, fits[n].complexity
-    growth_e = _report(
-        "P2", {"n": n, "e_n": e_n}, "in", (e_n, max(e_n, 1) + 1), e_next
-    )
-    if 2 * l_n > n:
-        growth_l = _report("L3", {"n": n, "l_n": l_n}, "==", l_n, l_next)
-    else:
-        allowed = tuple(sorted({l_n, n + 1 - l_n}))
-        growth_l = _report("L3", {"n": n, "l_n": l_n}, "in_set", allowed, l_next)
-    return [growth_e, growth_l]
+    return [_from_row(row) for row in _growth_rows(fits, profile_e, m)]
 
 
 def check_growth(fits: list[lincomp.LinearFit], profile_e) -> list[BoundReport]:
@@ -293,6 +336,37 @@ def check_growth(fits: list[lincomp.LinearFit], profile_e) -> list[BoundReport]:
     for m in range(2, len(profile_e) + 1):
         reports.extend(check_growth_step(fits, profile_e, m))
     return reports
+
+
+def _upper_rows(p: int, n: int, profile_e, first: int, nonzero: int) -> list:
+    """The R.* rows at length n >= 2 of a prefix whose first n terms are not
+    all zero; nonzero counts the nonzero coefficients among the first n of
+    the Frobenius residual of n's k."""
+    e_n = profile_e[n - 1]
+    at_n = (("n", n),)
+    # subadditivity over every split with a nonzero leading part; a split
+    # n1 + n2 and its mirror give the same sum, so n1 <= n2: E_{n1} for
+    # n1 = first+1..n//2 pairs with E_{n-n1}, read backwards
+    best = min(
+        map(
+            operator.add,
+            profile_e[first : n // 2],
+            reversed(profile_e[n - n // 2 - 1 : n - first - 1]),
+        ),
+        default=None,
+    )
+    if best is None:
+        subadd = ("R.subadd", at_n, None, "no split with nonzero start", None)
+    else:
+        subadd = ("R.subadd", at_n, "<=", best, e_n)
+    k, bound = frobenius_parameters(p, n)
+    return [
+        ("R.simple", at_n, "<=", simple_upper_bound(n), e_n),
+        ("R.kernel", at_n, "<=", expcomp.kernel_degree_bound(n), e_n),
+        subadd,
+        ("R.frobenius", (("n", n), ("p", p), ("k", k)), "<=", bound, e_n),
+        ("R.frobenius.witness", (("n", n), ("k", k)), "==", 0, nonzero),
+    ]
 
 
 def check_misc_upper(
@@ -313,43 +387,14 @@ def check_misc_upper(
     """
     if n < 2:
         raise ValueError("upper-bound remarks require n >= 2")
-    e_n = profile_e[n - 1]
-    reports = []
-    if first < n:
-        reports.append(
-            _report("R.simple", {"n": n}, "<=", simple_upper_bound(n), e_n)
-        )
-        reports.append(
-            _report("R.kernel", {"n": n}, "<=", expcomp.kernel_degree_bound(n), e_n)
-        )
-        # subadditivity over every split with a nonzero leading part; a
-        # split n1 + n2 and its mirror give the same sum, so n1 <= n2:
-        # E_{n1} for n1 = first+1..n//2 pairs with E_{n-n1}, read backwards
-        best = min(
-            map(
-                operator.add,
-                profile_e[first : n // 2],
-                reversed(profile_e[n - n // 2 - 1 : n - first - 1]),
-            ),
-            default=None,
-        )
-        if best is None:
-            reports.append(
-                _not_applicable("R.subadd", {"n": n}, "no split with nonzero start")
-            )
-        else:
-            reports.append(_report("R.subadd", {"n": n}, "<=", best, e_n))
-        k, bound = frobenius_parameters(p, n)
-        reports.append(
-            _report("R.frobenius", {"n": n, "p": p, "k": k}, "<=", bound, e_n)
-        )
-        nonzero = sum(1 for c in frobenius[k].coeffs[:n] if c)
-        witness = _report("R.frobenius.witness", {"n": n, "k": k}, "==", 0, nonzero)
-        reports.append(witness)
-    else:
-        for claim in ("R.simple", "R.kernel", "R.subadd", "R.frobenius"):
-            reports.append(_not_applicable(claim, {"n": n}, "all-zero prefix"))
-    return reports
+    if first >= n:
+        return [
+            _not_applicable(claim, {"n": n}, "all-zero prefix")
+            for claim in ("R.simple", "R.kernel", "R.subadd", "R.frobenius")
+        ]
+    k, _ = frobenius_parameters(p, n)
+    nonzero = sum(1 for c in frobenius[k].coeffs[:n] if c)
+    return [_from_row(row) for row in _upper_rows(p, n, profile_e, first, nonzero)]
 
 
 def check_length(
@@ -375,6 +420,29 @@ def check_length(
         check_misc_upper(p, m, profile_e=profile_e, frobenius=frobenius, first=first)
     )
     return reports
+
+
+def failed_claims(
+    p: int,
+    m: int,
+    *,
+    fits: list[lincomp.LinearFit],
+    profile_e,
+    first: int,
+    residual_nonzero: int,
+) -> list[str]:
+    """The claim ids of the failed reports of check_growth_step and then
+    check_length at m >= 2, in their order, with no report built.
+
+    fits, profile_e, p and first are as those read them, and
+    residual_nonzero is the count check_misc_upper reads off the Frobenius
+    residual: its nonzero coefficients among the first m, for m's k.
+    """
+    rows = _growth_rows(fits, profile_e, m)
+    if m > first:
+        rows += _theorem4_rows(fits[m - 1], profile_e[m - 1])
+        rows += _upper_rows(p, m, profile_e, first, residual_nonzero)
+    return _failed(rows)
 
 
 def run_all_checks(

@@ -20,7 +20,7 @@ from collections import Counter
 from itertools import product
 from typing import NamedTuple
 
-from seqcx import expcomp, lincomp, series, theorems
+from seqcx import expcomp, lincomp, theorems
 from seqcx.experiments import DistributionRecord, EnumerationResult
 from seqcx.expcomp import monomial_count
 from seqcx.field import Field, _poly_divmod, _trim
@@ -699,7 +699,7 @@ def per_leaf_sweep(field, n):
 
     Each of the q^n prefixes has every E_m witness (m = 1..n) substituted
     and run_all_checks run over its first n terms, so a length-m prefix is
-    graded once per leaf below it.  substitute and the battery are looked
+    graded once per leaf below it.  witness_holds and the battery are looked
     up at call time, so failures injected into them reach this sweep too.
     Returns what EnumerationResult.to_dict() gives for the same sweep.
     """
@@ -712,9 +712,8 @@ def per_leaf_sweep(field, n):
         g = seq.prefix_series(n)
         for m in range(1, n + 1):
             wit = profile.witness(m)
-            if wit.poly is not None and not (
-                wit.poly.total_degree == wit.complexity
-                and series.substitute(wit.poly, g, m).is_zero()
+            if wit.poly is not None and not theorems.witness_holds(
+                wit.poly, wit.complexity, g, m
             ):
                 witness_failures += 1
         reports = theorems.run_all_checks(seq, n, fits=fits, expansion=profile)

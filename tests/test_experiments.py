@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from seqcx import experiments, series, theorems
+from seqcx import experiments, theorems
 from seqcx.experiments import (
     DEFAULT_SCHEDULE,
     EXHAUSTIVE_CAP,
@@ -52,6 +52,25 @@ def test_enumerate_cap():
     with pytest.raises(ValueError):
         ExhaustiveConfig(Field(2), 40)
     assert 2**40 > EXHAUSTIVE_CAP
+
+
+def test_a_huge_exhaustive_n_exits_at_once(capsys, tmp_path):
+    # 2^n over the cap rejects n before q^n, a number of 2 * 10^9 digits
+    # here, is computed
+    import time
+
+    began = time.perf_counter()
+    code, err = _experiment_exit(
+        capsys, tmp_path, "--mode", "exhaustive", "--q", "101", "--n", "1000000000"
+    )
+    assert time.perf_counter() - began < 1.0
+    assert (code, err) == (3, "error: q^n = 101^1000000000 exceeds exhaustive cap\n")
+    # 2^20 is the cap itself, and 1021^2 is below it
+    assert ExhaustiveConfig(Field(2), 20, checks=False).n == 20
+    assert ExhaustiveConfig(Field(1021), 2).n == 2
+    for q, n in [(2, 21), (2, 10**9), (3, 13), (1021, 3)]:
+        with pytest.raises(ValueError, match="exceeds exhaustive cap"):
+            ExhaustiveConfig(Field(q), n)
 
 
 def test_enumerate_deterministic_across_workers(f2):
@@ -462,11 +481,16 @@ INJECTED_CLAIMS = {"L3", "R.simple", "R.frobenius.witness", "T4.lower"}
 
 def inject_failures(monkeypatch):
     """Make the battery fail on some prefixes, each time as a function of
-    the first m terms alone, as every real check is."""
+    the first m terms alone, as every real check is.
+
+    Each failure enters through a seam that the per-leaf oracle and the
+    sweep's walk both call: the bound formulas, the relation L3 grades by,
+    the Frobenius certificate's coefficients and the witness check."""
     real_simple = theorems.simple_upper_bound
     real_lower = theorems.periodic_lower_bound
-    real_substitute = series.substitute
-    real_report = theorems._report
+    real_in_set = theorems._RELATIONS["in_set"]
+    real_coefficient = theorems.frobenius_coefficient
+    real_witness_holds = theorems.witness_holds
 
     def simple(n):
         return real_simple(n) - n % 2
@@ -474,30 +498,26 @@ def inject_failures(monkeypatch):
     def lower(l, t, n):
         return real_lower(l, t, n) + ((l + t + n) % 3 == 0)
 
-    def substitute(h, g, n):
-        # a Frobenius certificate is substituted once, at the longest length
-        # of its k, and its terms past a shorter length m can differ between
-        # leaves that share the first m terms; its y-degree p^k and constant
-        # term -s_0^(p^k) cannot, nor can anything of an E_m witness
-        residual = real_substitute(h, g, n)
-        y_degree = max(j for _, j in h.terms)
-        if (n + y_degree + h.terms.get((0, 0), 0)) % 3 == 0:
-            return series.TruncatedSeries._unchecked(g.field, [1] + [0] * (n - 1))
-        return residual
+    def in_set(observed, allowed):
+        # only L3 grades by "in_set", with allowed = (l_n, n + 1 - l_n)
+        return real_in_set(observed, allowed) and not (
+            allowed[0] % 2 and sum(allowed) % 3 == 0
+        )
 
-    def report(claim_id, inputs, relation, expected, observed):
-        rep = real_report(claim_id, inputs, relation, expected, observed)
-        if claim_id == "L3" and inputs["l_n"] % 2 and inputs["n"] % 3 == 2:
-            return theorems.BoundReport(
-                claim_id, inputs, relation, expected, observed, theorems.FAIL
-            )
-        return rep
+    def coefficient(field, s, k):
+        # the coefficient of x^(i p^k) reads s_i alone, so the residual's
+        # first m coefficients still read the first m terms alone
+        c = real_coefficient(field, s, k)
+        return field.add(c, 1) if (s + k) % 3 == 2 else c
+
+    def witness_holds(poly, e, g, m):
+        return real_witness_holds(poly, e, g, m) and (m + e) % 3 != 0
 
     monkeypatch.setattr(theorems, "simple_upper_bound", simple)
     monkeypatch.setattr(theorems, "periodic_lower_bound", lower)
-    for module in (series, theorems, experiments):
-        monkeypatch.setattr(module, "substitute", substitute)
-    monkeypatch.setattr(theorems, "_report", report)
+    monkeypatch.setitem(theorems._RELATIONS, "in_set", in_set)
+    monkeypatch.setattr(theorems, "frobenius_coefficient", coefficient)
+    monkeypatch.setattr(theorems, "witness_holds", witness_holds)
 
 
 _ORACLE = {}
@@ -583,3 +603,54 @@ def test_sweeps_run_no_engine_from_term_zero(monkeypatch):
         for checks in (True, False):
             enumerate_all(ExhaustiveConfig(Field(*q_spec), n, checks=checks))
     assert calls == []
+
+
+RESIDUAL_WALKS = [((2, 1), 10), ((3, 1), 7), ((2, 2), 5), ((5, 1), 6), ((3, 2), 4)]
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["certificate", "perturbed"])
+@pytest.mark.parametrize(
+    "q_spec, n", RESIDUAL_WALKS, ids=[f"q{p}^{m}-n{n}" for (p, m), n in RESIDUAL_WALKS]
+)
+def test_carried_residual_equals_substitution(q_spec, n, perturbed, monkeypatch):
+    # at every node of the walk, the count carried from the parent equals
+    # that of the certificate of the node's k substituted into its m terms.
+    # A valid certificate leaves only zeros, so the perturbed run moves some
+    # of its coefficients, each read off one term, through
+    # frobenius_coefficient, which both call; these walks reach every length
+    # where k changes
+    from seqcx.lincomp import Sequence
+
+    field = Field(*q_spec)
+    p = field.p
+    if perturbed:
+        real_coefficient = theorems.frobenius_coefficient
+
+        def coefficient(field, s, k):
+            c = real_coefficient(field, s, k)
+            return field.add(c, 1) if (s + k) % 3 == 1 else c
+
+        monkeypatch.setattr(theorems, "frobenius_coefficient", coefficient)
+    path = []
+    residual = experiments._CarriedResidual(field, n, path)
+    seen = set()
+
+    def visit(m):
+        for s in range(field.q):
+            path.append(s)
+            residual.push()
+            k, _ = theorems.frobenius_parameters(p, m + 1)
+            oracle = theorems.frobenius_residual(Sequence(field, path), m + 1, k)
+            nonzero = sum(1 for c in oracle.coeffs if c)
+            assert residual.nonzero[-1] == nonzero, path
+            seen.add((k, nonzero > 0))
+            if m + 1 < n:
+                visit(m + 1)
+            residual.pop()
+            path.pop()
+
+    visit(0)
+    assert residual.nonzero == [0]
+    top = theorems.frobenius_parameters(p, n)[0]
+    assert {k for k, _ in seen} == set(range(top + 1))
+    assert any(hit for _, hit in seen) == perturbed

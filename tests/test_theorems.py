@@ -36,7 +36,7 @@ from seqcx.theorems import (
 )
 from seqcx import theorems
 from seqcx.field import Field
-from seqcx.series import BivariatePoly, substitute
+from seqcx.series import BivariatePoly, TruncatedSeries, substitute
 
 from oracles import naive_substitute
 
@@ -520,3 +520,73 @@ def test_frobenius_residuals_match_naive_substitution(q_spec, perturbed, monkeyp
             if m in observed:
                 assert observed[m] == sum(1 for c in got if c), m
         assert any(observed.values()) == perturbed
+
+
+TALLY_SWEEPS = [((2, 1), 8), ((3, 1), 5), ((2, 2), 4), ((3, 2), 3)]
+TALLIED_CLAIMS = {
+    "P2", "L3", "T4.lower", "T4.upper", "R.simple", "R.kernel", "R.subadd",
+    "R.frobenius", "R.frobenius.witness",
+}
+
+
+def _reported_failures(p, m, fits, profile_e, frobenius, first):
+    reports = check_growth_step(fits, profile_e, m) + check_length(
+        p, m, fits=fits, profile_e=profile_e, frobenius=frobenius, first=first
+    )
+    return [rep.claim_id for rep in reports if rep.failed]
+
+
+def _tallied_failures(p, m, fits, profile_e, frobenius, first):
+    k, _ = frobenius_parameters(p, m)
+    nonzero = sum(1 for c in frobenius[k].coeffs[:m] if c)
+    return theorems.failed_claims(
+        p, m, fits=fits, profile_e=profile_e, first=first, residual_nonzero=nonzero
+    )
+
+
+@pytest.mark.parametrize(
+    "q_spec, n", TALLY_SWEEPS, ids=[f"q{p}^{m}-n{n}" for (p, m), n in TALLY_SWEEPS]
+)
+def test_tallies_equal_the_reports(q_spec, n):
+    # every prefix of length m <= n is the first m terms of some length-n
+    # prefix; the tally form names the failed reports of check_growth_step
+    # and check_length, in order, first on the engines' own outputs, then on
+    # E values, fits and residuals perturbed until every claim has failed
+    field = Field(*q_spec)
+    p = field.p
+    rng = random.Random(field.q * 100 + n)
+    failed = set()
+    for terms in itertools.product(range(field.q), repeat=n):
+        seq = Sequence(field, list(terms))
+        fits = linear_fits(seq, n)
+        profile_e = expansion_profile(seq, n).values
+        frobenius = frobenius_residuals(seq, n)
+        first = _first_nonzero(seq)
+        for m in range(2, n + 1):
+            args = (p, m, fits, profile_e, frobenius, first)
+            reported = _reported_failures(*args)
+            assert reported == [], (terms, m)
+            assert _tallied_failures(*args) == reported, (terms, m)
+        # perturbed inputs: any E value, any fit with L_m >= 1 past the
+        # first nonzero term (T4 excludes L_m = 0 there), any residual
+        for _ in range(2):
+            bad_e = [rng.randrange(m + 2) for m in range(1, n + 1)]
+            bad_fits = []
+            for m in range(1, n + 1):
+                low = 1 if m > first else 0
+                l = rng.randrange(low, m + 1)
+                bad_fits.append(LinearFit(m, l, (0,) * l, rng.randrange(l + 1)))
+            # about one residual coefficient in five is nonzero
+            bad_frobenius = [
+                TruncatedSeries(field, [
+                    rng.randrange(1, field.q) if rng.random() < 0.2 else 0
+                    for _ in range(r.order)
+                ])
+                for r in frobenius
+            ]
+            for m in range(2, n + 1):
+                args = (p, m, bad_fits, bad_e, bad_frobenius, first)
+                reported = _reported_failures(*args)
+                assert _tallied_failures(*args) == reported, (terms, m)
+                failed.update(reported)
+    assert failed == TALLIED_CLAIMS
