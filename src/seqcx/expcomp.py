@@ -1,50 +1,38 @@
-"""Expansion complexity by one column pass, or one row at a time.
+"""Expansion complexity by an online sigma-basis, over F_2 by packed columns.
 
 The n-th expansion complexity of a sequence prefix is the least total degree
 of a nonzero bivariate polynomial h with h(x, G(x)) = 0 mod x^n, where G is
 the generating function of the prefix; it is 0 exactly when the prefix is
 all zero.
 
-The coefficient vectors (mod x^n) of the monomial substitutions x^i * G(x)^j,
-in the fixed order (i+j, j, i) up to total degree D = kernel_degree_bound(n),
-are reduced one at a time against pivots keyed by their lowest nonzero row,
-tracking each column's combination.  A column's birth row is that lowest row
-after reduction (n if it vanishes).  On the first m rows a column depends on
-its predecessors exactly when it is born at row >= m, so one pass serves
-every m <= n: E_m is the degree d of the first such column, its combination
-is the minimal witness (unique up to scale, as the columns before it are
-independent), and the decisive system's rank counts the first
-M_d = (d+1)(d+2)/2 columns born before row m.
+Order the monomials x^i y^j by (i+j, j, i) up to total degree
+D = kernel_degree_bound(n), and call the coefficients (mod x^n) of x^i G^j
+the column of x^i y^j.  A column's birth row is the row from which on it is
+independent of the columns before it (n if it never is).  On the first m
+rows a column depends on its predecessors exactly when it is born at row
+>= m, so one set of birth rows serves every m <= n: E_m is the degree d of
+the first such column, its combination is the minimal witness (unique up to
+scale, as the columns before it are independent), and the decisive system's
+rank counts the first M_d = (d+1)(d+2)/2 columns born before row m.
 
-Only the columns x^0 G^j start from their raw coefficients.  Column x^i G^j
-with i >= 1 starts from x times the reduced column x^(i-1) G^j of the
-previous degree block: that vector is the column plus x times earlier
-columns, each of which is itself an earlier column, and it is already zero
-up to the earlier column's birth row.  Birth rows depend only on the matrix,
-so they, E_m, the witnesses and the ranks are those of reducing every column
-from scratch.  A combination is keyed by the monomial layout j * W + i with
-W = D + 1, which turns the multiplication by x into adding 1 to every key.
+Over every field but F_2, _SigmaBasis finds these a term at a time: the
+minimal approximant basis of (1, G, ..., G^D) with shift (0, 1, ..., D)
+(Beckermann and Labahn, 1994).  It holds one row per j <= D, a polynomial h
+with h(x, G) = 0 mod x^m and leading monomial x^lead y^j, keyed by that
+monomial's total degree.  Appending s_r takes each row's residual
+[x^r] h(x, G); the row of least (key, j) with a nonzero residual is the
+pivot, every other such row subtracts a multiple of it, and the pivot is
+multiplied by x: its column x^lead y^j is born at row r.  So x^i y^j
+depends on its predecessors on the first m rows exactly when i >= lead of
+row j, E_m is the least key, and the row that has it is the witness.  The
+exhaustive sweep pushes and pops a term per node (online_kernel); single
+sequences, verify and Monte Carlo run _sigma_pass, which pushes every term.
 
-The pass returns the birth rows through the end of the degree block that
-holds the first column born at row n, which completes every decisive rank,
-and the combinations through that column, the last one a witness needs.
-
-Columns come in one of two row representations, chosen by the field: one
-int per column over F_2 (rows in the low n bits, the combination above
-them), lists of field elements elsewhere.  Both follow the same column order
-and return identical births and combinations; the tests pin this
-equivalence, and check both against columns reduced from scratch.
-
-The exhaustive sweep cannot extend this pass by a term, since it reduces
-whole columns top-down.  It uses online_kernel instead: the same columns
-in row echelon form, one row per term, with pivot rows keyed by their
-leading column, a term appended or dropped at a time.  E_m is the degree of
-the first column that leads no pivot row, and back-substitution through the
-pivots of the columns before it gives the same witness as the column pass.
-It too packs F_2 in ints and uses lists elsewhere, and gives the sweep E_m
-and the witness, never a rank; both engines scale a witness alike.  The
-column pass, twice as fast on one sequence at n=128, still serves single
-sequences, verify and Monte Carlo.
+Over F_2, _reduce_gf2 reduces whole columns packed in ints for single
+sequences, verify and Monte Carlo, and _OnlineKernelGF2 holds them in row
+echelon form, one packed row per term, for the sweep.  The tests check all
+three engines against the generic column pass and row echelon that the
+sigma-basis replaced (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -55,7 +43,7 @@ from typing import Optional
 
 from .field import Field
 from .lincomp import Sequence
-from .series import BivariatePoly, TruncatedSeries, monomial_key, series_mul
+from .series import BivariatePoly
 
 
 def monomial_count(d: int) -> int:
@@ -96,7 +84,10 @@ class ExpansionProfile:
     holds the first column born at row n, and combs the combinations (keyed
     j * W + i for x^i y^j, W = kernel_degree_bound(n) + 1) through that
     column, so that witness(m) can build the certificate for any m on
-    demand; both are empty for an all-zero prefix.
+    demand; both are empty for an all-zero prefix.  Only the decisive
+    entries of combs are defined, those of the first column born at row
+    >= m for each m with E_m > 0: witness reads no other, and the others
+    may be None or stale.
     """
 
     values: tuple[int, ...]
@@ -127,10 +118,13 @@ def _reduce_gf2(bits: int, n: int):
     a column born at row n, or of degree kernel_degree_bound(n).
 
     A column and its combination travel as one int: rows in bits 0..n-1,
-    combination key k in bit n + k.  Column x^i G^j with i >= 1 starts as
-    x times the reduced x^(i-1) G^j, one shift that moves both halves (the
-    row pushed past x^(n-1) is dropped).  A reduction step is one lookup of
-    the lowest set bit among the pivots and one XOR.  Tracking every
+    combination key k in bit n + k.  Only the columns G^j start from their
+    raw bits.  Column x^i G^j with i >= 1 starts as x times the reduced
+    x^(i-1) G^j, one shift that moves both halves (the row pushed past
+    x^(n-1) is dropped): that is the column plus x times earlier columns,
+    each itself an earlier column, so the birth rows are those of reducing
+    every column from scratch.  A reduction step is one lookup of the
+    lowest set bit among the pivots and one XOR.  Tracking every
     combination costs next to nothing here.
     """
     top = 1 << n
@@ -175,62 +169,30 @@ def _reduce_gf2(bits: int, n: int):
     return births, combs
 
 
-def _reduce_generic(field: Field, terms, n: int):
-    """(births, combs) as _reduce_gf2 returns them, with combinations as
-    {key: coefficient}; stored pivots are scaled to 1 at their birth row.
+def _sigma_pass(field: Field, terms, n: int):
+    """(births, combs) from pushing every term into one _SigmaBasis: the
+    birth row of every column of degree <= D, and the combination of each
+    decisive column, keyed as _reduce_gf2 keys them, None at every other.
 
-    Column x^i G^j with i >= 1 starts as x times the reduced x^(i-1) G^j:
-    its rows move down by one, its combination keys up by one, and the
-    reduction resumes one row below the earlier column's birth row.
-
-    No witness needs a combination after the first column born at row n,
-    so the rest of its block leaves them stale (settled).
+    The decisive column at m is the one the least row leads after m
+    pushes, and that row is its combination.  It is recorded the first time:
+    the columns before it are independent there, so it is unique up to
+    scale at every m at which that column is decisive.
     """
-    mul, sub = field.mul, field.sub
-    width = kernel_degree_bound(n) + 1
-    g = TruncatedSeries._unchecked(field, terms[:n])
-    power = TruncatedSeries._unchecked(field, [1] + [0] * (n - 1))
-    pivots: dict[int, tuple[list[int], dict[int, int]]] = {}
-    births, combs = [], []
-    settled = False
-    reduced: list = []  # (column, combination, birth row) of the previous block
-    for d in range(width):
-        if d:
-            power = series_mul(power, g, n)
-        block = [
-            ([0] + col[:-1], {t + 1: c for t, c in comb.items()}, birth + 1)
-            for col, comb, birth in reduced
-        ]
-        block.append((list(power.coeffs), {d * width: 1}, 0))
-        reduced = []
-        for col, comb, start in block:
-            birth = n
-            for row in range(start, n):
-                v = col[row]
-                if not v:
-                    continue
-                hit = pivots.get(row)
-                if hit is None:
-                    inv = field.inv(v)
-                    col = [mul(inv, x) for x in col]
-                    if not settled:
-                        comb = {t: mul(inv, x) for t, x in comb.items()}
-                    pivots[row] = (col, comb)
-                    birth = row
-                    break
-                pcol, pcomb = hit
-                for r2 in range(row, n):
-                    if pcol[r2]:
-                        col[r2] = sub(col[r2], mul(v, pcol[r2]))
-                if not settled:
-                    for t, x in pcomb.items():
-                        comb[t] = sub(comb.get(t, 0), mul(v, x))
-            reduced.append((col, comb, birth))
-            births.append(birth)
-            combs.append(comb)
-            settled = settled or birth == n
-        if settled:
-            break
+    basis = _SigmaBasis(field, n)
+    births = [n] * monomial_count(basis.width - 1)
+    combs: list = [None] * len(births)
+    keys = basis.keys
+    for r, s in enumerate(terms):
+        pivot = basis._extend(s)
+        if pivot >= 0:
+            key = keys[pivot] - 1
+            births[key * (key + 1) // 2 + pivot] = r
+        best = basis.best
+        key = keys[best]
+        k = key * (key + 1) // 2 + best
+        if combs[k] is None:
+            combs[k] = basis.rows[best]
     return births, combs
 
 
@@ -242,10 +204,12 @@ def _kernel_pass(field: Field, terms, n: int):
         bits = sum(1 << idx for idx, s in enumerate(terms) if s)
         births, combs = _reduce_gf2(bits, n)
     else:
-        births, combs = _reduce_generic(field, list(terms), n)
+        births, combs = _sigma_pass(field, terms, n)
     if n not in births:
         raise RuntimeError("kernel search overran its counting bound")
-    return tuple(births), tuple(combs[: births.index(n) + 1])
+    first = births.index(n)
+    end = monomial_count(kernel_degree_bound(first))
+    return tuple(births[:end]), tuple(combs[: first + 1])
 
 
 def _profile(field: Field, terms, n: int) -> ExpansionProfile:
@@ -277,11 +241,14 @@ def _profile(field: Field, terms, n: int) -> ExpansionProfile:
 
 def _normalized_witness(field: Field, terms: dict) -> BivariatePoly:
     """The witness {(i, j): coefficient} scaled to 1 at its first monomial
-    in the canonical order, as every witness and JSON record is."""
-    scale = field.inv(terms[min(terms, key=monomial_key)])
-    return BivariatePoly._unchecked(
-        field, {mono: field.mul(scale, c) for mono, c in terms.items()}
-    )
+    in the canonical order (i+j, j, i), as every witness and JSON record
+    is; terms is a dict of the caller's own, taken as it is when already
+    scaled."""
+    _, j, i = min((i + j, j, i) for i, j in terms)
+    scale = field.inv(terms[(i, j)])
+    if scale != 1:
+        terms = {mono: field.mul(scale, c) for mono, c in terms.items()}
+    return BivariatePoly._unchecked(field, terms)
 
 
 def _witness_from_combo(field: Field, combo, width: int) -> BivariatePoly:
@@ -289,11 +256,7 @@ def _witness_from_combo(field: Field, combo, width: int) -> BivariatePoly:
     mask, or {key: coefficient}, key j * width + i for x^i y^j)."""
     if isinstance(combo, int):
         combo = {t: 1 for t in range(combo.bit_length()) if (combo >> t) & 1}
-    terms = {}
-    for t, c in combo.items():
-        if c:
-            j, i = divmod(t, width)
-            terms[(i, j)] = c
+    terms = {(t % width, t // width): c for t, c in combo.items() if c}
     return _normalized_witness(field, terms)
 
 
@@ -310,137 +273,174 @@ def _growth_guard(values, m: int, e: int) -> None:
         )
 
 
-class _OnlineKernel:
-    """The monomial columns of _reduce_generic in row echelon form, one row
-    per term of a prefix that grows and shrinks at its end.
+class _SigmaBasis:
+    """An online sigma-basis: E_m and its witness for a prefix that grows
+    and shrinks at its end, over any field.
 
-    The columns are x^i G^j with i + j <= D = kernel_degree_bound(n), in
-    the canonical order (i+j, j, i).  push(s) appends a term s_r: it extends
-    [x^r] G^j for every j <= D from the coefficients of the powers already
-    held, forms row r of every column, and reduces it against pivot rows
-    keyed by their leading (lowest) column, each scaled to 1 there; pop()
-    undoes the last push.  On the first m rows, a column depends on the
-    columns before it exactly when no pivot row leads with it, so E_m is
-    the degree of the first such column, as in the column pass, and the
-    pivots of the columns before it give its combination by
-    back-substitution.
-
-    terms and values hold the prefix and E_1..E_m; push raises RuntimeError
-    when E_m breaks the growth law or the counting bound, as _profile does.
+    rows[j] is a polynomial {j' * width + i: coefficient} of x^i y^j' with
+    h(x, G) = 0 mod x^m and leading monomial x^lead y^j in the canonical
+    order (i+j, j, i); keys[j] = lead + j, and best is the row of least
+    (key, j).  Row j starts as y^j, for j <= D = kernel_degree_bound(n).
+    Rows are replaced, never changed, so a copy of the row list taken
+    before a push is all pop() needs.  terms and values hold the prefix and
+    E_1..E_m; push raises RuntimeError when E_m breaks the growth law or
+    the counting bound, as _profile does.
     """
 
     def __init__(self, field: Field, n: int):
         degree = kernel_degree_bound(n)
         self.field = field
-        self.width = degree + 1
-        self.columns = [(d - j, j) for d in range(degree + 1) for j in range(d + 1)]
-        self.degrees = [i + j for i, j in self.columns]
-        self.pivots: list = [None] * len(self.columns)
-        self.powers = [[] for _ in range(degree + 1)]  # coefficients of G^j
+        self.width = width = degree + 1
+        self.length = n  # the longest prefix
+        self.rows = [{j * width: 1} for j in range(width)]
+        self.keys = list(range(width))
+        self.best = 0
+        # powers[j][a] = [x^a] G^j; a pop leaves them as they are, since a
+        # coefficient past the prefix is rewritten before it is read
+        self.powers = [[1] + [0] * n] + [[0] * n for _ in range(degree)]
         self.terms: list[int] = []
         self.values: list[int] = []
         self.nonzero = 0  # nonzero terms in the prefix
-        self.first = 0  # the first column that leads no pivot row
-        self._undo: list = []  # (column of the new pivot or -1, first) per push
+        self._carry = (-1, 0)  # the last pivot and its residual
+        self._undo: list = []  # (rows, keys, best, carry) before each push
+
+    def _extend(self, s: int) -> int:
+        """Append term s_r and bring every row of key <= D to order r + 1:
+        the row of least (key, j) whose residual [x^r] h(x, G) is nonzero
+        is the pivot, every other such row subtracts a multiple of it, and
+        the pivot is multiplied by x.  Returns the pivot, or -1 when every
+        residual is zero.  After the longest prefix's last term, only the
+        least row is brought to order r + 1, as no other is read before a
+        pop.
+
+        Elimination only uses a row of smaller key, so a row of key > D
+        can never change a row of key <= D, and no E_m reaches it: it is
+        never read again (and its x^width may alias y).
+        """
+        field, terms, powers = self.field, self.terms, self.powers
+        add, mul = field.add, field.mul
+        r = len(terms)
+        terms.append(s)
+        if len(powers) > 1:
+            powers[1][r] = s
+        for prev, power in zip(powers[1:], powers[2:]):
+            acc = 0
+            for a, b in zip(prev, reversed(terms)):
+                if a and b:
+                    acc = add(acc, mul(a, b))
+            power[r] = acc
+        # window[j * width + i] = [x^(r-i)] G^j, so a residual is one sum
+        width = self.width
+        window: list[int] = []
+        if r < width:
+            pad = [0] * (width - r - 1)
+            for power in powers:
+                window += power[r::-1]
+                window += pad
+        else:
+            for power in powers:
+                window += power[r:r - width:-1]
+        rows, keys, degree = self.rows, self.keys, width - 1
+        # the last pivot's residual is the one it had before x times it
+        carried, carried_rho = self._carry
+        hits = []
+        pivot, low, rho = -1, degree + 1, 0
+        for j, row in enumerate(rows):
+            key = keys[j]
+            if key > degree:
+                continue
+            if j == carried:
+                acc = carried_rho
+            else:
+                acc = 0
+                for t, c in row.items():
+                    v = window[t]
+                    if v:
+                        acc = add(acc, mul(c, v))
+            if acc:
+                hits.append((j, acc))
+                if key < low:
+                    pivot, low, rho = j, key, acc
+        self._carry = (pivot, rho)
+        if pivot < 0:
+            return -1
+        keys[pivot] = low + 1
+        if pivot == self.best:
+            self.best = keys.index(min(keys))
+        last = r + 1 == self.length
+        prow = rows[pivot]
+        scale = field.neg(field.inv(rho))
+        for j, acc in hits:
+            if j == pivot or last and j != self.best:
+                continue
+            factor = mul(acc, scale)
+            new = rows[j].copy()
+            for t, c in prow.items():
+                v = add(new.get(t, 0), mul(factor, c))
+                if v:
+                    new[t] = v
+                else:
+                    del new[t]
+            rows[j] = new
+        rows[pivot] = {t + 1: c for t, c in prow.items()}
+        return pivot
 
     def push(self, s: int) -> int:
         """Append term s; return E of the longer prefix."""
-        field, terms, powers = self.field, self.terms, self.powers
-        add, mul, sub = field.add, field.mul, field.sub
-        r = len(terms)
-        terms.append(s)
-        powers[0].append(0 if r else 1)
-        for prev, power in zip(powers, powers[1:]):
-            acc = 0
-            for a in range(r + 1):
-                if prev[a] and terms[r - a]:
-                    acc = add(acc, mul(prev[a], terms[r - a]))
-            power.append(acc)
-        row = [powers[j][r - i] if r >= i else 0 for i, j in self.columns]
-        pivots = self.pivots
-        lead = -1
-        for k, v in enumerate(row):
-            if not v:
-                continue
-            pivot = pivots[k]
-            if pivot is None:
-                inv = field.inv(v)
-                pivots[k] = [0] * k + [mul(inv, x) for x in row[k:]]
-                lead = k
-                break
-            for col in range(k + 1, len(row)):
-                if pivot[col]:
-                    row[col] = sub(row[col], mul(v, pivot[col]))
-        self._undo.append((lead, self.first))
-        if lead == self.first:
-            while pivots[self.first] is not None:
-                self.first += 1
-        return self._record(r + 1, s)
-
-    def _record(self, m: int, s: int) -> int:
+        self._undo.append((self.rows[:], self.keys[:], self.best, self._carry))
+        self._extend(s)
         if s:
             self.nonzero += 1
-        e = self.degrees[self.first] if self.nonzero else 0
-        _growth_guard(self.values, m, e)
+        e = self.keys[self.best] if self.nonzero else 0
+        _growth_guard(self.values, len(self.terms), e)
         self.values.append(e)
         return e
 
     def pop(self) -> None:
         """Drop the last term."""
-        lead, self.first = self._undo.pop()
-        if lead >= 0:
-            self.pivots[lead] = None
+        rows, keys, self.best, self._carry = self._undo.pop()
+        self.rows[:] = rows
+        self.keys[:] = keys
         if self.terms.pop():
             self.nonzero -= 1
         self.values.pop()
-        for power in self.powers:
-            power.pop()
-
-    def _combination(self) -> dict:
-        """{column: coefficient} of the first column that leads no pivot
-        row, as a combination of the columns before it, with coefficient 1
-        at that column."""
-        field, pivots = self.field, self.pivots
-        add, mul = field.add, field.mul
-        last = self.first
-        combo = {last: 1}
-        for k in range(last - 1, -1, -1):
-            pivot = pivots[k]
-            acc = 0
-            for col, x in combo.items():
-                if pivot[col]:
-                    acc = add(acc, mul(pivot[col], x))
-            if acc:
-                combo[k] = field.neg(acc)
-        return combo
 
     def witness_poly(self) -> Optional[BivariatePoly]:
         """The minimal witness of the current prefix (None while it is all
         zero), as ExpansionProfile.witness(m).poly gives it."""
         if not self.values[-1]:
             return None
-        columns = self.columns
-        terms = {columns[k]: c for k, c in self._combination().items()}
-        return _normalized_witness(self.field, terms)
+        return _witness_from_combo(self.field, self.rows[self.best], self.width)
 
 
-class _OnlineKernelGF2(_OnlineKernel):
-    """_OnlineKernel over F_2 with bits for elements, as in _reduce_gf2.
+class _OnlineKernelGF2:
+    """The columns of _reduce_gf2 in row echelon form, one packed row per
+    term of a prefix that grows and shrinks at its end, as in _SigmaBasis.
 
-    Bit a of powers[j] is [x^a] G^j, a row holds column k in bit k, and
-    pivot rows are keyed by their lowest bit.  [x^r] G^j is the parity of
-    G^(j-1) & R, where bit a of R is s_{r-a}.  Row r takes the bits
-    [x^(r-i)] G^j of the columns x^i G^j with i <= D - j, one window of
-    powers[j] each, spread to their columns by one table lookup.
+    Row r holds column k in bit k and is reduced against pivot rows keyed
+    by their lowest bit, the column they lead.  E_m is the degree of the
+    first column that leads no pivot row, and back-substitution through the
+    pivots before it gives its combination.  Bit a of powers[j] is
+    [x^a] G^j, and [x^r] G^j is the parity of G^(j-1) & R, where bit a of R
+    is s_{r-a}.  Row r takes the bits [x^(r-i)] G^j of the columns x^i G^j
+    with i <= D - j, one window of powers[j] each, spread to their columns
+    by one table lookup.
     """
 
     def __init__(self, field: Field, n: int):
-        super().__init__(field, n)
-        degree = self.width - 1
+        degree = kernel_degree_bound(n)
+        self.field = field
+        self.columns = [(d - j, j) for d in range(degree + 1) for j in range(d + 1)]
+        self.degrees = [i + j for i, j in self.columns]
         index = {mono: k for k, mono in enumerate(self.columns)}
-        self.pivots = {}
+        self.pivots: dict[int, int] = {}
         self.powers = [1] + [0] * degree
         self.reversed = 0
+        self.terms: list[int] = []
+        self.values: list[int] = []
+        self.nonzero = 0  # nonzero terms in the prefix
+        self.first = 0  # the first column that leads no pivot row
+        self._undo: list = []  # (lowest bit of the new pivot, first) per push
         self.windows = []  # (shift, mask, table) of each power G^j
         for j in range(degree + 1):
             span = degree - j + 1  # window bit b holds [x^(r-i)] G^j, i = span-1-b
@@ -452,6 +452,7 @@ class _OnlineKernelGF2(_OnlineKernel):
             self.windows.append((span - 1, (1 << span) - 1, table))
 
     def push(self, s: int) -> int:
+        """Append term s; return E of the longer prefix."""
         r = len(self.terms)
         self.terms.append(s)
         rev = self.reversed = self.reversed << 1 | s
@@ -476,9 +477,15 @@ class _OnlineKernelGF2(_OnlineKernel):
             while first_bit in pivots:
                 first_bit <<= 1
                 self.first += 1
-        return self._record(r + 1, s)
+        if s:
+            self.nonzero += 1
+        e = self.degrees[self.first] if self.nonzero else 0
+        _growth_guard(self.values, r + 1, e)
+        self.values.append(e)
+        return e
 
     def pop(self) -> None:
+        """Drop the last term."""
         low, self.first = self._undo.pop()
         self.pivots.pop(low, None)
         if self.terms.pop():
@@ -488,20 +495,25 @@ class _OnlineKernelGF2(_OnlineKernel):
         keep = (1 << len(self.terms)) - 1
         self.powers = [1] + [power & keep for power in self.powers[1:]]
 
-    def _combination(self) -> dict:
-        pivots = self.pivots
-        last = self.first
+    def witness_poly(self) -> Optional[BivariatePoly]:
+        """The minimal witness of the current prefix (None while it is all
+        zero), as ExpansionProfile.witness(m).poly gives it."""
+        if not self.values[-1]:
+            return None
+        pivots, last = self.pivots, self.first
         combo = 1 << last
         for k in range(last - 1, -1, -1):
             if (pivots[1 << k] & combo).bit_count() & 1:
                 combo |= 1 << k
-        return {k: 1 for k in range(last + 1) if combo >> k & 1}
+        columns = self.columns
+        terms = {columns[k]: 1 for k in range(last + 1) if combo >> k & 1}
+        return _normalized_witness(self.field, terms)
 
 
-def online_kernel(field: Field, n: int) -> _OnlineKernel:
+def online_kernel(field: Field, n: int):
     """An empty online kernel for prefixes of up to n terms: packed over
-    F_2, generic over every other field."""
-    return (_OnlineKernelGF2 if field.q == 2 else _OnlineKernel)(field, n)
+    F_2, a sigma-basis over every other field."""
+    return (_OnlineKernelGF2 if field.q == 2 else _SigmaBasis)(field, n)
 
 
 def expansion_complexity(seq: Sequence, n: int) -> ExpansionWitness:

@@ -51,6 +51,9 @@ from .lincomp import Sequence
 from .series import TruncatedSeries
 
 EXHAUSTIVE_CAP = 1 << 20
+# the longest Monte Carlo prefix: each sample holds max(schedule) terms and
+# runs one kernel pass over them
+MC_LENGTH_CAP = 4096
 
 DEFAULT_SCHEDULE = (16, 25, 36, 49, 64)
 LOW_FRACTION_EPS = (0.25, 0.5)
@@ -89,6 +92,11 @@ class MonteCarloConfig:
         schedule = tuple(sorted(self.schedule))
         if not schedule or schedule[0] < 1:
             raise ValueError("schedule entries must be >= 1")
+        if schedule[-1] > MC_LENGTH_CAP:
+            raise ValueError(
+                f"schedule entry {schedule[-1]} exceeds the Monte Carlo "
+                f"length cap {MC_LENGTH_CAP}"
+            )
         # every sample is tallied once per entry, so a repeat counts twice
         repeated = sorted({a for a, b in zip(schedule, schedule[1:]) if a == b})
         if repeated:

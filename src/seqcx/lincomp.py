@@ -15,14 +15,14 @@ The central conventions, used everywhere in this package:
     reported with all-zero coefficients and t_N = L, and extension by such
     a fit is refused.
 
-Over F_2, berlekamp_massey and linear_fits run _bm_gf2, a bit-packed pass
-whose fits are read straight off the connection polynomial as an int.  The
-generic field-method pass _bm_core runs for every other field and is the
-packed pass's oracle in the tests: both give equal fits at every length.
-Each pass is a loop over one update step, _bm_gf2_step or _bm_step, whose
-states are never mutated; the exhaustive sweep gets the field's step from
-online_bm and calls it once per node of its prefix tree, so an extension
-shares its prefix's state.
+Berlekamp-Massey is one update step whose states are never mutated:
+_bm_gf2_step over F_2, with the polynomials packed in ints and the fits
+read straight off the connection polynomial, and the field-method _bm_step
+over every other field; over F_2 the tests check the two give equal fits at
+every length.  online_bm is the one place that picks the field's step.
+berlekamp_massey and linear_fits run _bm_core, one loop over that step,
+and the exhaustive sweep calls the step once per node of its prefix tree,
+so an extension shares its prefix's state.
 """
 
 from __future__ import annotations
@@ -168,21 +168,6 @@ def _bm_step(field: Field, state, terms, n: int):
     return new_c, b, length, m, b_disc
 
 
-def _bm_core(field: Field, terms) -> list[tuple[int, list[int]]]:
-    """Berlekamp-Massey over an arbitrary field, as one online pass.
-
-    Entry k of the result is (L, C) for the first k terms (entry 0 is the
-    empty prefix): C is the trimmed connection polynomial coefficient list,
-    C[0] = 1, deg C <= L, and sum_i C[i] * s_{n-i} = 0 for L <= n < k.
-    """
-    state = _BM_START
-    cores = [(0, [1])]
-    for n in range(len(terms)):
-        state = _bm_step(field, state, terms, n)
-        cores.append((state[2], state[0]))
-    return cores
-
-
 def _fit_from_core(n: int, length: int, conn: list[int]) -> LinearFit:
     if length == n and length > 0:
         # vacuous recurrence: every coefficient vector fits, report zeros
@@ -211,19 +196,8 @@ def _bm_gf2_step(state, terms, n: int):
     return c, b, length, m, r
 
 
-def _bm_gf2(terms) -> list[tuple[int, int]]:
-    """_bm_core over F_2: entry k is (L, C) for the first k terms, with C
-    packed as _bm_gf2_step packs it."""
-    state = _BM_GF2_START
-    cores = [(0, 1)]
-    for n in range(len(terms)):
-        state = _bm_gf2_step(state, terms, n)
-        cores.append((state[2], state[0]))
-    return cores
-
-
 def _fit_from_gf2(n: int, length: int, conn: int) -> LinearFit:
-    """_fit_from_core for a connection polynomial packed by _bm_gf2."""
+    """_fit_from_core for a connection polynomial packed by _bm_gf2_step."""
     if length == n and length > 0:
         return LinearFit(n, length, (0,) * length, length)
     if not length:
@@ -245,28 +219,32 @@ def online_bm(field: Field):
     return start, step, lambda n, state: fit(n, state[2], state[0])
 
 
-def _bm_pass(seq: Sequence, n: int):
-    """The pass entries for the first n terms, and the fit built from one:
-    packed over F_2, generic over every other field."""
-    if seq.field.q == 2:
-        return _bm_gf2(seq.terms[:n]), _fit_from_gf2
-    return _bm_core(seq.field, seq.terms[:n]), _fit_from_core
+def _bm_core(field: Field, terms):
+    """Berlekamp-Massey as one online pass of the field's step: (states,
+    fit), where states[k] is the state after the first k terms (states[0]
+    that of the empty prefix) and fit(k, states[k]) its LinearFit."""
+    state, step, fit = online_bm(field)
+    states = [state]
+    for n in range(len(terms)):
+        state = step(state, terms, n)
+        states.append(state)
+    return states, fit
 
 
 def berlekamp_massey(seq: Sequence, n: int) -> LinearFit:
     """Shortest linear recurrence for the first n terms of seq."""
     if not 0 <= n <= len(seq.terms):
         raise ValueError(f"n={n} is outside 0..{len(seq.terms)}")
-    cores, fit = _bm_pass(seq, n)
-    return fit(n, *cores[n])
+    states, fit = _bm_core(seq.field, seq.terms[:n])
+    return fit(n, states[n])
 
 
 def linear_fits(seq: Sequence, n_max: int) -> list[LinearFit]:
     """The shortest recurrence for every prefix length n = 1..n_max."""
     if not 0 <= n_max <= len(seq.terms):
         raise ValueError(f"n_max={n_max} is outside 0..{len(seq.terms)}")
-    cores, fit = _bm_pass(seq, n_max)
-    return [fit(n, *cores[n]) for n in range(1, n_max + 1)]
+    states, fit = _bm_core(seq.field, seq.terms[:n_max])
+    return [fit(n, states[n]) for n in range(1, n_max + 1)]
 
 
 def linear_profile(seq: Sequence, n_max: int) -> list[int]:

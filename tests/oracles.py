@@ -6,10 +6,11 @@ series products from a direct convolution, extension-field arithmetic
 from the polynomial basis (sharing only the library's division in F_p[x]),
 binary exp/log tables from a walk of the cosets of <x>, other exp/log
 tables from the powers of g under polynomial-basis arithmetic, the
-expansion-complexity elimination from columns each reduced from
-scratch, substitution h(x, G(x)) from powers of G convolved afresh on every
-call, and E_n from enumerating every candidate polynomial, so a bug in the
-library cannot vanish by checking itself.  The one exception is the
+expansion-complexity elimination from columns each reduced from scratch,
+or by a column pass and a row echelon in place of the library's
+sigma-basis, substitution h(x, G(x)) from powers of G convolved afresh on
+every call, and E_n from enumerating every candidate polynomial, so a bug
+in the library cannot vanish by checking itself.  The one exception is the
 per-leaf sweep, which runs the library's engines and battery on every
 leaf: it is the oracle for how the sweep shares that work between leaves,
 not for the work itself.
@@ -18,11 +19,16 @@ not for the work itself.
 import math
 from collections import Counter
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from seqcx import expcomp, lincomp, theorems
 from seqcx.experiments import DistributionRecord, EnumerationResult
-from seqcx.expcomp import monomial_count
+from seqcx.expcomp import (
+    _growth_guard,
+    _normalized_witness,
+    kernel_degree_bound,
+    monomial_count,
+)
 from seqcx.field import Field, _poly_divmod, _trim
 from seqcx.lincomp import Sequence
 from seqcx.series import (
@@ -31,6 +37,7 @@ from seqcx.series import (
     TruncatedSeries,
     _check_same_field,
     poly_pow,
+    series_mul,
 )
 
 # Enumerating q^{M_d} candidate polynomials is the brute-force oracle's budget.
@@ -516,6 +523,186 @@ def unshifted_expansion(field, terms, n):
         poly = {monos[t]: field.mul(scale, c) for t, c in comb.items()}
         per_m.append((e, poly, rank, count))
     return births, per_m
+
+
+# -- expansion complexity: a column pass and a row echelon -------------------
+#
+# Two generic eliminations that share no step with the library's
+# sigma-basis, kept as its oracles: the first reduces whole columns
+# top-down, the second holds them in row echelon form one term at a time.
+
+
+def _reduce_generic(field: Field, terms, n: int):
+    """(births, combs) as _reduce_gf2 returns them, with combinations as
+    {key: coefficient}; stored pivots are scaled to 1 at their birth row.
+
+    Column x^i G^j with i >= 1 starts as x times the reduced x^(i-1) G^j:
+    its rows move down by one, its combination keys up by one, and the
+    reduction resumes one row below the earlier column's birth row.
+
+    No witness needs a combination after the first column born at row n,
+    so the rest of its block leaves them stale (settled).
+    """
+    mul, sub = field.mul, field.sub
+    width = kernel_degree_bound(n) + 1
+    g = TruncatedSeries._unchecked(field, terms[:n])
+    power = TruncatedSeries._unchecked(field, [1] + [0] * (n - 1))
+    pivots: dict[int, tuple[list[int], dict[int, int]]] = {}
+    births, combs = [], []
+    settled = False
+    reduced: list = []  # (column, combination, birth row) of the previous block
+    for d in range(width):
+        if d:
+            power = series_mul(power, g, n)
+        block = [
+            ([0] + col[:-1], {t + 1: c for t, c in comb.items()}, birth + 1)
+            for col, comb, birth in reduced
+        ]
+        block.append((list(power.coeffs), {d * width: 1}, 0))
+        reduced = []
+        for col, comb, start in block:
+            birth = n
+            for row in range(start, n):
+                v = col[row]
+                if not v:
+                    continue
+                hit = pivots.get(row)
+                if hit is None:
+                    inv = field.inv(v)
+                    col = [mul(inv, x) for x in col]
+                    if not settled:
+                        comb = {t: mul(inv, x) for t, x in comb.items()}
+                    pivots[row] = (col, comb)
+                    birth = row
+                    break
+                pcol, pcomb = hit
+                for r2 in range(row, n):
+                    if pcol[r2]:
+                        col[r2] = sub(col[r2], mul(v, pcol[r2]))
+                if not settled:
+                    for t, x in pcomb.items():
+                        comb[t] = sub(comb.get(t, 0), mul(v, x))
+            reduced.append((col, comb, birth))
+            births.append(birth)
+            combs.append(comb)
+            settled = settled or birth == n
+        if settled:
+            break
+    return births, combs
+
+
+class _OnlineKernel:
+    """The monomial columns of _reduce_generic in row echelon form, one row
+    per term of a prefix that grows and shrinks at its end.
+
+    The columns are x^i G^j with i + j <= D = kernel_degree_bound(n), in
+    the canonical order (i+j, j, i).  push(s) appends a term s_r: it extends
+    [x^r] G^j for every j <= D from the coefficients of the powers already
+    held, forms row r of every column, and reduces it against pivot rows
+    keyed by their leading (lowest) column, each scaled to 1 there; pop()
+    undoes the last push.  On the first m rows, a column depends on the
+    columns before it exactly when no pivot row leads with it, so E_m is
+    the degree of the first such column, as in the column pass, and the
+    pivots of the columns before it give its combination by
+    back-substitution.
+
+    terms and values hold the prefix and E_1..E_m; push raises RuntimeError
+    when E_m breaks the growth law or the counting bound, as _profile does.
+    """
+
+    def __init__(self, field: Field, n: int):
+        degree = kernel_degree_bound(n)
+        self.field = field
+        self.width = degree + 1
+        self.columns = [(d - j, j) for d in range(degree + 1) for j in range(d + 1)]
+        self.degrees = [i + j for i, j in self.columns]
+        self.pivots: list = [None] * len(self.columns)
+        self.powers = [[] for _ in range(degree + 1)]  # coefficients of G^j
+        self.terms: list[int] = []
+        self.values: list[int] = []
+        self.nonzero = 0  # nonzero terms in the prefix
+        self.first = 0  # the first column that leads no pivot row
+        self._undo: list = []  # (column of the new pivot or -1, first) per push
+
+    def push(self, s: int) -> int:
+        """Append term s; return E of the longer prefix."""
+        field, terms, powers = self.field, self.terms, self.powers
+        add, mul, sub = field.add, field.mul, field.sub
+        r = len(terms)
+        terms.append(s)
+        powers[0].append(0 if r else 1)
+        for prev, power in zip(powers, powers[1:]):
+            acc = 0
+            for a in range(r + 1):
+                if prev[a] and terms[r - a]:
+                    acc = add(acc, mul(prev[a], terms[r - a]))
+            power.append(acc)
+        row = [powers[j][r - i] if r >= i else 0 for i, j in self.columns]
+        pivots = self.pivots
+        lead = -1
+        for k, v in enumerate(row):
+            if not v:
+                continue
+            pivot = pivots[k]
+            if pivot is None:
+                inv = field.inv(v)
+                pivots[k] = [0] * k + [mul(inv, x) for x in row[k:]]
+                lead = k
+                break
+            for col in range(k + 1, len(row)):
+                if pivot[col]:
+                    row[col] = sub(row[col], mul(v, pivot[col]))
+        self._undo.append((lead, self.first))
+        if lead == self.first:
+            while pivots[self.first] is not None:
+                self.first += 1
+        return self._record(r + 1, s)
+
+    def _record(self, m: int, s: int) -> int:
+        if s:
+            self.nonzero += 1
+        e = self.degrees[self.first] if self.nonzero else 0
+        _growth_guard(self.values, m, e)
+        self.values.append(e)
+        return e
+
+    def pop(self) -> None:
+        """Drop the last term."""
+        lead, self.first = self._undo.pop()
+        if lead >= 0:
+            self.pivots[lead] = None
+        if self.terms.pop():
+            self.nonzero -= 1
+        self.values.pop()
+        for power in self.powers:
+            power.pop()
+
+    def _combination(self) -> dict:
+        """{column: coefficient} of the first column that leads no pivot
+        row, as a combination of the columns before it, with coefficient 1
+        at that column."""
+        field, pivots = self.field, self.pivots
+        add, mul = field.add, field.mul
+        last = self.first
+        combo = {last: 1}
+        for k in range(last - 1, -1, -1):
+            pivot = pivots[k]
+            acc = 0
+            for col, x in combo.items():
+                if pivot[col]:
+                    acc = add(acc, mul(pivot[col], x))
+            if acc:
+                combo[k] = field.neg(acc)
+        return combo
+
+    def witness_poly(self) -> Optional[BivariatePoly]:
+        """The minimal witness of the current prefix (None while it is all
+        zero), as ExpansionProfile.witness(m).poly gives it."""
+        if not self.values[-1]:
+            return None
+        columns = self.columns
+        terms = {columns[k]: c for k, c in self._combination().items()}
+        return _normalized_witness(self.field, terms)
 
 
 # -- substitution and brute-force expansion complexity -----------------------

@@ -8,7 +8,8 @@ import pytest
 from seqcx import expcomp
 from seqcx.expcomp import (
     _kernel_pass,
-    _reduce_generic,
+    _sigma_pass,
+    _witness_from_combo,
     expansion_complexity,
     expansion_profile,
     expansion_value,
@@ -22,6 +23,8 @@ from seqcx.series import BivariatePoly, substitute
 
 from oracles import (
     BRUTE_FORCE_CAP,
+    _OnlineKernel,
+    _reduce_generic,
     brute_force_expansion,
     unshifted_expansion,
 )
@@ -329,30 +332,58 @@ def test_expansion_value_rejects_out_of_range_terms(field, terms):
     [(2, 1, None, 10), (3, 1, None, 6), (2, 2, (1, 1, 1), 4), (3, 2, None, 4),
      (5, 1, None, 4)],
 )
-def test_online_kernel_equals_column_pass_at_every_node(p, m, modulus, n):
+def test_online_kernel_equals_column_pass_at_every_node(p, m, modulus, n, monkeypatch):
     # a depth-first walk pushes and pops one term per node; at every node
-    # of depth k the kernel gives E_k and its witness as the column pass
-    # over that prefix does
+    # of depth k the kernel gives E_k and its witness as the row echelon
+    # and the column pass over that prefix do
+    monkeypatch.setattr(expcomp, "_sigma_pass", _reduce_generic)
     field = Field(p, m, modulus)
     kernel = expcomp.online_kernel(field, n)
+    oracle = _OnlineKernel(field, n)
     nodes = 0
 
     def visit(depth):
         nonlocal nodes
         for s in range(field.q):
             e = kernel.push(s)
+            assert oracle.push(s) == e
             nodes += 1
             want = expansion_profile(Sequence(field, kernel.terms), depth + 1)
-            assert kernel.values == list(want.values)
-            assert e == want.values[-1]
-            assert kernel.witness_poly() == want.witness(depth + 1).poly, kernel.terms
+            assert kernel.values == oracle.values == list(want.values)
+            poly = kernel.witness_poly()
+            assert poly == oracle.witness_poly(), kernel.terms
+            assert poly == want.witness(depth + 1).poly, kernel.terms
             if depth + 1 < n:
                 visit(depth + 1)
             kernel.pop()
+            oracle.pop()
             assert len(kernel.terms) == len(kernel.values) == depth
 
     visit(0)
     assert nodes == sum(field.q**k for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("p, m, n", [(3, 1, 5), (2, 2, 4), (5, 1, 4)])
+def test_sigma_basis_pop_restores_rows_keys_and_best(p, m, n):
+    # pop undoes one push exactly: the rows, their keys, the least row and
+    # the residual carried to the next push
+    field = Field(p, m)
+    kernel = expcomp._SigmaBasis(field, n)
+
+    def state():
+        rows = [dict(row) for row in kernel.rows]
+        return rows, list(kernel.keys), kernel.best, kernel._carry
+
+    def visit(depth):
+        before = state()
+        for s in range(field.q):
+            kernel.push(s)
+            if depth + 1 < n:
+                visit(depth + 1)
+            kernel.pop()
+            assert state() == before, (kernel.terms, s)
+
+    visit(0)
 
 
 def test_online_kernel_guards_its_invariants():
@@ -366,14 +397,17 @@ def test_online_kernel_guards_its_invariants():
         expcomp._growth_guard([1, 2], 3, 3)
 
 
-# -- the two elimination orders past n = 64 -----------------------------------
+# -- the elimination orders past n = 64 ----------------------------------------
 
 
-def assert_row_echelon_equals_column_pass(kernel, field, terms):
-    # the row echelon pushes one term at a time; the column pass reduces
-    # whole columns over all n terms at once
+def assert_online_equals_column_pass(kernel, field, terms):
+    # the online engine pushes one term at a time; the column pass oracle
+    # reduces whole columns over all n terms at once
     n = len(terms)
-    profile = expansion_profile(Sequence(field, terms), n)
+    with pytest.MonkeyPatch.context() as patch:
+        if field.q != 2:
+            patch.setattr(expcomp, "_sigma_pass", _reduce_generic)
+        profile = expansion_profile(Sequence(field, terms), n)
     for m, s in enumerate(terms, start=1):
         kernel.push(s)
         if m in (n // 4, n // 2, n):
@@ -387,13 +421,50 @@ def test_online_kernel_equals_column_pass_on_long_prefixes(p, m, n):
     rng = random.Random(field.q * n)
     terms = [rng.randrange(field.q) for _ in range(n)]
     kernel = expcomp.online_kernel(field, n)
-    assert type(kernel) is expcomp._OnlineKernel
-    assert_row_echelon_equals_column_pass(kernel, field, terms)
+    assert type(kernel) is expcomp._SigmaBasis
+    assert_online_equals_column_pass(kernel, field, terms)
 
 
 def test_generic_online_kernel_equals_packed_column_pass_over_f2(f2):
-    # expansion_profile runs _reduce_gf2 over F_2; the generic row echelon
-    # shares neither its packing nor its elimination order
+    # expansion_profile runs _reduce_gf2 over F_2; neither generic online
+    # engine shares its packing or its elimination order
     rng = random.Random(256)
     terms = [rng.randrange(2) for _ in range(256)]
-    assert_row_echelon_equals_column_pass(expcomp._OnlineKernel(f2, 256), f2, terms)
+    for engine in (_OnlineKernel, expcomp._SigmaBasis):
+        assert_online_equals_column_pass(engine(f2, 256), f2, terms)
+
+
+def _sigma_pass_inputs(field, rng):
+    for n in (1, 2, 5, 17, 40, 90):
+        yield [rng.randrange(field.q) for _ in range(n)]
+        # zero-led: zeros - 1 zeros, then a nonzero term
+        zeros = rng.randrange(1, n + 1)
+        yield [0] * (zeros - 1) + [rng.randrange(1, field.q)] + [
+            rng.randrange(field.q) for _ in range(n - zeros)
+        ]
+        sparse = [rng.randrange(1, field.q) if rng.random() < 0.1 else 0
+                  for _ in range(n)]
+        sparse[rng.randrange(n)] = 1
+        yield sparse
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (2, 2), (5, 1), (3, 2), (101, 1), (2, 1)])
+def test_sigma_pass_equals_column_pass(p, m):
+    # births of every column through the end of the decisive block, and the
+    # combination of every decisive column up to scale, against the column
+    # pass on random, zero-led and sparse prefixes
+    field = Field(p, m)
+    rng = random.Random(p * 100 + m)
+    for terms in _sigma_pass_inputs(field, rng):
+        if not any(terms):
+            continue
+        n = len(terms)
+        births, combs = _sigma_pass(field, terms, n)
+        want_births, want_combs = _reduce_generic(field, terms, n)
+        assert births[: len(want_births)] == want_births, terms
+        width = kernel_degree_bound(n) + 1
+        zeros = next(i for i, s in enumerate(terms) if s)
+        for m_ in range(zeros + 1, n + 1):
+            k = next(k for k, birth in enumerate(births) if birth >= m_)
+            got = _witness_from_combo(field, combs[k], width)
+            assert got == _witness_from_combo(field, want_combs[k], width), (terms, m_)

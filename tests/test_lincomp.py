@@ -4,8 +4,9 @@ import random
 import pytest
 
 from seqcx.lincomp import (
+    _BM_START,
     LinearFit,
-    _bm_core,
+    _bm_step,
     _fit_from_core,
     Periodicity,
     Sequence,
@@ -103,13 +104,16 @@ def _gf2_inputs(rng):
 
 
 def test_packed_bm_equals_generic_pass_at_every_length(f2):
-    # over F_2 both entries run the bit-packed pass; _bm_core, the pass
+    # over F_2 both entries run the bit-packed step; _bm_step, the step
     # every other field runs, is its oracle
     rng = random.Random(2048)
     for terms in _gf2_inputs(rng):
         seq = Sequence(f2, terms)
-        cores = _bm_core(f2, terms)
-        expected = [_fit_from_core(n, *core) for n, core in enumerate(cores)]
+        state = _BM_START
+        expected = [_fit_from_core(0, 0, [1])]
+        for n in range(len(terms)):
+            state = _bm_step(f2, state, terms, n)
+            expected.append(_fit_from_core(n + 1, state[2], state[0]))
         assert linear_fits(seq, len(terms)) == expected[1:]
         for n in {0, 1, len(terms) // 3, len(terms) - 1, len(terms)}:
             assert berlekamp_massey(seq, n) == expected[n], n
