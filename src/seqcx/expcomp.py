@@ -318,17 +318,13 @@ class _SigmaBasis:
         never read again (and its x^width may alias y).
         """
         field, terms, powers = self.field, self.terms, self.powers
-        add, mul = field.add, field.mul
+        dot, sparse_dot = field.dot, field.sparse_dot
         r = len(terms)
         terms.append(s)
         if len(powers) > 1:
             powers[1][r] = s
         for prev, power in zip(powers[1:], powers[2:]):
-            acc = 0
-            for a, b in zip(prev, reversed(terms)):
-                if a and b:
-                    acc = add(acc, mul(a, b))
-            power[r] = acc
+            power[r] = dot(prev, reversed(terms))
         # window[j * width + i] = [x^(r-i)] G^j, so a residual is one sum
         width = self.width
         window: list[int] = []
@@ -349,14 +345,7 @@ class _SigmaBasis:
             key = keys[j]
             if key > degree:
                 continue
-            if j == carried:
-                acc = carried_rho
-            else:
-                acc = 0
-                for t, c in row.items():
-                    v = window[t]
-                    if v:
-                        acc = add(acc, mul(c, v))
+            acc = carried_rho if j == carried else sparse_dot(row, window)
             if acc:
                 hits.append((j, acc))
                 if key < low:
@@ -373,14 +362,8 @@ class _SigmaBasis:
         for j, acc in hits:
             if j == pivot or last and j != self.best:
                 continue
-            factor = mul(acc, scale)
             new = rows[j].copy()
-            for t, c in prow.items():
-                v = add(new.get(t, 0), mul(factor, c))
-                if v:
-                    new[t] = v
-                else:
-                    del new[t]
+            field.sparse_axpy(new, field.mul(acc, scale), prow)
             rows[j] = new
         rows[pivot] = {t + 1: c for t, c in prow.items()}
         return pivot

@@ -11,9 +11,12 @@ the count of nonzero Frobenius residual coefficients by one term.  What is
 graded at length m reads the first m terms only, so each node of depth m is
 graded once, as the leaf whose later terms are all zero, and its outcomes
 count with weight q^(n-m): its witness by substitution, and the rest of the
-battery in tallies (theorems.failed_claims), with no report built.  A chunk
-of leaves walks every node whose leaves meet it, and grades those whose
-first leaf it holds, so any cut gives the same totals.  Monte Carlo
+battery in tallies (theorems.failed_claims), with no report built.  The
+tallies read a few scalars and E_1..E_m, which few nodes do not share, so
+each chunk grades each distinct battery input once and counts its result
+again for every node that has it.  A chunk of leaves walks every node whose
+leaves meet it, and grades those whose first leaf it holds, so any cut
+gives the same totals.  Monte Carlo
 mode samples sequences with i.i.d. uniform terms and reports the E_n
 distribution across a schedule of prefix lengths, together with the fraction
 of samples falling below sqrt((1-eps) * n) for a couple of eps values; the
@@ -306,15 +309,10 @@ class _CarriedResidual:
     def push(self) -> None:
         """Extend every held power, and count, for the term just appended."""
         field, series, terms = self.field, self.series, self.terms
-        add, mul = field.add, field.mul
+        add, dot = field.add, field.dot
         r = len(terms) - 1
         for (left, right), out in zip(self.factors, series[1:]):
-            a, b = series[left], series[right]
-            acc = 0
-            for i in range(r + 1):
-                if a[i] and b[r - i]:
-                    acc = add(acc, mul(a[i], b[r - i]))
-            out.append(acc)
+            out.append(dot(series[left], series[right][r::-1]))
         k = self.ks[r + 1]
         if k == self.ks[r]:
             count, span = self.nonzero[-1], range(r, r + 1)
@@ -346,7 +344,10 @@ def _enumerate_chunk(field, n, checks, start, stop):
     of depth m is graded, with weight q^(n-m), in the chunk that holds its
     first leaf, the one whose terms after the first m are all zero: its E_m
     witness is substituted into its m terms, and theorems.failed_claims
-    grades its fits, E values and residual count.
+    grades its fits, E values and residual count.  failed_claims reads only
+    its arguments, so the chunk grades each distinct argument tuple once
+    and reuses the result at every later node that has it; the witness
+    check still runs at every node.
     """
     q, p = field.q, field.p
     root, step, fit_of = lincomp.online_bm(field)
@@ -357,6 +358,9 @@ def _enumerate_chunk(field, n, checks, start, stop):
     leaves_below = [q ** (n - m) for m in range(n + 1)]
     counts, counts_l, counts_t, fails = (Counter() for _ in range(4))
     witness_failures = 0
+    # failed_claims of each distinct battery input: its arguments after p,
+    # which are all it reads; local to the chunk, so no run reuses another's
+    graded = {}
 
     def grade(m, weight):
         """Grade the node of depth m."""
@@ -371,10 +375,14 @@ def _enumerate_chunk(field, n, checks, start, stop):
         # E = 0 only on an all-zero prefix, where only the growth step
         # applies, and first = m says so
         first = next(i for i, s in enumerate(path) if s) if e else m
-        failed = theorems.failed_claims(
-            p, m, fits=fits, profile_e=values, first=first,
-            residual_nonzero=residual.nonzero[-1],
+        fit = fits[-1]
+        key = (
+            m, first, residual.nonzero[-1], fits[-2].complexity, fit.complexity,
+            fit.t, tuple(values),
         )
+        failed = graded.get(key)
+        if failed is None:
+            failed = graded[key] = theorems.failed_claims(p, *key)
         for claim_id in failed:
             fails[claim_id] += weight
 

@@ -20,8 +20,18 @@ F_{2^16} builds in about 10 ms.  For odd p the products are written with
 base-(2p - 1) digits, so an integer sum keeps the digit sums apart, and two
 more lookups reduce them mod p.
 
-A Field instance is immutable after construction and all operations are pure,
-so instances can be shared freely between threads or worker processes.
+The engines' inner loops go through four bulk kernels: dot, axpy, and
+sparse_dot and sparse_axpy on rows held as {index: coefficient} dicts.
+When q <= TABLE_CAP they read operation tables add[a][b] and mul[a][b],
+built on the first kernel call from the arithmetic above (products from
+exp/log, sums by XOR for p = 2 and from zech for odd p); above the cap they
+call add and mul per element.  Only the Field knows which.
+
+Apart from those tables, a cache built at most once, a Field instance is
+immutable after construction and all operations are pure, so instances can
+be shared freely between threads or worker processes.  A pickled Field
+carries its log tables but not its operation tables, which the receiver
+builds again on first use.
 """
 
 from __future__ import annotations
@@ -33,6 +43,10 @@ from itertools import product
 # Largest q supported.  An extension field holds 12 bytes of tables per
 # element (16 for odd p): 12 MiB for F_{2^20}.
 PRIME_POWER_CAP = 1 << 20
+
+# Largest q with operation tables: two q x q lists of small ints, about
+# 1 MiB at q = 256.
+TABLE_CAP = 256
 
 
 def is_prime(n: int) -> bool:
@@ -279,12 +293,29 @@ def _log_tables(p: int, m: int, modulus: tuple[int, ...]) -> tuple[array, array]
 def _zech_table(p: int, q: int, exp: array, log: array) -> array:
     """zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0 (odd p)."""
     top = p - 1
-    zech = array("i", bytes(4 * (q - 1)))
-    for k in range(q - 1):
-        a = exp[k]
-        # adding 1 changes only the constant digit
-        zech[k] = log[a - top if a % p == top else a + 1]
-    return zech
+    # adding 1 changes only the constant digit
+    return array("i", [log[a - top if a % p == top else a + 1] for a in exp[: q - 1]])
+
+
+def _op_tables(p: int, q: int, exp, log, zech) -> tuple[list, list]:
+    """(add, mul) with add[a][b] = a + b and mul[a][b] = a * b in F_q;
+    exp is None for a prime field."""
+    elements = range(q)
+    if exp is None:
+        add = [[(a + b) % p for b in elements] for a in elements]
+        mul = [[a * b % p for b in elements] for a in elements]
+        return add, mul
+    logs = log[1:]  # of the nonzero elements, in order
+    mul = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
+    if p == 2:
+        add = [[a ^ b for b in elements] for a in elements]
+    else:
+        # g^i + g^j = g^(i + zech[j - i]), and 0 where zech is -1
+        add = [list(elements)] + [
+            [a] + [exp[i + z] if z >= 0 else 0 for z in [zech[j - i] for j in logs]]
+            for a, i in zip(elements[1:], logs)
+        ]
+    return add, mul
 
 
 def check_field_size(p: int, m: int) -> None:
@@ -300,7 +331,7 @@ def check_field_size(p: int, m: int) -> None:
 class Field:
     """Arithmetic context for F_q, q = p^m, with integer-indexed elements."""
 
-    __slots__ = ("p", "m", "modulus", "q", "_exp", "_log", "_zech")
+    __slots__ = ("p", "m", "modulus", "q", "_exp", "_log", "_zech", "_ops")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
         if m < 1:
@@ -312,7 +343,7 @@ class Field:
         self.p = p
         self.m = m
         self.q = q
-        self._exp = self._log = self._zech = None
+        self._exp = self._log = self._zech = self._ops = None
         if m == 1:
             if modulus:
                 raise ValueError("prime fields take no modulus")
@@ -330,6 +361,13 @@ class Field:
         self._exp, self._log = _log_tables(p, m, mod)
         if p != 2:
             self._zech = _zech_table(p, q, self._exp, self._log)
+
+    def __getstate__(self):
+        return self.p, self.m, self.modulus, self.q, self._exp, self._log, self._zech
+
+    def __setstate__(self, state):
+        self.p, self.m, self.modulus, self.q, self._exp, self._log, self._zech = state
+        self._ops = None
 
     def __eq__(self, other):
         if self is other:
@@ -437,3 +475,89 @@ class Field:
         if a == 0 or self.m == 1:
             return a
         return self.pow(a, pow(self.p, k, self.q - 1))
+
+    # -- bulk kernels --------------------------------------------------------
+    #
+    # Each reads the operation tables when q <= TABLE_CAP and calls add and
+    # mul per element above it; the two loops give the same values.
+
+    def _tables(self):
+        """(add, mul) operation tables, built on the first call; None when
+        q exceeds TABLE_CAP."""
+        ops = self._ops
+        if ops is None and self.q <= TABLE_CAP:
+            ops = _op_tables(self.p, self.q, self._exp, self._log, self._zech)
+            self._ops = ops
+        return ops
+
+    def dot(self, xs, ys) -> int:
+        """The sum of x * y over the pairs of zip(xs, ys)."""
+        acc = 0
+        ops = self._tables()
+        if ops is None:
+            add, mul = self.add, self.mul
+            for a, b in zip(xs, ys):
+                if a and b:
+                    acc = add(acc, mul(a, b))
+            return acc
+        add, mul = ops
+        for a, b in zip(xs, ys):
+            acc = add[acc][mul[a][b]]
+        return acc
+
+    def axpy(self, out: list, start: int, a: int, xs) -> None:
+        """out[start + k] += a * xs[k], in place, for every k with
+        start + k < len(out); xs is a sequence."""
+        ops = self._tables()
+        if ops is None:
+            if a:
+                add, mul = self.add, self.mul
+                for k, x in zip(range(start, len(out)), xs):
+                    if x:
+                        out[k] = add(out[k], mul(a, x))
+            return
+        add, mul = ops
+        row = mul[a]
+        stop = start + len(xs)
+        out[start:stop] = [add[o][row[x]] for o, x in zip(out[start:stop], xs)]
+
+    def sparse_dot(self, row: dict, dense) -> int:
+        """The sum of c * dense[t] over the items t: c of row."""
+        acc = 0
+        ops = self._tables()
+        if ops is None:
+            add, mul = self.add, self.mul
+            for t, c in row.items():
+                v = dense[t]
+                if v:
+                    acc = add(acc, mul(c, v))
+            return acc
+        add, mul = ops
+        for t, c in row.items():
+            acc = add[acc][mul[c][dense[t]]]
+        return acc
+
+    def sparse_axpy(self, row: dict, a: int, other: dict) -> None:
+        """row += a * other, in place, for rows {index: nonzero coefficient}:
+        an index whose coefficient becomes 0 is dropped."""
+        if not a:
+            return
+        ops = self._tables()
+        if ops is None:
+            add, mul = self.add, self.mul
+            for t, c in other.items():
+                v = add(row.get(t, 0), mul(a, c))
+                if v:
+                    row[t] = v
+                else:
+                    del row[t]
+            return
+        add, mul = ops
+        times_a = mul[a]
+        get = row.get
+        for t, c in other.items():
+            v = add[get(t, 0)][times_a[c]]
+            if v:
+                row[t] = v
+            else:
+                del row[t]

@@ -147,18 +147,15 @@ def _bm_step(field: Field, state, terms, n: int):
     shared by every extension of its prefix.
     """
     c, b, length, m, b_disc = state
-    delta = terms[n]
-    for i in range(1, min(length, len(c) - 1) + 1):
-        if c[i] and terms[n - i]:
-            delta = field.add(delta, field.mul(c[i], terms[n - i]))
+    # c_i pairs with s_{n-i} for i = 1..L (L <= n)
+    recent = reversed(terms[n - length : n])
+    delta = field.add(terms[n], field.dot(c[1 : length + 1], recent))
     if not delta:
         return state
     factor = field.mul(delta, field.inv(b_disc))
     shift = n - m
     new_c = c + [0] * (len(b) + shift - len(c))
-    for i, bi in enumerate(b):
-        if bi:
-            new_c[i + shift] = field.sub(new_c[i + shift], field.mul(factor, bi))
+    field.axpy(new_c, shift, field.neg(factor), b)
     top = len(new_c)
     while new_c[top - 1] == 0:
         top -= 1

@@ -15,7 +15,10 @@ Over F_2, series_mul is a carry-less product of packed ints, which
 series_pow and substitute inherit; the tests check it against a schoolbook
 convolution, and substitute against a naive one.  It shares no code with the
 bit-packed kernel of expcomp, so a witness check does not rest on the
-arithmetic that found the witness.
+arithmetic that found the witness.  Over every other field, series_mul and
+substitute accumulate each row of their products with the Field's axpy
+kernel (see field), whose operation tables the tests check entry by entry
+against add and mul.
 """
 
 from __future__ import annotations
@@ -212,15 +215,11 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries, n: int) -> TruncatedSerie
     f = a.field
     if f.q == 2 and n:
         return TruncatedSeries._unchecked(f, _mul_gf2(a.coeffs, b.coeffs, n))
-    add, mul = f.add, f.mul
-    bc = b.coeffs
+    axpy, bc = f.axpy, b.coeffs
     out = [0] * n
     for i, ai in enumerate(a.coeffs[:n]):
         if ai:
-            for j in range(n - i):
-                bj = bc[j]
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
+            axpy(out, i, ai, bc)
     return TruncatedSeries._unchecked(f, out)
 
 
@@ -345,7 +344,6 @@ def substitute(h: BivariatePoly, g: TruncatedSeries, n: int) -> TruncatedSeries:
     if n > g.order:
         raise ValueError(f"series of order {g.order} cannot extend to {n}")
     f = h.field
-    add, mul = f.add, f.mul
     base = g if g.order == n else g.truncate(n)
     power, have = None, 0  # power is G^have, for have >= 1
     out = [0] * n
@@ -356,10 +354,7 @@ def substitute(h: BivariatePoly, g: TruncatedSeries, n: int) -> TruncatedSeries:
             step = base if j - have == 1 else series_pow(base, j - have, n)
             power, have = step if have == 0 else series_mul(power, step, n), j
         if not have:
-            out[i] = add(out[i], c)
-            continue
-        pj = power.coeffs
-        for t in range(n - i):
-            if pj[t]:
-                out[i + t] = add(out[i + t], mul(c, pj[t]))
+            out[i] = f.add(out[i], c)
+        else:
+            f.axpy(out, i, c, power.coeffs)
     return TruncatedSeries._unchecked(f, out)

@@ -45,8 +45,9 @@ Each claim is built once, as a row (claim_id, inputs, relation, expected,
 observed) from the bound formulas and _RELATIONS, and a report is a row
 with its outcome.  failed_claims is the tally form of the two per-length
 entries: it returns the claim ids of their failed rows and builds no
-report.  It takes the count of nonzero residual coefficients in place of
-the residual, so a sweep can carry that count along its walk;
+report.  It takes scalars in place of fits, and the count of nonzero
+residual coefficients in place of the residual, so a sweep can carry that
+count along its walk and key each result on the arguments;
 frobenius_coefficient builds the certificate for both.  witness_holds is
 the one check of an E_m witness, by substitution.
 """
@@ -284,8 +285,7 @@ def check_theorem1_remark(
 # -- prefix checks (no periodicity assumption) -------------------------------
 
 
-def _theorem4_rows(fit: lincomp.LinearFit, expansion: int) -> list:
-    n, l_n, t_n = fit.n, fit.complexity, fit.t
+def _theorem4_rows(n: int, l_n: int, t_n: int, expansion: int) -> list:
     inputs = (("l_n", l_n), ("t_n", t_n), ("n", n))
     return [
         ("T4.lower", inputs, ">=", periodic_lower_bound(l_n, t_n, n), expansion),
@@ -299,19 +299,22 @@ def check_theorem4(fit: lincomp.LinearFit, expansion: int) -> list[BoundReport]:
         raise ValueError("prefix bounds require n >= 2")
     if fit.complexity == 0:
         raise ValueError("all-zero prefix is excluded")
-    return [_from_row(row) for row in _theorem4_rows(fit, expansion)]
+    rows = _theorem4_rows(fit.n, fit.complexity, fit.t, expansion)
+    return [_from_row(row) for row in rows]
 
 
-def _growth_rows(fits: list[lincomp.LinearFit], profile_e, m: int) -> list:
+def _growth_rows(profile_e, m: int, l_n: int, l_m: int) -> list:
+    """The P2 and L3 rows of the step from n = m-1 to m terms, with
+    L_n = l_n and L_m = l_m."""
     n = m - 1
-    e_n, l_n = profile_e[n - 1], fits[n - 1].complexity
+    e_n = profile_e[n - 1]
     if 2 * l_n > n:
         relation, allowed = "==", l_n
     else:
         relation, allowed = "in_set", tuple(sorted({l_n, n + 1 - l_n}))
     return [
         ("P2", (("n", n), ("e_n", e_n)), "in", (e_n, max(e_n, 1) + 1), profile_e[n]),
-        ("L3", (("n", n), ("l_n", l_n)), relation, allowed, fits[n].complexity),
+        ("L3", (("n", n), ("l_n", l_n)), relation, allowed, l_m),
     ]
 
 
@@ -325,7 +328,8 @@ def check_growth_step(
     the absolute length m-1, so a caller hands the whole profiles and the
     absolute index, never a slice.
     """
-    return [_from_row(row) for row in _growth_rows(fits, profile_e, m)]
+    rows = _growth_rows(profile_e, m, fits[m - 2].complexity, fits[m - 1].complexity)
+    return [_from_row(row) for row in rows]
 
 
 def check_growth(fits: list[lincomp.LinearFit], profile_e) -> list[BoundReport]:
@@ -425,22 +429,26 @@ def check_length(
 def failed_claims(
     p: int,
     m: int,
-    *,
-    fits: list[lincomp.LinearFit],
-    profile_e,
     first: int,
     residual_nonzero: int,
+    l_prev: int,
+    l_m: int,
+    t_m: int,
+    profile_e,
 ) -> list[str]:
     """The claim ids of the failed reports of check_growth_step and then
     check_length at m >= 2, in their order, with no report built.
 
-    fits, profile_e, p and first are as those read them, and
+    p, first and profile_e (E_1..E_m, or more) are as those entries read
+    them; l_prev, l_m and t_m are L_{m-1}, L_m and t_m of the fits; and
     residual_nonzero is the count check_misc_upper reads off the Frobenius
-    residual: its nonzero coefficients among the first m, for m's k.
+    residual: its nonzero coefficients among the first m, for m's k.  It
+    reads nothing else, so with profile_e cut to E_1..E_m its arguments
+    after p are a complete key for its result.
     """
-    rows = _growth_rows(fits, profile_e, m)
+    rows = _growth_rows(profile_e, m, l_prev, l_m)
     if m > first:
-        rows += _theorem4_rows(fits[m - 1], profile_e[m - 1])
+        rows += _theorem4_rows(m, l_m, t_m, profile_e[m - 1])
         rows += _upper_rows(p, m, profile_e, first, residual_nonzero)
     return _failed(rows)
 

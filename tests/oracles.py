@@ -5,7 +5,8 @@ lengths come from explicit enumeration, binomial terms from math.comb,
 series products from a direct convolution, extension-field arithmetic
 from the polynomial basis (sharing only the library's division in F_p[x]),
 binary exp/log tables from a walk of the cosets of <x>, other exp/log
-tables from the powers of g under polynomial-basis arithmetic, the
+tables from the powers of g under polynomial-basis arithmetic, Zech tables
+from a loop over the exp table, the
 expansion-complexity elimination from columns each reduced from scratch,
 or by a column pass and a row echelon in place of the library's
 sigma-basis, substitution h(x, G(x)) from powers of G convolved afresh on
@@ -13,7 +14,8 @@ every call, and E_n from enumerating every candidate polynomial, so a bug
 in the library cannot vanish by checking itself.  The one exception is the
 per-leaf sweep, which runs the library's engines and battery on every
 leaf: it is the oracle for how the sweep shares that work between leaves,
-not for the work itself.
+not for the work itself.  Field arithmetic here is per element, by add and
+mul, never through the Field's bulk kernels.
 """
 
 import math
@@ -383,6 +385,18 @@ def log_tables_poly_basis(field):
     for k, a in enumerate(exp):
         log[a] = k
     return exp * 2, log
+
+
+def zech_table_loop(p, q, exp, log):
+    """zech[k] = log(1 + g^k), -1 where 1 + g^k = 0, filled one k at a time
+    from the field's own exp and log (odd p)."""
+    top = p - 1
+    zech = [0] * (q - 1)
+    for k in range(q - 1):
+        a = exp[k]
+        # adding 1 changes only the constant digit
+        zech[k] = log[a - top if a % p == top else a + 1]
+    return zech
 
 
 # -- expansion complexity: every column reduced from scratch ------------------

@@ -678,3 +678,73 @@ def test_carried_residual_equals_substitution(q_spec, n, perturbed, monkeypatch)
     top = theorems.frobenius_parameters(p, n)[0]
     assert {k for k, _ in seen} == set(range(top + 1))
     assert any(hit for _, hit in seen) == perturbed
+
+
+# -- each distinct battery input graded once per chunk -----------------------
+#
+# A chunk grades each distinct (m, first, residual count, L_{m-1}, L_m, t_m,
+# E_1..E_m) once.  Each injection below fails a row as a function of one of
+# those alone, through a row builder that the per-leaf oracle and the sweep
+# both call, so a cache key that dropped it would reuse a neighbour's result.
+# m, first and E_1 are fixed by the E values (E_m = 0 exactly on an all-zero
+# prefix), so dropping one of them alone leaves an equivalent key; dropping
+# E values is what the E_1..E_{m-2} injection catches.
+
+
+def _failing_row(fails):
+    return ("injected", (), "==", 0, int(fails))
+
+
+def _inject_row(monkeypatch, builder, fails):
+    real = getattr(theorems, builder)
+
+    def rows(*args):
+        return real(*args) + [_failing_row(fails(*args))]
+
+    monkeypatch.setattr(theorems, builder, rows)
+
+
+def _inject_residual(monkeypatch):
+    # R.frobenius.witness fails exactly when the residual count is nonzero
+    real_coefficient = theorems.frobenius_coefficient
+
+    def coefficient(field, s, k):
+        c = real_coefficient(field, s, k)
+        return field.add(c, 1) if (s + k) % 3 == 1 else c
+
+    monkeypatch.setattr(theorems, "frobenius_coefficient", coefficient)
+
+
+# component -> (row builder, failure as a function of that builder's
+# arguments); the residual count is moved by a perturbed certificate instead
+KEY_INJECTIONS = {
+    "E_1": ("_upper_rows", lambda p, m, e, first, nonzero: e[0] == 1),
+    "E_1..E_m-2": ("_upper_rows", lambda p, m, e, first, nonzero: sum(e[: m - 2]) % 2),
+    "first": ("_upper_rows", lambda p, m, e, first, nonzero: first == 1),
+    "residual": None,
+    "L_m-1": ("_growth_rows", lambda profile_e, m, l_prev, l_m: l_prev % 2),
+    "L_m": ("_growth_rows", lambda profile_e, m, l_prev, l_m: l_m % 2),
+    "t_m": ("_theorem4_rows", lambda m, l_m, t_m, e_m: t_m == 1),
+}
+KEY_SWEEP = ((3, 1), 5)
+_KEY_ORACLE = {}
+
+
+@pytest.mark.parametrize("component", list(KEY_INJECTIONS))
+def test_battery_cache_key_is_complete(component, monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    (p, m), n = KEY_SWEEP
+    field = Field(p, m)
+    if KEY_INJECTIONS[component] is None:
+        _inject_residual(monkeypatch)
+    else:
+        _inject_row(monkeypatch, *KEY_INJECTIONS[component])
+    if component not in _KEY_ORACLE:
+        _KEY_ORACLE[component] = per_leaf_sweep(field, n)
+    expected = _KEY_ORACLE[component]
+    assert expected["violations"] > 0
+    for workers in (1, 2, 5):
+        got = enumerate_all(ExhaustiveConfig(field, n, workers=workers))
+        assert got.to_dict() == expected, workers

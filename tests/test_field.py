@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +10,9 @@ from oracles import (
     is_irreducible_lists,
     log_tables_coset_walk,
     log_tables_poly_basis,
+    zech_table_loop,
 )
-from seqcx.field import PRIME_POWER_CAP, Field, is_prime
+from seqcx.field import PRIME_POWER_CAP, TABLE_CAP, Field, is_prime
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 
@@ -326,3 +328,125 @@ def test_pickle_round_trip_keeps_modulus_tables_and_ops(p, m, modulus):
         if b:
             assert back.inv(b) == field.inv(b)
             assert back.div(a, b) == field.div(a, b)
+
+
+# -- operation tables and bulk kernels ----------------------------------------
+
+OP_TABLE_FIELDS = [
+    (2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3),
+    (101, 1), (2, 8),
+]
+
+
+@pytest.mark.parametrize("p, m", OP_TABLE_FIELDS, ids=lambda v: str(v))
+def test_operation_tables_equal_the_methods(p, m):
+    field = Field(p, m)
+    assert field._ops is None  # built on the first kernel call
+    add, mul = field._tables()
+    assert field._tables() is field._ops
+    elements = range(field.q)
+    assert add == [[field.add(a, b) for b in elements] for a in elements]
+    assert mul == [[field.mul(a, b) for b in elements] for a in elements]
+
+
+def test_table_cap_is_the_largest_tabled_q():
+    assert TABLE_CAP == 256
+    assert Field(2, 8)._tables() is not None
+    for p, m in ((257, 1), (2, 9), (2, 16)):
+        field = Field(p, m)
+        assert field._tables() is None and field._ops is None
+
+
+def _vectors(field, rng, length):
+    """A random, a zero-heavy and an all-zero vector of the given length."""
+    q = field.q
+    return [
+        [rng.randrange(q) for _ in range(length)],
+        [rng.randrange(1, q) if rng.random() < 0.2 else 0 for _ in range(length)],
+        [0] * length,
+    ]
+
+
+@pytest.mark.parametrize("p, m", [(2, 8), (257, 1), (2, 9), (3, 2)], ids=str)
+def test_kernels_equal_a_per_element_loop(p, m):
+    # on both sides of TABLE_CAP: F_256 reads tables, F_257 and F_512 call
+    # add and mul; lengths 0 and 1 and vectors longer than the target too
+    field = Field(p, m)
+    add, mul = field.add, field.mul
+    rng = random.Random(f"kernels:{p}^{m}")
+    for length in (0, 1, 5, 40):
+        for xs in _vectors(field, rng, length):
+            for ys in _vectors(field, rng, length + rng.randrange(3)):
+                want = 0
+                for a, b in zip(xs, ys):
+                    want = add(want, mul(a, b))
+                assert field.dot(xs, ys) == want
+                assert field.dot(xs, reversed(ys)) == field.dot(xs, ys[::-1])
+                for start in (0, 1, length + 2):
+                    a = rng.randrange(field.q)
+                    out = list(ys)
+                    field.axpy(out, start, a, xs)
+                    want = list(ys)
+                    for k, x in enumerate(xs):
+                        if start + k < len(want):
+                            want[start + k] = add(want[start + k], mul(a, x))
+                    assert out == want, (start, a)
+                # rows {index: nonzero coefficient} over the indices of ys
+                row = {t: c for t, c in enumerate(xs[: len(ys)]) if c}
+                want = 0
+                for t, c in row.items():
+                    want = add(want, mul(c, ys[t]))
+                assert field.sparse_dot(row, ys) == want
+                other = {t: c for t, c in enumerate(ys) if c}
+                for a in (0, 1, rng.randrange(field.q)):
+                    got = dict(row)
+                    field.sparse_axpy(got, a, other)
+                    dense = [
+                        add(row.get(t, 0), mul(a, other.get(t, 0)))
+                        for t in range(len(ys))
+                    ]
+                    assert got == {t: c for t, c in enumerate(dense) if c}, a
+    # a row cancelled to nothing, term by term
+    row = {0: 1, 3: field.q - 1}
+    field.sparse_axpy(row, field.neg(1), dict(row))
+    assert row == {}
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (2, 8), (101, 1), (2, 9)], ids=str)
+def test_pickle_round_trip_with_and_without_tables(p, m):
+    # the operation tables stay behind; the receiver builds its own
+    import pickle
+
+    field = Field(p, m)
+    plain = pickle.dumps(field)
+    field._tables()
+    built = pickle.dumps(field)
+    assert built == plain
+    for data in (plain, built):
+        back = pickle.loads(data)
+        assert back == field and back._ops is None
+        xs = [a % field.q for a in range(3, 40)]
+        assert back.dot(xs, xs[::-1]) == field.dot(xs, xs[::-1])
+        assert back._tables() == field._tables()
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (3, 3), (5, 2), (101, 2)], ids=str)
+def test_zech_table_equals_the_loop(p, m):
+    field = Field(p, m)
+    assert field._zech.tolist() == zech_table_loop(p, field.q, field._exp, field._log)
+
+
+KERNELS = {"dot", "axpy", "sparse_dot", "sparse_axpy", "_tables", "_ops"}
+
+
+def test_oracles_do_per_element_arithmetic():
+    # the oracles check the engines that use the kernels, so none may use
+    # them itself
+    import ast
+
+    import oracles
+
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not (used | names) & KERNELS

@@ -540,7 +540,8 @@ def _tallied_failures(p, m, fits, profile_e, frobenius, first):
     k, _ = frobenius_parameters(p, m)
     nonzero = sum(1 for c in frobenius[k].coeffs[:m] if c)
     return theorems.failed_claims(
-        p, m, fits=fits, profile_e=profile_e, first=first, residual_nonzero=nonzero
+        p, m, first, nonzero, fits[m - 2].complexity, fits[m - 1].complexity,
+        fits[m - 1].t, profile_e,
     )
 
 
