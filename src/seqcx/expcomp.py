@@ -1,4 +1,4 @@
-"""Expansion complexity by an online sigma-basis, over F_2 by packed columns.
+"""Expansion complexity by an online sigma-basis.
 
 The n-th expansion complexity of a sequence prefix is the least total degree
 of a nonzero bivariate polynomial h with h(x, G(x)) = 0 mod x^n, where G is
@@ -15,24 +15,26 @@ the first such column, its combination is the minimal witness (unique up to
 scale, as the columns before it are independent), and the decisive system's
 rank counts the first M_d = (d+1)(d+2)/2 columns born before row m.
 
-Over every field but F_2, _SigmaBasis finds these a term at a time: the
-minimal approximant basis of (1, G, ..., G^D) with shift (0, 1, ..., D)
-(Beckermann and Labahn, 1994).  It holds one row per j <= D, a polynomial h
-with h(x, G) = 0 mod x^m and leading monomial x^lead y^j, keyed by that
-monomial's total degree.  Appending s_r takes each row's residual
+_SigmaBasis finds these a term at a time: the minimal approximant basis
+of (1, G, ..., G^D) with shift (0, 1, ..., D) (Beckermann and Labahn,
+1994).  It holds one row per j <= D, a polynomial h with h(x, G) = 0 mod
+x^m and leading monomial x^lead y^j, keyed by that monomial's total
+degree.  Appending s_r takes each row's residual
 [x^r] h(x, G); the row of least (key, j) with a nonzero residual is the
 pivot, every other such row subtracts a multiple of it, and the pivot is
 multiplied by x: its column x^lead y^j is born at row r.  So x^i y^j
 depends on its predecessors on the first m rows exactly when i >= lead of
 row j, E_m is the least key, and the row that has it is the witness.  The
-exhaustive sweep pushes and pops a term per node (online_kernel); single
-sequences, verify and Monte Carlo run _sigma_pass, which pushes every term.
+exhaustive sweep pushes and pops a term per node (online_kernel).  Rows
+have two representations: {key: coefficient} dicts, and over F_2
+_SigmaBasisGF2's ints, one bit per monomial, with the same pivots, keys
+and carry.
 
-Over F_2, _reduce_gf2 reduces whole columns packed in ints for single
-sequences, verify and Monte Carlo, and _OnlineKernelGF2 holds them in row
-echelon form, one packed row per term, for the sweep.  The tests check all
-three engines against the generic column pass and row echelon that the
-sigma-basis replaced (tests/oracles.py).
+Single sequences, verify and Monte Carlo run _sigma_pass, which pushes
+every term into the same sigma-basis, except over F_2: there _reduce_gf2
+reduces whole columns packed in ints, which is faster for one sequence.
+The tests check both engines against the generic column pass and row
+echelon that the sigma-basis replaced (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class ExpansionProfile:
 
     births holds the birth rows through the end of the degree block that
     holds the first column born at row n, and combs the combinations (keyed
-    j * W + i for x^i y^j, W = kernel_degree_bound(n) + 1) through that
+    j * W + i for x^i y^j, W = kernel_degree_bound(n) + 1: {key:
+    coefficient} dicts, over F_2 int bit masks, bit key set) through that
     column, so that witness(m) can build the certificate for any m on
     demand; both are empty for an all-zero prefix.  Only the decisive
     entries of combs are defined, those of the first column born at row
@@ -170,7 +173,7 @@ def _reduce_gf2(bits: int, n: int):
 
 
 def _sigma_pass(field: Field, terms, n: int):
-    """(births, combs) from pushing every term into one _SigmaBasis: the
+    """(births, combs) from pushing every term into one online_kernel: the
     birth row of every column of degree <= D, and the combination of each
     decisive column, keyed as _reduce_gf2 keys them, None at every other.
 
@@ -179,7 +182,7 @@ def _sigma_pass(field: Field, terms, n: int):
     the columns before it are independent there, so it is unique up to
     scale at every m at which that column is decisive.
     """
-    basis = _SigmaBasis(field, n)
+    basis = online_kernel(field, n)
     births = [n] * monomial_count(basis.width - 1)
     combs: list = [None] * len(births)
     keys = basis.keys
@@ -264,7 +267,7 @@ def _growth_guard(values, m: int, e: int) -> None:
     """Raise unless E_m = e keeps both invariants of the kernel search: the
     growth law from E_{m-1} (values[-1], 0 for m = 1), and the counting
     bound kernel_degree_bound(m)."""
-    if e > kernel_degree_bound(m):
+    if e * (e + 1) // 2 > m:  # e > kernel_degree_bound(m)
         raise RuntimeError("kernel search overran its counting bound")
     lo = values[-1] if values else 0
     if not (lo <= e <= lo + 1 or (lo, e) == (0, 2)):
@@ -282,27 +285,74 @@ class _SigmaBasis:
     order (i+j, j, i); keys[j] = lead + j, and best is the row of least
     (key, j).  Row j starts as y^j, for j <= D = kernel_degree_bound(n).
     Rows are replaced, never changed, so a copy of the row list taken
-    before a push is all pop() needs.  terms and values hold the prefix and
-    E_1..E_m; push raises RuntimeError when E_m breaks the growth law or
-    the counting bound, as _profile does.
+    before a push, with the keys, best, carry and series, is all pop()
+    needs.  series is what the residuals read of G: here the lists
+    powers[j][a] = [x^a] G^j, changed in place, which a pop may leave as
+    they are, since a coefficient past the prefix is rewritten before it
+    is read.  terms and values hold the prefix and E_1..E_m; push raises
+    RuntimeError when E_m breaks the growth law or the counting bound, as
+    _profile does.
+
+    A subclass changes only the row representation and its arithmetic:
+    _start, _window, _residual and _eliminate.
     """
 
     def __init__(self, field: Field, n: int):
-        degree = kernel_degree_bound(n)
         self.field = field
-        self.width = width = degree + 1
+        self.width = width = kernel_degree_bound(n) + 1
         self.length = n  # the longest prefix
-        self.rows = [{j * width: 1} for j in range(width)]
+        self.rows, self.series = self._start()
         self.keys = list(range(width))
         self.best = 0
-        # powers[j][a] = [x^a] G^j; a pop leaves them as they are, since a
-        # coefficient past the prefix is rewritten before it is read
-        self.powers = [[1] + [0] * n] + [[0] * n for _ in range(degree)]
         self.terms: list[int] = []
         self.values: list[int] = []
         self.nonzero = 0  # nonzero terms in the prefix
         self._carry = (-1, 0)  # the last pivot and its residual
-        self._undo: list = []  # (rows, keys, best, carry) before each push
+        self._undo: list = []  # (rows, keys, best, carry, series) before each push
+
+    def _start(self):
+        """The rows y^j and the series before the first term."""
+        n, width = self.length, self.width
+        rows = [{j * width: 1} for j in range(width)]
+        return rows, [[1] + [0] * n] + [[0] * n for _ in range(width - 1)]
+
+    def _window(self, r: int):
+        """Advance the series by term s_r; return the window that _residual
+        reads: window[j * width + i] = [x^(r-i)] G^j."""
+        terms, powers, dot = self.terms, self.series, self.field.dot
+        if len(powers) > 1:
+            powers[1][r] = terms[r]
+        for prev, power in zip(powers[1:], powers[2:]):
+            power[r] = dot(prev, reversed(terms))
+        width = self.width
+        window: list[int] = []
+        if r < width:
+            pad = [0] * (width - r - 1)
+            for power in powers:
+                window += power[r::-1]
+                window += pad
+        else:
+            for power in powers:
+                window += power[r:r - width:-1]
+        return window
+
+    # [x^r] h(x, G) of the row h: _residual(field, h, window)
+    _residual = staticmethod(Field.sparse_dot)
+
+    def _eliminate(self, pivot: int, rho: int, hits) -> None:
+        """Clear the residual acc of each row j of hits, a list of (j, acc),
+        with the pivot row, of residual rho, then multiply the pivot by x
+        (hits may hold the pivot itself)."""
+        field, rows = self.field, self.rows
+        prow = rows[pivot]
+        scale = field.neg(field.inv(rho))
+        for j, acc in hits:
+            if j == pivot:
+                continue
+            new = rows[j].copy()
+            field.sparse_axpy(new, field.mul(acc, scale), prow)
+            rows[j] = new
+        rows[pivot] = {t + 1: c for t, c in prow.items()}
 
     def _extend(self, s: int) -> int:
         """Append term s_r and bring every row of key <= D to order r + 1:
@@ -317,26 +367,11 @@ class _SigmaBasis:
         can never change a row of key <= D, and no E_m reaches it: it is
         never read again (and its x^width may alias y).
         """
-        field, terms, powers = self.field, self.terms, self.powers
-        dot, sparse_dot = field.dot, field.sparse_dot
-        r = len(terms)
-        terms.append(s)
-        if len(powers) > 1:
-            powers[1][r] = s
-        for prev, power in zip(powers[1:], powers[2:]):
-            power[r] = dot(prev, reversed(terms))
-        # window[j * width + i] = [x^(r-i)] G^j, so a residual is one sum
-        width = self.width
-        window: list[int] = []
-        if r < width:
-            pad = [0] * (width - r - 1)
-            for power in powers:
-                window += power[r::-1]
-                window += pad
-        else:
-            for power in powers:
-                window += power[r:r - width:-1]
-        rows, keys, degree = self.rows, self.keys, width - 1
+        r = len(self.terms)
+        self.terms.append(s)
+        window = self._window(r)
+        field, residual = self.field, self._residual
+        rows, keys, degree = self.rows, self.keys, self.width - 1
         # the last pivot's residual is the one it had before x times it
         carried, carried_rho = self._carry
         hits = []
@@ -345,7 +380,7 @@ class _SigmaBasis:
             key = keys[j]
             if key > degree:
                 continue
-            acc = carried_rho if j == carried else sparse_dot(row, window)
+            acc = carried_rho if j == carried else residual(field, row, window)
             if acc:
                 hits.append((j, acc))
                 if key < low:
@@ -356,21 +391,16 @@ class _SigmaBasis:
         keys[pivot] = low + 1
         if pivot == self.best:
             self.best = keys.index(min(keys))
-        last = r + 1 == self.length
-        prow = rows[pivot]
-        scale = field.neg(field.inv(rho))
-        for j, acc in hits:
-            if j == pivot or last and j != self.best:
-                continue
-            new = rows[j].copy()
-            field.sparse_axpy(new, field.mul(acc, scale), prow)
-            rows[j] = new
-        rows[pivot] = {t + 1: c for t, c in prow.items()}
+        if r + 1 == self.length:
+            hits = [hit for hit in hits if hit[0] == self.best]
+        self._eliminate(pivot, rho, hits)
         return pivot
 
     def push(self, s: int) -> int:
         """Append term s; return E of the longer prefix."""
-        self._undo.append((self.rows[:], self.keys[:], self.best, self._carry))
+        self._undo.append(
+            (self.rows[:], self.keys[:], self.best, self._carry, self.series)
+        )
         self._extend(s)
         if s:
             self.nonzero += 1
@@ -381,9 +411,7 @@ class _SigmaBasis:
 
     def pop(self) -> None:
         """Drop the last term."""
-        rows, keys, self.best, self._carry = self._undo.pop()
-        self.rows[:] = rows
-        self.keys[:] = keys
+        self.rows, self.keys, self.best, self._carry, self.series = self._undo.pop()
         if self.terms.pop():
             self.nonzero -= 1
         self.values.pop()
@@ -396,107 +424,64 @@ class _SigmaBasis:
         return _witness_from_combo(self.field, self.rows[self.best], self.width)
 
 
-class _OnlineKernelGF2:
-    """The columns of _reduce_gf2 in row echelon form, one packed row per
-    term of a prefix that grows and shrinks at its end, as in _SigmaBasis.
+class _SigmaBasisGF2(_SigmaBasis):
+    """The sigma-basis over F_2 with packed rows: bit j * width + i of a row
+    is the coefficient of x^i y^j, a residual is the parity of the row AND a
+    packed window, elimination is XOR and x times a row is one shift.
 
-    Row r holds column k in bit k and is reduced against pivot rows keyed
-    by their lowest bit, the column they lead.  E_m is the degree of the
-    first column that leads no pivot row, and back-substitution through the
-    pivots before it gives its combination.  Bit a of powers[j] is
-    [x^a] G^j, and [x^r] G^j is the parity of G^(j-1) & R, where bit a of R
-    is s_{r-a}.  Row r takes the bits [x^(r-i)] G^j of the columns x^i G^j
-    with i <= D - j, one window of powers[j] each, spread to their columns
-    by one table lookup.
+    series is (window, reversed prefix, powers), replaced at every push:
+    bit j * width + i of the window is [x^(r-i)] G^j, bit a of the
+    reversed prefix is s_(r-a), and bit a of powers[j] is [x^a] G^j, so
+    [x^r] G^j is the parity of powers[j-1] AND the reversed prefix.  A push
+    moves the window one term on: a shift left by 1, the bits of i = 0
+    cleared (the shift spilled block j-1's last bit there), and the new
+    bits [x^r] G^j put in their place.
     """
 
-    def __init__(self, field: Field, n: int):
-        degree = kernel_degree_bound(n)
-        self.field = field
-        self.columns = [(d - j, j) for d in range(degree + 1) for j in range(d + 1)]
-        self.degrees = [i + j for i, j in self.columns]
-        index = {mono: k for k, mono in enumerate(self.columns)}
-        self.pivots: dict[int, int] = {}
-        self.powers = [1] + [0] * degree
-        self.reversed = 0
-        self.terms: list[int] = []
-        self.values: list[int] = []
-        self.nonzero = 0  # nonzero terms in the prefix
-        self.first = 0  # the first column that leads no pivot row
-        self._undo: list = []  # (lowest bit of the new pivot, first) per push
-        self.windows = []  # (shift, mask, table) of each power G^j
-        for j in range(degree + 1):
-            span = degree - j + 1  # window bit b holds [x^(r-i)] G^j, i = span-1-b
-            table = [0] * (1 << span)
-            for w in range(1, 1 << span):
-                low = w & -w
-                b = low.bit_length() - 1
-                table[w] = table[w ^ low] | 1 << index[(span - 1 - b, j)]
-            self.windows.append((span - 1, (1 << span) - 1, table))
+    def _start(self):
+        width = self.width
+        # the window's bits of i = 1..D in every block j <= D; this also
+        # drops what the shift pushes past block D
+        block = (1 << width) - 2
+        self._keep = sum(block << j * width for j in range(width))
+        rows = [1 << j * width for j in range(width)]
+        return rows, (0, 0, [1] + [0] * (width - 1))
 
-    def push(self, s: int) -> int:
-        """Append term s; return E of the longer prefix."""
-        r = len(self.terms)
-        self.terms.append(s)
-        rev = self.reversed = self.reversed << 1 | s
-        powers = self.powers
-        row = 0
-        for j, (shift, mask, table) in enumerate(self.windows):
-            if j and (powers[j - 1] & rev).bit_count() & 1:
-                powers[j] |= 1 << r
-            row |= table[(powers[j] << shift) >> r & mask]
-        pivots = self.pivots
-        low = row & -row
-        while row:
-            hit = pivots.get(low)
-            if hit is None:
-                pivots[low] = row
-                break
-            row ^= hit
-            low = row & -row
-        self._undo.append((low, self.first))
-        first_bit = 1 << self.first
-        if low == first_bit:
-            while first_bit in pivots:
-                first_bit <<= 1
-                self.first += 1
-        if s:
-            self.nonzero += 1
-        e = self.degrees[self.first] if self.nonzero else 0
-        _growth_guard(self.values, r + 1, e)
-        self.values.append(e)
-        return e
+    def _window(self, r: int):
+        window, rev, powers = self.series
+        rev = rev << 1 | self.terms[r]
+        width = self.width
+        # the bits of i = 0: [x^r] G^j for each j, [x^r] 1 = 1 only at r = 0
+        new = 0 if r else 1
+        powers = powers[:]
+        bit = 1 << r
+        # G^(2k) = G^k(x^2) over F_2, so an even power gains no term at odd r
+        for j in range(1, width, 1 + (r & 1)):
+            if (powers[j - 1] & rev).bit_count() & 1:
+                powers[j] |= bit
+                new |= 1 << j * width
+        window = (window << 1) & self._keep | new
+        self.series = (window, rev, powers)
+        return window
 
-    def pop(self) -> None:
-        """Drop the last term."""
-        low, self.first = self._undo.pop()
-        self.pivots.pop(low, None)
-        if self.terms.pop():
-            self.nonzero -= 1
-        self.values.pop()
-        self.reversed >>= 1
-        keep = (1 << len(self.terms)) - 1
-        self.powers = [1] + [power & keep for power in self.powers[1:]]
+    @staticmethod
+    def _residual(field: Field, row: int, window: int) -> int:
+        return (row & window).bit_count() & 1
 
-    def witness_poly(self) -> Optional[BivariatePoly]:
-        """The minimal witness of the current prefix (None while it is all
-        zero), as ExpansionProfile.witness(m).poly gives it."""
-        if not self.values[-1]:
-            return None
-        pivots, last = self.pivots, self.first
-        combo = 1 << last
-        for k in range(last - 1, -1, -1):
-            if (pivots[1 << k] & combo).bit_count() & 1:
-                combo |= 1 << k
-        columns = self.columns
-        terms = {columns[k]: 1 for k in range(last + 1) if combo >> k & 1}
-        return _normalized_witness(self.field, terms)
+    def _eliminate(self, pivot: int, rho: int, hits) -> None:
+        rows = self.rows
+        prow = rows[pivot]
+        for j, _ in hits:
+            rows[j] ^= prow
+        rows[pivot] = prow << 1  # over the zero that XOR left if it was a hit
 
 
-def online_kernel(field: Field, n: int):
-    """An empty online kernel for prefixes of up to n terms: packed over
-    F_2, a sigma-basis over every other field."""
-    return (_OnlineKernelGF2 if field.q == 2 else _SigmaBasis)(field, n)
+def online_kernel(field: Field, n: int) -> _SigmaBasis:
+    """An empty online sigma-basis for prefixes of up to n terms: one
+    engine with two row representations, ints over F_2 and {key:
+    coefficient} dicts over every other field.  Single F_2 sequences take
+    _reduce_gf2 instead (_kernel_pass)."""
+    return (_SigmaBasisGF2 if field.q == 2 else _SigmaBasis)(field, n)
 
 
 def expansion_complexity(seq: Sequence, n: int) -> ExpansionWitness:

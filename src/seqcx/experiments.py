@@ -359,7 +359,9 @@ def _enumerate_chunk(field, n, checks, start, stop):
     counts, counts_l, counts_t, fails = (Counter() for _ in range(4))
     witness_failures = 0
     # failed_claims of each distinct battery input: its arguments after p,
-    # which are all it reads; local to the chunk, so no run reuses another's
+    # which are all it reads, with E_1..E_m as bytes (E <= 5 under the
+    # cap), and every empty result one shared (); local to the chunk, so
+    # no run reuses another's
     graded = {}
 
     def grade(m, weight):
@@ -378,11 +380,11 @@ def _enumerate_chunk(field, n, checks, start, stop):
         fit = fits[-1]
         key = (
             m, first, residual.nonzero[-1], fits[-2].complexity, fit.complexity,
-            fit.t, tuple(values),
+            fit.t, bytes(values),
         )
         failed = graded.get(key)
         if failed is None:
-            failed = graded[key] = theorems.failed_claims(p, *key)
+            failed = graded[key] = theorems.failed_claims(p, *key) or ()
         for claim_id in failed:
             fails[claim_id] += weight
 

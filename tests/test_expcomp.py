@@ -330,7 +330,7 @@ def test_expansion_value_rejects_out_of_range_terms(field, terms):
 @pytest.mark.parametrize(
     "p, m, modulus, n",
     [(2, 1, None, 10), (3, 1, None, 6), (2, 2, (1, 1, 1), 4), (3, 2, None, 4),
-     (5, 1, None, 4)],
+     (5, 1, None, 4), (2, 1, None, 12)],
 )
 def test_online_kernel_equals_column_pass_at_every_node(p, m, modulus, n, monkeypatch):
     # a depth-first walk pushes and pops one term per node; at every node
@@ -363,16 +363,24 @@ def test_online_kernel_equals_column_pass_at_every_node(p, m, modulus, n, monkey
     assert nodes == sum(field.q**k for k in range(1, n + 1))
 
 
-@pytest.mark.parametrize("p, m, n", [(3, 1, 5), (2, 2, 4), (5, 1, 4)])
+@pytest.mark.parametrize("p, m, n", [(3, 1, 5), (2, 2, 4), (5, 1, 4), (2, 1, 9)])
 def test_sigma_basis_pop_restores_rows_keys_and_best(p, m, n):
     # pop undoes one push exactly: the rows, their keys, the least row and
-    # the residual carried to the next push
+    # the residual carried to the next push; over F_2 also the packed
+    # window, reversed prefix and powers (the dict rows' powers are
+    # rewritten before they are read, so pop may leave them)
     field = Field(p, m)
-    kernel = expcomp._SigmaBasis(field, n)
+    kernel = expcomp.online_kernel(field, n)
+    packed = field.q == 2
+    assert type(kernel) is (expcomp._SigmaBasisGF2 if packed else expcomp._SigmaBasis)
 
     def state():
-        rows = [dict(row) for row in kernel.rows]
-        return rows, list(kernel.keys), kernel.best, kernel._carry
+        if packed:
+            window, rev, powers = kernel.series
+            rows, series = list(kernel.rows), (window, rev, list(powers))
+        else:
+            rows, series = [dict(row) for row in kernel.rows], None
+        return rows, list(kernel.keys), kernel.best, kernel._carry, series
 
     def visit(depth):
         before = state()
@@ -426,12 +434,30 @@ def test_online_kernel_equals_column_pass_on_long_prefixes(p, m, n):
 
 
 def test_generic_online_kernel_equals_packed_column_pass_over_f2(f2):
-    # expansion_profile runs _reduce_gf2 over F_2; neither generic online
-    # engine shares its packing or its elimination order
+    # expansion_profile runs _reduce_gf2 over F_2; no online engine shares
+    # its packing or its elimination order
     rng = random.Random(256)
     terms = [rng.randrange(2) for _ in range(256)]
-    for engine in (_OnlineKernel, expcomp._SigmaBasis):
+    for engine in (_OnlineKernel, expcomp._SigmaBasis, expcomp._SigmaBasisGF2):
         assert_online_equals_column_pass(engine(f2, 256), f2, terms)
+
+
+def test_packed_online_kernel_walks_2048_terms(f2):
+    # D = 63: a table of 2^span entries per power could not be built here
+    rng = random.Random(2048)
+    terms = [rng.randrange(2) for _ in range(2048)]
+    kernel = expcomp.online_kernel(f2, 2048)
+    assert type(kernel) is expcomp._SigmaBasisGF2
+    assert_online_equals_column_pass(kernel, f2, terms)
+
+
+def test_packed_sigma_basis_changes_only_the_row_arithmetic():
+    # push, pop, witness_poly and the pivot, key, carry and last-term logic
+    # of _extend are _SigmaBasis's own
+    packed = expcomp._SigmaBasisGF2
+    assert packed.__bases__ == (expcomp._SigmaBasis,)
+    own = {name for name in vars(packed) if not name.startswith("__")}
+    assert own == {"_start", "_window", "_residual", "_eliminate"}
 
 
 def _sigma_pass_inputs(field, rng):
@@ -468,3 +494,23 @@ def test_sigma_pass_equals_column_pass(p, m):
             k = next(k for k, birth in enumerate(births) if birth >= m_)
             got = _witness_from_combo(field, combs[k], width)
             assert got == _witness_from_combo(field, want_combs[k], width), (terms, m_)
+
+
+def test_packed_sigma_pass_equals_packed_column_pass(f2):
+    # the packed sigma-basis against _reduce_gf2, which single F_2 sequences
+    # run: births through the end of the decisive block, and every decisive
+    # combination (over F_2, scale is 1)
+    rng = random.Random(2)
+    for terms in _sigma_pass_inputs(f2, rng):
+        if not any(terms):
+            continue
+        n = len(terms)
+        births, combs = _sigma_pass(f2, terms, n)
+        bits = sum(1 << idx for idx, s in enumerate(terms) if s)
+        want_births, want_combs = expcomp._reduce_gf2(bits, n)
+        assert births[: len(want_births)] == want_births, terms
+        zeros = next(i for i, s in enumerate(terms) if s)
+        for m in range(zeros + 1, n + 1):
+            k = next(k for k, birth in enumerate(births) if birth >= m)
+            assert isinstance(combs[k], int)
+            assert combs[k] == want_combs[k], (terms, m)
