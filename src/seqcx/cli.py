@@ -154,7 +154,17 @@ def cmd_binomial(args) -> int:
         raise ValueError("--len does not apply to --analyze")
     if args.json and not args.analyze:
         raise ValueError("--json requires --analyze")
+    # both caps are checked before any term is built, so they bound the work
+    if args.len is not None and args.len > experiments.EXHAUSTIVE_CAP:
+        raise ValueError(
+            f"--len {args.len} exceeds the cap of {experiments.EXHAUSTIVE_CAP} terms"
+        )
     spec = binomial.BinomialSpec(args.p, args.k)
+    if args.analyze and 2 * args.p > experiments.MC_LENGTH_CAP:
+        raise ValueError(
+            f"--analyze runs the engines on 2p = {2 * args.p} terms, over the "
+            f"cap of {experiments.MC_LENGTH_CAP}"
+        )
     if args.analyze:
         reports = binomial.analyze(spec)
         if args.json:

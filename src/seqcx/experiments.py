@@ -16,7 +16,9 @@ tallies read a few scalars and E_1..E_m, which few nodes do not share, so
 each chunk grades each distinct battery input once and counts its result
 again for every node that has it.  A chunk of leaves walks every node whose
 leaves meet it, and grades those whose first leaf it holds, so any cut
-gives the same totals.  Monte Carlo
+gives the same totals.  The t_n ambiguity scan reads its prefixes, with
+their fits and E_n, off the leaves of one unchecked walk, so it reruns no
+engine either.  Monte Carlo
 mode samples sequences with i.i.d. uniform terms and reports the E_n
 distribution across a schedule of prefix lengths, together with the fraction
 of samples falling below sqrt((1-eps) * n) for a couple of eps values; the
@@ -195,8 +197,11 @@ class MonteCarloResult:
 class LowExpansionProbe:
     """Count of prefixes with E_n <= b, alongside the reference value q^(b^2).
 
-    Exploratory: the comparison is reported, not asserted; at small n the
-    count can exceed the reference (e.g. q=2, n=4, b=1 gives 4 > 2).
+    Exploratory: the comparison is reported, not asserted.  It fails at
+    every large n, since for each constant u, h = (y - u)^b annihilates
+    every prefix with G = u mod x^ceil(n/b), so the count is at least
+    q^(n - ceil(n/b) + 1).  At q=2 the count is 4 > 2 at every n >= 2 for
+    b=1, and exceeds 16 from n=5 on for b=2 (32 at n=5, 528 at n=14).
     """
 
     q: int
@@ -267,14 +272,6 @@ def sample_terms(seed: int, stream: int, length: int, q: int) -> list[int]:
 # -- exhaustive enumeration ---------------------------------------------------
 
 
-def _decode_prefix(index: int, q: int, n: int) -> list[int]:
-    """Index -> prefix digits, most significant digit first (s_0)."""
-    digits = [0] * n
-    for pos in range(n - 1, -1, -1):
-        index, digits[pos] = divmod(index, q)
-    return digits
-
-
 class _CarriedResidual:
     """Nonzero coefficients of the Frobenius residual of every prefix on a
     walk's path, carried from parent to child.
@@ -333,7 +330,7 @@ class _CarriedResidual:
         self.nonzero.pop()
 
 
-def _enumerate_chunk(field, n, checks, start, stop):
+def _enumerate_chunk(field, n, checks, start, stop, leaf=None):
     """Tallies and weighted battery outcomes of the leaves start..stop-1,
     from a depth-first walk of the nodes of the prefix tree whose leaves
     meet that range.
@@ -347,7 +344,9 @@ def _enumerate_chunk(field, n, checks, start, stop):
     grades its fits, E values and residual count.  failed_claims reads only
     its arguments, so the chunk grades each distinct argument tuple once
     and reuses the result at every later node that has it; the witness
-    check still runs at every node.
+    check still runs at every node.  leaf, when given, is called at every
+    leaf as leaf(path, fit, e_n), with the leaf's terms, its LinearFit and
+    its E_n.
     """
     q, p = field.q, field.p
     root, step, fit_of = lincomp.online_bm(field)
@@ -411,6 +410,8 @@ def _enumerate_chunk(field, n, checks, start, stop):
                 counts[values[-1]] += 1
                 counts_l[fit.complexity] += 1
                 counts_t[fit.t] += 1
+                if leaf:
+                    leaf(path, fit, values[-1])
             if checks:
                 fits.pop()
                 residual.pop()
@@ -553,28 +554,26 @@ def tn_ambiguity_scan(cfg: ExhaustiveConfig) -> TnAmbiguityReport:
     and grade the prefix bounds under each attainable t choice.
 
     Quantifies how much the bounds depend on which shortest recurrence is
-    picked when it is not unique (possible for n < 2 L_n).
+    picked when it is not unique (possible for n < 2 L_n).  The prefixes
+    are the leaves of one unchecked in-process walk of the sweep, which
+    hands each leaf's fit and E_n over as it advances the engines, so no
+    engine reruns from term 0.
     """
     if cfg.field.q != 2 or cfg.n > 10:
         raise ValueError("scan is limited to q=2 and n <= 10")
-    n, field = cfg.n, cfg.field
-    zero_skipped = singleton = ambiguous = 0
-    all_hold = some_fail = canonical_failures = 0
-    for index in range(2**n):
-        terms = _decode_prefix(index, 2, n)
-        if not any(terms):
-            zero_skipped += 1
-            continue
-        bits = sum(1 << i for i, s in enumerate(terms) if s)
-        seq = Sequence._unchecked(field, terms)
-        fit = lincomp.berlekamp_massey(seq, n)
-        e_n = expcomp.expansion_profile(seq, n).values[-1]
-        length = fit.complexity
-        t_set = _attainable_t_values(bits, n, length)
+    n = cfg.n
+    report = TnAmbiguityReport(n, 2**n, 0, 0, 0, 0, 0, 0)
+
+    def leaf(path, fit, e_n):
+        if not any(path):
+            report.zero_skipped += 1
+            return
+        bits = sum(1 << i for i, s in enumerate(path) if s)
+        t_set = _attainable_t_values(bits, n, fit.complexity)
         if len(t_set) == 1:
-            singleton += 1
+            report.singleton += 1
         else:
-            ambiguous += 1
+            report.ambiguous += 1
         if n >= 2:
             holds = {
                 t: all(
@@ -584,12 +583,11 @@ def tn_ambiguity_scan(cfg: ExhaustiveConfig) -> TnAmbiguityReport:
                 for t in t_set
             }
             if all(holds.values()):
-                all_hold += 1
+                report.all_choices_hold += 1
             else:
-                some_fail += 1
+                report.some_choice_fails += 1
             if not holds.get(fit.t, True):
-                canonical_failures += 1
-    return TnAmbiguityReport(
-        n, 2**n, zero_skipped, singleton, ambiguous,
-        all_hold, some_fail, canonical_failures,
-    )
+                report.canonical_failures += 1
+
+    _enumerate_chunk(cfg.field, n, False, 0, 2**n, leaf)
+    return report

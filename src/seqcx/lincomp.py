@@ -306,12 +306,8 @@ def extend_by_recurrence(seq: Sequence, fit: LinearFit, target_len: int) -> Sequ
     if length == 0:
         out.extend([0] * (target_len - len(out)))
         return Sequence(f, out, meta=Periodicity(0, 1))
+    # c_t..c_{L-1} pair with the last L - t terms
+    tail = fit.coeffs[fit.t :]
     while len(out) < target_len:
-        i = len(out) - length
-        acc = 0
-        for l in range(fit.t, length):
-            cl = fit.coeffs[l]
-            if cl and out[i + l]:
-                acc = f.add(acc, f.mul(cl, out[i + l]))
-        out.append(f.neg(acc))
+        out.append(f.neg(f.dot(tail, out[len(out) - len(tail) :])))
     return Sequence(f, out)

@@ -18,7 +18,8 @@ bit-packed kernel of expcomp, so a witness check does not rest on the
 arithmetic that found the witness.  Over every other field, series_mul and
 substitute accumulate each row of their products with the Field's axpy
 kernel (see field), whose operation tables the tests check entry by entry
-against add and mul.
+against add and mul.  Polynomial products and division take one axpy per
+row too, and rational_expand one dot per term, over every field.
 """
 
 from __future__ import annotations
@@ -81,9 +82,7 @@ class Poly:
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = f.add(out[i + j], f.mul(a, b))
+                f.axpy(out, i, a, other.coeffs)
         return Poly(f, out)
 
     def __divmod__(self, other):
@@ -101,8 +100,7 @@ class Poly:
             factor = f.mul(rem[i + db], inv_lead)
             if factor:
                 quo[i] = factor
-                for j, bj in enumerate(other.coeffs):
-                    rem[i + j] = f.sub(rem[i + j], f.mul(factor, bj))
+                f.axpy(rem, i, f.neg(factor), other.coeffs)
         return Poly(f, quo), Poly(f, rem)
 
     def __mod__(self, other):
@@ -252,14 +250,10 @@ def rational_expand(f: Poly, g: Poly, n: int) -> TruncatedSeries:
         raise ValueError("denominator must have a nonzero constant term")
     inv_g0 = fl.inv(g.coeff(0))
     out = [0] * n
-    gdeg = len(g.coeffs) - 1
+    tail = g.coeffs[1:]  # g_1, g_2, ... pair with out[i-1], out[i-2], ...
     for i in range(n):
-        acc = f.coeff(i)
-        for t in range(1, min(i, gdeg) + 1):
-            gt = g.coeffs[t]
-            if gt and out[i - t]:
-                acc = fl.sub(acc, fl.mul(gt, out[i - t]))
-        out[i] = fl.mul(acc, inv_g0)
+        recent = out[max(0, i - len(tail)) : i][::-1]
+        out[i] = fl.mul(fl.sub(f.coeff(i), fl.dot(tail, recent)), inv_g0)
     return TruncatedSeries._unchecked(fl, out)
 
 

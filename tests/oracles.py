@@ -248,6 +248,63 @@ class PolyBasisField:
         return a
 
 
+def schoolbook_poly_mul(ref, a, b):
+    """The coefficients of a * b, constant first, by ref's add and mul."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = ref.add(out[i + j], ref.mul(x, y))
+    return _trim(out)
+
+
+def schoolbook_poly_divmod(ref, a, b):
+    """(quotient, remainder) of a by b (b[-1] != 0), by long division."""
+    rem = list(a)
+    quo = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        factor = ref.div(rem[i + len(b) - 1], b[-1])
+        quo[i] = factor
+        for j, y in enumerate(b):
+            rem[i + j] = ref.sub(rem[i + j], ref.mul(factor, y))
+    return _trim(quo), _trim(rem)
+
+
+def schoolbook_poly_gcd(ref, a, b):
+    """The monic gcd of a and b by Euclid's algorithm."""
+    while b:
+        a, b = b, schoolbook_poly_divmod(ref, a, b)[1]
+    if not a:
+        return []
+    scale = ref.inv(a[-1])
+    return [ref.mul(scale, x) for x in a]
+
+
+def schoolbook_rational_expand(ref, f, g, n):
+    """The first n coefficients of f/g (g[0] != 0), one term at a time."""
+    out = []
+    for i in range(n):
+        acc = f[i] if i < len(f) else 0
+        for t in range(1, min(i, len(g) - 1) + 1):
+            acc = ref.sub(acc, ref.mul(g[t], out[i - t]))
+        out.append(ref.div(acc, g[0]))
+    return out
+
+
+def schoolbook_extend(ref, terms, coeffs, target_len):
+    """terms continued to target_len by u_(i+L) = -sum_l c_l u_(i+l)."""
+    out = list(terms)
+    length = len(coeffs)
+    while len(out) < target_len:
+        i = len(out) - length
+        acc = 0
+        for l, c in enumerate(coeffs):
+            acc = ref.add(acc, ref.mul(c, out[i + l]))
+        out.append(ref.neg(acc))
+    return out
+
+
 def _mulmod_lists(a, b, f, p):
     """a * b mod f in F_p[x], on constant-first coefficient lists."""
     prod = [0] * (len(a) + len(b))

@@ -302,6 +302,11 @@ BAD_INPUT_CASES = {
         "binomial", "--p", "13", "--k", "2", "--json"],
     "binomial-analyze-len": [
         "binomial", "--p", "13", "--k", "2", "--analyze", "--len", "3"],
+    # work caps, checked before any term is built
+    "binomial-len-above-cap": [
+        "binomial", "--p", "13", "--k", "2", "--len", "1000000000"],
+    "binomial-analyze-above-cap": [
+        "binomial", "--p", "2053", "--k", "2", "--analyze"],
     # --q takes ASCII decimal digits only, as sequence files do
     "exhaustive-q-underscore-space": [
         "experiment", "--mode", "exhaustive", "--q", " 1_1", "--n", "1",
@@ -562,6 +567,36 @@ def test_tn_scan_limits_rejected_before_the_sweep(tmp_path, monkeypatch, capsys)
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == "error: scan is limited to q=2 and n <= 10\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--p", "13", "--k", "2", "--len", "1048577"],
+     "--len 1048577 exceeds the cap of 1048576 terms"),
+    (["--p", "2053", "--k", "2", "--analyze"],
+     "--analyze runs the engines on 2p = 4106 terms, over the cap of 4096"),
+], ids=["len", "analyze"])
+def test_binomial_work_caps_rejected_before_any_term(argv, message, monkeypatch, capsys):
+    import time
+
+    from seqcx import binomial, cli
+
+    def build(*args):
+        raise AssertionError("a term was built before the cap was checked")
+
+    monkeypatch.setattr(binomial, "generate", build)
+    monkeypatch.setattr(binomial, "analyze", build)
+    start = time.perf_counter()
+    assert cli.main(["binomial", *argv]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_binomial_len_cap_admits_its_limit(capsys):
+    from seqcx import cli
+
+    assert cli.main(["binomial", "--p", "13", "--k", "2", "--len", "1048576"]) == 0
+    # the two header lines, then one token per term
+    assert len(capsys.readouterr().out.split()) == 2 + 1048576
 
 
 def _check_verify_fixture(name, count, tmp_path, capsys):

@@ -24,6 +24,7 @@ from seqcx.field import Field
 from oracles import chi_square_consistency, chi_square_sf, per_leaf_sweep
 
 MC_DISTRIBUTIONS = Path(__file__).parent / "fixtures" / "mc_distributions.json"
+TN_SCANS = Path(__file__).parent / "fixtures" / "tn_scan_q2.json"
 
 
 def test_enumerate_n1_distribution(f2):
@@ -444,6 +445,14 @@ def test_tn_scan(f2):
     assert d["bounds_hold_for_all_choices"] + d["bounds_fail_for_some_choice"] == 63
 
 
+def test_tn_scan_reports_equal_fixture(f2):
+    # every count of every report in the scan's range, pinned
+    fixture = json.loads(TN_SCANS.read_text())
+    assert sorted(fixture, key=int) == [str(n) for n in range(1, 11)]
+    for n, expected in fixture.items():
+        assert tn_ambiguity_scan(ExhaustiveConfig(f2, int(n))).to_dict() == expected
+
+
 def test_tn_scan_guards(f2, f3):
     with pytest.raises(ValueError):
         tn_ambiguity_scan(ExhaustiveConfig(f3, 4))
@@ -626,6 +635,8 @@ def test_sweeps_run_no_engine_from_term_zero(monkeypatch):
     for q_spec, n in [((2, 1), 6), ((3, 1), 4), ((3, 2), 2)]:
         for checks in (True, False):
             enumerate_all(ExhaustiveConfig(Field(*q_spec), n, checks=checks))
+    # the t_n scan reads its fits and E_n off the same walk's leaves
+    tn_ambiguity_scan(ExhaustiveConfig(Field(2), 6))
     assert calls == []
 
 

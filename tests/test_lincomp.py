@@ -17,9 +17,15 @@ from seqcx.lincomp import (
     preperiod_from_rational,
     rational_form,
 )
+from seqcx.field import Field
 from seqcx.series import Poly, poly_pow, rational_expand
 
-from oracles import fit_annihilates, min_recurrence_length_gf2
+from oracles import (
+    PolyBasisField,
+    fit_annihilates,
+    min_recurrence_length_gf2,
+    schoolbook_extend,
+)
 
 
 def test_bm_example(f2):
@@ -252,6 +258,34 @@ def test_extend_refuses_degenerate(f2):
     seq = Sequence(f2, [0, 0, 1])
     with pytest.raises(ValueError):
         extend_by_recurrence(seq, berlekamp_massey(seq, 3), 6)
+
+
+KERNEL_PATHS = [(2, 1), (3, 2), (101, 1), (257, 1), (2, 16)]
+
+
+@pytest.mark.parametrize(
+    "q_spec", KERNEL_PATHS, ids=[f"q{p}^{m}" for p, m in KERNEL_PATHS]
+)
+def test_extend_matches_schoolbook_on_both_kernel_paths(q_spec):
+    # F_2, F_9 and F_101 take the Field kernels' table path, F_257 and
+    # F_2^16 their per-element path; the reference loop runs over
+    # polynomial-basis arithmetic
+    field = Field(*q_spec)
+    ref = PolyBasisField(field)
+    rng = random.Random(field.q)
+    for _ in range(40):
+        length = rng.randrange(1, 7)
+        t = rng.randrange(length + 1)
+        coeffs = [0] * t + [
+            rng.randrange(1, field.q) if l == t or rng.randrange(3) else 0
+            for l in range(t, length)
+        ]
+        n = length + rng.randrange(1, 5)
+        terms = [rng.randrange(field.q) for _ in range(n)]
+        fit = LinearFit(n, length, tuple(coeffs), t)
+        target = n + rng.randrange(20)
+        got = extend_by_recurrence(Sequence(field, terms), fit, target)
+        assert list(got.terms) == schoolbook_extend(ref, terms, coeffs, target)
 
 
 def test_extension_is_ultimately_periodic_with_small_preperiod(f2, f3):

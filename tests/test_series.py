@@ -20,14 +20,29 @@ from seqcx.series import (
 from seqcx.theorems import frobenius_parameters, frobenius_witness
 
 from oracles import (
+    PolyBasisField,
     bivariate_add,
     bivariate_mul,
     convolve_mod,
     monomials_up_to,
     naive_substitute,
     poly_to_series,
+    schoolbook_poly_divmod,
+    schoolbook_poly_gcd,
+    schoolbook_poly_mul,
+    schoolbook_rational_expand,
     series_add,
 )
+
+# F_2, F_9 and F_101 take the Field kernels' table path, F_257 and F_2^16
+# (above TABLE_CAP) their per-element path
+KERNEL_PATHS = [(2, 1), (3, 2), (101, 1), (257, 1), (2, 16)]
+KERNEL_PATH_IDS = [f"q{p}^{m}" for p, m in KERNEL_PATHS]
+
+
+def random_coeffs(rng, field, length):
+    """length random elements, a third of them zero."""
+    return [rng.randrange(1, field.q) if rng.randrange(3) else 0 for _ in range(length)]
 
 
 def test_poly_normalization(f7):
@@ -159,6 +174,33 @@ def test_poly_pow_products_and_values(q_spec, monkeypatch):
         assert len(calls) == expected_products, e
         assert got == repeated, e
         repeated = real_mul(repeated, a)
+
+
+@pytest.mark.parametrize("q_spec", KERNEL_PATHS, ids=KERNEL_PATH_IDS)
+def test_poly_loops_match_schoolbook_on_both_kernel_paths(q_spec):
+    # products, division, gcd and rational expansion against per-element
+    # loops over polynomial-basis arithmetic, which uses no Field kernel
+    field = Field(*q_spec)
+    assert (field._tables() is None) == (field.q > 256)
+    ref = PolyBasisField(field)
+    rng = random.Random(field.q)
+    for _ in range(40):
+        a = random_coeffs(rng, field, rng.randrange(10))
+        b = random_coeffs(rng, field, rng.randrange(8)) + [rng.randrange(1, field.q)]
+        common = random_coeffs(rng, field, rng.randrange(4)) + [1]
+        pa, pb = Poly(field, a), Poly(field, b)
+        assert (pa * pb).coeffs == tuple(schoolbook_poly_mul(ref, a, b))
+        quo, rem = divmod(pa, pb)
+        want_quo, want_rem = schoolbook_poly_divmod(ref, a, b)
+        assert (quo.coeffs, rem.coeffs) == (tuple(want_quo), tuple(want_rem))
+        ca = schoolbook_poly_mul(ref, common, a)
+        cb = schoolbook_poly_mul(ref, common, b)
+        got = poly_gcd(Poly(field, ca), Poly(field, cb))
+        assert got.coeffs == tuple(schoolbook_poly_gcd(ref, ca, cb))
+        g = [rng.randrange(1, field.q)] + random_coeffs(rng, field, rng.randrange(6))
+        n = rng.randrange(1, 20)
+        got = rational_expand(pa, Poly(field, g), n)
+        assert got.coeffs == tuple(schoolbook_rational_expand(ref, a, g, n))
 
 
 def test_series_pow_additive_exponents(f5):
