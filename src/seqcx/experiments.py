@@ -14,11 +14,25 @@ count with weight q^(n-m): its witness by substitution, and the rest of the
 battery in tallies (theorems.failed_claims), with no report built.  The
 tallies read a few scalars and E_1..E_m, which few nodes do not share, so
 each chunk grades each distinct battery input once and counts its result
-again for every node that has it.  A chunk of leaves walks every node whose
-leaves meet it, and grades those whose first leaf it holds, so any cut
-gives the same totals.  The t_n ambiguity scan reads its prefixes, with
-their fits and E_n, off the leaves of one unchecked walk, so it reruns no
-engine either.  Monte Carlo
+again for every node that has it.
+
+Multiplying a prefix G by c != 0 changes none of these inputs: h(x, y)
+annihilates G exactly when h(x, y/c), of the same total degree, annihilates
+c G, so E_m is the same; L_m, t_m and the first nonzero index are the same;
+and the Frobenius residual is multiplied by c^(p^k), so it has as many
+nonzero coefficients.  So the walk visits only the all-zero spine and,
+under each spine node, the child subtree whose first nonzero term is 1:
+each node of that subtree stands for its q - 1 nonzero multiples, and
+counts with weight q - 1 in every tally, q - 1 times q^(n-m) when graded.
+It visits about q^n q/(q-1)^2 nodes, and checks one witness per orbit.
+Over F_2 it is the whole tree.  The chunks cut the 1 + (q^n - 1)/(q - 1)
+leaves it visits into near-equal ranges.  A chunk walks every node whose
+leaves meet its range, and grades those whose first leaf it holds, so any
+cut gives the same totals.  The t_n ambiguity scan reads its prefixes, with
+their fits and E_n, off the leaves of one unchecked walk over F_2, so it
+reruns no engine either.
+
+Monte Carlo
 mode samples sequences with i.i.d. uniform terms and reports the E_n
 distribution across a schedule of prefix lengths, together with the fraction
 of samples falling below sqrt((1-eps) * n) for a couple of eps values; the
@@ -331,22 +345,29 @@ class _CarriedResidual:
 
 
 def _enumerate_chunk(field, n, checks, start, stop, leaf=None):
-    """Tallies and weighted battery outcomes of the leaves start..stop-1,
-    from a depth-first walk of the nodes of the prefix tree whose leaves
-    meet that range.
+    """Tallies and weighted battery outcomes of the scaling orbits whose
+    representative leaves have lexicographic indices start..stop-1, from a
+    depth-first walk of the nodes whose leaves meet that range.
 
-    Each node appends one term and advances Berlekamp-Massey and the online
-    kernel by one step.  With checks on, it also advances the count of
-    nonzero Frobenius residual coefficients (_CarriedResidual), and a node
-    of depth m is graded, with weight q^(n-m), in the chunk that holds its
-    first leaf, the one whose terms after the first m are all zero: its E_m
-    witness is substituted into its m terms, and theorems.failed_claims
-    grades its fits, E values and residual count.  failed_claims reads only
-    its arguments, so the chunk grades each distinct argument tuple once
-    and reuses the result at every later node that has it; the witness
-    check still runs at every node.  leaf, when given, is called at every
-    leaf as leaf(path, fit, e_n), with the leaf's terms, its LinearFit and
-    its E_n.
+    The walk visits the all-zero spine and, under each of its nodes, only
+    the child 1 and its subtree, whose nodes stand for their q - 1 nonzero
+    multiples (see the module docstring); the skipped subtrees' leaves in
+    the range are never walked.  Each node appends one term and advances
+    Berlekamp-Massey and the online kernel by one step.  With checks on,
+    it also advances the count of nonzero Frobenius residual coefficients
+    (_CarriedResidual), and a node of depth m is graded, with weight
+    q^(n-m) on the spine and (q - 1) q^(n-m) below it, in the chunk that
+    holds its first leaf, the one whose terms after the first m are all
+    zero: its E_m witness is substituted into its m terms, and
+    theorems.failed_claims grades its fits, E values and residual count.
+    failed_claims reads only its arguments, so the chunk grades each
+    distinct argument tuple once and reuses the result at every later node
+    that has it; the witness check still runs at every walked node.
+
+    leaf, when given, is called at every walked leaf as leaf(path, fit,
+    e_n), with the leaf's terms, its LinearFit and its E_n.  Over F_2, the
+    field of its one caller, the t_n scan, that is every leaf in range;
+    above F_2 it is only each orbit's representative.
     """
     q, p = field.q, field.p
     root, step, fit_of = lincomp.online_bm(field)
@@ -387,29 +408,33 @@ def _enumerate_chunk(field, n, checks, start, stop, leaf=None):
         for claim_id in failed:
             fails[claim_id] += weight
 
-    def visit(state, base, m):
-        # the children of the node of depth m whose first leaf is base
+    def visit(state, base, m, scale):
+        # the children of the node of depth m whose first leaf is base; scale
+        # is 1 on the all-zero spine, which walks only its children 0 and 1,
+        # and q - 1 below a first nonzero term 1 (over F_2 both are 1, and
+        # 0 and 1 are every child)
         below = leaves_below[m + 1]
-        for s in range(q):
+        for s in range(2 if scale == 1 else q):
             lo = base + s * below
             if lo >= stop:
                 return
             if lo + below <= start:
                 continue
+            weight = scale if s == 0 else q - 1
             kernel.push(s)
             child = step(state, path, m)
             if checks:
                 fits.append(fit_of(m + 1, child))
                 residual.push()
                 if lo >= start:
-                    grade(m + 1, below)
+                    grade(m + 1, weight * below)
             if m + 1 < n:
-                visit(child, lo, m + 1)
+                visit(child, lo, m + 1, weight)
             else:
                 fit = fits[-1] if checks else fit_of(n, child)
-                counts[values[-1]] += 1
-                counts_l[fit.complexity] += 1
-                counts_t[fit.t] += 1
+                counts[values[-1]] += weight
+                counts_l[fit.complexity] += weight
+                counts_t[fit.t] += weight
                 if leaf:
                     leaf(path, fit, values[-1])
             if checks:
@@ -417,14 +442,30 @@ def _enumerate_chunk(field, n, checks, start, stop, leaf=None):
                 residual.pop()
             kernel.pop()
 
-    visit(root, 0, 0)
+    visit(root, 0, 0, 1)
     return counts, counts_l, counts_t, fails, witness_failures
 
 
 def _chunk_ranges(total: int, workers: int):
     workers = max(1, min(workers, total))
-    size = -(-total // workers)
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+    return [(total * i // workers, total * (i + 1) // workers) for i in range(workers)]
+
+
+def _orbit_leaf(q: int, n: int, rank: int) -> int:
+    """Lexicographic index of the representative leaf of the given rank,
+    and q^n for rank = their count, 1 + (q^n - 1)/(q - 1).
+
+    The representatives are the all-zero leaf and those whose first nonzero
+    term is 1; the q^j of them with that 1 at position n - 1 - j take the
+    indices q^j .. 2 q^j - 1 and the ranks from 1 + (q^j - 1)/(q - 1) on.
+    """
+    if rank == 0:
+        return 0
+    j, first = 0, 1
+    while first + q**j <= rank:
+        first += q**j
+        j += 1
+    return q**j + rank - first
 
 
 def _run_chunks(worker, args_list):
@@ -439,21 +480,24 @@ def _run_chunks(worker, args_list):
 
 
 def enumerate_all(cfg: ExhaustiveConfig) -> EnumerationResult:
-    """Walk all q^n prefixes (lexicographic), tally distributions, and count
-    bound violations when cfg.checks is set."""
+    """Tally distributions over all q^n prefixes, walking one per scaling
+    orbit (lexicographic), and count bound violations when cfg.checks is
+    set."""
     field = cfg.field
-    total = field.q**cfg.n
-    ranges = _chunk_ranges(total, cfg.workers)
-    args = [(field, cfg.n, cfg.checks, lo, hi) for lo, hi in ranges]
+    q, n = field.q, cfg.n
+    total = q**n
+    ranges = _chunk_ranges(1 + (total - 1) // (q - 1), cfg.workers)
+    args = [
+        (field, n, cfg.checks, _orbit_leaf(q, n, lo), _orbit_leaf(q, n, hi))
+        for lo, hi in ranges
+    ]
     *counts, fails = tallies = [Counter() for _ in range(4)]  # E_n, L_n, t_n
     witness_failures = 0
     for *parts, part_witness_failures in _run_chunks(_enumerate_chunk, args):
         for tally, part in zip(tallies, parts):
             tally.update(part)
         witness_failures += part_witness_failures
-    record = DistributionRecord(
-        field.q, cfg.n, "exhaustive", total, *map(dict, counts)
-    )
+    record = DistributionRecord(q, n, "exhaustive", total, *map(dict, counts))
     violations = sum(fails.values()) + witness_failures
     return EnumerationResult(record, violations, dict(fails), witness_failures, cfg.checks)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 from pathlib import Path
@@ -508,7 +509,9 @@ def test_checked_and_unchecked_sweeps_tally_alike(q_spec, n):
 
 # -- each distinct prefix graded once, weighted by the leaves below it -------
 
-WEIGHTING_CASES = [((2, 1), 9), ((3, 1), 5), ((2, 2), 4), ((3, 2), 3)]
+WEIGHTING_CASES = [
+    ((2, 1), 9), ((3, 1), 5), ((2, 2), 4), ((3, 2), 3), ((2, 3), 3), ((5, 1), 4),
+]
 INJECTED_CLAIMS = {"L3", "R.simple", "R.frobenius.witness", "T4.lower"}
 
 
@@ -539,9 +542,11 @@ def inject_failures(monkeypatch):
 
     def coefficient(field, s, k):
         # the coefficient of x^(i p^k) reads s_i alone, so the residual's
-        # first m coefficients still read the first m terms alone
+        # first m coefficients still read the first m terms alone; 2c scales
+        # with s as c does, so the perturbed certificate of a multiple of a
+        # prefix is that multiple of its certificate, as a real one is
         c = real_coefficient(field, s, k)
-        return field.add(c, 1) if (s + k) % 3 == 2 else c
+        return field.add(c, c) if k % 2 == 0 else c
 
     def witness_holds(poly, e, g, m):
         return real_witness_holds(poly, e, g, m) and (m + e) % 3 != 0
@@ -563,8 +568,9 @@ _ORACLE = {}
 )
 def test_weighted_sweep_equals_per_leaf_battery(q_spec, n, injected, workers,
                                                 monkeypatch):
-    # the sweep grades each length-m prefix on one leaf and weights it by
-    # q^(n-m); the oracle grades it on every leaf below it
+    # the sweep grades each length-m prefix whose first nonzero term is 1
+    # on one leaf and weights it by (q - 1) q^(n-m), q^(n-m) if it is all
+    # zero; the oracle grades every prefix on every leaf below it
     if injected and workers > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("injected failures reach pool workers only when forked")
     field = Field(*q_spec)
@@ -583,7 +589,26 @@ def test_weighted_sweep_equals_per_leaf_battery(q_spec, n, injected, workers,
         assert expected["violations"] == 0
 
 
-CUT_CASES = [((3, 1), 5), ((2, 1), 9)]
+CUT_CASES = [((3, 1), 5), ((2, 1), 9), ((2, 2), 4), ((2, 3), 3), ((3, 2), 3), ((5, 1), 4)]
+
+
+def _walked_chunks(monkeypatch):
+    """Run the chunks of every later enumerate_all in this process, and
+    record the leaves each one walks: [(lo, hi, leaves)] in chunk order."""
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    real = experiments._enumerate_chunk
+    chunks = []
+
+    def chunk(field, n, checks, lo, hi):
+        leaves = []
+        chunks.append((lo, hi, leaves))
+        return real(field, n, checks, lo, hi,
+                    lambda path, *_: leaves.append(tuple(path)))
+
+    monkeypatch.setattr(experiments, "_enumerate_chunk", chunk)
+    return chunks
 
 
 @pytest.mark.parametrize("injected", [False, True], ids=["clean", "injected"])
@@ -591,11 +616,9 @@ CUT_CASES = [((3, 1), 5), ((2, 1), 9)]
     "q_spec, n", CUT_CASES, ids=[f"q{p}^{m}-n{n}" for (p, m), n in CUT_CASES]
 )
 def test_chunk_cuts_inside_subtrees(q_spec, n, injected, monkeypatch):
-    # 2, 5 and 7 chunks of 3^5 or 2^9 leaves cut the prefix tree inside
-    # subtrees; a node is graded only in the chunk that holds its first leaf
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    # 2, 5 and 7 chunks of the representative leaves cut the prefix tree
+    # inside subtrees; a node is graded only in the chunk that holds its
+    # first leaf
     field = Field(*q_spec)
     if injected:
         inject_failures(monkeypatch)
@@ -604,14 +627,51 @@ def test_chunk_cuts_inside_subtrees(q_spec, n, injected, monkeypatch):
         _ORACLE[key] = per_leaf_sweep(field, n)
     expected = _ORACLE[key]
     assert enumerate_all(ExhaustiveConfig(field, n)).to_dict() == expected
-    cuts = set()
+    chunks = _walked_chunks(monkeypatch)
     for workers in (2, 5, 7):
-        cuts.update(lo for lo, _ in experiments._chunk_ranges(field.q**n, workers))
         got = enumerate_all(ExhaustiveConfig(field, n, workers=workers))
         assert got.to_dict() == expected, workers
-    assert any(cut % field.q for cut in cuts)  # a cut between two siblings
+    assert any(lo % field.q for lo, _, _ in chunks)  # a cut between two siblings
     unchecked = enumerate_all(ExhaustiveConfig(field, n, checks=False, workers=7))
     assert unchecked.record.to_dict() == expected["record"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_orbit_leaf_ranks_the_representative_leaves(q):
+    # the all-zero leaf and those whose first nonzero term is 1, by their
+    # lexicographic indices, then q^n past the last one
+    for n in range(1, 5):
+        indices = [
+            index for index, terms in enumerate(itertools.product(range(q), repeat=n))
+            if next((s for s in terms if s), 1) == 1
+        ]
+        assert len(indices) == 1 + (q**n - 1) // (q - 1)
+        got = [experiments._orbit_leaf(q, n, rank) for rank in range(len(indices) + 1)]
+        assert got == indices + [q**n]
+
+
+@pytest.mark.parametrize("workers", range(1, 8))
+def test_chunks_walk_near_equal_shares_of_the_representative_leaves(
+        f9, workers, monkeypatch):
+    # the walk visits only the all-zero leaf and those whose first nonzero
+    # term is 1, 1 + (9^4 - 1)/8 = 821 of the 9^4, in lexicographic order;
+    # each chunk walks a nonempty range of them, none more than one longer
+    # than another
+    chunks = _walked_chunks(monkeypatch)
+    enumerate_all(ExhaustiveConfig(f9, 4, checks=False, workers=workers))
+    assert len(chunks) == workers
+    walked = [leaf for _, _, leaves in chunks for leaf in leaves]
+    assert walked == sorted(
+        terms for terms in itertools.product(range(9), repeat=4)
+        if next((s for s in terms if s), 1) == 1
+    )
+    shares = [len(leaves) for _, _, leaves in chunks]
+    assert min(shares) > 0 and max(shares) - min(shares) <= 1
+    for lo, hi, leaves in chunks:
+        assert all(
+            lo <= sum(s * 9 ** (3 - i) for i, s in enumerate(leaf)) < hi
+            for leaf in leaves
+        )
 
 
 def test_sweeps_run_no_engine_from_term_zero(monkeypatch):
@@ -638,6 +698,61 @@ def test_sweeps_run_no_engine_from_term_zero(monkeypatch):
     # the t_n scan reads its fits and E_n off the same walk's leaves
     tn_ambiguity_scan(ExhaustiveConfig(Field(2), 6))
     assert calls == []
+
+
+SCALING_CASES = [((3, 1), 5), ((2, 2), 4), ((5, 1), 4), ((2, 3), 3), ((3, 2), 3)]
+
+
+@pytest.mark.parametrize(
+    "q_spec, n", SCALING_CASES, ids=[f"q{p}^{m}-n{n}" for (p, m), n in SCALING_CASES]
+)
+def test_every_sweep_input_is_the_same_on_each_multiple_of_a_prefix(q_spec, n):
+    # why the sweep walks only the prefixes whose first nonzero term is 1:
+    # on c G, for each c != 0, the L and t of each fit, the E values, the
+    # first nonzero index and the residual counts are those of G, and
+    # h(x, y/c) annihilates c G exactly when h(x, y) annihilates G, with
+    # the same total degree.  A shortest recurrence is unique on m >= 2L
+    # terms, so there the fits agree in full; below, Berlekamp-Massey may
+    # pick other coefficients of the same L and t
+    from seqcx import expcomp, lincomp
+    from seqcx.lincomp import Sequence
+    from seqcx.series import BivariatePoly
+
+    field = Field(*q_spec)
+    p = field.p
+    ks = [theorems.frobenius_parameters(p, m)[0] for m in range(n + 1)]
+
+    def inputs(seq):
+        first = next(i for i, s in enumerate(seq.terms) if s)
+        residuals = [
+            sum(1 for c in theorems.frobenius_residual(seq, m, ks[m]).coeffs if c)
+            for m in range(1, n + 1)
+        ]
+        fits = [
+            (fit.complexity, fit.t, fit.coeffs if 2 * fit.complexity <= fit.n else None)
+            for fit in lincomp.linear_fits(seq, n)
+        ]
+        return fits, first, residuals
+
+    for terms in itertools.product(range(field.q), repeat=n):
+        if next((s for s in terms if s), 0) != 1:
+            continue
+        seq = Sequence(field, list(terms))
+        profile = expcomp.expansion_profile(seq, n)
+        for c in range(1, field.q):
+            scaled = Sequence(field, [field.mul(c, s) for s in terms])
+            assert inputs(scaled) == inputs(seq), (terms, c)
+            assert expcomp.expansion_profile(scaled, n).values == profile.values
+            series = scaled.prefix_series(n)
+            for m, e in enumerate(profile.values, 1):
+                if not e:
+                    continue
+                poly = profile.witness(m).poly
+                moved = BivariatePoly(field, {
+                    (i, j): field.mul(a, field.pow(field.inv(c), j))
+                    for (i, j), a in poly.terms.items()
+                })
+                assert theorems.witness_holds(moved, e, series, m), (terms, c, m)
 
 
 RESIDUAL_WALKS = [((2, 1), 10), ((3, 1), 7), ((2, 2), 5), ((5, 1), 6), ((3, 2), 4)]
@@ -716,12 +831,14 @@ def _inject_row(monkeypatch, builder, fails):
 
 
 def _inject_residual(monkeypatch):
-    # R.frobenius.witness fails exactly when the residual count is nonzero
+    # R.frobenius.witness fails exactly when the residual count is nonzero;
+    # 2c scales with s as c does, so the count is the same on every nonzero
+    # multiple of a prefix, as for a real certificate
     real_coefficient = theorems.frobenius_coefficient
 
     def coefficient(field, s, k):
         c = real_coefficient(field, s, k)
-        return field.add(c, 1) if (s + k) % 3 == 1 else c
+        return field.add(c, c) if k % 2 == 1 else c
 
     monkeypatch.setattr(theorems, "frobenius_coefficient", coefficient)
 
