@@ -18,7 +18,10 @@ again for every node that has it.
 
 Multiplying a prefix G by c != 0 changes none of these inputs: h(x, y)
 annihilates G exactly when h(x, y/c), of the same total degree, annihilates
-c G, so E_m is the same; L_m, t_m and the first nonzero index are the same;
+c G, so E_m is the same; L_m, t_m and the first nonzero index are the same
+(Berlekamp-Massey on c G runs as on G with b multiplied by c, except for
+the nonzero x^L coefficient it sets at the first nonzero term, which keeps
+t = 0 until length 2L replaces it by one free of c);
 and the Frobenius residual is multiplied by c^(p^k), so it has as many
 nonzero coefficients.  So the walk visits only the all-zero spine and,
 under each spine node, the child subtree whose first nonzero term is 1:
@@ -451,7 +454,7 @@ def _chunk_ranges(total: int, workers: int):
     return [(total * i // workers, total * (i + 1) // workers) for i in range(workers)]
 
 
-def _orbit_leaf(q: int, n: int, rank: int) -> int:
+def _orbit_leaf(q: int, rank: int) -> int:
     """Lexicographic index of the representative leaf of the given rank,
     and q^n for rank = their count, 1 + (q^n - 1)/(q - 1).
 
@@ -488,7 +491,7 @@ def enumerate_all(cfg: ExhaustiveConfig) -> EnumerationResult:
     total = q**n
     ranges = _chunk_ranges(1 + (total - 1) // (q - 1), cfg.workers)
     args = [
-        (field, n, cfg.checks, _orbit_leaf(q, n, lo), _orbit_leaf(q, n, hi))
+        (field, n, cfg.checks, _orbit_leaf(q, lo), _orbit_leaf(q, hi))
         for lo, hi in ranges
     ]
     *counts, fails = tallies = [Counter() for _ in range(4)]  # E_n, L_n, t_n

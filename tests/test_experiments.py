@@ -646,7 +646,7 @@ def test_orbit_leaf_ranks_the_representative_leaves(q):
             if next((s for s in terms if s), 1) == 1
         ]
         assert len(indices) == 1 + (q**n - 1) // (q - 1)
-        got = [experiments._orbit_leaf(q, n, rank) for rank in range(len(indices) + 1)]
+        got = [experiments._orbit_leaf(q, rank) for rank in range(len(indices) + 1)]
         assert got == indices + [q**n]
 
 
@@ -831,14 +831,17 @@ def _inject_row(monkeypatch, builder, fails):
 
 
 def _inject_residual(monkeypatch):
-    # R.frobenius.witness fails exactly when the residual count is nonzero;
-    # 2c scales with s as c does, so the count is the same on every nonzero
-    # multiple of a prefix, as for a real certificate
+    # R.frobenius.witness fails exactly when the residual count is nonzero.
+    # The zero terms' coefficients move, so at m = 4, 5 the count is nonzero
+    # exactly when s_0 or s_1 is zero: it reads more than m and first, yet
+    # is the same on every nonzero multiple of a prefix, as for a real
+    # certificate.  One that scaled with s would make it nonzero exactly
+    # when some of s_0, s_1 is, which (m, first) already say
     real_coefficient = theorems.frobenius_coefficient
 
     def coefficient(field, s, k):
         c = real_coefficient(field, s, k)
-        return field.add(c, c) if k % 2 == 1 else c
+        return field.add(c, 1) if s == 0 and k % 2 == 1 else c
 
     monkeypatch.setattr(theorems, "frobenius_coefficient", coefficient)
 
