@@ -409,9 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main call, not at import, and reused by every later one
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except SequenceFileError as exc:

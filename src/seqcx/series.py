@@ -24,7 +24,9 @@ row too, and rational_expand one dot per term, over every field.
 
 from __future__ import annotations
 
-from .field import Field
+import operator
+
+from .field import Field, _power
 
 
 def _check_same_field(a, b):
@@ -131,15 +133,7 @@ def poly_pow(a: Poly, e: int) -> Poly:
     """
     if e < 0:
         raise ValueError("polynomial exponent must be >= 0")
-    out = None if e else Poly(a.field, [1])
-    base = a
-    while e:
-        if e & 1:
-            out = base if out is None else out * base
-        e >>= 1
-        if e:
-            base = base * base
-    return out
+    return _power(a, e, operator.mul) if e else Poly(a.field, [1])
 
 
 class TruncatedSeries:
@@ -228,15 +222,10 @@ def series_pow(a: TruncatedSeries, e: int, n: int) -> TruncatedSeries:
     """
     if e < 0:
         raise ValueError("series exponent must be >= 0")
-    out = None if e else TruncatedSeries._unchecked(a.field, ([1] + [0] * (n - 1))[:n])
     base = a if a.order == n else a.truncate(n)
-    while e:
-        if e & 1:
-            out = base if out is None else series_mul(out, base, n)
-        e >>= 1
-        if e:
-            base = series_mul(base, base, n)
-    return out
+    if not e:
+        return TruncatedSeries._unchecked(a.field, ([1] + [0] * (n - 1))[:n])
+    return _power(base, e, lambda x, y: series_mul(x, y, n))
 
 
 def rational_expand(f: Poly, g: Poly, n: int) -> TruncatedSeries:

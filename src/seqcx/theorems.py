@@ -33,21 +33,18 @@ exception is the (L, t) of a declared periodic sequence, which
 run_all_checks establishes once from a full-prefix fit and its rational
 reconstruction before the T1 checks grade it.
 
-Two per-length entries hold everything graded for one prefix length m:
-check_growth_step (P2 and L3 for the step m-1 -> m) and check_length (T4
-and the R.* claims at m).  Neither reads a term, only the fits, E values
-and Frobenius residuals of the first m, so a sweep can grade each distinct
-prefix once; run_all_checks and check_growth are loops over them, and
-frobenius_residual substitutes the Frobenius certificate of one k once for
-every length m of that k.
-
 Each claim is built once, as a row (claim_id, inputs, relation, expected,
 observed) from the bound formulas and _RELATIONS, and a report is a row
-with its outcome.  failed_claims is the tally form of the two per-length
-entries: it returns the claim ids of their failed rows and builds no
-report.  It takes scalars in place of fits, and the count of nonzero
-residual coefficients in place of the residual, so a sweep can carry that
-count along its walk and key each result on the arguments;
+with its outcome.  _length_rows holds everything graded at one prefix
+length m: P2 and L3 for the step m-1 -> m, then T4 and the R.* claims at
+m.  It reads scalars only, (p, m, first, residual count, L_{m-1}, L_m,
+t_m, E_1..E_m), and no term, so a sweep can grade each distinct prefix
+once.  Both graders are loops over it: failed_claims returns the claim ids
+of its failed rows and builds no report, and run_all_checks (for `verify`)
+turns its rows into reports.  The residual count is the number of nonzero
+coefficients of the Frobenius certificate of m's k substituted into the
+first m terms.  frobenius_nonzero counts it at every m <= n from one
+substitution per k; a sweep carries it along its walk instead, and
 frobenius_coefficient builds the certificate for both.  witness_holds is
 the one check of an E_m witness, by substitution.
 """
@@ -56,6 +53,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import expcomp, lincomp
 from .lincomp import Sequence
@@ -199,10 +197,19 @@ def frobenius_residual(seq: Sequence, n: int, k: int) -> TruncatedSeries:
     return substitute(frobenius_witness(seq, top), seq.prefix_series(n), top)
 
 
-def frobenius_residuals(seq: Sequence, n: int) -> list:
-    """frobenius_residual(seq, n, k) for each k with p^k <= n-1."""
-    last = frobenius_parameters(seq.field.p, n)[0] if n >= 2 else -1
-    return [frobenius_residual(seq, n, k) for k in range(last + 1)]
+def frobenius_nonzero(seq: Sequence, n: int) -> list[int]:
+    """Entry m, for m = 0..n: the nonzero coefficients among the first m of
+    the Frobenius residual of m's k.  Each k's residual is substituted once
+    and counted in one pass, by a running total read off at its lengths."""
+    p = seq.field.p
+    ks = [frobenius_parameters(p, m)[0] for m in range(n + 1)]
+    counts = [0] * (n + 1)
+    for k in range(ks[n] + 1):
+        coeffs = frobenius_residual(seq, n, k).coeffs
+        for m, count in enumerate(accumulate(map(bool, coeffs), initial=0)):
+            if ks[m] == k:
+                counts[m] = count
+    return counts
 
 
 def witness_holds(poly: BivariatePoly, e: int, g: TruncatedSeries, m: int) -> bool:
@@ -318,28 +325,17 @@ def _growth_rows(profile_e, m: int, l_n: int, l_m: int) -> list:
     ]
 
 
-def check_growth_step(
-    fits: list[lincomp.LinearFit], profile_e, m: int
-) -> list[BoundReport]:
-    """The growth laws for the step from m-1 to m terms (claims P2 and L3).
-
-    fits and profile_e cover at least m prefix lengths, indexed from length
-    1; the step reads entries m-2 and m-1 of each.  The L3 law depends on
-    the absolute length m-1, so a caller hands the whole profiles and the
-    absolute index, never a slice.
-    """
-    rows = _growth_rows(profile_e, m, fits[m - 2].complexity, fits[m - 1].complexity)
-    return [_from_row(row) for row in rows]
-
-
 def check_growth(fits: list[lincomp.LinearFit], profile_e) -> list[BoundReport]:
     """Per-step growth laws over whole profiles: every step m-1 -> m."""
     if len(fits) != len(profile_e):
         raise ValueError("profiles must cover the same prefix")
-    reports = []
-    for m in range(2, len(profile_e) + 1):
-        reports.extend(check_growth_step(fits, profile_e, m))
-    return reports
+    return [
+        _from_row(row)
+        for m in range(2, len(profile_e) + 1)
+        for row in _growth_rows(
+            profile_e, m, fits[m - 2].complexity, fits[m - 1].complexity
+        )
+    ]
 
 
 def _upper_rows(p: int, n: int, profile_e, first: int, nonzero: int) -> list:
@@ -378,16 +374,14 @@ def check_misc_upper(
     n: int,
     *,
     profile_e: list[int],
-    frobenius,
+    residual_nonzero: int,
     first: int,
 ) -> list[BoundReport]:
     """R.simple, R.subadd, R.frobenius(.witness), and R.kernel at length n.
 
     p is the characteristic, profile_e holds E_1..E_m for some m >= n,
-    frobenius maps k to frobenius_residual(seq, m, k) for some m >= n (the
-    list frobenius_residuals(seq, m) does), and first is the index of the
-    first nonzero term of seq.  The certificate at length n is graded by the
-    nonzero coefficients among the first n of entry k.
+    residual_nonzero is entry n of frobenius_nonzero, and first is the
+    index of the first nonzero term of the sequence.
     """
     if n < 2:
         raise ValueError("upper-bound remarks require n >= 2")
@@ -396,34 +390,26 @@ def check_misc_upper(
             _not_applicable(claim, {"n": n}, "all-zero prefix")
             for claim in ("R.simple", "R.kernel", "R.subadd", "R.frobenius")
         ]
-    k, _ = frobenius_parameters(p, n)
-    nonzero = sum(1 for c in frobenius[k].coeffs[:n] if c)
-    return [_from_row(row) for row in _upper_rows(p, n, profile_e, first, nonzero)]
+    rows = _upper_rows(p, n, profile_e, first, residual_nonzero)
+    return [_from_row(row) for row in rows]
 
 
-def check_length(
-    p: int,
-    m: int,
-    *,
-    fits: list[lincomp.LinearFit],
-    profile_e,
-    frobenius,
-    first: int,
-) -> list[BoundReport]:
-    """T4 and the upper-bound remarks at prefix length m.
+def _length_rows(p, m, first, residual_nonzero, l_prev, l_m, t_m, profile_e):
+    """The rows graded at length m >= 2, as (growth rows, length rows): P2
+    and L3 for the step m-1 -> m, and, unless the first m terms are all
+    zero, T4 and the R.* claims at m.
 
-    fits and profile_e cover at least m prefix lengths, p, frobenius and
-    first are as check_misc_upper reads them, and every report depends on
-    the first m terms only.  Nothing applies, and the list is empty, when
-    m < 2 or the first m terms are all zero.
+    p is the characteristic, first the index of the first nonzero term,
+    residual_nonzero entry m of frobenius_nonzero, l_prev, l_m and t_m are
+    L_{m-1}, L_m and t_m of the fits, and profile_e holds E_1..E_m or more.
     """
-    if m < 2 or m <= first:
-        return []
-    reports = check_theorem4(fits[m - 1], profile_e[m - 1])
-    reports.extend(
-        check_misc_upper(p, m, profile_e=profile_e, frobenius=frobenius, first=first)
+    growth = _growth_rows(profile_e, m, l_prev, l_m)
+    if m <= first:
+        return growth, []
+    return growth, (
+        _theorem4_rows(m, l_m, t_m, profile_e[m - 1])
+        + _upper_rows(p, m, profile_e, first, residual_nonzero)
     )
-    return reports
 
 
 def failed_claims(
@@ -436,21 +422,15 @@ def failed_claims(
     t_m: int,
     profile_e,
 ) -> list[str]:
-    """The claim ids of the failed reports of check_growth_step and then
-    check_length at m >= 2, in their order, with no report built.
-
-    p, first and profile_e (E_1..E_m, or more) are as those entries read
-    them; l_prev, l_m and t_m are L_{m-1}, L_m and t_m of the fits; and
-    residual_nonzero is the count check_misc_upper reads off the Frobenius
-    residual: its nonzero coefficients among the first m, for m's k.  It
-    reads nothing else, so with profile_e cut to E_1..E_m its arguments
-    after p are a complete key for its result.
+    """The claim ids of the failed rows of _length_rows at m >= 2, in
+    their order, with no report built.  It reads nothing but its arguments,
+    so with profile_e cut to E_1..E_m its arguments after p are a complete
+    key for its result.
     """
-    rows = _growth_rows(profile_e, m, l_prev, l_m)
-    if m > first:
-        rows += _theorem4_rows(m, l_m, t_m, profile_e[m - 1])
-        rows += _upper_rows(p, m, profile_e, first, residual_nonzero)
-    return _failed(rows)
+    growth, lengths = _length_rows(
+        p, m, first, residual_nonzero, l_prev, l_m, t_m, profile_e
+    )
+    return _failed(growth + lengths)
 
 
 def run_all_checks(
@@ -463,23 +443,26 @@ def run_all_checks(
     """Every applicable checker for the first n terms (driver for `verify`).
 
     fits holds one fit per prefix length 1..n and expansion is the profile
-    of the first n terms.  The growth reports of every step up to n come
-    first, then check_length at each m = 2..n; T1 runs only when the
+    of the first n terms.  The growth rows of _length_rows at every m =
+    2..n come first, then its length rows at each m; T1 runs only when the
     sequence declares its periodicity, on the (L, t) established once here.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     profile_e = expansion.values
-    reports = check_growth(fits, profile_e)
     first = _first_nonzero(seq)
-    frobenius = frobenius_residuals(seq, n)
+    nonzero = frobenius_nonzero(seq, n)
     p = seq.field.p
+    growth, lengths = [], []
     for m in range(2, n + 1):
-        reports.extend(
-            check_length(
-                p, m, fits=fits, profile_e=profile_e, frobenius=frobenius, first=first
-            )
+        fit = fits[m - 1]
+        step, at_m = _length_rows(
+            p, m, first, nonzero[m], fits[m - 2].complexity, fit.complexity, fit.t,
+            profile_e,
         )
+        growth += step
+        lengths += at_m
+    reports = [_from_row(row) for row in growth + lengths]
     if seq.meta is not None and first < len(seq.terms):
         t_decl, period = seq.meta
         if len(seq.terms) >= t_decl + 2 * period:

@@ -637,3 +637,46 @@ def test_verify_json_long_prefixes_match_fixture(tmp_path, capsys):
     # substituted at its own length: random terms over F_2 (n=512), F_101
     # (n=128) and F_9 (n=96), and a declared-periodic F_7 file (n=64)
     _check_verify_fixture("verify_long.json", 4, tmp_path, capsys)
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys, ones_file):
+    # the first main call builds the parser and every later call reuses it,
+    # an argparse rejection (exit 2) included; each output is what a call
+    # with a freshly built parser writes
+    import re
+
+    from seqcx import cli
+
+    argvs = [
+        ["lincomp", "--input", ones_file, "--n", "5", "--json"],
+        ["verify", "--input", ones_file, "--n", "6"],
+        ["expcomp", "--input", ones_file, "--n", "9"],
+        ["lincomp", "--input", ones_file, "--n", "five"],
+        ["expcomp", "--input", ones_file, "--n", "4", "--witness"],
+    ]
+    real_build = cli.build_parser
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return real_build()
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        res = capsys.readouterr()
+        return code, re.sub(r'"timing": [^,\n]+', '"timing": 0', res.out), res.err
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(argv))
+    assert len(builds) == len(argvs)
+    assert [code for code, _, _ in fresh] == [0, 0, 3, 2, 0]
+    builds.clear()
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [run(argv) for argv in argvs + argvs] == fresh + fresh
+    assert len(builds) == 1

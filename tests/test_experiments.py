@@ -764,7 +764,8 @@ RESIDUAL_WALKS = [((2, 1), 10), ((3, 1), 7), ((2, 2), 5), ((5, 1), 6), ((3, 2), 
 )
 def test_carried_residual_equals_substitution(q_spec, n, perturbed, monkeypatch):
     # at every node of the walk, the count carried from the parent equals
-    # that of the certificate of the node's k substituted into its m terms.
+    # that of the certificate of the node's k substituted into its m terms,
+    # and at each leaf the carried counts equal theorems.frobenius_nonzero.
     # A valid certificate leaves only zeros, so the perturbed run moves some
     # of its coefficients, each read off one term, through
     # frobenius_coefficient, which both call; these walks reach every length
@@ -796,6 +797,11 @@ def test_carried_residual_equals_substitution(q_spec, n, perturbed, monkeypatch)
             seen.add((k, nonzero > 0))
             if m + 1 < n:
                 visit(m + 1)
+            else:
+                # at a leaf, the counts of every length on its path are
+                # those verify reads
+                counts = theorems.frobenius_nonzero(Sequence(field, path), n)
+                assert residual.nonzero == counts, path
             residual.pop()
             path.pop()
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,14 +20,12 @@ from seqcx.theorems import (
     _established_l_t,
     _first_nonzero,
     check_growth,
-    check_growth_step,
-    check_length,
     check_misc_upper,
     check_theorem1,
     check_theorem1_remark,
     check_theorem4,
+    frobenius_nonzero,
     frobenius_parameters,
-    frobenius_residuals,
     frobenius_witness,
     periodic_lower_bound,
     periodic_upper_bound,
@@ -76,7 +75,7 @@ def misc(seq, n):
         seq.field.p,
         n,
         profile_e=expansion_profile(seq, n).values,
-        frobenius=frobenius_residuals(seq, n),
+        residual_nonzero=frobenius_nonzero(seq, n)[n],
         first=_first_nonzero(seq),
     )
 
@@ -213,16 +212,27 @@ def test_growth_step_reads_the_absolute_length():
     # L_3 = 1 may stay at 1 or jump to 3 + 1 - 1 = 3 at n = 3 but not at
     # n = 1, where 2 * L_1 > 1 pins it: the law reads where the step is
     fits = stated_fits([0, 0, 1, 3])
-    step = by_claim(check_growth_step(fits, [0, 0, 1, 2], 4))
+    step = by_claim(check_growth(fits, [0, 0, 1, 2])[-2:])
     assert step["L3"].inputs == {"n": 3, "l_n": 1}
     assert step["L3"].expected == (1, 3) and step["L3"].passed
-    sliced = by_claim(check_growth_step(fits[2:], [1, 2], 2))
+    sliced = by_claim(check_growth(fits[2:], [1, 2]))
     assert sliced["L3"].failed
 
 
+def engine_rows(seq, n, m):
+    """_length_rows at m on the engine outputs for the first n terms."""
+    fits, profile = linear_fits(seq, n), expansion_profile(seq, n)
+    return theorems._length_rows(
+        seq.field.p, m, _first_nonzero(seq), frobenius_nonzero(seq, n)[m],
+        fits[m - 2].complexity, fits[m - 1].complexity, fits[m - 1].t,
+        profile.values,
+    )
+
+
 def test_run_all_checks_is_growth_then_each_length(f2, f3, f4):
-    # run_all_checks is every growth step, then check_length at each m, and
-    # each per-length entry reads only the first m terms
+    # run_all_checks is the growth rows of every m, then the length rows of
+    # each m, which the public checkers build from the same rows; and the
+    # rows at m read only the first m terms
     rng = random.Random(5)
     for field in (f2, f3, f4):
         for _ in range(6):
@@ -231,33 +241,25 @@ def test_run_all_checks_is_growth_then_each_length(f2, f3, f4):
             terms = [0] * zeros + [rng.randrange(field.q) for _ in range(n - zeros)]
             seq = Sequence(field, terms)
             fits, profile = linear_fits(seq, n), expansion_profile(seq, n)
-            frobenius = frobenius_residuals(seq, n)
+            nonzero = frobenius_nonzero(seq, n)
             first = _first_nonzero(seq)
-            steps = [
-                rep for m in range(2, n + 1)
-                for rep in check_growth_step(fits, profile.values, m)
-            ]
-            lengths = [
-                check_length(
-                    field.p, m, fits=fits, profile_e=profile.values,
-                    frobenius=frobenius, first=first,
+            rows = {m: engine_rows(seq, n, m) for m in range(2, n + 1)}
+            growth = [theorems._from_row(r) for m in rows for r in rows[m][0]]
+            lengths = [theorems._from_row(r) for m in rows for r in rows[m][1]]
+            assert run_all(seq, n) == growth + lengths
+            assert growth == check_growth(fits, profile.values)
+            assert lengths == [
+                rep
+                for m in range(max(2, first + 1), n + 1)
+                for rep in check_theorem4(fits[m - 1], profile.values[m - 1])
+                + check_misc_upper(
+                    field.p, m, profile_e=profile.values,
+                    residual_nonzero=nonzero[m], first=first,
                 )
-                for m in range(1, n + 1)
             ]
-            assert run_all(seq, n) == steps + [r for part in lengths for r in part]
             for m in range(2, n + 1):
-                short = Sequence(field, terms[:m])
-                short_fits = linear_fits(short, m)
-                short_e = expansion_profile(short, m).values
-                assert check_growth_step(fits, profile.values, m) == (
-                    check_growth(short_fits, short_e)[-2:]
-                )
-                assert lengths[m - 1] == check_length(
-                    field.p, m, fits=short_fits, profile_e=short_e,
-                    frobenius=frobenius_residuals(short, m),
-                    first=_first_nonzero(short),
-                )
-            assert lengths[0] == []
+                assert rows[m] == engine_rows(Sequence(field, terms[:m]), m, m), m
+                assert (rows[m][1] == []) == (m <= first), m
 
 
 def test_check_misc_upper_examples(f2):
@@ -280,15 +282,13 @@ def test_subadd_equals_brute_force_minimum_over_every_split(f2, f3):
     rng = random.Random(17)
     for field in (f2, f3):
         for n in range(2, 26):
-            seq = Sequence(field, [rng.randrange(field.q) for _ in range(n)])
-            frobenius = frobenius_residuals(seq, n)
             for _ in range(3):
                 profile_e = [rng.randrange(n + 1) for _ in range(n)]
                 for first in range(n):
                     rep = by_claim(
                         check_misc_upper(
-                            field.p, n, profile_e=profile_e, frobenius=frobenius,
-                            first=first,
+                            field.p, n, profile_e=profile_e,
+                            residual_nonzero=0, first=first,
                         )
                     )["R.subadd"]
                     sums = [
@@ -477,12 +477,15 @@ def test_run_all_checks_establishes_l_t_once(f3, monkeypatch):
 @pytest.mark.parametrize("perturbed", [False, True], ids=["certificate", "perturbed"])
 @pytest.mark.parametrize("q_spec", [(2, 1), (3, 1), (2, 2), (3, 2), (101, 1)])
 def test_frobenius_residuals_match_naive_substitution(q_spec, perturbed, monkeypatch):
-    # each k is substituted once, at its longest length, and the certificate
-    # at every length m is graded on the first m coefficients of that
-    # residual.  A valid certificate leaves only zeros, so the perturbed run
-    # adds a fixed x*y^2 term to every certificate: its residual is not
-    # zero, and is the same function of the first m terms at every m
+    # each k is substituted once, at its longest length, and its count at
+    # every length m is a running total of that residual's first m
+    # coefficients; both must match the certificate of m substituted at m,
+    # at every m and in particular at each m = p^k + 1, where k changes.  A
+    # valid certificate leaves only zeros, so the perturbed run adds a fixed
+    # x*y^2 term to every certificate: its residual is not zero, and is the
+    # same function of the first m terms at every m
     field = Field(*q_spec)
+    p = field.p
     if perturbed:
         real_witness = theorems.frobenius_witness
 
@@ -498,27 +501,28 @@ def test_frobenius_residuals_match_naive_substitution(q_spec, perturbed, monkeyp
         terms = [0] * zeros + [rng.randrange(1, field.q)]
         terms += [rng.randrange(field.q) for _ in range(n + 1 - zeros)]
         seq = Sequence(field, terms)
-        residuals = frobenius_residuals(seq, n)
+        counts = frobenius_nonzero(seq, n)
+        assert len(counts) == n + 1 and counts[0] == 0
+        last = frobenius_parameters(p, n)[0]
+        residuals = [theorems.frobenius_residual(seq, n, k) for k in range(last + 1)]
         assert [r.order for r in residuals] == [
-            min(n, field.p ** (k + 1)) for k in range(len(residuals))
+            min(n, p ** (k + 1)) for k in range(last + 1)
         ]
-        assert len(residuals) == frobenius_parameters(field.p, n)[0] + 1
-        # a sweep node substitutes only the k of its own length
-        for k, residual in enumerate(residuals):
-            assert theorems.frobenius_residual(seq, n, k) == residual
+        boundaries = {p**k + 1 for k in range(1, last + 1)}
+        assert boundaries <= set(range(2, n + 1))
+        for m in range(1, n + 1):
+            k, _ = frobenius_parameters(p, m)
+            certificate = theorems.frobenius_witness(seq, m)
+            naive = naive_substitute(field, certificate.terms, terms, m)
+            assert list(residuals[k].coeffs[:m]) == naive, m
+            assert counts[m] == sum(1 for c in naive if c), m
         observed = {
             rep.inputs["n"]: rep.observed
             for rep in run_all(seq, n)
             if rep.claim_id == "R.frobenius.witness"
         }
         assert sorted(observed) == list(range(max(2, zeros + 1), n + 1))
-        for m in range(2, n + 1):
-            k, _ = frobenius_parameters(field.p, m)
-            got = list(residuals[k].coeffs[:m])
-            certificate = theorems.frobenius_witness(seq, m)
-            assert got == naive_substitute(field, certificate.terms, terms, m), m
-            if m in observed:
-                assert observed[m] == sum(1 for c in got if c), m
+        assert all(observed[m] == counts[m] for m in observed)
         assert any(observed.values()) == perturbed
 
 
@@ -527,67 +531,82 @@ TALLIED_CLAIMS = {
     "P2", "L3", "T4.lower", "T4.upper", "R.simple", "R.kernel", "R.subadd",
     "R.frobenius", "R.frobenius.witness",
 }
+GROWTH_CLAIMS = ("P2", "L3")
 
 
-def _reported_failures(p, m, fits, profile_e, frobenius, first):
-    reports = check_growth_step(fits, profile_e, m) + check_length(
-        p, m, fits=fits, profile_e=profile_e, frobenius=frobenius, first=first
-    )
-    return [rep.claim_id for rep in reports if rep.failed]
+def _reported_failures(reports, m):
+    """The failed claim ids among run_all_checks' reports at m, in their
+    order: a growth claim of the step m-1 -> m has n = m-1, any other n = m."""
+    return [
+        rep.claim_id
+        for rep in reports
+        if rep.failed
+        and rep.inputs["n"] == (m - 1 if rep.claim_id in GROWTH_CLAIMS else m)
+    ]
 
 
-def _tallied_failures(p, m, fits, profile_e, frobenius, first):
-    k, _ = frobenius_parameters(p, m)
-    nonzero = sum(1 for c in frobenius[k].coeffs[:m] if c)
-    return theorems.failed_claims(
-        p, m, first, nonzero, fits[m - 2].complexity, fits[m - 1].complexity,
-        fits[m - 1].t, profile_e,
-    )
+def _own_length_count(seq, m):
+    """The residual count at m from the certificate of m's k substituted at
+    m itself, not read off a longer residual."""
+    k, _ = frobenius_parameters(seq.field.p, m)
+    return sum(1 for c in theorems.frobenius_residual(seq, m, k).coeffs if c)
 
 
 @pytest.mark.parametrize(
     "q_spec, n", TALLY_SWEEPS, ids=[f"q{p}^{m}-n{n}" for (p, m), n in TALLY_SWEEPS]
 )
-def test_tallies_equal_the_reports(q_spec, n):
+def test_tallies_equal_the_reports(q_spec, n, monkeypatch):
     # every prefix of length m <= n is the first m terms of some length-n
-    # prefix; the tally form names the failed reports of check_growth_step
-    # and check_length, in order, first on the engines' own outputs, then on
-    # E values, fits and residuals perturbed until every claim has failed
+    # prefix; at each m, the tally form names the failed reports of
+    # run_all_checks at m, in order, first on the engines' own outputs, then
+    # on E values and fits perturbed, and certificates moved, until every
+    # claim has failed.  The tally reads a residual count substituted at m
+    # itself, so a count that run_all_checks read off at the wrong length
+    # would grade differently
     field = Field(*q_spec)
     p = field.p
     rng = random.Random(field.q * 100 + n)
     failed = set()
-    for terms in itertools.product(range(field.q), repeat=n):
-        seq = Sequence(field, list(terms))
-        fits = linear_fits(seq, n)
-        profile_e = expansion_profile(seq, n).values
-        frobenius = frobenius_residuals(seq, n)
+    real_coefficient = theorems.frobenius_coefficient
+    salt = None
+
+    def coefficient(field, s, k):
+        # moves about one certificate coefficient in three, as a function
+        # of the term and k, so the residual count varies with m
+        c = real_coefficient(field, s, k)
+        return field.add(c, 1) if salt is not None and (s + k + salt) % 3 == 0 else c
+
+    monkeypatch.setattr(theorems, "frobenius_coefficient", coefficient)
+
+    def compare(seq, fits, profile_e):
+        reports = run_all_checks(
+            seq, n, fits=fits, expansion=SimpleNamespace(values=profile_e)
+        )
         first = _first_nonzero(seq)
         for m in range(2, n + 1):
-            args = (p, m, fits, profile_e, frobenius, first)
-            reported = _reported_failures(*args)
-            assert reported == [], (terms, m)
-            assert _tallied_failures(*args) == reported, (terms, m)
+            tallied = theorems.failed_claims(
+                p, m, first, _own_length_count(seq, m), fits[m - 2].complexity,
+                fits[m - 1].complexity, fits[m - 1].t, profile_e,
+            )
+            reported = _reported_failures(reports, m)
+            assert tallied == reported, (seq.terms, m)
+            failed.update(reported)
+        return reports
+
+    for terms in itertools.product(range(field.q), repeat=n):
+        seq = Sequence(field, list(terms))
+        salt = None
+        reports = compare(seq, linear_fits(seq, n), expansion_profile(seq, n).values)
+        assert not any(rep.failed for rep in reports), terms
         # perturbed inputs: any E value, any fit with L_m >= 1 past the
-        # first nonzero term (T4 excludes L_m = 0 there), any residual
-        for _ in range(2):
+        # first nonzero term (T4 excludes L_m = 0 there), moved certificates
+        first = _first_nonzero(seq)
+        for salt in range(2):
             bad_e = [rng.randrange(m + 2) for m in range(1, n + 1)]
             bad_fits = []
             for m in range(1, n + 1):
                 low = 1 if m > first else 0
                 l = rng.randrange(low, m + 1)
                 bad_fits.append(LinearFit(m, l, (0,) * l, rng.randrange(l + 1)))
-            # about one residual coefficient in five is nonzero
-            bad_frobenius = [
-                TruncatedSeries(field, [
-                    rng.randrange(1, field.q) if rng.random() < 0.2 else 0
-                    for _ in range(r.order)
-                ])
-                for r in frobenius
-            ]
-            for m in range(2, n + 1):
-                args = (p, m, bad_fits, bad_e, bad_frobenius, first)
-                reported = _reported_failures(*args)
-                assert _tallied_failures(*args) == reported, (terms, m)
-                failed.update(reported)
+            compare(seq, bad_fits, bad_e)
     assert failed == TALLIED_CLAIMS
