@@ -99,6 +99,21 @@ def test_a_long_monte_carlo_prefix_exits_at_once(capsys, tmp_path):
         MonteCarloConfig(Field(2), 1, schedule=(MC_LENGTH_CAP + 1,))
 
 
+@pytest.mark.parametrize("checks", [True, False], ids=["checked", "unchecked"])
+def test_a_sweep_leaves_no_garbage_cycle(f9, checks):
+    # a chunk's walk state (its Field, kernel, residual and battery cache)
+    # is freed when the sweep returns, not at the next cycle collection
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_all(ExhaustiveConfig(f9, 3, checks=checks))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_enumerate_deterministic_across_workers(f2):
     one = enumerate_all(ExhaustiveConfig(f2, 6))
     two = enumerate_all(ExhaustiveConfig(f2, 6, workers=3))
@@ -511,6 +526,7 @@ def test_checked_and_unchecked_sweeps_tally_alike(q_spec, n):
 
 WEIGHTING_CASES = [
     ((2, 1), 9), ((3, 1), 5), ((2, 2), 4), ((3, 2), 3), ((2, 3), 3), ((5, 1), 4),
+    ((2, 4), 3), ((3, 3), 3),
 ]
 INJECTED_CLAIMS = {"L3", "R.simple", "R.frobenius.witness", "T4.lower"}
 
@@ -569,8 +585,11 @@ _ORACLE = {}
 def test_weighted_sweep_equals_per_leaf_battery(q_spec, n, injected, workers,
                                                 monkeypatch):
     # the sweep grades each length-m prefix whose first nonzero term is 1
-    # on one leaf and weights it by (q - 1) q^(n-m), q^(n-m) if it is all
-    # zero; the oracle grades every prefix on every leaf below it
+    # and that is least among its Frobenius images on one leaf, and weights
+    # it by (q - 1) d q^(n-m), where F_(p^d) is the field its terms generate,
+    # q^(n-m) if it is all zero; the oracle grades every prefix on every
+    # leaf below it.  Over F_16 and F_27 some prefixes have terms in a
+    # proper subfield, so d takes every divisor of the degree
     if injected and workers > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("injected failures reach pool workers only when forked")
     field = Field(*q_spec)
@@ -589,7 +608,10 @@ def test_weighted_sweep_equals_per_leaf_battery(q_spec, n, injected, workers,
         assert expected["violations"] == 0
 
 
-CUT_CASES = [((3, 1), 5), ((2, 1), 9), ((2, 2), 4), ((2, 3), 3), ((3, 2), 3), ((5, 1), 4)]
+CUT_CASES = [
+    ((3, 1), 5), ((2, 1), 9), ((2, 2), 4), ((2, 3), 3), ((3, 2), 3), ((5, 1), 4),
+    ((2, 4), 3), ((3, 3), 3),
+]
 
 
 def _walked_chunks(monkeypatch):
@@ -653,25 +675,37 @@ def test_orbit_leaf_ranks_the_representative_leaves(q):
 @pytest.mark.parametrize("workers", range(1, 8))
 def test_chunks_walk_near_equal_shares_of_the_representative_leaves(
         f9, workers, monkeypatch):
-    # the walk visits only the all-zero leaf and those whose first nonzero
-    # term is 1, 1 + (9^4 - 1)/8 = 821 of the 9^4, in lexicographic order;
-    # each chunk walks a nonempty range of them, none more than one longer
-    # than another
+    # the chunks cut the scaling representatives, the all-zero leaf and those
+    # whose first nonzero term is 1, 1 + (9^4 - 1)/8 = 821 of the 9^4, into
+    # ranges of ranks none more than one longer than another; each chunk
+    # walks, in lexicographic order, exactly the leaves of its range that are
+    # least among their Frobenius images, 431 in all.  Up to three chunks
+    # each walk at least one; from four on, the last range starts past
+    # 1 6 0 0, where every leaf's second term 6, 7 or 8 has a smaller
+    # image 3, 4 or 5, and its chunk walks none
     chunks = _walked_chunks(monkeypatch)
     enumerate_all(ExhaustiveConfig(f9, 4, checks=False, workers=workers))
     assert len(chunks) == workers
-    walked = [leaf for _, _, leaves in chunks for leaf in leaves]
-    assert walked == sorted(
+    representatives = sorted(
         terms for terms in itertools.product(range(9), repeat=4)
         if next((s for s in terms if s), 1) == 1
     )
-    shares = [len(leaves) for _, _, leaves in chunks]
-    assert min(shares) > 0 and max(shares) - min(shares) <= 1
-    for lo, hi, leaves in chunks:
-        assert all(
-            lo <= sum(s * 9 ** (3 - i) for i, s in enumerate(leaf)) < hi
-            for leaf in leaves
-        )
+    ranges = experiments._chunk_ranges(len(representatives), workers)
+    shares = [hi - lo for lo, hi in ranges]
+    assert sum(shares) == 821 and max(shares) - min(shares) <= 1
+    indices = [sum(s * 9 ** (3 - i) for i, s in enumerate(terms))
+               for terms in representatives] + [9**4]
+    walked = 0
+    for (rank_lo, rank_hi), (lo, hi, leaves) in zip(ranges, chunks):
+        assert (lo, hi) == (indices[rank_lo], indices[rank_hi])
+        least = [
+            terms for terms in representatives[rank_lo:rank_hi]
+            if terms <= tuple(f9.frobenius(s, 1) for s in terms)
+        ]
+        assert leaves == least
+        assert leaves or workers > 3
+        walked += len(leaves)
+    assert walked == 431
 
 
 def test_sweeps_run_no_engine_from_term_zero(monkeypatch):
@@ -700,6 +734,65 @@ def test_sweeps_run_no_engine_from_term_zero(monkeypatch):
     assert calls == []
 
 
+def _sweep_inputs(seq, n):
+    """What the sweep reads of seq at each length m = 1..n: each fit's L
+    and t, with its coefficients where a shortest recurrence is unique
+    (m >= 2L; below, Berlekamp-Massey may pick other coefficients of the
+    same L and t), the first nonzero index and the residual counts."""
+    from seqcx import lincomp
+
+    p = seq.field.p
+    first = next(i for i, s in enumerate(seq.terms) if s)
+    residuals = [
+        sum(1 for c in theorems.frobenius_residual(
+            seq, m, theorems.frobenius_parameters(p, m)[0]).coeffs if c)
+        for m in range(1, n + 1)
+    ]
+    fits = [
+        (fit.complexity, fit.t, fit.coeffs if 2 * fit.complexity <= fit.n else None)
+        for fit in lincomp.linear_fits(seq, n)
+    ]
+    return fits, first, residuals
+
+
+def _assert_images_read_alike(field, n, maps):
+    """For every prefix G whose first nonzero term is 1 and each (image,
+    moved_coeff) of maps, the image G' = image(G) and G have the same sweep
+    inputs, with G's unique fit coefficients moved by moved_coeff(a, 0),
+    and the same E values; and each E_m witness h of G, with its
+    coefficient a of y^j moved by moved_coeff(a, j), witnesses E_m for G'
+    with the same total degree."""
+    from seqcx import expcomp
+    from seqcx.lincomp import Sequence
+    from seqcx.series import BivariatePoly
+
+    for terms in itertools.product(range(field.q), repeat=n):
+        if next((s for s in terms if s), 0) != 1:
+            continue
+        seq = Sequence(field, list(terms))
+        fits, first, residuals = _sweep_inputs(seq, n)
+        profile = expcomp.expansion_profile(seq, n)
+        witnesses = [
+            (m, e, profile.witness(m).poly)
+            for m, e in enumerate(profile.values, 1) if e
+        ]
+        for image, moved_coeff in maps:
+            moved_fits = [
+                (l, t, coeffs and tuple(moved_coeff(a, 0) for a in coeffs))
+                for l, t, coeffs in fits
+            ]
+            moved = Sequence(field, image(list(terms)))
+            assert _sweep_inputs(moved, n) == (moved_fits, first, residuals), terms
+            assert expcomp.expansion_profile(moved, n).values == profile.values
+            series = moved.prefix_series(n)
+            for m, e, poly in witnesses:
+                witness = BivariatePoly(field, {
+                    (i, j): moved_coeff(a, j) for (i, j), a in poly.terms.items()
+                })
+                assert witness.total_degree == poly.total_degree == e
+                assert theorems.witness_holds(witness, e, series, m), (terms, m)
+
+
 SCALING_CASES = [((3, 1), 5), ((2, 2), 4), ((5, 1), 4), ((2, 3), 3), ((3, 2), 3)]
 
 
@@ -711,48 +804,79 @@ def test_every_sweep_input_is_the_same_on_each_multiple_of_a_prefix(q_spec, n):
     # on c G, for each c != 0, the L and t of each fit, the E values, the
     # first nonzero index and the residual counts are those of G, and
     # h(x, y/c) annihilates c G exactly when h(x, y) annihilates G, with
-    # the same total degree.  A shortest recurrence is unique on m >= 2L
-    # terms, so there the fits agree in full; below, Berlekamp-Massey may
-    # pick other coefficients of the same L and t
-    from seqcx import expcomp, lincomp
-    from seqcx.lincomp import Sequence
-    from seqcx.series import BivariatePoly
-
+    # the same total degree; where a shortest recurrence is unique, c G
+    # has the same one
     field = Field(*q_spec)
-    p = field.p
-    ks = [theorems.frobenius_parameters(p, m)[0] for m in range(n + 1)]
+    mul, pow = field.mul, field.pow
+    _assert_images_read_alike(field, n, [
+        (lambda terms, c=c: [mul(c, s) for s in terms],
+         lambda a, j, inverse=field.inv(c): mul(a, pow(inverse, j)))
+        for c in range(1, field.q)
+    ])
 
-    def inputs(seq):
-        first = next(i for i, s in enumerate(seq.terms) if s)
-        residuals = [
-            sum(1 for c in theorems.frobenius_residual(seq, m, ks[m]).coeffs if c)
-            for m in range(1, n + 1)
-        ]
-        fits = [
-            (fit.complexity, fit.t, fit.coeffs if 2 * fit.complexity <= fit.n else None)
-            for fit in lincomp.linear_fits(seq, n)
-        ]
-        return fits, first, residuals
 
-    for terms in itertools.product(range(field.q), repeat=n):
-        if next((s for s in terms if s), 0) != 1:
-            continue
-        seq = Sequence(field, list(terms))
-        profile = expcomp.expansion_profile(seq, n)
-        for c in range(1, field.q):
-            scaled = Sequence(field, [field.mul(c, s) for s in terms])
-            assert inputs(scaled) == inputs(seq), (terms, c)
-            assert expcomp.expansion_profile(scaled, n).values == profile.values
-            series = scaled.prefix_series(n)
-            for m, e in enumerate(profile.values, 1):
-                if not e:
-                    continue
-                poly = profile.witness(m).poly
-                moved = BivariatePoly(field, {
-                    (i, j): field.mul(a, field.pow(field.inv(c), j))
-                    for (i, j), a in poly.terms.items()
-                })
-                assert theorems.witness_holds(moved, e, series, m), (terms, c, m)
+FROBENIUS_CASES = [((2, 2), 4), ((2, 3), 3), ((3, 2), 3), ((2, 4), 3), ((3, 3), 2)]
+
+
+@pytest.mark.parametrize(
+    "q_spec, n", FROBENIUS_CASES,
+    ids=[f"q{p}^{m}-n{n}" for (p, m), n in FROBENIUS_CASES],
+)
+def test_every_sweep_input_is_the_same_on_each_frobenius_image_of_a_multiple(
+        q_spec, n):
+    # why the sweep walks only the prefixes least among their images under
+    # sigma: s -> s^p: on sigma^i(c G), for each c != 0 and i = 1 .. r - 1
+    # over F_(p^r), the sweep reads what it reads on G.  sigma is a field
+    # automorphism that fixes F_p, so h^sigma(x, G^sigma) = h(x, G)^sigma:
+    # the witness of c G moved by sigma^i, of the same total degree,
+    # annihilates sigma^i(c G).  Berlekamp-Massey commutes with sigma^i, so
+    # a unique shortest recurrence moves with it, and the residual of
+    # sigma^i(c G) is the sigma^i-image of that of c G, with as many
+    # nonzero coefficients
+    field = Field(*q_spec)
+    mul, pow, frobenius = field.mul, field.pow, field.frobenius
+    _assert_images_read_alike(field, n, [
+        (lambda terms, c=c, i=i: [frobenius(mul(c, s), i) for s in terms],
+         lambda a, j, i=i, inverse=field.inv(c): frobenius(mul(a, pow(inverse, j)), i))
+        for i in range(1, field.m) for c in range(1, field.q)
+    ])
+
+
+def test_orbit_children_are_the_least_of_their_frobenius_images():
+    # under a node whose terms generate F_(p^d), the children walked are the
+    # s least among their sigma^(jd)-images, each with the degree of the
+    # field the node's terms and s generate, and weight (q - 1) times it
+    for p, degree in [(2, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 4), (2, 6), (3, 3)]:
+        field = Field(p, degree)
+        q = field.q
+        subfields = {
+            d: {s for s in range(q) if field.frobenius(s, d) == s}
+            for d in range(1, degree + 1) if degree % d == 0
+        }
+        for d in subfields:
+            expected = []
+            for s in range(q):
+                if all(field.frobenius(s, j) >= s for j in range(d, degree, d)):
+                    e = min(e for e, elements in subfields.items()
+                            if e % d == 0 and s in elements)
+                    expected.append((s, e, (q - 1) * e))
+            assert experiments._orbit_children(field, d) == expected, (q, d)
+        # a prime field walks every child, with weight q - 1
+        if degree == 1:
+            assert expected == [(s, 1, q - 1) for s in range(q)]
+
+
+def test_a_depth_one_sweep_builds_no_child_list(monkeypatch):
+    # the spine's children are fixed and a node of depth n has none, so a
+    # sweep at n = 1 builds no list of q children, even at q = 2^16
+    built = []
+    real = experiments._orbit_children
+    monkeypatch.setattr(experiments, "_orbit_children",
+                        lambda field, d: built.append(d) or real(field, d))
+    record = enumerate_all(ExhaustiveConfig(Field(2, 16), 1, checks=False)).record
+    assert record.counts == {0: 1, 1: 2**16 - 1} and built == []
+    enumerate_all(ExhaustiveConfig(Field(2, 4), 3, checks=False))
+    assert sorted(built) == [1, 2, 4]
 
 
 RESIDUAL_WALKS = [((2, 1), 10), ((3, 1), 7), ((2, 2), 5), ((5, 1), 6), ((3, 2), 4)]
