@@ -46,13 +46,13 @@ witness per orbit: the checked F_9, n = 4 sweep visits 494 nodes (926
 with the scaling orbits alone), checks 490 witnesses (922) and meets 27
 distinct battery inputs, as before.  Over a prime field it walks every
 prefix whose first nonzero term is 1, and over F_2 the whole tree.  The
-chunks cut the 1 + (q^n - 1)/(q - 1) leaves whose first nonzero term is
-1, or that are all zero, into near-equal ranges.  A chunk walks every visited
-node whose leaves meet its range, and grades those whose first leaf it
-holds; that leaf, the node followed by zeros, is itself least among its
-images, so any cut gives the same totals.  The t_n ambiguity scan reads
-its prefixes, with their fits and E_n, off the leaves of one unchecked
-walk over F_2, so it reruns no engine either.
+chunks cut the leaves the walk visits into ranges whose counts differ by
+at most one (_orbit_cuts).  A chunk walks every visited node whose leaves
+meet its range, and grades those whose first leaf it holds; that leaf,
+the node followed by zeros, is itself least among its images, so any cut
+gives the same totals.  The t_n ambiguity scan reads its prefixes, with
+their fits and E_n, off the leaves of one unchecked walk over F_2, so it
+reruns no engine either.
 
 Monte Carlo
 mode samples sequences with i.i.d. uniform terms and reports the E_n
@@ -389,9 +389,10 @@ def _orbit_children(field, d):
 
 
 def _enumerate_chunk(field, n, checks, start, stop, leaf=None):
-    """Tallies and weighted battery outcomes of the scaling orbits whose
-    representative leaves have lexicographic indices start..stop-1, from a
-    depth-first walk of the visited nodes whose leaves meet that range.
+    """Tallies and weighted battery outcomes of the orbits whose walked
+    leaves, the least of each, have lexicographic indices start..stop-1,
+    from a depth-first walk of the visited nodes whose leaves meet that
+    range.
 
     The walk visits the all-zero spine and, under each of its nodes, only
     the child 1 and those nodes of its subtree that are least among their
@@ -503,21 +504,53 @@ def _chunk_ranges(total: int, workers: int):
     return [(total * i // workers, total * (i + 1) // workers) for i in range(workers)]
 
 
-def _orbit_leaf(q: int, rank: int) -> int:
-    """Lexicographic index of the representative leaf of the given rank,
-    and q^n for rank = their count, 1 + (q^n - 1)/(q - 1).
+def _orbit_cuts(field, n: int, workers: int):
+    """The chunks' (start, stop) lexicographic leaf indices: the leaves the
+    walk visits, the least of each orbit, cut into at most `workers` ranges
+    whose counts differ by at most one, none empty.
 
-    The representatives are the all-zero leaf and those whose first nonzero
-    term is 1; the q^j of them with that 1 at position n - 1 - j take the
-    indices q^j .. 2 q^j - 1 and the ranks from 1 + (q^j - 1)/(q - 1) on.
+    How many walked leaves lie under a walked node depends only on the
+    degree d of the field its terms generate (d = 0 on the spine) and on
+    the number k of terms still to come, so leaves(d, k) is tabled once,
+    from the lists of children the walk reads (_orbit_children); the leaf
+    of a given rank is found by walking down from the root, stepping over
+    whole subtrees.  One chunk needs no table.
     """
-    if rank == 0:
-        return 0
-    j, first = 0, 1
-    while first + q**j <= rank:
-        first += q**j
-        j += 1
-    return q**j + rank - first
+    q = field.q
+    if workers == 1:
+        return [(0, q**n)]
+    children = {0: ((0, 0, 1), (1, 1, q - 1))}
+    below = {}
+
+    def leaves(d, k):
+        if k == 0:
+            return 1
+        if (d, k) not in below:
+            if d not in children:
+                children[d] = _orbit_children(field, d)
+            below[d, k] = sum(leaves(e, k - 1) for _, e, _ in children[d])
+        return below[d, k]
+
+    def leaf_at(rank):
+        index, d = 0, 0
+        for k in range(n - 1, -1, -1):
+            # leaves(d, k + 1) has built this node's children
+            for s, e, _ in children[d]:
+                size = leaves(e, k)
+                if rank < size:
+                    break
+                rank -= size
+            index, d = index * q + s, e
+        return index
+
+    count = leaves(0, n)
+    ranges = [
+        (leaf_at(lo), leaf_at(hi) if hi < count else q**n)
+        for lo, hi in _chunk_ranges(count, workers)
+    ]
+    # leaves holds itself through its closure cell
+    del leaves
+    return ranges
 
 
 def _run_chunks(worker, args_list):
@@ -535,14 +568,13 @@ def enumerate_all(cfg: ExhaustiveConfig) -> EnumerationResult:
     """Tally distributions over all q^n prefixes, walking one per orbit
     under scaling and the Frobenius map (the lexicographically least), and
     count bound violations when cfg.checks is set.  The chunks cut the
-    scaling orbits' representative leaves."""
+    walked leaves (_orbit_cuts)."""
     field = cfg.field
     q, n = field.q, cfg.n
     total = q**n
-    ranges = _chunk_ranges(1 + (total - 1) // (q - 1), cfg.workers)
     args = [
-        (field, n, cfg.checks, _orbit_leaf(q, lo), _orbit_leaf(q, hi))
-        for lo, hi in ranges
+        (field, n, cfg.checks, start, stop)
+        for start, stop in _orbit_cuts(field, n, cfg.workers)
     ]
     *counts, fails = tallies = [Counter() for _ in range(4)]  # E_n, L_n, t_n
     witness_failures = 0

@@ -101,14 +101,16 @@ def test_a_long_monte_carlo_prefix_exits_at_once(capsys, tmp_path):
 
 @pytest.mark.parametrize("checks", [True, False], ids=["checked", "unchecked"])
 def test_a_sweep_leaves_no_garbage_cycle(f9, checks):
-    # a chunk's walk state (its Field, kernel, residual and battery cache)
-    # is freed when the sweep returns, not at the next cycle collection
+    # a chunk's walk state (its Field, kernel, residual and battery cache),
+    # and the counts that place the chunks' cuts, are freed when the sweep
+    # returns, not at the next cycle collection
     import gc
 
     gc.collect()
     gc.disable()
     try:
         enumerate_all(ExhaustiveConfig(f9, 3, checks=checks))
+        experiments._orbit_cuts(f9, 3, 3)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -658,54 +660,67 @@ def test_chunk_cuts_inside_subtrees(q_spec, n, injected, monkeypatch):
     assert unchecked.record.to_dict() == expected["record"]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def _least(field, terms):
+    """Whether terms is no greater than any of its images under
+    s -> s^(p^i)."""
+    return all(terms <= tuple(field.frobenius(s, i) for s in terms)
+               for i in range(1, field.m))
+
+
+def _least_leaves(field, n):
+    """The prefixes of length n the walk visits, in lexicographic order:
+    those least among their images whose first nonzero term is 1, or that
+    are all zero."""
+    return [
+        terms for terms in itertools.product(range(field.q), repeat=n)
+        if next((s for s in terms if s), 1) == 1 and _least(field, terms)
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 8, 16])
 def test_orbit_leaf_ranks_the_representative_leaves(q):
-    # the all-zero leaf and those whose first nonzero term is 1, by their
-    # lexicographic indices, then q^n past the last one
-    for n in range(1, 5):
+    # the cuts rank the leaves the walk visits, the least of each orbit:
+    # each chunk starts at one of them, by its lexicographic index, and the
+    # last ends at q^n; every chunk holds at least one, no chunk more than
+    # one more than another, and there are as many chunks as asked for, or
+    # as leaves if fewer
+    field = Field(*{4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4)}.get(q, (q, 1)))
+    for n in range(1, 5 if q < 16 else 4):
         indices = [
-            index for index, terms in enumerate(itertools.product(range(q), repeat=n))
-            if next((s for s in terms if s), 1) == 1
+            sum(s * q ** (n - 1 - i) for i, s in enumerate(terms))
+            for terms in _least_leaves(field, n)
         ]
-        assert len(indices) == 1 + (q**n - 1) // (q - 1)
-        got = [experiments._orbit_leaf(q, rank) for rank in range(len(indices) + 1)]
-        assert got == indices + [q**n]
+        if field.m == 1:
+            assert len(indices) == 1 + (q**n - 1) // (q - 1)
+        for workers in sorted({*range(1, 9), len(indices), len(indices) + 1}):
+            cuts = experiments._orbit_cuts(field, n, workers)
+            assert len(cuts) == min(workers, len(indices))
+            assert cuts[0][0] == 0 and cuts[-1][1] == q**n
+            assert all(hi == lo for (_, hi), (lo, _) in zip(cuts, cuts[1:]))
+            assert all(lo in indices for lo, _ in cuts)
+            shares = [sum(lo <= i < hi for i in indices) for lo, hi in cuts]
+            assert min(shares) > 0 and max(shares) - min(shares) <= 1
 
 
 @pytest.mark.parametrize("workers", range(1, 8))
 def test_chunks_walk_near_equal_shares_of_the_representative_leaves(
         f9, workers, monkeypatch):
-    # the chunks cut the scaling representatives, the all-zero leaf and those
-    # whose first nonzero term is 1, 1 + (9^4 - 1)/8 = 821 of the 9^4, into
-    # ranges of ranks none more than one longer than another; each chunk
-    # walks, in lexicographic order, exactly the leaves of its range that are
-    # least among their Frobenius images, 431 in all.  Up to three chunks
-    # each walk at least one; from four on, the last range starts past
-    # 1 6 0 0, where every leaf's second term 6, 7 or 8 has a smaller
-    # image 3, 4 or 5, and its chunk walks none
+    # the walk visits only the all-zero leaf and those whose first nonzero
+    # term is 1 that are least among their Frobenius images, 431 of the
+    # 9^4, in lexicographic order; each chunk walks a nonempty range of
+    # them, none more than one longer than another
     chunks = _walked_chunks(monkeypatch)
     enumerate_all(ExhaustiveConfig(f9, 4, checks=False, workers=workers))
     assert len(chunks) == workers
-    representatives = sorted(
-        terms for terms in itertools.product(range(9), repeat=4)
-        if next((s for s in terms if s), 1) == 1
-    )
-    ranges = experiments._chunk_ranges(len(representatives), workers)
-    shares = [hi - lo for lo, hi in ranges]
-    assert sum(shares) == 821 and max(shares) - min(shares) <= 1
-    indices = [sum(s * 9 ** (3 - i) for i, s in enumerate(terms))
-               for terms in representatives] + [9**4]
-    walked = 0
-    for (rank_lo, rank_hi), (lo, hi, leaves) in zip(ranges, chunks):
-        assert (lo, hi) == (indices[rank_lo], indices[rank_hi])
-        least = [
-            terms for terms in representatives[rank_lo:rank_hi]
-            if terms <= tuple(f9.frobenius(s, 1) for s in terms)
-        ]
-        assert leaves == least
-        assert leaves or workers > 3
-        walked += len(leaves)
-    assert walked == 431
+    walked = [leaf for _, _, leaves in chunks for leaf in leaves]
+    assert walked == _least_leaves(f9, 4) and len(walked) == 431
+    shares = [len(leaves) for _, _, leaves in chunks]
+    assert min(shares) > 0 and max(shares) - min(shares) <= 1
+    for lo, hi, leaves in chunks:
+        assert all(
+            lo <= sum(s * 9 ** (3 - i) for i, s in enumerate(leaf)) < hi
+            for leaf in leaves
+        )
 
 
 def test_sweeps_run_no_engine_from_term_zero(monkeypatch):
@@ -843,24 +858,30 @@ def test_every_sweep_input_is_the_same_on_each_frobenius_image_of_a_multiple(
 
 
 def test_orbit_children_are_the_least_of_their_frobenius_images():
-    # under a node whose terms generate F_(p^d), the children walked are the
-    # s least among their sigma^(jd)-images, each with the degree of the
-    # field the node's terms and s generate, and weight (q - 1) times it
+    # under a walked prefix P of length 1 or 2 whose terms generate
+    # F_(p^d), the children walked are the s for which P s is no greater
+    # than any of its images under t -> t^(p^i), each with the degree of the
+    # field P s generates and weight (q - 1) times it; every d | r occurs
     for p, degree in [(2, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 4), (2, 6), (3, 3)]:
         field = Field(p, degree)
-        q = field.q
-        subfields = {
-            d: {s for s in range(q) if field.frobenius(s, d) == s}
-            for d in range(1, degree + 1) if degree % d == 0
-        }
-        for d in subfields:
-            expected = []
-            for s in range(q):
-                if all(field.frobenius(s, j) >= s for j in range(d, degree, d)):
-                    e = min(e for e, elements in subfields.items()
-                            if e % d == 0 and s in elements)
-                    expected.append((s, e, (q - 1) * e))
-            assert experiments._orbit_children(field, d) == expected, (q, d)
+        q, frobenius = field.q, field.frobenius
+
+        def generated(terms):
+            return next(e for e in range(1, degree + 1)
+                        if all(frobenius(s, e) == s for s in terms))
+
+        seen = set()
+        for prefix in _least_leaves(field, 1) + _least_leaves(field, 2):
+            if not any(prefix):
+                continue
+            expected = [
+                (s, generated(prefix + (s,)), (q - 1) * generated(prefix + (s,)))
+                for s in range(q) if _least(field, prefix + (s,))
+            ]
+            d = generated(prefix)
+            seen.add(d)
+            assert experiments._orbit_children(field, d) == expected, (q, prefix)
+        assert seen == {d for d in range(1, degree + 1) if degree % d == 0}
         # a prime field walks every child, with weight q - 1
         if degree == 1:
             assert expected == [(s, 1, q - 1) for s in range(q)]
@@ -868,13 +889,16 @@ def test_orbit_children_are_the_least_of_their_frobenius_images():
 
 def test_a_depth_one_sweep_builds_no_child_list(monkeypatch):
     # the spine's children are fixed and a node of depth n has none, so a
-    # sweep at n = 1 builds no list of q children, even at q = 2^16
+    # sweep at n = 1, and its cut into chunks, builds no list of q
+    # children, even at q = 2^16
     built = []
     real = experiments._orbit_children
     monkeypatch.setattr(experiments, "_orbit_children",
                         lambda field, d: built.append(d) or real(field, d))
     record = enumerate_all(ExhaustiveConfig(Field(2, 16), 1, checks=False)).record
     assert record.counts == {0: 1, 1: 2**16 - 1} and built == []
+    assert experiments._orbit_cuts(Field(2, 16), 1, 3) == [(0, 1), (1, 2**16)]
+    assert built == []
     enumerate_all(ExhaustiveConfig(Field(2, 4), 3, checks=False))
     assert sorted(built) == [1, 2, 4]
 
