@@ -72,8 +72,8 @@ Each mode has a config type holding only what it reads: ExhaustiveConfig
 Both modes split their range into cfg.workers chunks, fewer if the range is
 shorter.  One chunk runs in-process; more run on a process pool, started
 only then, of one process per chunk but at most one per core.  Every chunk
-receives the caller's Field, tables included (pickled to pool workers), so
-no chunk builds a field of its own.
+receives the caller's Field, its operation tables included (pickled to pool
+workers), so no chunk builds a field or a table of its own.
 """
 
 from __future__ import annotations
@@ -130,6 +130,9 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("montecarlo mode requires samples >= 1")
+        # the sampler hashes the seed as 64 bits; a wider one would alias
+        if not 0 <= self.seed <= _U64:
+            raise ValueError(f"seed must be in 0 .. 2^64 - 1, got {self.seed}")
         schedule = tuple(sorted(self.schedule))
         if not schedule or schedule[0] < 1:
             raise ValueError("schedule entries must be >= 1")
@@ -367,11 +370,15 @@ class _CarriedResidual:
 
 
 def _orbit_children(field, d):
-    """The children (s, e, weight) that the walk visits under a node below
-    the spine whose terms generate F_(p^d), over F_q, q = p^r: in
-    increasing order, each s least among its images s^(p^j) for the
-    multiples j = d, 2d, .. < r of d, with the degree e of the field that
-    the node's terms and s generate, and the weight (q - 1) e.
+    """The children (s, e, weight) that the walk visits under a node whose
+    terms generate F_(p^d), over F_q, q = p^r.
+
+    On the all-zero spine, d = 0, they are 0, which stays on the spine
+    with weight 1, and 1, which stands for every nonzero s, with weight
+    q - 1.  Below the spine they are, in increasing order, each s least
+    among its images s^(p^j) for the multiples j = d, 2d, .. < r of d,
+    with the degree e of the field that the node's terms and s generate,
+    and the weight (q - 1) e.
 
     sigma^d generates the node's stabilizer, so the child is least among
     its images exactly when s is least among its sigma^d-images, and
@@ -379,6 +386,8 @@ def _orbit_children(field, d):
     Over a prime field, and when d = r, every s is walked.
     """
     q, r = field.q, field.m
+    if d == 0:
+        return [(0, 0, 1), (1, 1, q - 1)]
     subfields = [e for e in range(d, r + 1, d) if r % e == 0]
     out = []
     for s in range(q):
@@ -424,8 +433,9 @@ def _enumerate_chunk(field, n, checks, start, stop, leaf=None):
     leaves_below = [q ** (n - m) for m in range(n + 1)]
     # children[d]: the walked children (s, d of the child, weight) of a node
     # whose terms generate F_(p^d), d = 0 on the all-zero spine; each list
-    # is built when a node first needs it, so a walk to depth 1 builds none
-    children = [((0, 0, 1), (1, 1, q - 1))] + [None] * field.m
+    # is built when a node first needs it, so a walk to depth 1 builds only
+    # the spine's
+    children = [None] * (field.m + 1)
     counts, counts_l, counts_t, fails = (Counter() for _ in range(4))
     witness_failures = 0
     # failed_claims of each distinct battery input: its arguments after p,
@@ -519,7 +529,7 @@ def _orbit_cuts(field, n: int, workers: int):
     q = field.q
     if workers == 1:
         return [(0, q**n)]
-    children = {0: ((0, 0, 1), (1, 1, q - 1))}
+    children = {}
     below = {}
 
     def leaves(d, k):

@@ -21,17 +21,20 @@ base-(2p - 1) digits, so an integer sum keeps the digit sums apart, and two
 more lookups reduce them mod p.
 
 The engines' inner loops go through four bulk kernels: dot, axpy, and
-sparse_dot and sparse_axpy on rows held as {index: coefficient} dicts.
-When q <= TABLE_CAP they read operation tables add[a][b] and mul[a][b],
-built on the first kernel call from the arithmetic above (products from
-exp/log, sums by XOR for p = 2 and from zech for odd p); above the cap they
-call add and mul per element.  Only the Field knows which.
+sparse_dot and sparse_axpy on rows held as {index: coefficient} dicts.  On
+a prime field, at every p, they multiply and add in integers and reduce
+mod p once per result: once per call for the two dots, once per written
+entry for the two axpys.  An extension field with q <= TABLE_CAP builds
+operation tables add[a][b] and mul[a][b] in __init__, beside exp and log
+(products from exp/log, sums by XOR for p = 2 and from zech for odd p),
+and its kernels read them; above the cap they call add and mul per
+element.  Only the Field knows which.
 
-Apart from those tables, a cache built at most once, a Field instance is
-immutable after construction and all operations are pure, so instances can
-be shared freely between threads or worker processes.  A pickled Field
-carries its log tables but not its operation tables, which the receiver
-builds again on first use.
+Every table is built in __init__, so a Field instance is immutable after
+construction and all operations are pure: instances can be shared freely
+between threads or worker processes.  A pickled Field carries all its
+tables, the operation tables included (about 268 KB for F_{2^8}, against
+787 KB of log tables for F_{2^16}).
 """
 
 from __future__ import annotations
@@ -39,13 +42,14 @@ from __future__ import annotations
 from array import array
 from functools import partial
 from itertools import product
+from operator import mul as _times
 
 # Largest q supported.  An extension field holds 12 bytes of tables per
 # element (16 for odd p): 12 MiB for F_{2^20}.
 PRIME_POWER_CAP = 1 << 20
 
-# Largest q with operation tables: two q x q lists of small ints, about
-# 1 MiB at q = 256.
+# Largest q of an extension field with operation tables: two q x q lists of
+# small ints, about 1 MiB at q = 256.
 TABLE_CAP = 256
 
 
@@ -298,13 +302,9 @@ def _zech_table(p: int, q: int, exp: array, log: array) -> array:
 
 
 def _op_tables(p: int, q: int, exp, log, zech) -> tuple[list, list]:
-    """(add, mul) with add[a][b] = a + b and mul[a][b] = a * b in F_q;
-    exp is None for a prime field."""
+    """(add, mul) with add[a][b] = a + b and mul[a][b] = a * b in the
+    extension field F_q."""
     elements = range(q)
-    if exp is None:
-        add = [[(a + b) % p for b in elements] for a in elements]
-        mul = [[a * b % p for b in elements] for a in elements]
-        return add, mul
     logs = log[1:]  # of the nonzero elements, in order
     mul = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
     if p == 2:
@@ -361,13 +361,8 @@ class Field:
         self._exp, self._log = _log_tables(p, m, mod)
         if p != 2:
             self._zech = _zech_table(p, q, self._exp, self._log)
-
-    def __getstate__(self):
-        return self.p, self.m, self.modulus, self.q, self._exp, self._log, self._zech
-
-    def __setstate__(self, state):
-        self.p, self.m, self.modulus, self.q, self._exp, self._log, self._zech = state
-        self._ops = None
+        if q <= TABLE_CAP:
+            self._ops = _op_tables(p, q, self._exp, self._log, self._zech)
 
     def __eq__(self, other):
         if self is other:
@@ -478,63 +473,65 @@ class Field:
 
     # -- bulk kernels --------------------------------------------------------
     #
-    # Each reads the operation tables when q <= TABLE_CAP and calls add and
-    # mul per element above it; the two loops give the same values.
-
-    def _tables(self):
-        """(add, mul) operation tables, built on the first call; None when
-        q exceeds TABLE_CAP."""
-        ops = self._ops
-        if ops is None and self.q <= TABLE_CAP:
-            ops = _op_tables(self.p, self.q, self._exp, self._log, self._zech)
-            self._ops = ops
-        return ops
+    # Each reads the operation tables of an extension field with
+    # q <= TABLE_CAP, computes in integers on a prime field, and calls add
+    # and mul per element on a larger extension field; the three loops give
+    # the same values.  The table branch comes first, as the one the
+    # exhaustive sweeps over extension fields run.
 
     def dot(self, xs, ys) -> int:
         """The sum of x * y over the pairs of zip(xs, ys)."""
-        acc = 0
-        ops = self._tables()
-        if ops is None:
-            add, mul = self.add, self.mul
+        ops = self._ops
+        if ops is not None:
+            add, mul = ops
+            acc = 0
             for a, b in zip(xs, ys):
-                if a and b:
-                    acc = add(acc, mul(a, b))
+                acc = add[acc][mul[a][b]]
             return acc
-        add, mul = ops
+        if self.m == 1:
+            return sum(map(_times, xs, ys)) % self.p
+        add, mul = self.add, self.mul
+        acc = 0
         for a, b in zip(xs, ys):
-            acc = add[acc][mul[a][b]]
+            if a and b:
+                acc = add(acc, mul(a, b))
         return acc
 
     def axpy(self, out: list, start: int, a: int, xs) -> None:
         """out[start + k] += a * xs[k], in place, for every k with
         start + k < len(out); xs is a sequence."""
-        ops = self._tables()
-        if ops is None:
-            if a:
-                add, mul = self.add, self.mul
-                for k, x in zip(range(start, len(out)), xs):
-                    if x:
-                        out[k] = add(out[k], mul(a, x))
-            return
-        add, mul = ops
-        row = mul[a]
+        ops = self._ops
         stop = start + len(xs)
-        out[start:stop] = [add[o][row[x]] for o, x in zip(out[start:stop], xs)]
+        if ops is not None:
+            add, mul = ops
+            row = mul[a]
+            out[start:stop] = [add[o][row[x]] for o, x in zip(out[start:stop], xs)]
+        elif self.m == 1:
+            p = self.p
+            out[start:stop] = [(o + a * x) % p for o, x in zip(out[start:stop], xs)]
+        elif a:
+            add, mul = self.add, self.mul
+            for k, x in zip(range(start, len(out)), xs):
+                if x:
+                    out[k] = add(out[k], mul(a, x))
 
     def sparse_dot(self, row: dict, dense) -> int:
         """The sum of c * dense[t] over the items t: c of row."""
-        acc = 0
-        ops = self._tables()
-        if ops is None:
-            add, mul = self.add, self.mul
+        ops = self._ops
+        if ops is not None:
+            add, mul = ops
+            acc = 0
             for t, c in row.items():
-                v = dense[t]
-                if v:
-                    acc = add(acc, mul(c, v))
+                acc = add[acc][mul[c][dense[t]]]
             return acc
-        add, mul = ops
+        if self.m == 1:
+            return sum([c * dense[t] for t, c in row.items()]) % self.p
+        add, mul = self.add, self.mul
+        acc = 0
         for t, c in row.items():
-            acc = add[acc][mul[c][dense[t]]]
+            v = dense[t]
+            if v:
+                acc = add(acc, mul(c, v))
         return acc
 
     def sparse_axpy(self, row: dict, a: int, other: dict) -> None:
@@ -542,21 +539,24 @@ class Field:
         an index whose coefficient becomes 0 is dropped."""
         if not a:
             return
-        ops = self._tables()
-        if ops is None:
-            add, mul = self.add, self.mul
+        ops = self._ops
+        get = row.get
+        if ops is not None:
+            add, mul = ops
+            times_a = mul[a]
             for t, c in other.items():
-                v = add(row.get(t, 0), mul(a, c))
+                v = add[get(t, 0)][times_a[c]]
                 if v:
                     row[t] = v
                 else:
                     del row[t]
             return
-        add, mul = ops
-        times_a = mul[a]
-        get = row.get
+        # a prime field sums in integers; p = 0 marks an extension field
+        # above the cap, which calls add and mul
+        p = self.p if self.m == 1 else 0
+        add, mul = self.add, self.mul
         for t, c in other.items():
-            v = add[get(t, 0)][times_a[c]]
+            v = (get(t, 0) + a * c) % p if p else add(get(t, 0), mul(a, c))
             if v:
                 row[t] = v
             else:

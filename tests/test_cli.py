@@ -262,6 +262,13 @@ BAD_INPUT_CASES = {
     "exhaustive-seed": [
         "experiment", "--mode", "exhaustive", "--q", "2", "--n", "4",
         "--seed", "7", "--out", "{out}"],
+    # the sampler hashes 64 bits of the seed; no other seed may alias one
+    "mc-seed-negative": [
+        "experiment", "--mode", "mc", "--q", "2", "--samples", "2", "--n", "4",
+        "--seed", "-1", "--out", "{out}"],
+    "mc-seed-2-to-the-64": [
+        "experiment", "--mode", "mc", "--q", "2", "--samples", "2", "--n", "4",
+        "--seed", "18446744073709551616", "--out", "{out}"],
     "mc-n-and-schedule": [
         "experiment", "--mode", "mc", "--q", "2", "--samples", "4", "--n", "5",
         "--schedule", "4,6", "--out", "{out}"],

@@ -153,6 +153,15 @@ def test_mode_mismatch(f2, capsys, tmp_path):
         MonteCarloConfig(f2, samples=0)
 
 
+def test_mc_seed_outside_64_bits_is_rejected(f2):
+    # the sampler masks to 64 bits, so 2^64 + 1 would draw what 1 draws
+    for seed in (-1, 1 << 64, (1 << 64) + 1):
+        with pytest.raises(ValueError, match="seed must be in 0 .. 2\\^64 - 1"):
+            MonteCarloConfig(f2, samples=4, seed=seed)
+    for seed in (0, (1 << 64) - 1):
+        assert MonteCarloConfig(f2, samples=4, seed=seed).seed == seed
+
+
 def test_low_b_is_capped_at_the_kernel_degree_bound(capsys, tmp_path):
     # E_n <= kernel_degree_bound(n), which is 2 at n = 3 and n = 4
     from seqcx import cli
@@ -885,22 +894,25 @@ def test_orbit_children_are_the_least_of_their_frobenius_images():
         # a prime field walks every child, with weight q - 1
         if degree == 1:
             assert expected == [(s, 1, q - 1) for s in range(q)]
+        # the spine keeps 0 and walks 1 for every nonzero term
+        assert experiments._orbit_children(field, 0) == [(0, 0, 1), (1, 1, q - 1)]
 
 
 def test_a_depth_one_sweep_builds_no_child_list(monkeypatch):
-    # the spine's children are fixed and a node of depth n has none, so a
-    # sweep at n = 1, and its cut into chunks, builds no list of q
-    # children, even at q = 2^16
+    # the spine's two children are fixed and a node of depth n has none, so
+    # a sweep at n = 1, and its cut into chunks, builds no list of q
+    # children, even at q = 2^16: each asks only for the spine's, d = 0
     built = []
     real = experiments._orbit_children
     monkeypatch.setattr(experiments, "_orbit_children",
                         lambda field, d: built.append(d) or real(field, d))
     record = enumerate_all(ExhaustiveConfig(Field(2, 16), 1, checks=False)).record
-    assert record.counts == {0: 1, 1: 2**16 - 1} and built == []
+    assert record.counts == {0: 1, 1: 2**16 - 1} and built == [0]
     assert experiments._orbit_cuts(Field(2, 16), 1, 3) == [(0, 1), (1, 2**16)]
-    assert built == []
+    assert built == [0, 0]
+    built.clear()
     enumerate_all(ExhaustiveConfig(Field(2, 4), 3, checks=False))
-    assert sorted(built) == [1, 2, 4]
+    assert sorted(built) == [0, 1, 2, 4]
 
 
 RESIDUAL_WALKS = [((2, 1), 10), ((3, 1), 7), ((2, 2), 5), ((5, 1), 6), ((3, 2), 4)]

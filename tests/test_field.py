@@ -340,21 +340,29 @@ OP_TABLE_FIELDS = [
 
 @pytest.mark.parametrize("p, m", OP_TABLE_FIELDS, ids=lambda v: str(v))
 def test_operation_tables_equal_the_methods(p, m):
+    # an extension field builds its tables in __init__; a prime field has
+    # none, and its integer kernels give the same tables pair by pair
     field = Field(p, m)
-    assert field._ops is None  # built on the first kernel call
-    add, mul = field._tables()
-    assert field._tables() is field._ops
     elements = range(field.q)
+    if m == 1:
+        assert field._ops is None
+        add = [[field.dot([1, 1], [a, b]) for b in elements] for a in elements]
+        mul = [[field.dot([a], [b]) for b in elements] for a in elements]
+    else:
+        add, mul = field._ops
     assert add == [[field.add(a, b) for b in elements] for a in elements]
     assert mul == [[field.mul(a, b) for b in elements] for a in elements]
 
 
 def test_table_cap_is_the_largest_tabled_q():
+    # only extension fields have operation tables; prime fields compute in
+    # integers at every p
     assert TABLE_CAP == 256
-    assert Field(2, 8)._tables() is not None
-    for p, m in ((257, 1), (2, 9), (2, 16)):
-        field = Field(p, m)
-        assert field._tables() is None and field._ops is None
+    assert Field(2, 8)._ops is not None
+    for p, m in ((2, 9), (2, 16)):
+        assert Field(p, m)._ops is None, (p, m)
+    for p in filter(is_prime, range(1030)):
+        assert Field(p)._ops is None, p
 
 
 def _vectors(field, rng, length):
@@ -367,10 +375,15 @@ def _vectors(field, rng, length):
     ]
 
 
-@pytest.mark.parametrize("p, m", [(2, 8), (257, 1), (2, 9), (3, 2)], ids=str)
+@pytest.mark.parametrize(
+    "p, m",
+    [(2, 8), (257, 1), (2, 9), (3, 2), (2, 1), (7, 1), (251, 1), (1009, 1)],
+    ids=str,
+)
 def test_kernels_equal_a_per_element_loop(p, m):
-    # on both sides of TABLE_CAP: F_256 reads tables, F_257 and F_512 call
-    # add and mul; lengths 0 and 1 and vectors longer than the target too
+    # every kernel path: F_256 and F_9 read tables, F_512 calls add and mul,
+    # and the prime fields on both sides of TABLE_CAP compute in integers;
+    # lengths 0 and 1 and vectors longer than the target too
     field = Field(p, m)
     add, mul = field.add, field.mul
     rng = random.Random(f"kernels:{p}^{m}")
@@ -414,20 +427,26 @@ def test_kernels_equal_a_per_element_loop(p, m):
 
 @pytest.mark.parametrize("p, m", [(3, 2), (2, 8), (101, 1), (2, 9)], ids=str)
 def test_pickle_round_trip_with_and_without_tables(p, m):
-    # the operation tables stay behind; the receiver builds its own
+    # the pickle carries the operation tables, where the field has them
     import pickle
 
     field = Field(p, m)
-    plain = pickle.dumps(field)
-    field._tables()
-    built = pickle.dumps(field)
-    assert built == plain
-    for data in (plain, built):
-        back = pickle.loads(data)
-        assert back == field and back._ops is None
-        xs = [a % field.q for a in range(3, 40)]
-        assert back.dot(xs, xs[::-1]) == field.dot(xs, xs[::-1])
-        assert back._tables() == field._tables()
+    back = pickle.loads(pickle.dumps(field))
+    assert back == field and back._ops == field._ops
+    assert (back._ops is None) == (m == 1 or field.q > TABLE_CAP)
+    rng = random.Random(f"pickle-kernels:{p}^{m}")
+    xs = [rng.randrange(field.q) for _ in range(40)]
+    ys = [rng.randrange(field.q) for _ in range(40)]
+    a = ys[1] or 1
+    other = {t: c for t, c in enumerate(ys) if c}
+    results = []
+    for f in (back, field):
+        out = list(ys)
+        f.axpy(out, 3, a, xs)
+        row = {t: c for t, c in enumerate(xs) if c}
+        f.sparse_axpy(row, a, other)
+        results.append((f.dot(xs, ys[::-1]), out, f.sparse_dot(row, ys), row))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("p, m", [(3, 2), (3, 3), (5, 2), (101, 2)], ids=str)
@@ -436,7 +455,7 @@ def test_zech_table_equals_the_loop(p, m):
     assert field._zech.tolist() == zech_table_loop(p, field.q, field._exp, field._log)
 
 
-KERNELS = {"dot", "axpy", "sparse_dot", "sparse_axpy", "_tables", "_ops"}
+KERNELS = {"dot", "axpy", "sparse_dot", "sparse_axpy", "_ops"}
 
 
 def test_oracles_do_per_element_arithmetic():

@@ -267,9 +267,9 @@ KERNEL_PATHS = [(2, 1), (3, 2), (101, 1), (257, 1), (2, 16)]
     "q_spec", KERNEL_PATHS, ids=[f"q{p}^{m}" for p, m in KERNEL_PATHS]
 )
 def test_extend_matches_schoolbook_on_both_kernel_paths(q_spec):
-    # F_2, F_9 and F_101 take the Field kernels' table path, F_257 and
-    # F_2^16 their per-element path; the reference loop runs over
-    # polynomial-basis arithmetic
+    # F_2, F_101 and F_257 take the Field kernels' integer path, F_9 their
+    # table path and F_2^16 their per-element path; the reference loop runs
+    # over polynomial-basis arithmetic
     field = Field(*q_spec)
     ref = PolyBasisField(field)
     rng = random.Random(field.q)

@@ -34,8 +34,9 @@ from oracles import (
     series_add,
 )
 
-# F_2, F_9 and F_101 take the Field kernels' table path, F_257 and F_2^16
-# (above TABLE_CAP) their per-element path
+# the Field kernels' three paths: F_2, F_101 and F_257 compute in integers,
+# F_9 reads operation tables, and F_2^16 (above TABLE_CAP) calls add and mul
+# per element
 KERNEL_PATHS = [(2, 1), (3, 2), (101, 1), (257, 1), (2, 16)]
 KERNEL_PATH_IDS = [f"q{p}^{m}" for p, m in KERNEL_PATHS]
 
@@ -181,7 +182,7 @@ def test_poly_loops_match_schoolbook_on_both_kernel_paths(q_spec):
     # products, division, gcd and rational expansion against per-element
     # loops over polynomial-basis arithmetic, which uses no Field kernel
     field = Field(*q_spec)
-    assert (field._tables() is None) == (field.q > 256)
+    assert (field._ops is None) == (field.m == 1 or field.q > 256)
     ref = PolyBasisField(field)
     rng = random.Random(field.q)
     for _ in range(40):
