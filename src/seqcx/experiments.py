@@ -16,43 +16,42 @@ tallies read a few scalars and E_1..E_m, which few nodes do not share, so
 each chunk grades each distinct battery input once and counts its result
 again for every node that has it.
 
-Multiplying a prefix G by c != 0 changes none of these inputs: h(x, y)
-annihilates G exactly when h(x, y/c), of the same total degree, annihilates
-c G, so E_m is the same; L_m, t_m and the first nonzero index are the same
-(Berlekamp-Massey on c G runs as on G with b multiplied by c, except for
-the nonzero x^L coefficient it sets at the first nonzero term, which keeps
-t = 0 until length 2L replaces it by one free of c);
-and the Frobenius residual is multiplied by c^(p^k), so it has as many
-nonzero coefficients.  Nor does applying the Frobenius map sigma: s -> s^p,
-of order r on F_q, q = p^r, to every term: sigma is a field automorphism
-that fixes F_p, so h^sigma(x, G^sigma) = h(x, G)^sigma and E_m is the same,
-with a witness of the same total degree; Berlekamp-Massey commutes with
-sigma, so L_m, t_m and the first nonzero index are the same; and the
-Frobenius residual of G^sigma is that of G moved by sigma, with as many
-nonzero coefficients.  So the walk visits only the all-zero spine and,
-under each spine node, the child subtree whose first nonzero term is 1,
-which sigma maps onto itself (sigma(1) = 1), and in it only the prefixes P
-least, lexicographically, among their images sigma^i(P).  Each such P
-stands for the (q - 1) d prefixes c sigma^i(P), where F_(p^d) is the field
-its terms generate (sigma^d generates the stabilizer of P, so its
-sigma-orbit has d members): it counts with weight (q - 1) d in every
-tally, (q - 1) d q^(n-m) when graded.  Being least is prefix-closed, so a
-pruned node's subtree is never entered; and a child P s of such a P is
-least exactly when s is the least of its images s^(p^(jd)), so each node
-reads a list of its children (_orbit_children), built once per d on
-first use.  The walk visits a little over q^n q/(r (q-1)^2) nodes, more
-by the prefixes whose terms lie in a proper subfield, and checks one
-witness per orbit: the checked F_9, n = 4 sweep visits 494 nodes (926
-with the scaling orbits alone), checks 490 witnesses (922) and meets 27
-distinct battery inputs, as before.  Over a prime field it walks every
-prefix whose first nonzero term is 1, and over F_2 the whole tree.  The
-chunks cut the leaves the walk visits into ranges whose counts differ by
-at most one (_orbit_cuts).  A chunk walks every visited node whose leaves
-meet its range, and grades those whose first leaf it holds; that leaf,
-the node followed by zeros, is itself least among its images, so any cut
-gives the same totals.  The t_n ambiguity scan reads its prefixes, with
-their fits and E_n, off the leaves of one unchecked walk over F_2, so it
-reruns no engine either.
+Three maps change none of these inputs, each taking a witness to one of
+the same total degree.  Scaling G by c != 0: h(x, y/c) annihilates c G
+exactly when h annihilates G; Berlekamp-Massey runs as on G with b
+multiplied by c (the nonzero x^L coefficient it sets at the first nonzero
+term keeps t = 0 until length 2L replaces it by one free of c); the
+Frobenius residual is multiplied by c^(p^k).  The Frobenius map sigma:
+s -> s^p on every term, of order r on F_q, q = p^r: a field automorphism
+fixing F_p, so h^sigma(x, G^sigma) = h(x, G)^sigma; Berlekamp-Massey
+commutes with sigma; the residual is moved by sigma.  The twist
+G(x) -> G(beta x), s_i -> beta^i s_i for beta != 0: h(beta x, y)
+annihilates G(beta x) mod x^m exactly when h annihilates G;
+Berlekamp-Massey maps its connection polynomial C(x) to C(beta x) (the
+discrepancy at step k is multiplied by beta^k); the residual R(x) becomes
+R(beta x).  So E_m, L_m, t_m, the first nonzero index and the count of
+nonzero residual coefficients are constant on each orbit of
+G(x) -> c sigma^i(G)(beta x), a group of order (q - 1)^2 r, and the walk
+visits only the lexicographically least prefix P of each: the all-zero
+spine and, below it, prefixes whose first nonzero term is 1, least under
+H = {u_j -> sigma^i(beta^j u_j)} acting on the terms u_j at offset j after
+that 1.  P counts with weight (q - 1) |H| / |Stab(P)|, Stab(P) its
+stabilizer in H, in every tally, times q^(n-m) when graded.  Being least
+is prefix-closed, so a pruned subtree is never entered, and a child P s is
+least exactly when s is least among its images under Stab(P), so each
+node reads its children off a list built once per orbit state
+(_OrbitChildren).  The walk visits a little over q^(n+1)/(r (q-1)^3)
+nodes, more by the prefixes with a nontrivial stabilizer, and checks one
+witness per orbit: the checked F_9, n = 4 sweep visits 86 nodes (494
+under scaling and sigma alone), checks 82 witnesses (490) and meets 27
+distinct battery inputs.  Over F_2 it walks the whole tree.  The chunks
+cut the walked leaves into ranges whose counts differ by at most one
+(_orbit_cuts).  A chunk walks every visited node whose leaves meet its
+range, and grades a node when it holds the node's first leaf (the node
+followed by zeros, itself least in its orbit), so any cut gives the same
+totals.  The t_n ambiguity scan reads its prefixes, with their fits and
+E_n, off the leaves of one unchecked walk over F_2, so it reruns no
+engine either.
 
 Monte Carlo
 mode samples sequences with i.i.d. uniform terms and reports the E_n
@@ -369,32 +368,51 @@ class _CarriedResidual:
         self.nonzero.pop()
 
 
-def _orbit_children(field, d):
-    """The children (s, e, weight) that the walk visits under a node whose
-    terms generate F_(p^d), over F_q, q = p^r.
+class _OrbitChildren(dict):
+    """The walked children (s, state, weight) under a node, in increasing
+    s, by the node's orbit state, each list built on first use.
 
-    On the all-zero spine, d = 0, they are 0, which stays on the spine
-    with weight 1, and 1, which stands for every nonzero s, with weight
-    q - 1.  Below the spine they are, in increasing order, each s least
-    among its images s^(p^j) for the multiples j = d, 2d, .. < r of d,
-    with the degree e of the field that the node's terms and s generate,
-    and the weight (q - 1) e.
-
-    sigma^d generates the node's stabilizer, so the child is least among
-    its images exactly when s is least among its sigma^d-images, and
-    sigma^j fixes the child exactly when d and the degree of s divide j.
-    Over a prime field, and when d = r, every s is walked.
+    The spine's state is None.  Below it a state is the node's stabilizer
+    in H (None for all of H) and its next offset j mod q - 1, all that
+    beta^j reads.  A child s is walked when least among its images
+    sigma^i(beta^j s) under the stabilizer, with the elements fixing s as
+    its stabilizer and weight (q - 1) |H| / |Stab(s)|, its orbit's size.
+    A list marks the images of each walked s as it scans s upward, so it
+    costs about q |Stab(s)| field operations, not q |H|.
     """
-    q, r = field.q, field.m
-    if d == 0:
-        return [(0, 0, 1), (1, 1, q - 1)]
-    subfields = [e for e in range(d, r + 1, d) if r % e == 0]
-    out = []
-    for s in range(q):
-        if all(field.frobenius(s, j) >= s for j in range(d, r, d)):
-            e = next(e for e in subfields if field.frobenius(s, e) == s)
-            out.append((s, e, (q - 1) * e))
-    return out
+
+    def __init__(self, field):
+        q = field.q
+        self.field = field
+        self.order = (q - 1) ** 2 * field.m  # (q - 1) |H|
+        self[None] = [(0, None, 1), (1, (None, 1 % (q - 1)), q - 1)]
+
+    def __missing__(self, state):
+        kids = self[state] = self._build(*state)
+        return kids
+
+    def _build(self, stabilizer, offset):
+        field, q = self.field, self.field.q
+        group = stabilizer or [(b, i) for b in range(1, q) for i in range(field.m)]
+        mul, frobenius, degree = field.mul, field.frobenius, range(field.m)
+        # sigma^i(beta^j s) = sigma^i(beta^j) sigma^i(s)
+        moves = [(frobenius(field.pow(b, offset), i), i) for b, i in group]
+        offset = (offset + 1) % (q - 1)
+        out = [(0, (stabilizer, offset), self.order // len(group))]
+        marked = bytearray(q)
+        for s in range(1, q):
+            if marked[s]:
+                continue
+            images = [frobenius(s, i) for i in degree]
+            fixing = []
+            for g, (c, i) in zip(group, moves):
+                image = mul(c, images[i])
+                marked[image] = 1
+                if image == s:
+                    fixing.append(g)
+            child = stabilizer if len(fixing) == len(group) else frozenset(fixing)
+            out.append((s, (child, offset), self.order // len(fixing)))
+        return out
 
 
 def _enumerate_chunk(field, n, checks, start, stop, leaf=None):
@@ -403,10 +421,10 @@ def _enumerate_chunk(field, n, checks, start, stop, leaf=None):
     from a depth-first walk of the visited nodes whose leaves meet that
     range.
 
-    The walk visits the all-zero spine and, under each of its nodes, only
-    the child 1 and those nodes of its subtree that are least among their
-    Frobenius images; each stands for its whole orbit under scaling and
-    the Frobenius map (see the module docstring), and the skipped
+    The walk visits only the nodes least in their orbits under
+    G(x) -> c sigma^i(G)(beta x), reading each node's children off its
+    orbit state (_OrbitChildren); each stands for its whole orbit, with
+    weight (q - 1) |H| / |Stab| (see the module docstring), and the skipped
     subtrees' leaves in the range are never walked.  Each node appends one
     term and advances Berlekamp-Massey and the online kernel by one step.
     With checks on, it also advances the count of nonzero Frobenius
@@ -431,11 +449,7 @@ def _enumerate_chunk(field, n, checks, start, stop, leaf=None):
     fits = []
     residual = _CarriedResidual(field, n, path)
     leaves_below = [q ** (n - m) for m in range(n + 1)]
-    # children[d]: the walked children (s, d of the child, weight) of a node
-    # whose terms generate F_(p^d), d = 0 on the all-zero spine; each list
-    # is built when a node first needs it, so a walk to depth 1 builds only
-    # the spine's
-    children = [None] * (field.m + 1)
+    children = _OrbitChildren(field)
     counts, counts_l, counts_t, fails = (Counter() for _ in range(4))
     witness_failures = 0
     # failed_claims of each distinct battery input: its arguments after p,
@@ -468,14 +482,11 @@ def _enumerate_chunk(field, n, checks, start, stop, leaf=None):
         for claim_id in failed:
             fails[claim_id] += weight
 
-    def visit(state, base, m, d):
+    def visit(state, base, m, orbit):
         # the children of the node of depth m whose first leaf is base and
-        # whose terms generate F_(p^d), d = 0 on the all-zero spine
+        # whose orbit state is orbit, None on the all-zero spine
         below = leaves_below[m + 1]
-        kids = children[d]
-        if kids is None:
-            kids = children[d] = _orbit_children(field, d)
-        for s, sub, weight in kids:
+        for s, sub, weight in children[orbit]:
             lo = base + s * below
             if lo >= stop:
                 return
@@ -502,7 +513,7 @@ def _enumerate_chunk(field, n, checks, start, stop, leaf=None):
                 residual.pop()
             kernel.pop()
 
-    visit(root, 0, 0, 0)
+    visit(root, 0, 0, None)
     # visit holds itself through its closure cell; dropping the name frees
     # the walk's state now rather than at the next cycle collection
     del visit
@@ -519,41 +530,38 @@ def _orbit_cuts(field, n: int, workers: int):
     walk visits, the least of each orbit, cut into at most `workers` ranges
     whose counts differ by at most one, none empty.
 
-    How many walked leaves lie under a walked node depends only on the
-    degree d of the field its terms generate (d = 0 on the spine) and on
-    the number k of terms still to come, so leaves(d, k) is tabled once,
-    from the lists of children the walk reads (_orbit_children); the leaf
-    of a given rank is found by walking down from the root, stepping over
-    whole subtrees.  One chunk needs no table.
+    How many walked leaves lie under a walked node depends only on its
+    orbit state (its stabilizer and next offset; None on the spine) and on
+    the number k of terms still to come, so leaves(state, k) is tabled
+    once, from the lists of children the walk reads (_OrbitChildren); the
+    leaf of a given rank is found by walking down from the root, stepping
+    over whole subtrees.  One chunk needs no table.
     """
     q = field.q
     if workers == 1:
         return [(0, q**n)]
-    children = {}
+    children = _OrbitChildren(field)
     below = {}
 
-    def leaves(d, k):
+    def leaves(state, k):
         if k == 0:
             return 1
-        if (d, k) not in below:
-            if d not in children:
-                children[d] = _orbit_children(field, d)
-            below[d, k] = sum(leaves(e, k - 1) for _, e, _ in children[d])
-        return below[d, k]
+        if (state, k) not in below:
+            below[state, k] = sum(leaves(sub, k - 1) for _, sub, _ in children[state])
+        return below[state, k]
 
     def leaf_at(rank):
-        index, d = 0, 0
+        index, state = 0, None
         for k in range(n - 1, -1, -1):
-            # leaves(d, k + 1) has built this node's children
-            for s, e, _ in children[d]:
-                size = leaves(e, k)
+            for s, sub, _ in children[state]:
+                size = leaves(sub, k)
                 if rank < size:
                     break
                 rank -= size
-            index, d = index * q + s, e
+            index, state = index * q + s, sub
         return index
 
-    count = leaves(0, n)
+    count = leaves(None, n)
     ranges = [
         (leaf_at(lo), leaf_at(hi) if hi < count else q**n)
         for lo, hi in _chunk_ranges(count, workers)
@@ -576,7 +584,7 @@ def _run_chunks(worker, args_list):
 
 def enumerate_all(cfg: ExhaustiveConfig) -> EnumerationResult:
     """Tally distributions over all q^n prefixes, walking one per orbit
-    under scaling and the Frobenius map (the lexicographically least), and
+    under G(x) -> c sigma^i(G)(beta x) (the lexicographically least), and
     count bound violations when cfg.checks is set.  The chunks cut the
     walked leaves (_orbit_cuts)."""
     field = cfg.field

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import multiprocessing
@@ -537,7 +538,7 @@ def test_checked_and_unchecked_sweeps_tally_alike(q_spec, n):
 
 WEIGHTING_CASES = [
     ((2, 1), 9), ((3, 1), 5), ((2, 2), 4), ((3, 2), 3), ((2, 3), 3), ((5, 1), 4),
-    ((2, 4), 3), ((3, 3), 3),
+    ((2, 4), 3), ((3, 3), 3), ((7, 1), 4), ((2, 2), 5),
 ]
 INJECTED_CLAIMS = {"L3", "R.simple", "R.frobenius.witness", "T4.lower"}
 
@@ -595,12 +596,13 @@ _ORACLE = {}
 )
 def test_weighted_sweep_equals_per_leaf_battery(q_spec, n, injected, workers,
                                                 monkeypatch):
-    # the sweep grades each length-m prefix whose first nonzero term is 1
-    # and that is least among its Frobenius images on one leaf, and weights
-    # it by (q - 1) d q^(n-m), where F_(p^d) is the field its terms generate,
-    # q^(n-m) if it is all zero; the oracle grades every prefix on every
-    # leaf below it.  Over F_16 and F_27 some prefixes have terms in a
-    # proper subfield, so d takes every divisor of the degree
+    # the sweep grades each length-m prefix that is least in its orbit
+    # under G(x) -> c sigma^i(G)(beta x) on one leaf, and weights it by the
+    # orbit's size times q^(n-m); the oracle grades every prefix on every
+    # leaf below it.  The stabilizers take many shapes: mu_2 and mu_3 of
+    # beta over F_7, subfields of F_16 and F_27 under sigma, and over F_9
+    # one of order 4 that holds (beta, sigma) for a beta of order 8 but
+    # neither (beta, id) nor (1, sigma)
     if injected and workers > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("injected failures reach pool workers only when forked")
     field = Field(*q_spec)
@@ -621,7 +623,7 @@ def test_weighted_sweep_equals_per_leaf_battery(q_spec, n, injected, workers,
 
 CUT_CASES = [
     ((3, 1), 5), ((2, 1), 9), ((2, 2), 4), ((2, 3), 3), ((3, 2), 3), ((5, 1), 4),
-    ((2, 4), 3), ((3, 3), 3),
+    ((2, 4), 3), ((3, 3), 3), ((7, 1), 4), ((2, 2), 5),
 ]
 
 
@@ -669,21 +671,35 @@ def test_chunk_cuts_inside_subtrees(q_spec, n, injected, monkeypatch):
     assert unchecked.record.to_dict() == expected["record"]
 
 
-def _least(field, terms):
-    """Whether terms is no greater than any of its images under
-    s -> s^(p^i)."""
-    return all(terms <= tuple(field.frobenius(s, i) for s in terms)
-               for i in range(1, field.m))
+@functools.lru_cache(maxsize=None)
+def _orbits(field, n):
+    """Each prefix of length n that is least, lexicographically, in its
+    orbit under G(x) -> c sigma^i(G)(beta x), for c and beta in F_q^* and
+    sigma: s -> s^p, with the orbit's size, in lexicographic order.
+
+    By brute force over whole prefixes: each prefix met outside every orbit
+    already listed starts a new one, all of whose images are marked."""
+    q, mul, frobenius = field.q, field.mul, field.frobenius
+    # term k moves to sigma^i(c beta^k s_k) = sigma^i(c beta^k) sigma^i(s_k)
+    moves = [
+        (i, [frobenius(mul(c, field.pow(beta, k)), i) for k in range(n)])
+        for c in range(1, q) for beta in range(1, q) for i in range(field.m)
+    ]
+    seen, out = set(), []
+    for terms in itertools.product(range(q), repeat=n):
+        if terms not in seen:
+            orbit = {
+                tuple(mul(a, frobenius(s, i)) for a, s in zip(factors, terms))
+                for i, factors in moves
+            }
+            seen |= orbit
+            out.append((terms, len(orbit)))
+    return out
 
 
 def _least_leaves(field, n):
-    """The prefixes of length n the walk visits, in lexicographic order:
-    those least among their images whose first nonzero term is 1, or that
-    are all zero."""
-    return [
-        terms for terms in itertools.product(range(field.q), repeat=n)
-        if next((s for s in terms if s), 1) == 1 and _least(field, terms)
-    ]
+    """The prefixes of length n the walk visits, in lexicographic order."""
+    return [terms for terms, _ in _orbits(field, n)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 8, 16])
@@ -699,8 +715,8 @@ def test_orbit_leaf_ranks_the_representative_leaves(q):
             sum(s * q ** (n - 1 - i) for i, s in enumerate(terms))
             for terms in _least_leaves(field, n)
         ]
-        if field.m == 1:
-            assert len(indices) == 1 + (q**n - 1) // (q - 1)
+        if q == 2:
+            assert len(indices) == 2**n
         for workers in sorted({*range(1, 9), len(indices), len(indices) + 1}):
             cuts = experiments._orbit_cuts(field, n, workers)
             assert len(cuts) == min(workers, len(indices))
@@ -714,15 +730,14 @@ def test_orbit_leaf_ranks_the_representative_leaves(q):
 @pytest.mark.parametrize("workers", range(1, 8))
 def test_chunks_walk_near_equal_shares_of_the_representative_leaves(
         f9, workers, monkeypatch):
-    # the walk visits only the all-zero leaf and those whose first nonzero
-    # term is 1 that are least among their Frobenius images, 431 of the
+    # the walk visits only the leaves least in their orbits, 67 of the
     # 9^4, in lexicographic order; each chunk walks a nonempty range of
     # them, none more than one longer than another
     chunks = _walked_chunks(monkeypatch)
     enumerate_all(ExhaustiveConfig(f9, 4, checks=False, workers=workers))
     assert len(chunks) == workers
     walked = [leaf for _, _, leaves in chunks for leaf in leaves]
-    assert walked == _least_leaves(f9, 4) and len(walked) == 431
+    assert walked == _least_leaves(f9, 4) and len(walked) == 67
     shares = [len(leaves) for _, _, leaves in chunks]
     assert min(shares) > 0 and max(shares) - min(shares) <= 1
     for lo, hi, leaves in chunks:
@@ -782,10 +797,11 @@ def _sweep_inputs(seq, n):
 def _assert_images_read_alike(field, n, maps):
     """For every prefix G whose first nonzero term is 1 and each (image,
     moved_coeff) of maps, the image G' = image(G) and G have the same sweep
-    inputs, with G's unique fit coefficients moved by moved_coeff(a, 0),
-    and the same E values; and each E_m witness h of G, with its
-    coefficient a of y^j moved by moved_coeff(a, j), witnesses E_m for G'
-    with the same total degree."""
+    inputs and the same E values, with G's unique fit coefficients moved:
+    c_l of a fit of length L, the coefficient of x^(L-l) in its connection
+    polynomial, by moved_coeff(c_l, L - l, 0).  And each E_m witness h of
+    G, with its coefficient a of x^i y^j moved by moved_coeff(a, i, j),
+    witnesses E_m for G' with the same total degree."""
     from seqcx import expcomp
     from seqcx.lincomp import Sequence
     from seqcx.series import BivariatePoly
@@ -802,7 +818,8 @@ def _assert_images_read_alike(field, n, maps):
         ]
         for image, moved_coeff in maps:
             moved_fits = [
-                (l, t, coeffs and tuple(moved_coeff(a, 0) for a in coeffs))
+                (l, t, coeffs and tuple(
+                    moved_coeff(a, l - k, 0) for k, a in enumerate(coeffs)))
                 for l, t, coeffs in fits
             ]
             moved = Sequence(field, image(list(terms)))
@@ -811,7 +828,7 @@ def _assert_images_read_alike(field, n, maps):
             series = moved.prefix_series(n)
             for m, e, poly in witnesses:
                 witness = BivariatePoly(field, {
-                    (i, j): moved_coeff(a, j) for (i, j), a in poly.terms.items()
+                    (i, j): moved_coeff(a, i, j) for (i, j), a in poly.terms.items()
                 })
                 assert witness.total_degree == poly.total_degree == e
                 assert theorems.witness_holds(witness, e, series, m), (terms, m)
@@ -834,7 +851,7 @@ def test_every_sweep_input_is_the_same_on_each_multiple_of_a_prefix(q_spec, n):
     mul, pow = field.mul, field.pow
     _assert_images_read_alike(field, n, [
         (lambda terms, c=c: [mul(c, s) for s in terms],
-         lambda a, j, inverse=field.inv(c): mul(a, pow(inverse, j)))
+         lambda a, i, j, inverse=field.inv(c): mul(a, pow(inverse, j)))
         for c in range(1, field.q)
     ])
 
@@ -861,58 +878,130 @@ def test_every_sweep_input_is_the_same_on_each_frobenius_image_of_a_multiple(
     mul, pow, frobenius = field.mul, field.pow, field.frobenius
     _assert_images_read_alike(field, n, [
         (lambda terms, c=c, i=i: [frobenius(mul(c, s), i) for s in terms],
-         lambda a, j, i=i, inverse=field.inv(c): frobenius(mul(a, pow(inverse, j)), i))
+         lambda a, _, j, i=i, inverse=field.inv(c):
+             frobenius(mul(a, pow(inverse, j)), i))
         for i in range(1, field.m) for c in range(1, field.q)
     ])
 
 
-def test_orbit_children_are_the_least_of_their_frobenius_images():
-    # under a walked prefix P of length 1 or 2 whose terms generate
-    # F_(p^d), the children walked are the s for which P s is no greater
-    # than any of its images under t -> t^(p^i), each with the degree of the
-    # field P s generates and weight (q - 1) times it; every d | r occurs
-    for p, degree in [(2, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 4), (2, 6), (3, 3)]:
-        field = Field(p, degree)
-        q, frobenius = field.q, field.frobenius
+TWIST_CASES = [((5, 1), 4), ((7, 1), 4), ((2, 2), 4), ((3, 2), 3), ((3, 3), 2)]
 
-        def generated(terms):
-            return next(e for e in range(1, degree + 1)
-                        if all(frobenius(s, e) == s for s in terms))
 
-        seen = set()
-        for prefix in _least_leaves(field, 1) + _least_leaves(field, 2):
-            if not any(prefix):
-                continue
-            expected = [
-                (s, generated(prefix + (s,)), (q - 1) * generated(prefix + (s,)))
-                for s in range(q) if _least(field, prefix + (s,))
-            ]
-            d = generated(prefix)
-            seen.add(d)
-            assert experiments._orbit_children(field, d) == expected, (q, prefix)
-        assert seen == {d for d in range(1, degree + 1) if degree % d == 0}
-        # a prime field walks every child, with weight q - 1
-        if degree == 1:
-            assert expected == [(s, 1, q - 1) for s in range(q)]
-        # the spine keeps 0 and walks 1 for every nonzero term
-        assert experiments._orbit_children(field, 0) == [(0, 0, 1), (1, 1, q - 1)]
+@pytest.mark.parametrize(
+    "q_spec, n", TWIST_CASES, ids=[f"q{p}^{m}-n{n}" for (p, m), n in TWIST_CASES]
+)
+def test_every_sweep_input_is_the_same_on_each_twist_of_a_prefix(q_spec, n):
+    # why the sweep also walks one prefix per orbit of G(x) -> G(beta x),
+    # s_i -> beta^i s_i: h(beta x, y), of the same total degree, annihilates
+    # G(beta x) mod x^m exactly when h annihilates G, so E_m is the same;
+    # Berlekamp-Massey maps its connection polynomial C(x) to C(beta x),
+    # so L and t are the same, and a unique shortest recurrence moves with
+    # it; the first nonzero index is the same; and the residual R(x)
+    # becomes R(beta x), with as many nonzero coefficients
+    field = Field(*q_spec)
+    mul, pow = field.mul, field.pow
+    _assert_images_read_alike(field, n, [
+        (lambda terms, beta=beta: [mul(pow(beta, i), s) for i, s in enumerate(terms)],
+         lambda a, i, _, beta=beta: mul(a, pow(beta, i)))
+        for beta in range(2, field.q)
+    ])
+
+
+def _listed(field, n):
+    """[(prefix, weight)] at each length 1..n, read off the child lists
+    from the root, each length in the order the walk visits it."""
+    children = experiments._OrbitChildren(field)
+    level, out = [((), None)], []
+    for _ in range(n):
+        kids = [
+            (prefix + (s,), sub, weight)
+            for prefix, state in level for s, sub, weight in children[state]
+        ]
+        out.append([(prefix, weight) for prefix, _, weight in kids])
+        level = [(prefix, sub) for prefix, sub, _ in kids]
+    return out
+
+
+# (q spec, n) -> (walked nodes, walked leaves); the last two are past the
+# brute force, and F_9, n = 4 is perfbench's sweep-ext
+WALKED = {
+    ((2, 1), 5): (62, 32), ((5, 1), 4): (63, 45), ((7, 1), 4): (95, 75),
+    ((2, 2), 5): (117, 77), ((2, 3), 4): (56, 40), ((3, 2), 4): (86, 67),
+    ((2, 4), 3): (18, 12), ((3, 3), 2): (6, 4), ((2, 6), 2): (6, 4),
+    ((3, 2), 6): (4858, 4266), ((3, 3), 4): (305, 281),
+}
+
+
+@pytest.mark.parametrize(
+    "q_spec, n", list(WALKED), ids=[f"q{p}^{m}-n{n}" for (p, m), n in WALKED]
+)
+def test_orbit_children_are_the_least_of_their_images(q_spec, n):
+    # walked down from the root, the lists give at each length m the
+    # prefixes least in their orbits under G(x) -> c sigma^i(G)(beta x),
+    # each weighted by its orbit's size, as a brute force over whole
+    # prefixes finds them (up to 10^4 prefixes); the weights at each length
+    # sum to q^m
+    field = Field(*q_spec)
+    listed = _listed(field, n)
+    for m, level in enumerate(listed, 1):
+        if field.q**m <= 10**4:
+            assert level == _orbits(field, m), m
+        assert sum(weight for _, weight in level) == field.q**m
+    assert (sum(map(len, listed)), len(listed[-1])) == WALKED[q_spec, n]
+    # the spine keeps 0 and walks 1 for every nonzero term
+    assert listed[0] == [((0,), 1), ((1,), field.q - 1)]
 
 
 def test_a_depth_one_sweep_builds_no_child_list(monkeypatch):
     # the spine's two children are fixed and a node of depth n has none, so
     # a sweep at n = 1, and its cut into chunks, builds no list of q
-    # children, even at q = 2^16: each asks only for the spine's, d = 0
+    # children, even at q = 2^16, nor lists the (2^16 - 1) 16 elements of H
     built = []
-    real = experiments._orbit_children
-    monkeypatch.setattr(experiments, "_orbit_children",
-                        lambda field, d: built.append(d) or real(field, d))
+    real = experiments._OrbitChildren._build
+    monkeypatch.setattr(experiments._OrbitChildren, "_build",
+                        lambda self, *state: built.append(state) or real(self, *state))
     record = enumerate_all(ExhaustiveConfig(Field(2, 16), 1, checks=False)).record
-    assert record.counts == {0: 1, 1: 2**16 - 1} and built == [0]
+    assert record.counts == {0: 1, 1: 2**16 - 1} and built == []
     assert experiments._orbit_cuts(Field(2, 16), 1, 3) == [(0, 1), (1, 2**16)]
-    assert built == [0, 0]
-    built.clear()
+    assert built == []
+    # deeper, each state's list is built once, the first under the first
+    # nonzero term, whose stabilizer is the whole of H (None)
     enumerate_all(ExhaustiveConfig(Field(2, 4), 3, checks=False))
-    assert sorted(built) == [0, 1, 2, 4]
+    assert built[0] == (None, 1) and len(built) == len(set(built))
+
+
+@pytest.mark.parametrize("q_spec", [(2, 10), (1021, 1), (3, 6)])
+def test_child_lists_apply_each_element_of_h_once_per_walked_child(
+        q_spec, monkeypatch):
+    # an unchecked n = 2 sweep walks 6 nodes: the spine's 0 and 1, and two
+    # children under each, as the twist moves every nonzero second term
+    # onto 1.  The one list it builds, under the first nonzero term, applies
+    # each element of H to s = 1, whose orbit is every nonzero s, and marks
+    # the rest: a frobenius and a mul per element of H, where trying each
+    # of the q terms against each element would make q |H| calls
+    from seqcx import lincomp
+
+    field = Field(*q_spec)
+    size_h = (field.q - 1) * field.m
+    calls = []
+    for name in ("mul", "frobenius"):
+        real = getattr(Field, name)
+        monkeypatch.setattr(
+            Field, name,
+            lambda self, *args, _real=real: calls.append(1) or _real(self, *args),
+        )
+    nodes = []
+    real_bm = lincomp.online_bm
+
+    def online_bm(field):
+        root, step, fit_of = real_bm(field)
+        return root, lambda *args: nodes.append(1) or step(*args), fit_of
+
+    monkeypatch.setattr(lincomp, "online_bm", online_bm)
+    record = enumerate_all(ExhaustiveConfig(field, 2, checks=False)).record
+    assert sum(record.counts.values()) == field.q**2
+    assert len(nodes) == 6
+    assert 2 * size_h <= len(calls) <= 3 * size_h < field.q * size_h // 100
 
 
 RESIDUAL_WALKS = [((2, 1), 10), ((3, 1), 7), ((2, 2), 5), ((5, 1), 6), ((3, 2), 4)]
