@@ -16,7 +16,7 @@ and a Zech lookup otherwise.
 Every extension field builds its tables in one walk of g.  Multiplying by g
 is F_p-linear, so each step adds two looked-up products, of g with the low
 and with the high half of the digits.  For p = 2 the sum is one XOR, and
-F_{2^16} builds in about 10 ms.  For odd p the products are written with
+F_{2^16} builds in about 11 ms.  For odd p the products are written with
 base-(2p - 1) digits, so an integer sum keeps the digit sums apart, and two
 more lookups reduce them mod p.
 
@@ -35,12 +35,18 @@ construction and all operations are pure: instances can be shared freely
 between threads or worker processes.  A pickled Field carries all its
 tables, the operation tables included (about 268 KB for F_{2^8}, against
 787 KB of log tables for F_{2^16}).
+
+Field(...) builds its tables afresh on every call.  shared_field returns
+one Field per (p, m, modulus) per process and keeps the 8 most recently
+used, which pin at most 128 MiB of tables (16 MiB each at the 2^20 cap).
+The fields of sequence files and of the CLI's --q come from it, so a
+process that parses many files over F_{2^16} builds that field once.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from operator import mul as _times
 
@@ -561,3 +567,18 @@ class Field:
                 row[t] = v
             else:
                 del row[t]
+
+
+_shared_field = lru_cache(maxsize=8)(Field)
+
+
+def shared_field(p: int, m: int = 1, modulus=None) -> Field:
+    """Field(p, m, modulus), built once per process while its spec stays
+    among the 8 most recently used.
+
+    Each kept field pins its tables, up to 16 MiB at the 2^20 cap, so at
+    most 128 MiB in all.  A rejected spec raises on every call, since
+    exceptions are not cached.  The Field is shared: no caller may write
+    into its tables.
+    """
+    return _shared_field(p, m, None if modulus is None else tuple(modulus))

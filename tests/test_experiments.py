@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import multiprocessing
 from pathlib import Path
 
@@ -577,6 +578,21 @@ def inject_failures(monkeypatch):
         return field.add(c, c) if k % 2 == 0 else c
 
     def witness_holds(poly, e, g, m):
+        # also fail where the first two nonzero terms s_f and s_(f+j), j >= 2,
+        # have a j-th power ratio: G(x) -> c sigma^i(G)(beta x) maps the ratio
+        # r to sigma^i(beta^j r), another j-th power, but scaling only the
+        # terms after s_f by beta maps it to beta r, which is not one for
+        # some beta when gcd(j, q - 1) > 1; a walk over that smaller group's
+        # orbits would weigh these failures wrongly.  (A test on
+        # s_f s_(f+2) = s_(f+1)^2 != 0 would not: both groups act freely on
+        # those prefixes, with the same orbit count on each side.)
+        field, s = g.field, g.coeffs[:m]
+        nonzero = [i for i, c in enumerate(s) if c][:2]
+        if len(nonzero) == 2 and nonzero[1] - nonzero[0] >= 2:
+            f, k = nonzero
+            ratio = field.div(s[k], s[f])
+            if field.pow(ratio, (field.q - 1) // math.gcd(k - f, field.q - 1)) == 1:
+                return False
         return real_witness_holds(poly, e, g, m) and (m + e) % 3 != 0
 
     monkeypatch.setattr(theorems, "simple_upper_bound", simple)
