@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 
 from . import binomial, expcomp, experiments, lincomp, theorems
-from .field import shared_field
+from .field import Field
 from .seqfile import (
     SequenceFileError,
     dump_json,
@@ -253,7 +253,7 @@ def _experiment_config(args):
     except SequenceFileError as exc:
         # no file is involved: a bad flag value is a precondition violation
         raise ValueError(f"--q: {exc}") from None
-    field = shared_field(p, m)
+    field = Field(p, m)
     if args.mode == "exhaustive":
         if args.n is None:
             raise ValueError("--mode exhaustive requires --n")

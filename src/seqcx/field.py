@@ -13,12 +13,16 @@ Zech logarithms ``zech[k] = log(1 + g^k)``.  Products, quotients, inverses,
 powers and Frobenius maps are then table lookups; sums are XOR when p = 2
 and a Zech lookup otherwise.
 
-Every extension field builds its tables in one walk of g.  Multiplying by g
+An extension field builds its tables in one walk of g.  Multiplying by g
 is F_p-linear, so each step adds two looked-up products, of g with the low
-and with the high half of the digits.  For p = 2 the sum is one XOR, and
-F_{2^16} builds in about 11 ms.  For odd p the products are written with
-base-(2p - 1) digits, so an integer sum keeps the digit sums apart, and two
-more lookups reduce them mod p.
+and with the high half of the digits.  For p = 2 the sum is one XOR.  For
+odd p the products are written with base-(2p - 1) digits, so an integer sum
+keeps the digit sums apart, and two more lookups reduce them mod p.
+F_{2^14} and F_{2^16} instead build from their subfield K of half the
+degree: every element is a0 + a1 g with a0, a1 in K, so its log follows
+from the logs of a0 and a1 in K and one table of |K| - 1 entries, and
+whole blocks of the tables go through bytes.translate and the lanes of one
+int.  F_{2^16} builds in about 5 ms that way, half the time of its walk.
 
 The engines' inner loops go through four bulk kernels: dot, axpy, and
 sparse_dot and sparse_axpy on rows held as {index: coefficient} dicts.  On
@@ -35,18 +39,13 @@ construction and all operations are pure: instances can be shared freely
 between threads or worker processes.  A pickled Field carries all its
 tables, the operation tables included (about 268 KB for F_{2^8}, against
 787 KB of log tables for F_{2^16}).
-
-Field(...) builds its tables afresh on every call.  shared_field returns
-one Field per (p, m, modulus) per process and keeps the 8 most recently
-used, which pin at most 128 MiB of tables (16 MiB each at the 2^20 cap).
-The fields of sequence files and of the CLI's --q come from it, so a
-process that parses many files over F_{2^16} builds that field once.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
-from functools import lru_cache, partial
+from functools import partial
 from itertools import product
 from operator import mul as _times
 
@@ -116,16 +115,21 @@ def _pack_gf2(coeffs) -> int:
 
 
 def _is_irreducible_gf2(poly: int, m: int) -> bool:
-    """_is_irreducible for p = 2 on bit-packed polynomials: the monic
-    divisors of degree 1..m//2 are the ints 2 .. 2^(m//2 + 1) - 1."""
-    for divisor in range(2, 2 << (m // 2)):
-        width = divisor.bit_length()
-        rem = poly
-        shift = rem.bit_length() - width
-        while shift >= 0:
-            rem ^= divisor << shift
-            shift = rem.bit_length() - width
-        if not rem:
+    """_is_irreducible for p = 2 on bit-packed polynomials, by Ben-Or's
+    test: poly, of degree m, has a factor of degree i <= m // 2 exactly when
+    it shares one with x^(2^i) - x."""
+    r = 2  # x^(2^i) mod poly
+    for _ in range(m // 2):
+        r = _mulmod_gf2(r, r, poly, m)
+        a, b = poly, r ^ 2
+        while b:  # a, b = b, a mod b
+            width = b.bit_length()
+            shift = a.bit_length() - width
+            while shift >= 0:
+                a ^= b << shift
+                shift = a.bit_length() - width
+            a, b = b, a
+        if a != 1:
             return False
     return True
 
@@ -242,37 +246,199 @@ def _primitive_element(p: int, m: int, modulus: tuple[int, ...]) -> int:
         g += 1
 
 
+def _span_gf2(vectors: list[int]) -> list[int]:
+    """Entry i is the XOR of vectors[t] over the bits t of i."""
+    out = [0]
+    for v in vectors:
+        out += [a ^ v for a in out]
+    return out
+
+
+def _invert_gf2(columns: list[int]) -> list[int]:
+    """inverse[t], the bits j whose columns[j] XOR to 1 << t, for linearly
+    independent bit-packed columns, by Gauss-Jordan elimination."""
+    rows = [(c, 1 << j) for j, c in enumerate(columns)]  # (image, preimage)
+    for t in range(len(rows)):
+        k = next(k for k in range(t, len(rows)) if rows[k][0] >> t & 1)
+        rows[t], rows[k] = rows[k], rows[t]
+        v, w = rows[t]
+        rows = [
+            (u ^ v, x ^ w) if r != t and u >> t & 1 else (u, x)
+            for r, (u, x) in enumerate(rows)
+        ]
+    return [w for _, w in rows]
+
+
+def _native(typecode: str, data) -> array:
+    """An array of 4-byte items read from little-endian bytes."""
+    out = array(typecode, data)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def _times_gf2(c: int, m: int, poly: int) -> tuple[list[int], list[int]]:
+    """lo and hi with c * a = lo[low m // 2 bits of a] ^ hi[the rest] over
+    F_2[x]/(poly): multiplying by c is F_2-linear, so these are the
+    products of c with every element over those bits."""
+    basis = [c]  # x^i * c
+    for _ in range(m - 1):
+        b = basis[-1] << 1
+        basis.append(b ^ poly if b >> m else b)
+    return _span_gf2(basis[: m // 2]), _span_gf2(basis[m // 2 :])
+
+
+def _tables_gf2_subfield(g: int, m: int, poly: int) -> tuple[array, array]:
+    """exp and log of F_{2^m}, m = 14 or 16, from its subfield K = F_{2^h},
+    h = m / 2, in passes of C over blocks of 2^12 entries.
+
+    K* is generated by c = g^s, s = 2^h + 1, and {1, g} is a basis over K:
+    every element is a = a0 + a1 g with a0, a1 in K, and an F_2-linear map
+    takes a to the bits of a0 and a1 in the basis c^j, c^j g (j < h).
+
+    exp: g^(s i + j) = c^i g^j.  Over i, the a0 (and the a1) of c^i g^j
+    runs through the powers of c from the log_K of that of g^j on, a
+    rotation of K's exp table.  The linear map back to positions reads the
+    bytes of a0 and a1 by bytes.translate and XORs them in 32-bit lanes.
+
+    log: where a0 and a1 are nonzero, a = a0 (1 + t g) with t = a1 / a0, so
+    log a = s log_K a0 + lam[d] with d = log_K a1 - log_K a0 mod 2^h - 1,
+    and lam[d] = log(1 + c^d g) is read off g^2 .. g^(s - 1), one element
+    per value of d.  The position r * 256 + b has the coordinates of b XOR
+    those of r * 256, so log_K a0 and log_K a1 come by bytes.translate 256
+    at a time.  The sums mod 2^h - 1 run in 16-bit lanes of one int, and
+    lam = s alpha + beta with beta < s keeps the last one below q - 1.  The
+    elements of K* and g K*, where a1 or a0 is 0, are set one at a time.
+    """
+    h = m // 2
+    q = 1 << m
+    q1 = q - 1
+    s = (1 << h) + 1
+    k1 = (1 << h) - 1  # the order of K*
+    lo, hi = _times_gf2(g, m, poly)
+    powers = [1]  # g^0 .. g^s
+    for _ in range(s):
+        a = powers[-1]
+        powers.append(lo[a & k1] ^ hi[a >> h])
+    mul = partial(_mulmod_gf2, poly=poly, m=m)
+    basis = [1]  # c^j, then c^j g
+    for _ in range(h):
+        basis.append(mul(basis[-1], powers[s]))
+    c_h = basis.pop()
+    basis += [mul(b, g) for b in basis]
+    # the coordinates of each position: a0 in the low byte, a1 in the high
+    coords = [w & k1 | (w >> h) << 8 for w in _invert_gf2(basis)]
+    lo, hi = _span_gf2(coords[:8]), _span_gf2(coords[8:])
+
+    exp_k = bytearray(k1)  # the bits of c^i in the basis c^j
+    log_k = bytearray(256)
+    top = lo[c_h & 255] ^ hi[c_h >> 8]
+    x = 1
+    for i in range(k1):
+        exp_k[i] = x
+        log_k[x] = i
+        x <<= 1
+        if x >> h:
+            x ^= (1 << h) ^ top
+    exp_k *= 2
+    e0, e1 = bytearray(q1), bytearray(q1)  # a0 and a1 of each g^k
+    alpha, beta = bytearray(256), [0] * 256  # lam = s alpha + beta
+    for j, a in enumerate(powers[:s]):
+        w = lo[a & 255] ^ hi[a >> 8]
+        a0, a1 = w & 255, w >> 8
+        if a0:
+            e0[j::s] = exp_k[log_k[a0] : log_k[a0] + k1]
+        if a1:
+            e1[j::s] = exp_k[log_k[a1] : log_k[a1] + k1]
+        if a0 and a1:
+            d = (log_k[a1] - log_k[a0]) % k1
+            alpha[d], beta[d] = divmod((j - s * log_k[a0]) % q1, s)
+    beta_lo = bytes([b & 255 for b in beta])
+    beta_hi = bytes([b >> 8 for b in beta])
+
+    block = 1 << 12
+    images = []  # per coordinate: the translate tables of a position's bytes
+    for vectors in (basis[:h], basis[h:]):
+        span = _span_gf2(vectors)
+        images.append([bytes([v >> j & 255 for v in span]).ljust(256, b"\0") for j in (0, 8)])
+    exp = array("I", [0]) * (2 * q1)
+    for start in range(0, q1, block):
+        acc = 0
+        for coordinate, (to_lo, to_hi) in zip((e0, e1), images):
+            part = coordinate[start : start + block]
+            lanes = bytearray(4 * len(part))
+            lanes[::4] = part.translate(to_lo)
+            lanes[1::4] = part.translate(to_hi)
+            acc ^= int.from_bytes(lanes, "little")
+        part = _native("I", acc.to_bytes(4 * len(part), "little"))
+        exp[start : start + len(part)] = exp[q1 + start : q1 + start + len(part)] = part
+    del e0, e1, coordinate
+
+    ramp = bytes(range(256))
+    xor = [ramp]  # xor[c][b] = b ^ c
+    for t in range(8):
+        flip = bytes([b ^ (1 << t) for b in ramp])
+        xor += [row.translate(flip) for row in xor]
+    logs = [row.translate(log_k) for row in xor]  # log_K(b ^ c)
+    del xor
+    row0, row1 = bytes([w & 255 for w in lo]), bytes([w >> 8 for w in lo])
+    ones = int.from_bytes(b"\1\0" * block, "little")
+    mask = k1 * ones
+    log = array("i", [0]) * q
+    for r in range(0, q >> 8, block >> 8):
+        rows = hi[r : r + (block >> 8)]
+        n = 256 * len(rows)
+        l0, l1 = bytearray(2 * n), bytearray(2 * n)
+        l0[::2] = b"".join([row0.translate(logs[w & 255]) for w in rows])
+        l1[::2] = b"".join([row1.translate(logs[w >> 8]) for w in rows])
+        l0 = int.from_bytes(l0, "little")
+        d = int.from_bytes(l1, "little") + mask - l0  # in 1 .. 2 k1 - 1
+        d -= k1 * (d + ones >> h & ones)  # mod k1
+        d = d.to_bytes(2 * n, "little")[::2]
+        u = bytearray(2 * n)
+        u[::2] = d.translate(alpha)
+        u = l0 + int.from_bytes(u, "little")  # in 0 .. 2 k1 - 2
+        u -= k1 * (u + ones >> h & ones)  # mod k1
+        lam = bytearray(2 * n)
+        lam[::2] = d.translate(beta_lo)
+        lam[1::2] = d.translate(beta_hi)
+        v = (s * u + int.from_bytes(lam, "little")).to_bytes(2 * n, "little")
+        out = bytearray(4 * n)
+        out[::4], out[1::4] = v[::2], v[1::2]
+        log[r << 8 : (r << 8) + n] = _native("i", out)
+    log[0] = -1
+    for k in range(0, q1, s):
+        log[exp[k]] = k
+        log[exp[k + 1]] = k + 1
+    return exp, log
+
+
 def _log_tables(p: int, m: int, modulus: tuple[int, ...]) -> tuple[array, array]:
     """exp (length 2(q-1)) and log (log[0] = -1) over the primitive element g
-    with the smallest index, in one walk of g.
+    with the smallest index.
 
-    Multiplying by g is F_p-linear, so b * g is the digit-wise sum of lo[low
-    h = m // 2 digits of b] and hi[high m - h digits of b], the products of g
-    with every element over those digits.  For p = 2 the sum is an XOR of
-    bit-packed products.  For odd p, lo and hi write their products with
-    digits in base 2p - 1, so one integer sum keeps each digit sum (at most
-    2p - 2) apart, and to_lo and to_hi read its low and high digits back,
-    each mod p, as an index.
+    F_{2^14} and F_{2^16} build them from their subfields (see
+    _tables_gf2_subfield), in about half the time of a walk; in smaller
+    fields the walk is as fast.  Every other extension field builds them
+    in one walk of g.  Multiplying by g is F_p-linear, so b * g is the
+    digit-wise sum of lo[low h = m // 2 digits of b] and hi[high m - h
+    digits of b], the products of g with every element over those digits.
+    For p = 2 the sum is an XOR of bit-packed products.  For odd p, lo and
+    hi write their products with digits in base 2p - 1, so one integer sum
+    keeps each digit sum (at most 2p - 2) apart, and to_lo and to_hi read
+    its low and high digits back, each mod p, as an index.
     """
     q = p**m
     q1 = q - 1
     g = _primitive_element(p, m, modulus)
+    if p == 2 and m in (14, 16):
+        return _tables_gf2_subfield(g, m, _pack_gf2(modulus))
     h = m // 2
     exp = array("I", bytes(8 * q1))
     log = array("i", [-1]) * q
     a = 1
     if p == 2:
-        poly = _pack_gf2(modulus)
-        basis = [g]  # x^i * g
-        for _ in range(m - 1):
-            b = basis[-1] << 1
-            basis.append(b ^ poly if b & q else b)
-        lo = [0]
-        for v in basis[:h]:
-            lo += [b ^ v for b in lo]
-        hi = [0]
-        for v in basis[h:]:
-            hi += [b ^ v for b in hi]
+        lo, hi = _times_gf2(g, m, _pack_gf2(modulus))
         low = (1 << h) - 1
         for k in range(q1):
             exp[k] = a
@@ -567,18 +733,3 @@ class Field:
                 row[t] = v
             else:
                 del row[t]
-
-
-_shared_field = lru_cache(maxsize=8)(Field)
-
-
-def shared_field(p: int, m: int = 1, modulus=None) -> Field:
-    """Field(p, m, modulus), built once per process while its spec stays
-    among the 8 most recently used.
-
-    Each kept field pins its tables, up to 16 MiB at the 2^20 cap, so at
-    most 128 MiB in all.  A rejected spec raises on every call, since
-    exceptions are not cached.  The Field is shared: no caller may write
-    into its tables.
-    """
-    return _shared_field(p, m, None if modulus is None else tuple(modulus))

@@ -15,11 +15,6 @@ Every integer in a file is written in ASCII decimal digits, with no sign.
 The canonical serialization (exactly what format_sequence emits, without
 comments) is also the digest input: input_digest = "sha256:" + the hex digest
 of that text encoded as UTF-8.
-
-parse_sequence takes its Field from field.shared_field, so the files of one
-process that name the same q and modulus share one Field, built once while
-it stays among the 8 most recently used specs (at most 128 MiB of tables,
-16 MiB per field at the 2^20 cap).  Field(...) itself builds afresh.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from json.encoder import encode_basestring_ascii
 
-from .field import Field, check_field_size, shared_field
+from .field import Field, check_field_size
 from .lincomp import Periodicity, Sequence
 from .series import BivariatePoly
 
@@ -116,7 +111,7 @@ def parse_sequence(text: str) -> Sequence:
             f"modulus coefficient {max(modulus)} is not below p = {p}"
         )
     try:
-        field = shared_field(p, m, modulus)
+        field = Field(p, m, modulus)
         return Sequence(field, body, meta=meta)
     except ValueError as exc:
         raise SequenceFileError(str(exc)) from exc

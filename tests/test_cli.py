@@ -687,91 +687,3 @@ def test_main_builds_its_parser_once(monkeypatch, capsys, ones_file):
     monkeypatch.setattr(cli, "_parser", None)
     assert [run(argv) for argv in argvs + argvs] == fresh + fresh
     assert len(builds) == 1
-
-
-def test_repeated_queries_never_write_into_shared_fields(tmp_path, capsys,
-                                                         monkeypatch):
-    # the query cycle of perfbench's queries workload, plus a file with an
-    # explicit mod= line and a sweep through --q, run twice in one process:
-    # the second pass reads the Fields the first one built and must write
-    # the same bytes, and no run may change a shared Field's tables
-    import hashlib
-    import pickle
-    import random
-    import re
-
-    from seqcx import cli, seqfile
-
-    rng = random.Random(28)
-
-    def body(q, length):
-        return " ".join(str(rng.randrange(q)) for _ in range(length - 1)) + " 1"
-
-    block = [rng.randrange(3) for _ in range(4)] + [1]
-    periodic = " ".join(map(str, [2, 0] + [block[i % 5] for i in range(28)]))
-    # x^16 + x^12 + x^3 + x + 1, not the default modulus of F_{2^16}
-    mod16 = ",".join(map(str, [1, 1, 0, 1] + [0] * 8 + [1, 0, 0, 0, 1]))
-    texts = {
-        "q2": f"q=2\n{body(2, 256)}\n",
-        "q65536": f"q=2^16\n{body(1 << 16, 32)}\n",
-        "q101": f"q=101\n{body(101, 32)}\n",
-        "q9": f"q=3^2\n{body(9, 24)}\n",
-        "q3-periodic": f"q=3\nmeta=t:2,T:5\n{periodic}\n",
-        "q65536-mod": f"q=2^16\nmod={mod16}\n{body(1 << 16, 24)}\n",
-    }
-    paths = {}
-    for name, text in texts.items():
-        paths[name] = str(tmp_path / f"{name}.seq")
-        Path(paths[name]).write_text(text)
-    out_dir = tmp_path / "sweep"
-    argvs = [
-        ["lincomp", "--input", paths["q2"], "--n", "256", "--profile", "--json"],
-        ["expcomp", "--input", paths["q2"], "--n", "256", "--witness", "--json"],
-        ["verify", "--input", paths["q3-periodic"], "--n", "30", "--json"],
-        ["lincomp", "--input", paths["q65536"], "--n", "32", "--profile", "--json"],
-        ["expcomp", "--input", paths["q101"], "--n", "32", "--witness", "--json"],
-        ["binomial", "--p", "13", "--k", "2", "--analyze", "--json"],
-        ["expcomp", "--input", paths["q9"], "--n", "24", "--profile", "--csv"],
-        ["expcomp", "--input", paths["q65536"], "--n", "16", "--witness", "--json"],
-        ["verify", "--input", paths["q2"], "--n", "32", "--json"],
-        ["verify", "--input", paths["q65536-mod"], "--n", "24", "--json"],
-        ["experiment", "--mode", "exhaustive", "--q", "3^2", "--n", "3",
-         "--out", str(out_dir)],
-    ]
-
-    def tables(field):
-        data = (field._exp, field._log, field._zech, field._ops)
-        return hashlib.sha256(pickle.dumps(data)).hexdigest()
-
-    # the digest of each shared Field, taken before any caller reads it
-    first_seen = {}
-
-    def recording(real):
-        def shared(*args):
-            field = real(*args)
-            first_seen.setdefault(id(field), (field, tables(field)))
-            return field
-        return shared
-
-    monkeypatch.setattr(seqfile, "shared_field", recording(seqfile.shared_field))
-    monkeypatch.setattr(cli, "shared_field", recording(cli.shared_field))
-
-    def run_all():
-        outputs = []
-        for argv in argvs:
-            code = cli.main(argv)
-            out = capsys.readouterr().out
-            outputs.append((code, re.sub(r'"timing": [^,\n]+', '"timing": 0', out)))
-        files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
-        return outputs, files
-
-    first = run_all()
-    assert [code for code, _ in first[0]] == [0] * len(argvs)
-    assert run_all() == first
-    specs = {(f.q, f.modulus) for f, _ in first_seen.values()}
-    assert len(specs) == len(first_seen) == 6  # one Field per spec
-    extension = sorted(spec for spec in specs if spec[1])
-    assert [q for q, _ in extension] == [9, 1 << 16, 1 << 16]
-    assert tuple(map(int, mod16.split(","))) in [mod for _, mod in extension]
-    for field, digest in first_seen.values():
-        assert tables(field) == digest, field

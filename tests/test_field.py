@@ -12,8 +12,7 @@ from oracles import (
     log_tables_poly_basis,
     zech_table_loop,
 )
-from seqcx import field as field_module
-from seqcx.field import PRIME_POWER_CAP, TABLE_CAP, Field, is_prime, shared_field
+from seqcx.field import PRIME_POWER_CAP, TABLE_CAP, Field, is_prime
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 
@@ -274,6 +273,40 @@ def test_binary_tables_match_coset_walk_every_small_modulus():
     assert irreducible == 69
 
 
+@pytest.mark.parametrize("m", [14, 16])
+def test_subfield_tables_match_coset_walk_other_moduli(m):
+    # F_{2^14} and F_{2^16} build their tables from the subfield of half
+    # the degree; besides the default modulus (where x is not primitive),
+    # check moduli where x is primitive and where it is not
+    rng = random.Random(f"subfield moduli:{m}")
+    default = Field(2, m).modulus
+    kinds = set()
+    while len(kinds) < 2:
+        modulus = (1,) + tuple(rng.randrange(2) for _ in range(m - 1)) + (1,)
+        if modulus == default or not is_irreducible_lists(modulus, 2, m):
+            continue
+        field = Field(2, m, modulus)
+        kind = field._exp[1] == 2  # x primitive
+        if kind not in kinds:
+            kinds.add(kind)
+            _assert_tables_match_coset_walk(field)
+
+
+@pytest.mark.parametrize("m, count", [(9, 56), (10, 99)])
+def test_binary_moduli_accepted_number_of_irreducibles(m, count):
+    # the number of monic irreducibles of degree m over F_2 is
+    # (1/m) sum over d | m of mu(d) 2^(m/d): 56 for m = 9, 99 for m = 10
+    accepted = 0
+    for tail in product(range(2), repeat=m):
+        try:
+            Field(2, m, tail + (1,))
+        except ValueError as exc:
+            assert "reducible" in str(exc)
+        else:
+            accepted += 1
+    assert accepted == count
+
+
 # -- odd-p tables against the powers of g in the polynomial basis -----------
 
 
@@ -470,69 +503,3 @@ def test_oracles_do_per_element_arithmetic():
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not (used | names) & KERNELS
-
-
-# -- one shared Field per spec -----------------------------------------------
-
-
-def _counting_builds(monkeypatch):
-    """Empty the shared fields and record the spec of every Field built
-    from now on."""
-    built = []
-    real_init = Field.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        real_init(self, *args)
-
-    monkeypatch.setattr(Field, "__init__", counting_init)
-    field_module._shared_field.cache_clear()
-    return built
-
-
-def test_equal_specs_share_one_field(monkeypatch):
-    built = _counting_builds(monkeypatch)
-    f9 = shared_field(3, 2)
-    assert shared_field(3, 2) is f9
-    assert shared_field(3, 2, None) is f9
-    # a list and a tuple of the same coefficients are one spec
-    given = shared_field(3, 2, [2, 1, 1])
-    assert shared_field(3, 2, (2, 1, 1)) is given
-    assert given.modulus == (2, 1, 1) and given != f9
-    assert shared_field(7) is shared_field(7, 1)
-    assert built == [(3, 2, None), (3, 2, (2, 1, 1)), (7, 1, None)]
-
-
-def test_field_constructor_builds_afresh(monkeypatch):
-    built = _counting_builds(monkeypatch)
-    shared = shared_field(2, 4)
-    fresh = [Field(2, 4), Field(2, 4)]
-    assert len(built) == 3
-    assert fresh[0] is not fresh[1]
-    assert all(f is not shared and f == shared for f in fresh)
-    assert fresh[0]._exp is not shared._exp and fresh[0]._ops is not shared._ops
-
-
-def test_a_rejected_spec_raises_on_every_call(monkeypatch):
-    built = _counting_builds(monkeypatch)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="reducible"):
-            shared_field(3, 2, [2, 0, 1])  # x^2 - 1 = (x - 1)(x + 1)
-        with pytest.raises(ValueError, match="not prime"):
-            shared_field(4)
-    assert len(built) == 4
-    assert field_module._shared_field.cache_info().currsize == 0
-
-
-def test_the_least_recent_spec_past_the_bound_is_built_again(monkeypatch):
-    built = _counting_builds(monkeypatch)
-    bound = field_module._shared_field.cache_info().maxsize
-    primes = [p for p in range(5, 100) if is_prime(p)][: bound + 1]
-    for p in primes:
-        shared_field(p)
-    assert len(built) == bound + 1
-    shared_field(primes[-1])
-    shared_field(primes[1])
-    assert len(built) == bound + 1  # still kept
-    shared_field(primes[0])
-    assert len(built) == bound + 2 and built[-1] == (primes[0], 1, None)

@@ -48,35 +48,6 @@ def test_default_modulus_when_mod_line_absent():
     assert seq.field.modulus == (1, 1, 1)
 
 
-def test_a_mod_line_gets_its_own_field_after_a_default_file_of_its_q():
-    # files of one spec share a Field; a mod= line is part of the spec
-    default = parse_sequence("q=3^2\n3 3\n")
-    assert parse_sequence("q=3^2\n1 2\n").field is default.field
-    given = parse_sequence("q=3^2\nmod=2,1,1\n3 3\n")
-    assert given.field.modulus == (2, 1, 1) != default.field.modulus
-    assert "\nmod=2,1,1\n" in format_sequence(given)
-    assert "\nmod=1,0,1\n" in format_sequence(default)
-    assert input_digest(given) != input_digest(default)
-    # x * x is x^2 = -1 mod x^2 + 1, but 2x + 1 mod x^2 + x + 2
-    assert default.field.mul(3, 3) == 2 and given.field.mul(3, 3) == 7
-    assert parse_sequence("q=3^2\nmod=2,1,1\n0 1\n").field is given.field
-    assert parse_sequence("q=3^2\n0 1\n").field is default.field
-
-
-def test_a_reducible_modulus_exits_2_on_every_call(tmp_path, capsys):
-    from seqcx import cli
-
-    path = tmp_path / "reducible.seq"
-    path.write_text("q=3^2\nmod=2,0,1\n1 2 3\n")  # x^2 - 1
-    errors = []
-    for _ in range(2):
-        assert cli.main(["lincomp", "--input", str(path), "--n", "3"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        errors.append(err)
-    assert errors[0] == errors[1] and "reducible" in errors[0]
-
-
 def test_comments_and_whitespace(f2):
     text = """
 # leading comment
