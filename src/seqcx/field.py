@@ -315,11 +315,11 @@ def _tables_gf2_subfield(g: int, m: int, poly: int) -> tuple[array, array]:
     q1 = q - 1
     s = (1 << h) + 1
     k1 = (1 << h) - 1  # the order of K*
-    lo, hi = _times_gf2(g, m, poly)
+    g_lo, g_hi = _times_gf2(g, m, poly)
     powers = [1]  # g^0 .. g^s
     for _ in range(s):
         a = powers[-1]
-        powers.append(lo[a & k1] ^ hi[a >> h])
+        powers.append(g_lo[a & (1 << h) - 1] ^ g_hi[a >> h])
     mul = partial(_mulmod_gf2, poly=poly, m=m)
     basis = [1]  # c^j, then c^j g
     for _ in range(h):
@@ -332,7 +332,7 @@ def _tables_gf2_subfield(g: int, m: int, poly: int) -> tuple[array, array]:
 
     exp_k = bytearray(k1)  # the bits of c^i in the basis c^j
     log_k = bytearray(256)
-    top = lo[c_h & 255] ^ hi[c_h >> 8]
+    top = lo[c_h & 255] ^ hi[c_h >> 8]  # c^h is in K: a1 = 0
     x = 1
     for i in range(k1):
         exp_k[i] = x
@@ -357,10 +357,11 @@ def _tables_gf2_subfield(g: int, m: int, poly: int) -> tuple[array, array]:
     beta_hi = bytes([b >> 8 for b in beta])
 
     block = 1 << 12
-    images = []  # per coordinate: the translate tables of a position's bytes
+    images = []  # per coordinate: translate tables to the position's bytes
     for vectors in (basis[:h], basis[h:]):
         span = _span_gf2(vectors)
-        images.append([bytes([v >> j & 255 for v in span]).ljust(256, b"\0") for j in (0, 8)])
+        tables = [bytes([v >> j & 255 for v in span]) for j in (0, 8)]
+        images.append([t.ljust(256, b"\0") for t in tables])
     exp = array("I", [0]) * (2 * q1)
     for start in range(0, q1, block):
         acc = 0
@@ -370,9 +371,11 @@ def _tables_gf2_subfield(g: int, m: int, poly: int) -> tuple[array, array]:
             lanes[::4] = part.translate(to_lo)
             lanes[1::4] = part.translate(to_hi)
             acc ^= int.from_bytes(lanes, "little")
-        part = _native("I", acc.to_bytes(4 * len(part), "little"))
-        exp[start : start + len(part)] = exp[q1 + start : q1 + start + len(part)] = part
-    del e0, e1, coordinate
+        stop = start + len(part)
+        exp[start:stop] = exp[q1 + start : q1 + stop] = _native(
+            "I", acc.to_bytes(4 * len(part), "little")
+        )
+    del e0, e1, coordinate  # freed first, so the peak stays below the walk's
 
     ramp = bytes(range(256))
     xor = [ramp]  # xor[c][b] = b ^ c
@@ -418,11 +421,12 @@ def _log_tables(p: int, m: int, modulus: tuple[int, ...]) -> tuple[array, array]
     with the smallest index.
 
     F_{2^14} and F_{2^16} build them from their subfields (see
-    _tables_gf2_subfield), in about half the time of a walk; in smaller
-    fields the walk is as fast.  Every other extension field builds them
-    in one walk of g.  Multiplying by g is F_p-linear, so b * g is the
-    digit-wise sum of lo[low h = m // 2 digits of b] and hi[high m - h
-    digits of b], the products of g with every element over those digits.
+    _tables_gf2_subfield), in about half the time of a walk; the walk is
+    as fast below F_{2^14}, and a half of F_{2^18} or F_{2^20} no longer
+    fits a byte.  Every other extension field builds them in one walk of
+    g.  Multiplying by g is F_p-linear, so b * g is the digit-wise sum of
+    lo[low h = m // 2 digits of b] and hi[high m - h digits of b], the
+    products of g with every element over those digits.
     For p = 2 the sum is an XOR of bit-packed products.  For odd p, lo and
     hi write their products with digits in base 2p - 1, so one integer sum
     keeps each digit sum (at most 2p - 2) apart, and to_lo and to_hi read
