@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from . import expcomp, lincomp
 from .field import Field, check_field_size, is_prime
-from .lincomp import Periodicity, RationalForm, Sequence
-from .series import Poly, poly_pow, rational_expand
+from .lincomp import Periodicity, Sequence
 from .theorems import BoundReport, _report
 
 
@@ -38,9 +37,6 @@ class ExpansionPrediction:
     lo: int
     hi: int
 
-    def contains(self, value: int) -> bool:
-        return self.lo <= value <= self.hi
-
 
 def generate(spec: BinomialSpec, length: int) -> Sequence:
     """First `length` terms, purely periodic with period p.
@@ -60,19 +56,6 @@ def generate(spec: BinomialSpec, length: int) -> Sequence:
         period[i + 1] = period[i] * ((i + k + 1) % p) * pow(i + 1, p - 2, p) % p
     terms = [(period[i % p]) for i in range(length)]
     return Sequence(field, terms, meta=Periodicity(0, p))
-
-
-def gf(spec: BinomialSpec) -> RationalForm:
-    """The rational generating function 1 / (1-x)^(k+1), validated against
-    one generated period before being returned."""
-    field = Field(spec.p)
-    one = Poly(field, [1])
-    denom = poly_pow(Poly(field, [1, field.neg(1)]), spec.k + 1)
-    form = RationalForm(one, denom, 0)
-    expanded = rational_expand(one, denom, spec.p)
-    if expanded.coeffs != generate(spec, spec.p).terms:
-        raise RuntimeError("generating-function identity failed validation")
-    return form
 
 
 def predicted_linear_complexity(spec: BinomialSpec):

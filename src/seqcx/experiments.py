@@ -42,16 +42,15 @@ least exactly when s is least among its images under Stab(P), so each
 node reads its children off a list built once per orbit state
 (_OrbitChildren).  The walk visits a little over q^(n+1)/(r (q-1)^3)
 nodes, more by the prefixes with a nontrivial stabilizer, and checks one
-witness per orbit: the checked F_9, n = 4 sweep visits 86 nodes (494
-under scaling and sigma alone), checks 82 witnesses (490) and meets 27
-distinct battery inputs.  Over F_2 it walks the whole tree.  The chunks
-cut the walked leaves into ranges whose counts differ by at most one
-(_orbit_cuts).  A chunk walks every visited node whose leaves meet its
-range, and grades a node when it holds the node's first leaf (the node
-followed by zeros, itself least in its orbit), so any cut gives the same
-totals.  The t_n ambiguity scan reads its prefixes, with their fits and
-E_n, off the leaves of one unchecked walk over F_2, so it reruns no
-engine either.
+witness per orbit: the checked F_9, n = 4 sweep visits 86 nodes, checks
+82 witnesses and meets 27 distinct battery inputs.  Over F_2 it walks
+the whole tree.  The chunks cut the walked leaves into ranges whose
+counts differ by at most one (_orbit_cuts).  A chunk walks every visited
+node whose leaves meet its range, and grades a node when it holds the
+node's first leaf (the node followed by zeros, itself least in its
+orbit), so any cut gives the same totals.  The t_n ambiguity scan reads
+its prefixes, with their fits and E_n, off the leaves of one unchecked
+walk over F_2, so it reruns no engine either.
 
 Monte Carlo
 mode samples sequences with i.i.d. uniform terms and reports the E_n

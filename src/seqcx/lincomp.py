@@ -37,7 +37,6 @@ from .series import (
     TruncatedSeries,
     _unpack_gf2,
     poly_gcd,
-    rational_expand,
     series_mul,
 )
 
@@ -128,9 +127,6 @@ class RationalForm:
     @property
     def complexity(self) -> int:
         return self.g.degree + self.t
-
-    def expand(self, n: int) -> TruncatedSeries:
-        return rational_expand(self.f, self.g, n)
 
 
 _BM_START = ([1], [1], 0, -1, 1)

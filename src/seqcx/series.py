@@ -70,12 +70,6 @@ class Poly:
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
 
-    def __add__(self, other):
-        _check_same_field(self, other)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(f, [f.add(self.coeff(i), other.coeff(i)) for i in range(n)])
-
     def __mul__(self, other):
         _check_same_field(self, other)
         f = self.field

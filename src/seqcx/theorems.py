@@ -34,8 +34,10 @@ run_all_checks establishes once from a full-prefix fit and its rational
 reconstruction before the T1 checks grade it.
 
 Each claim is built once, as a row (claim_id, inputs, relation, expected,
-observed) from the bound formulas and _RELATIONS, and a report is a row
-with its outcome.  _length_rows holds everything graded at one prefix
+observed) from the bound formulas and _RELATIONS, and _report turns a row
+into a report with its outcome; a row whose relation is None is not
+applicable, with its reason as expected.  _theorem1_rows builds the T1
+rows.  _length_rows holds everything graded at one prefix
 length m: P2 and L3 for the step m-1 -> m, then T4 and the R.* claims at
 m.  It reads scalars only, (p, m, first, residual count, L_{m-1}, L_m,
 t_m, E_1..E_m), and no term, so a sweep can grade each distinct prefix
@@ -108,23 +110,14 @@ class BoundReport:
 
 
 def _report(claim_id, inputs, relation, expected, observed) -> BoundReport:
+    """The report of a row; a row whose relation is None is not applicable,
+    with its reason as expected."""
+    inputs = dict(inputs)
+    if relation is None:
+        inputs["reason"] = expected
+        return BoundReport(claim_id, inputs, "==", None, None, NOT_APPLICABLE)
     ok = _RELATIONS[relation](observed, expected)
     return BoundReport(claim_id, inputs, relation, expected, observed, PASS if ok else FAIL)
-
-
-def _not_applicable(claim_id, inputs, reason) -> BoundReport:
-    inputs = dict(inputs)
-    inputs["reason"] = reason
-    return BoundReport(claim_id, inputs, "==", None, None, NOT_APPLICABLE)
-
-
-def _from_row(row) -> BoundReport:
-    """The report of a row; a row with relation None is not applicable,
-    with its reason as expected."""
-    claim_id, inputs, relation, expected, observed = row
-    if relation is None:
-        return _not_applicable(claim_id, dict(inputs), expected)
-    return _report(claim_id, dict(inputs), relation, expected, observed)
 
 
 def _failed(rows) -> list[str]:
@@ -251,42 +244,49 @@ def _established_l_t(seq: Sequence) -> tuple[int, int]:
     return rf.complexity, rf.t
 
 
-def check_theorem1(
-    l: int, t: int, n: int, *, expansion: int, first: int
-) -> list[BoundReport]:
-    """Both T1 bounds at prefix length n for an ultimately periodic sequence
-    with established (L, t) and first nonzero term at index first.
+def _theorem1_rows(l: int, t: int, n: int, expansion: int, first: int) -> list:
+    """The T1.lower, T1.upper and T1.remark rows at prefix length n of an
+    ultimately periodic sequence with established (L, t) and first nonzero
+    term at index first.
 
     A nonzero generating function can still have an all-zero length-n prefix
     (positive valuation); there the expansion complexity is 0 by convention
-    with no witness for the bounds to constrain, so both checks report
-    not-applicable, mirroring the explicit nonzero-prefix guard of the
-    prefix-based bounds.
+    with no witness for the bounds to constrain, so all three rows are not
+    applicable, mirroring the explicit nonzero-prefix guard of the
+    prefix-based bounds.  The remark, the exact value E_n = L - t + 1, also
+    needs t <= 2 and n > (L-t)(L-t+1).
     """
-    inputs = {"l": l, "t": t, "n": n}
+    inputs = (("l", l), ("t", t), ("n", n))
     if n <= first:
         return [
-            _not_applicable("T1.lower", inputs, "all-zero prefix"),
-            _not_applicable("T1.upper", inputs, "all-zero prefix"),
+            (claim, inputs, None, "all-zero prefix", None)
+            for claim in ("T1.lower", "T1.upper", "T1.remark")
         ]
+    if t > 2:
+        remark = ("T1.remark", inputs, None, "requires preperiod <= 2", None)
+    elif n <= (l - t) * (l - t + 1):
+        remark = ("T1.remark", inputs, None, "prefix too short for equality", None)
+    else:
+        remark = ("T1.remark", inputs, "==", l - t + 1, expansion)
     return [
-        _report("T1.lower", inputs, ">=", periodic_lower_bound(l, t, n), expansion),
-        _report("T1.upper", inputs, "<=", periodic_upper_bound(l, t), expansion),
+        ("T1.lower", inputs, ">=", periodic_lower_bound(l, t, n), expansion),
+        ("T1.upper", inputs, "<=", periodic_upper_bound(l, t), expansion),
+        remark,
     ]
+
+
+def check_theorem1(
+    l: int, t: int, n: int, *, expansion: int, first: int
+) -> list[BoundReport]:
+    """Both T1 bounds at prefix length n (see _theorem1_rows)."""
+    return [_report(*row) for row in _theorem1_rows(l, t, n, expansion, first)[:2]]
 
 
 def check_theorem1_remark(
     l: int, t: int, n: int, *, expansion: int, first: int
 ) -> BoundReport:
     """Exact value E_n = L - t + 1 when t <= 2 and n > (L-t)(L-t+1)."""
-    inputs = {"l": l, "t": t, "n": n}
-    if n <= first:
-        return _not_applicable("T1.remark", inputs, "all-zero prefix")
-    if t > 2:
-        return _not_applicable("T1.remark", inputs, "requires preperiod <= 2")
-    if n <= (l - t) * (l - t + 1):
-        return _not_applicable("T1.remark", inputs, "prefix too short for equality")
-    return _report("T1.remark", inputs, "==", l - t + 1, expansion)
+    return _report(*_theorem1_rows(l, t, n, expansion, first)[2])
 
 
 # -- prefix checks (no periodicity assumption) -------------------------------
@@ -307,7 +307,7 @@ def check_theorem4(fit: lincomp.LinearFit, expansion: int) -> list[BoundReport]:
     if fit.complexity == 0:
         raise ValueError("all-zero prefix is excluded")
     rows = _theorem4_rows(fit.n, fit.complexity, fit.t, expansion)
-    return [_from_row(row) for row in rows]
+    return [_report(*row) for row in rows]
 
 
 def _growth_rows(profile_e, m: int, l_n: int, l_m: int) -> list:
@@ -330,7 +330,7 @@ def check_growth(fits: list[lincomp.LinearFit], profile_e) -> list[BoundReport]:
     if len(fits) != len(profile_e):
         raise ValueError("profiles must cover the same prefix")
     return [
-        _from_row(row)
+        _report(*row)
         for m in range(2, len(profile_e) + 1)
         for row in _growth_rows(
             profile_e, m, fits[m - 2].complexity, fits[m - 1].complexity
@@ -341,7 +341,8 @@ def check_growth(fits: list[lincomp.LinearFit], profile_e) -> list[BoundReport]:
 def _upper_rows(p: int, n: int, profile_e, first: int, nonzero: int) -> list:
     """The R.* rows at length n >= 2 of a prefix whose first n terms are not
     all zero; nonzero counts the nonzero coefficients among the first n of
-    the Frobenius residual of n's k."""
+    the Frobenius residual of n's k.  check_misc_upper reads its claim ids
+    off these rows on an all-zero prefix too."""
     e_n = profile_e[n - 1]
     at_n = (("n", n),)
     # subadditivity over every split with a nonzero leading part; a split
@@ -385,13 +386,10 @@ def check_misc_upper(
     """
     if n < 2:
         raise ValueError("upper-bound remarks require n >= 2")
-    if first >= n:
-        return [
-            _not_applicable(claim, {"n": n}, "all-zero prefix")
-            for claim in ("R.simple", "R.kernel", "R.subadd", "R.frobenius")
-        ]
     rows = _upper_rows(p, n, profile_e, first, residual_nonzero)
-    return [_from_row(row) for row in rows]
+    if first >= n:
+        rows = [(row[0], (("n", n),), None, "all-zero prefix", None) for row in rows]
+    return [_report(*row) for row in rows]
 
 
 def _length_rows(p, m, first, residual_nonzero, l_prev, l_m, t_m, profile_e):
@@ -444,8 +442,9 @@ def run_all_checks(
 
     fits holds one fit per prefix length 1..n and expansion is the profile
     of the first n terms.  The growth rows of _length_rows at every m =
-    2..n come first, then its length rows at each m; T1 runs only when the
-    sequence declares its periodicity, on the (L, t) established once here.
+    2..n come first, then its length rows at each m, then the T1 rows at n
+    when the sequence declares its periodicity, on the (L, t) established
+    once here.  The rows become reports in one pass.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -462,14 +461,10 @@ def run_all_checks(
         )
         growth += step
         lengths += at_m
-    reports = [_from_row(row) for row in growth + lengths]
+    rows = growth + lengths
     if seq.meta is not None and first < len(seq.terms):
         t_decl, period = seq.meta
         if len(seq.terms) >= t_decl + 2 * period:
             l, t = _established_l_t(seq)
-            e_n = profile_e[n - 1]
-            reports.extend(check_theorem1(l, t, n, expansion=e_n, first=first))
-            reports.append(
-                check_theorem1_remark(l, t, n, expansion=e_n, first=first)
-            )
-    return reports
+            rows += _theorem1_rows(l, t, n, profile_e[n - 1], first)
+    return [_report(*row) for row in rows]

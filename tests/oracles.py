@@ -32,13 +32,14 @@ from seqcx.expcomp import (
     monomial_count,
 )
 from seqcx.field import Field, _poly_divmod, _trim
-from seqcx.lincomp import Sequence
+from seqcx.lincomp import RationalForm, Sequence
 from seqcx.series import (
     BivariatePoly,
     Poly,
     TruncatedSeries,
     _check_same_field,
     poly_pow,
+    rational_expand,
     series_mul,
 )
 
@@ -71,6 +72,19 @@ def min_recurrence_length_gf2(terms, n):
 def binomial_terms(p, k, length):
     """a_i = C(i+k, k) mod p via exact integer binomials."""
     return [math.comb((i % p) + k, k) % p for i in range(length)]
+
+
+def gf(spec):
+    """The rational generating function 1 / (1-x)^(k+1) of the binomial
+    family, validated against one period of binomial_terms before being
+    returned."""
+    field = Field(spec.p)
+    one = Poly(field, [1])
+    denom = poly_pow(Poly(field, [1, field.neg(1)]), spec.k + 1)
+    expanded = rational_expand(one, denom, spec.p)
+    if list(expanded.coeffs) != binomial_terms(spec.p, spec.k, spec.p):
+        raise RuntimeError("generating-function identity failed validation")
+    return RationalForm(one, denom, 0)
 
 
 def binomial_upper_bound_witness(spec):

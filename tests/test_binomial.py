@@ -5,15 +5,14 @@ from seqcx.binomial import (
     ExpansionPrediction,
     analyze,
     generate,
-    gf,
     predicted_expansion,
     predicted_linear_complexity,
 )
 from seqcx.expcomp import expansion_value
 from seqcx.field import is_prime
-from seqcx.series import series_mul, substitute
+from seqcx.series import rational_expand, series_mul, substitute
 
-from oracles import binomial_terms, binomial_upper_bound_witness, poly_to_series
+from oracles import binomial_terms, binomial_upper_bound_witness, gf, poly_to_series
 
 PRIMES_TO_31 = [p for p in range(2, 32) if is_prime(p)]
 
@@ -66,14 +65,14 @@ def test_gf_examples():
     rf = gf(BinomialSpec(7, 2))
     assert rf.f.coeffs == (1,)
     assert rf.g.degree == 3 and rf.t == 0
-    assert rf.expand(7).coeffs == (1, 3, 6, 3, 1, 0, 0)
+    assert rational_expand(rf.f, rf.g, 7).coeffs == (1, 3, 6, 3, 1, 0, 0)
 
     rf = gf(BinomialSpec(5, 1))
-    assert rf.expand(5).coeffs == (1, 2, 3, 4, 0)
+    assert rational_expand(rf.f, rf.g, 5).coeffs == (1, 2, 3, 4, 0)
 
     # k = p-1: 1/(1-x)^p = 1/(1-x^p), impulse train of period p
     rf = gf(BinomialSpec(5, 4))
-    assert rf.expand(10).coeffs == (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)
+    assert rational_expand(rf.f, rf.g, 10).coeffs == (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)
 
 
 def test_denominator_identity_spot():

@@ -90,7 +90,7 @@ def test_frobenius_rejects_negative(f7):
 
 @pytest.mark.parametrize("field", all_small_fields(), ids=lambda f: f"q{f.q}")
 def test_field_axioms_exhaustive(field):
-    elems = list(field.elements())
+    elems = list(range(field.q))
     for a in elems:
         assert field.add(a, 0) == a
         assert field.mul(a, 1) == a
@@ -120,8 +120,8 @@ def test_inverses_exhaustive(field):
 @pytest.mark.parametrize("field", all_small_fields(), ids=lambda f: f"q{f.q}")
 def test_frobenius_is_field_homomorphism(field):
     for k in (1, 2):
-        for a in field.elements():
-            for b in field.elements():
+        for a in range(field.q):
+            for b in range(field.q):
                 assert field.frobenius(field.add(a, b), k) == field.add(
                     field.frobenius(a, k), field.frobenius(b, k)
                 )
@@ -134,12 +134,12 @@ def test_frobenius_fixes_prime_fields():
     for p in (2, 3, 5, 7, 11):
         field = Field(p)
         for k in range(4):
-            for a in field.elements():
+            for a in range(field.q):
                 assert field.frobenius(a, k) == a
 
 
 def test_pow_matches_repeated_mul(f9):
-    for a in f9.elements():
+    for a in range(f9.q):
         acc = 1
         for e in range(6):
             assert f9.pow(a, e) == acc
@@ -147,7 +147,7 @@ def test_pow_matches_repeated_mul(f9):
 
 
 def test_coeff_roundtrip(f9):
-    for a in f9.elements():
+    for a in range(f9.q):
         assert f9.from_coeffs(f9.to_coeffs(a)) == a
 
 
@@ -157,6 +157,23 @@ def test_is_prime():
         assert is_prime(n) == (n in primes)
     assert not is_prime(1)
     assert not is_prime(0)
+    assert not is_prime(-7)
+
+
+def test_is_prime_against_a_sieve():
+    # every n up to 2^16 against the sieve of Eratosthenes, and the edge of
+    # PRIME_POWER_CAP = 2^20, whose largest prime below is 2^20 - 3
+    limit = 1 << 16
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, limit + 1, d)))
+    assert [n for n in range(limit + 1) if is_prime(n)] == [
+        n for n in range(limit + 1) if sieve[n]
+    ]
+    assert is_prime(1048573)
+    assert not is_prime(1048575) and not is_prime(PRIME_POWER_CAP)
 
 
 # -- table-driven arithmetic against the polynomial-basis oracle -------------
@@ -194,7 +211,7 @@ def test_oracle_inverse_matches_table_inverse(f9):
 @pytest.mark.parametrize("p,m", TABLE_FIELDS, ids=lambda v: str(v))
 def test_tables_match_polynomial_basis_every_pair(p, m):
     field = Field(p, m)
-    pairs = [(a, b) for a in field.elements() for b in field.elements()]
+    pairs = [(a, b) for a in range(field.q) for b in range(field.q)]
     _check_against_oracle(field, pairs, random.Random(f"pairs:{p}^{m}"))
 
 
@@ -227,7 +244,7 @@ def test_tables_with_nonprimitive_given_modulus():
     # walked over a generator other than x
     field = Field(2, 4, [1, 1, 1, 1, 1])
     assert field.pow(2, 5) == 1
-    pairs = [(a, b) for a in field.elements() for b in field.elements()]
+    pairs = [(a, b) for a in range(field.q) for b in range(field.q)]
     _check_against_oracle(field, pairs, random.Random("all-ones modulus"))
 
 

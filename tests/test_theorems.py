@@ -143,10 +143,15 @@ def test_remark_equality_cases(f2):
     seq = Sequence(f2, [0, 0, 0] + [1] * 9, meta=Periodicity(3, 1))
     rep = remark(seq, 10)
     assert rep.outcome == NOT_APPLICABLE
+    assert rep.inputs["reason"] == "requires preperiod <= 2"
+    assert all(r.passed for r in t1(seq, 10))
 
     # too-short prefix: n <= (L-t)(L-t+1)
     rep = remark(ones(f2, 10), 2)
     assert rep.outcome == NOT_APPLICABLE
+    assert rep.inputs == {"l": 1, "t": 0, "n": 2,
+                          "reason": "prefix too short for equality"}
+    assert rep.expected is None and rep.observed is None
 
 
 def test_check_theorem4_examples(f2):
@@ -244,8 +249,8 @@ def test_run_all_checks_is_growth_then_each_length(f2, f3, f4):
             nonzero = frobenius_nonzero(seq, n)
             first = _first_nonzero(seq)
             rows = {m: engine_rows(seq, n, m) for m in range(2, n + 1)}
-            growth = [theorems._from_row(r) for m in rows for r in rows[m][0]]
-            lengths = [theorems._from_row(r) for m in rows for r in rows[m][1]]
+            growth = [theorems._report(*r) for m in rows for r in rows[m][0]]
+            lengths = [theorems._report(*r) for m in rows for r in rows[m][1]]
             assert run_all(seq, n) == growth + lengths
             assert growth == check_growth(fits, profile.values)
             assert lengths == [
@@ -308,6 +313,12 @@ def test_misc_upper_not_applicable_for_zero_prefix(f2):
     seq = Sequence(f2, [0, 0, 0, 1])
     reports = misc(seq, 3)
     assert all(r.outcome == NOT_APPLICABLE for r in reports)
+    assert all(r.inputs == {"n": 3, "reason": "all-zero prefix"} for r in reports)
+    # an all-zero prefix names the same claims as a nonzero one, the
+    # Frobenius certificate included
+    nonzero = misc(Sequence(f2, [1, 0, 1, 1]), 3)
+    assert [r.claim_id for r in reports] == [r.claim_id for r in nonzero]
+    assert "R.frobenius.witness" in by_claim(reports)
 
 
 def test_frobenius_parameters_and_witness(f2, f3):
@@ -405,8 +416,11 @@ def test_theorem1_exhaustive_periodic_families(f2):
                                 assert rep.passed, (terms[:8], n, rep)
                             else:
                                 assert rep.outcome == NOT_APPLICABLE
+                                assert rep.inputs["reason"] == "all-zero prefix"
                         rep = remark(seq, n)
                         assert rep.outcome in (PASS, NOT_APPLICABLE)
+                        if not any(terms[:n]):
+                            assert rep.inputs["reason"] == "all-zero prefix"
                         checked += 1
     assert checked > 300
 
