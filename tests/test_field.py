@@ -152,17 +152,9 @@ def test_coeff_roundtrip(f9):
 
 
 def test_is_prime():
-    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
-    for n in range(2, 32):
-        assert is_prime(n) == (n in primes)
-    assert not is_prime(1)
-    assert not is_prime(0)
-    assert not is_prime(-7)
-
-
-def test_is_prime_against_a_sieve():
-    # every n up to 2^16 against the sieve of Eratosthenes, and the edge of
-    # PRIME_POWER_CAP = 2^20, whose largest prime below is 2^20 - 3
+    # every n up to 2^16 against the sieve of Eratosthenes (0 and 1 included),
+    # a negative n, and the edge of PRIME_POWER_CAP = 2^20, whose largest
+    # prime below is 2^20 - 3
     limit = 1 << 16
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
@@ -172,6 +164,7 @@ def test_is_prime_against_a_sieve():
     assert [n for n in range(limit + 1) if is_prime(n)] == [
         n for n in range(limit + 1) if sieve[n]
     ]
+    assert not is_prime(-7)
     assert is_prime(1048573)
     assert not is_prime(1048575) and not is_prime(PRIME_POWER_CAP)
 
