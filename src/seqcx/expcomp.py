@@ -33,8 +33,12 @@ and carry.
 Single sequences, verify and Monte Carlo run _sigma_pass, which pushes
 every term into the same sigma-basis, except over F_2: there _reduce_gf2
 reduces whole columns packed in ints, which is faster for one sequence.
-The tests check both engines against the generic column pass and row
-echelon that the sigma-basis replaced (tests/oracles.py).
+F_2 Monte Carlo runs blocks of samples through lane_profiles, the same
+step rule bit-sliced across samples, which yields E_m only; schedules past
+experiments.LANE_LENGTH_BOUND, and blocks with fewer samples than terms,
+take _reduce_gf2 per sample.  The tests check the engines against the
+generic column pass and row echelon that the sigma-basis replaced
+(tests/oracles.py), and the lanes against _profile.
 """
 
 from __future__ import annotations
@@ -476,11 +480,140 @@ class _SigmaBasisGF2(_SigmaBasis):
         rows[pivot] = prow << 1  # over the zero that XOR left if it was a hit
 
 
+def lane_profiles(columns, lanes: int):
+    """Yield E_m of many F_2 prefixes at once, for m = 1..n, n = len(columns).
+
+    The prefixes are bit-sliced: bit l of columns[i] is term s_i of lane l,
+    for lanes 0..lanes-1.  Each yield is a list onehot of D + 1 masks, D =
+    kernel_degree_bound(n): bit l of onehot[e] is set when lane l has E_m = e.
+
+    This is _SigmaBasisGF2's step rule run on every lane through masks, so
+    no lane branches, with a row held as its series h_j(x, G) mod x^n: the
+    residual at step r is coefficient r, and x times a row is a shift.
+    series[j][t] is coefficient t of row j in every lane, starting from G^j,
+    and keys[j][k] the lanes where row j has key k (a row whose key passes
+    D leaves keys[j] and is never read again).  The pivot is the row of
+    least (key, j) with a nonzero residual; it is XORed into every other
+    such row and then multiplied by x, and its key rises by one.  E_m is
+    the least key, or 0 while the prefix is all zero.  Rows carry no
+    coefficients, so no witness can be read off; each step checks both
+    guards of _SigmaBasis.push on every lane, and the first offending lane
+    raises through _growth_guard.
+    """
+    n = len(columns)
+    width = kernel_degree_bound(n) + 1
+    series, keys = _lane_start(columns, lanes, width)
+    full = (1 << lanes) - 1
+    nonzero = 0  # lanes with a nonzero term so far
+    previous = [full]  # E_0 = 0 in every lane
+    for r in range(n):
+        nonzero |= columns[r]
+        # pivots[j]: lanes whose pivot is row j; hits[j]: lanes where row j
+        # (of key <= D) has a nonzero residual
+        pivots, hits = [0] * width, [0] * width
+        taken = 0
+        for k in range(width):
+            for j in range(k + 1):
+                hit = keys[j][k] & series[j][r]
+                if hit:
+                    hits[j] |= hit
+                    hit &= ~taken
+                    if hit:
+                        # the pivot's key rises now: at key k + 1 its lanes
+                        # are taken, and already hits
+                        pivots[j] |= hit
+                        taken |= hit
+                        keys[j][k] ^= hit
+                        if k < width - 1:
+                            keys[j][k + 1] |= hit
+        if r + 1 < n and taken:
+            _lane_eliminate(series, pivots, hits, r)
+        onehot = [full & ~nonzero]
+        found = 0
+        for k in range(1, width):
+            level = 0
+            for j in range(k + 1):
+                level |= keys[j][k]
+            onehot.append(level & nonzero & ~found)
+            found |= level
+        _lane_guard(previous, onehot, nonzero & ~found, r + 1)
+        previous = onehot
+        yield onehot
+
+
+def _lane_start(columns, lanes: int, width: int):
+    """(series, keys) before the first term: row j is y^j, of key j in
+    every lane, and its series is G^j mod x^n, bit-sliced as columns is.
+    G^(2k) is G^k with x -> x^2, and G^(2k+1) is G^(2k) times G."""
+    n = len(columns)
+    full = (1 << lanes) - 1
+    keys = [[0] * width for _ in range(width)]
+    for j in range(width):
+        keys[j][j] = full
+    powers = [[full] + [0] * (n - 1)]
+    for j in range(1, width):
+        if j % 2 == 0:
+            power = [0] * n
+            power[::2] = powers[j // 2][: (n + 1) // 2]
+        else:
+            even = powers[j - 1]
+            power = [0] * n
+            for a in range(0, n, 2):
+                coeff = even[a]
+                if coeff:
+                    power[a:] = [c ^ (coeff & g) for c, g in zip(power[a:], columns)]
+        powers.append(power)
+    return powers, keys
+
+
+def _lane_eliminate(series, pivots, hits, r: int) -> None:
+    """Step r's elimination on coefficients r+1.. of every row: XOR the
+    lane's pivot row into each other hit row, then x times the pivot."""
+    pivot_tail = [0] * (len(series[0]) - r - 1)  # each lane's pivot row
+    for row, mask in zip(series, pivots):
+        if mask:
+            pivot_tail = [a ^ (c & mask) for a, c in zip(pivot_tail, row[r + 1:])]
+    for row, shift, hit in zip(series, pivots, hits):
+        add = hit & ~shift
+        if add and shift:
+            row[r + 1:] = [
+                a ^ (p & add) ^ ((a ^ b) & shift)
+                for a, b, p in zip(row[r + 1:], row[r:], pivot_tail)
+            ]
+        elif shift:
+            row[r + 1:] = [a ^ ((a ^ b) & shift) for a, b in zip(row[r + 1:], row[r:])]
+        elif add:
+            row[r + 1:] = [a ^ (p & add) for a, p in zip(row[r + 1:], pivot_tail)]
+
+
+def _lane_guard(previous, onehot, overrun: int, m: int) -> None:
+    """Raise through _growth_guard for the first lane whose E_m (onehot,
+    or past D in the lanes of overrun) breaks the counting bound or the
+    growth law from E_(m-1) (previous)."""
+    bad = overrun
+    for e, mask in enumerate(onehot):
+        if e * (e + 1) // 2 > m:
+            bad |= mask
+            continue
+        allowed = previous[e] if e < len(previous) else 0
+        if 0 < e <= len(previous):
+            allowed |= previous[e - 1]
+        if e == 2:
+            allowed |= previous[0]
+        bad |= mask & ~allowed
+    if bad:
+        lane = (bad & -bad).bit_length() - 1
+        lo = next(e for e, mask in enumerate(previous) if mask >> lane & 1)
+        hi = next((e for e, mask in enumerate(onehot) if mask >> lane & 1), len(onehot))
+        _growth_guard([lo], m, hi)
+
+
 def online_kernel(field: Field, n: int) -> _SigmaBasis:
     """An empty online sigma-basis for prefixes of up to n terms: one
     engine with two row representations, ints over F_2 and {key:
     coefficient} dicts over every other field.  Single F_2 sequences take
-    _reduce_gf2 instead (_kernel_pass)."""
+    _reduce_gf2 instead (_kernel_pass), and F_2 Monte Carlo blocks
+    lane_profiles."""
     return (_SigmaBasisGF2 if field.q == 2 else _SigmaBasis)(field, n)
 
 

@@ -44,7 +44,7 @@ import sys
 from array import array
 from functools import partial
 from itertools import product
-from operator import mul as _times
+from operator import itemgetter, mul as _times
 
 # Largest q supported.  An extension field holds 12 bytes of tables per
 # element (16 for odd p): 12 MiB for F_{2^20}.
@@ -469,18 +469,27 @@ def _zech_table(p: int, q: int, exp: array, log: array) -> array:
 
 def _op_tables(p: int, q: int, exp, log, zech) -> tuple[list, list]:
     """(add, mul) with add[a][b] = a + b and mul[a][b] = a * b in the
-    extension field F_q."""
-    elements = range(q)
+    extension field F_q, each row one gather in C."""
     logs = log[1:]  # of the nonzero elements, in order
-    mul = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
+    at_logs = itemgetter(*logs)
+    # row a = g^i: g^(i + j) for b = g^j is exp[i:][j]
+    mul = [[0] * q] + [[0, *at_logs(exp[i:i + q - 1])] for i in logs]
     if p == 2:
-        add = [[a ^ b for b in elements] for a in elements]
-    else:
-        # g^i + g^j = g^(i + zech[j - i]), and 0 where zech is -1
-        add = [list(elements)] + [
-            [a] + [exp[i + z] if z >= 0 else 0 for z in [zech[j - i] for j in logs]]
-            for a, i in zip(elements[1:], logs)
-        ]
+        # row a is row a - h with every entry XORed with h, h the top bit of a
+        rows = [bytes(range(q))]
+        while len(rows) < q:
+            flip = bytes(x ^ len(rows) for x in range(256))
+            rows += [row.translate(flip) for row in rows]
+        return [list(row) for row in rows], mul
+    # g^i + g^j = g^(i + zech[j - i]), and 0 where zech is -1: that index
+    # goes past exp, into zeros; zech0[-i:] + zech0[:-i] holds zech[j - i]
+    # at j
+    exp0 = list(exp) + [0] * (q - 1)
+    zech0 = [z if z >= 0 else 2 * (q - 1) for z in zech]
+    add = [list(range(q))] + [
+        [a, *itemgetter(*at_logs(zech0[-i:] + zech0[:-i]))(exp0[i:])]
+        for a, i in zip(range(1, q), logs)
+    ]
     return add, mul
 
 

@@ -15,7 +15,8 @@ in the library cannot vanish by checking itself.  The one exception is the
 per-leaf sweep, which runs the library's engines and battery on every
 leaf: it is the oracle for how the sweep shares that work between leaves,
 not for the work itself.  Field arithmetic here is per element, by add and
-mul, never through the Field's bulk kernels.
+mul, never through the Field's bulk kernels.  raised_key_start is no
+oracle but a fault: a corrupted start for the lane engine's guard tests.
 """
 
 import math
@@ -1001,3 +1002,21 @@ def per_leaf_sweep(field, n):
     return EnumerationResult(
         record, violations, dict(fails), witness_failures, True
     ).to_dict()
+
+
+def raised_key_start(pick, by, rows=None):
+    """A stand-in for expcomp._lane_start whose rows (every row by default)
+    start with key j + by, not j, in the lanes of the mask pick(columns); a
+    key past D drops the row there."""
+    real_start = expcomp._lane_start
+
+    def start(columns, lanes, width):
+        series, keys = real_start(columns, lanes, width)
+        mask = pick(columns)
+        for j in range(width) if rows is None else rows:
+            keys[j][j] ^= mask
+            if j + by < width:
+                keys[j][j + by] |= mask
+        return series, keys
+
+    return start

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import raised_key_start
+
 CMD = [sys.executable, "-m", "seqcx.cli"]
 
 
@@ -407,6 +409,24 @@ def test_internal_error_exit_4_one_error_line(monkeypatch, capsys, ones_file):
 
     monkeypatch.setattr(expcomp, "_kernel_pass", overrun)
     assert cli.main(["expcomp", "--input", ones_file, "--n", "5"]) == 4
+    res = capsys.readouterr()
+    assert "Traceback" not in res.err
+    assert res.err.splitlines() == [
+        "error: internal: kernel search overran its counting bound"
+    ]
+    assert res.out == ""
+
+
+def test_a_corrupted_lane_exits_4_with_one_error_line(monkeypatch, capsys, tmp_path):
+    # every row of the first lane with s_0 = 1 starts one key up, so that
+    # lane's E_1 is 2, past the counting bound
+    from seqcx import cli, expcomp
+
+    first_one = raised_key_start(lambda columns: columns[0] & -columns[0], 1)
+    monkeypatch.setattr(expcomp, "_lane_start", first_one)
+    argv = ["experiment", "--mode", "mc", "--q", "2", "--samples", "100",
+            "--schedule", "16,64", "--seed", "3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 4
     res = capsys.readouterr()
     assert "Traceback" not in res.err
     assert res.err.splitlines() == [

@@ -8,14 +8,17 @@ import pytest
 from seqcx import expcomp
 from seqcx.expcomp import (
     _kernel_pass,
+    _profile,
     _sigma_pass,
     _witness_from_combo,
     expansion_complexity,
     expansion_profile,
     expansion_value,
     kernel_degree_bound,
+    lane_profiles,
     monomial_count,
 )
+from seqcx.experiments import LANE_LENGTH_BOUND
 from seqcx.field import Field
 from seqcx.lincomp import Sequence
 from seqcx.seqfile import witness_triples
@@ -26,6 +29,7 @@ from oracles import (
     _OnlineKernel,
     _reduce_generic,
     brute_force_expansion,
+    raised_key_start,
     unshifted_expansion,
 )
 
@@ -514,3 +518,86 @@ def test_packed_sigma_pass_equals_packed_column_pass(f2):
             k = next(k for k, birth in enumerate(births) if birth >= m)
             assert isinstance(combs[k], int)
             assert combs[k] == want_combs[k], (terms, m)
+
+
+# -- the lane-parallel sigma-basis over F_2 -------------------------------------
+
+
+def lane_prefixes(rng, n, count):
+    """count prefixes of n terms over F_2, cycling through five kinds: terms
+    of density 0.5, 0.1 and 0.02, all zero, and zero but for a dense last
+    third (a first nonzero term that comes late, where E_m jumps 0 -> 2)."""
+    prefixes = []
+    for lane in range(count):
+        kind = lane % 5
+        if kind == 3:
+            prefixes.append([0] * n)
+        elif kind == 4:
+            late = 2 * n // 3
+            prefixes.append([0] * late + [rng.randrange(2) for _ in range(n - late)])
+        else:
+            density = (0.5, 0.1, 0.02)[kind]
+            prefixes.append([int(rng.random() < density) for _ in range(n)])
+    return prefixes
+
+
+def lane_columns(prefixes, n):
+    """Bit l of column i is term i of prefix l."""
+    return [sum(s[i] << lane for lane, s in enumerate(prefixes)) for i in range(n)]
+
+
+def lane_values(columns, count):
+    """E_1..E_n of every lane, read off lane_profiles' one-hot masks; a lane
+    in no mask or in two gets a list of the wrong length."""
+    values = [[] for _ in range(count)]
+    for onehot in lane_profiles(columns, count):
+        for e, mask in enumerate(onehot):
+            for lane in range(count):
+                if mask >> lane & 1:
+                    values[lane].append(e)
+    return values
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 65])
+def test_lane_profiles_equal_the_profile_of_every_lane(f2, count):
+    rng = random.Random(f"lanes:{count}")
+    jumps = 0
+    for n in range(1, 41):
+        prefixes = lane_prefixes(rng, n, count)
+        got = lane_values(lane_columns(prefixes, n), count)
+        want = [list(_profile(f2, s, n).values) for s in prefixes]
+        assert got == want, n
+        jumps += sum((0, 2) in zip(v, v[1:]) for v in want)
+    assert jumps > 0 or count == 1
+
+
+def test_lane_profiles_equal_the_profile_of_every_lane_at_the_bound(f2):
+    n = LANE_LENGTH_BOUND
+    prefixes = lane_prefixes(random.Random("lanes:bound"), n, 5)
+    got = lane_values(lane_columns(prefixes, n), 5)
+    assert got == [list(_profile(f2, s, n).values) for s in prefixes]
+
+
+def test_a_lane_with_raised_keys_breaks_the_growth_law(monkeypatch):
+    # lane 2 is zero for 10 terms; rows y..y^3 keep keys 3..5 (D = 5 at
+    # n = 16) while x^r outgrows D, so the first 1 pivots y to key 4 and
+    # E_11 = 4 > 2, inside the counting bound
+    prefixes = [[1] * 16, [0, 1] * 8, [0] * 10 + [1] * 6]
+    corrupted = raised_key_start(lambda columns: 1 << 2, 2, range(1, 6))
+    monkeypatch.setattr(expcomp, "_lane_start", corrupted)
+    profiles = lane_profiles(lane_columns(prefixes, 16), 3)
+    for _ in range(10):
+        next(profiles)
+    with pytest.raises(RuntimeError) as info:
+        next(profiles)
+    assert str(info.value) == "expansion profile growth violated at n=10: 0 -> 4"
+
+
+def test_a_lane_with_raised_keys_overruns_the_counting_bound(monkeypatch):
+    # every row of lane 1 starts one key up, so s_0 = 1 pivots 1 to key 2
+    # and E_1 = 2: the growth law allows 0 -> 2, the counting bound does not
+    prefixes = [[1] * 16, [1, 0] * 8]
+    monkeypatch.setattr(expcomp, "_lane_start", raised_key_start(lambda columns: 1 << 1, 1))
+    with pytest.raises(RuntimeError) as info:
+        next(lane_profiles(lane_columns(prefixes, 16), 2))
+    assert str(info.value) == "kernel search overran its counting bound"

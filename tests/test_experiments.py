@@ -312,9 +312,83 @@ def test_monte_carlo_matches_recorded_distributions():
 
 
 def test_monte_carlo_workers_invariant(f2):
-    base = MonteCarloConfig(f2, samples=40, seed=5, schedule=(8, 9))
-    split = MonteCarloConfig(f2, samples=40, seed=5, schedule=(8, 9), workers=3)
-    assert monte_carlo(base).to_dict() == monte_carlo(split).to_dict()
+    # 200 samples at n <= 64 make chunks of at least 64 lanes at every
+    # worker count; past the lane bound every sample runs alone
+    past = experiments.LANE_LENGTH_BOUND + 1
+    for samples, schedule in [(40, (8, 9)), (200, (16, 64)), (6, (5, past))]:
+        results = [
+            monte_carlo(MonteCarloConfig(
+                f2, samples=samples, seed=5, schedule=schedule, workers=workers,
+            )).to_dict()
+            for workers in (1, 2, 3)
+        ]
+        assert results[0] == results[1] == results[2], schedule
+
+
+def lane_spy(monkeypatch):
+    """Record the width of every block that runs as lanes."""
+    from seqcx import expcomp
+
+    widths = []
+    real = expcomp.lane_profiles
+
+    def spy(columns, lanes):
+        widths.append(lanes)
+        return real(columns, lanes)
+
+    monkeypatch.setattr(expcomp, "lane_profiles", spy)
+    return widths
+
+
+@pytest.mark.parametrize(
+    "samples, block, widths",
+    [
+        (16, None, [16]),  # no block narrower than its 16 terms runs as lanes
+        (63, None, [63]),
+        (64, None, [64]),
+        (65, None, [65]),
+        (21, 20, [20]),  # one past the block; the last sample runs alone
+        (37, 20, [20, 17]),
+        (41, 20, [20, 20]),
+    ],
+)
+def test_lane_blocks_equal_the_per_sample_loop(f2, monkeypatch, samples, block, widths):
+    cfg = MonteCarloConfig(f2, samples=samples, seed=9, schedule=(5, 16))
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "LANE_LENGTH_BOUND", 0)
+        want = monte_carlo(cfg).to_dict()
+    if block is not None:
+        monkeypatch.setattr(experiments, "LANE_BLOCK", block)
+    seen = lane_spy(monkeypatch)
+    assert monte_carlo(cfg).to_dict() == want
+    assert seen == widths
+
+
+@pytest.mark.parametrize("q, length, lanes", [
+    (2, experiments.LANE_LENGTH_BOUND, True),
+    (2, experiments.LANE_LENGTH_BOUND + 1, False),
+    (3, 16, False),
+])
+def test_only_f2_schedules_within_the_bound_run_as_lanes(monkeypatch, q, length, lanes):
+    # stand-ins for the sampler and both kernels: only the path is checked
+    from types import SimpleNamespace
+
+    from seqcx import expcomp
+
+    widths = []
+
+    def fake_lanes(columns, count):
+        widths.append(count)
+        for _ in columns:
+            yield [(1 << count) - 1]
+
+    monkeypatch.setattr(experiments, "sample_terms", lambda seed, j, n, q: [0] * n)
+    monkeypatch.setattr(expcomp, "lane_profiles", fake_lanes)
+    monkeypatch.setattr(
+        expcomp, "expansion_profile", lambda seq, n: SimpleNamespace(values=[0] * n)
+    )
+    monte_carlo(MonteCarloConfig(Field(q), samples=length, seed=4, schedule=(length,)))
+    assert widths == ([length] if lanes else [])
 
 
 class InProcessPool:

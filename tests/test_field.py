@@ -232,6 +232,18 @@ def test_tables_match_polynomial_basis_random_pairs(p, m, count):
     _check_against_oracle(field, pairs, rng, powers_every=20)
 
 
+@pytest.mark.parametrize("p, m", [(2, 8), (3, 5)], ids=str)
+def test_operation_tables_match_polynomial_basis(p, m):
+    # each table row is one gather (a translate for the XOR rows), so every
+    # entry of the two largest tabled fields is compared with the oracle
+    field = Field(p, m)
+    ref = PolyBasisField(field)
+    add, mul = field._ops
+    for a in range(field.q):
+        assert add[a] == [ref.add(a, b) for b in range(field.q)], a
+        assert mul[a] == [ref.mul(a, b) for b in range(field.q)], a
+
+
 def test_tables_with_nonprimitive_given_modulus():
     # x has order 5 modulo 1 + x + x^2 + x^3 + x^4, so the tables are
     # walked over a generator other than x
