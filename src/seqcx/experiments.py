@@ -62,7 +62,9 @@ is asymptotic.
 Sampling is counter-based: term i of sample j is derived by hashing
 (seed, j, i, attempt) and mapping the 64-bit draw into [0, q) by rejection,
 so results are independent of worker count and chunking.  Identical configs
-therefore produce bit-identical records.
+therefore produce bit-identical records.  One routine, _digests, lays out
+and hashes every draw's block; it runs on CPython's built-in SHA-256 where
+that imports and on hashlib's otherwise, and both give the same digests.
 
 Each mode has a config type holding only what it reads: ExhaustiveConfig
 (enumerate_all, tn_ambiguity_scan) and MonteCarloConfig (monte_carlo).
@@ -76,13 +78,21 @@ workers), so no chunk builds a field or a table of its own.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import ClassVar, Optional
+
+try:  # CPython's own SHA-256: no OpenSSL context per hash, and no _hashlib import
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import expcomp, lincomp, theorems
 from .field import Field
@@ -275,45 +285,51 @@ class LowExpansionProbe:
 # -- counter-based sampling ---------------------------------------------------
 
 _U64 = (1 << 64) - 1
+# a draw hashes the block (seed, stream, index, attempt) of four big-endian
+# 64-bit words; the (seed, stream) half is packed once per call
+_HALF = struct.Struct(">QQ")
+_BLOCK = struct.Struct(">16sQQ")
+
+
+def _digests(seed: int, stream: int, indices, attempt: int = 0) -> bytes:
+    """The SHA-256 digests of the blocks (seed, stream, i, attempt), for i
+    in indices, joined.
+
+    Every draw is hashed here, through C-level maps over one constructor.
+    """
+    half = _HALF.pack(seed & _U64, stream & _U64)
+    blocks = map(_BLOCK.pack, repeat(half), indices, repeat(attempt))
+    return b"".join(map(type(sha256()).digest, map(sha256, blocks)))
 
 
 def draw_element(seed: int, stream: int, index: int, q: int) -> int:
     """Uniform element of [0, q) from the counter (seed, stream, index).
 
-    Raw 64-bit hash outputs are mapped by rejection, so there is no modulo
-    bias; the attempt counter advances on the (astronomically rare) reject.
+    Raw 64-bit hash outputs (the first 8 digest bytes, big-endian) are
+    mapped by rejection, so there is no modulo bias; the attempt counter
+    advances on the (astronomically rare) reject.
     """
     limit = (1 << 64) // q * q
     attempt = 0
     while True:
-        block = struct.pack(">QQQQ", seed & _U64, stream & _U64, index, attempt)
-        value = int.from_bytes(hashlib.sha256(block).digest()[:8], "big")
+        value = int.from_bytes(_digests(seed, stream, (index,), attempt)[:8], "big")
         if value < limit:
             return value % q
         attempt += 1
 
 
-_PAIR = struct.Struct(">QQ")
-
-
 def sample_terms(seed: int, stream: int, length: int, q: int) -> list[int]:
     """draw_element(seed, stream, i, q) for i in range(length).
 
-    The (seed, stream) half of every hashed block is absorbed once, into a
-    hash state that each draw copies; a draw rejected on its first attempt
-    is redrawn by draw_element itself.
+    Every first attempt is hashed in one _digests call; a draw rejected
+    there is redrawn by draw_element itself.
     """
-    copy = hashlib.sha256(_PAIR.pack(seed & _U64, stream & _U64)).copy
-    pack = _PAIR.pack
-    from_bytes = int.from_bytes
+    values = struct.unpack(">" + "Q24x" * length, _digests(seed, stream, range(length)))
     limit = (1 << 64) // q * q
-    out = []
-    for i in range(length):
-        state = copy()
-        state.update(pack(i, 0))
-        value = from_bytes(state.digest()[:8], "big")
-        out.append(value % q if value < limit else draw_element(seed, stream, i, q))
-    return out
+    return [
+        value % q if value < limit else draw_element(seed, stream, i, q)
+        for i, value in enumerate(values)
+    ]
 
 
 # -- exhaustive enumeration ---------------------------------------------------
@@ -647,17 +663,22 @@ def _mc_chunk(field, schedule, seed, start, stop):
     return counters
 
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# the base-2 digit of a byte's low bit
+_LOW_BIT = bytes(b"01"[b & 1] for b in range(256))
 
 
 def _lane_columns(seed, start, stop, length) -> list:
     """Terms 0..length-1 of samples start..stop-1 over F_2, bit-sliced:
-    bit l of column i is term i of sample start + l."""
+    bit l of column i is term i of sample start + l.
+
+    Over F_2 no draw is rejected (2 divides 2^64), so term i is the low bit
+    of its draw's 64-bit word, byte 32 i + 7 of the sample's digests.
+    """
     terms = bytearray()
     for j in range(start, stop):
-        terms += bytes(sample_terms(seed, j, length, 2))
+        terms += _digests(seed, j, range(length))[7::32]
     # term i of every sample, lane 0 last, as base-2 digits
-    return [int(terms[i::length][::-1].translate(_DIGITS), 2) for i in range(length)]
+    return [int(terms[i::length][::-1].translate(_LOW_BIT), 2) for i in range(length)]
 
 
 def _mc_lanes(schedule, seed, start, stop, counters) -> None:

@@ -19,9 +19,9 @@ of that text encoded as UTF-8.
 
 from __future__ import annotations
 
-import hashlib
 from json.encoder import encode_basestring_ascii
 
+from .experiments import sha256
 from .field import Field, check_field_size
 from .lincomp import Periodicity, Sequence
 from .series import BivariatePoly
@@ -135,7 +135,7 @@ def format_sequence(seq: Sequence) -> str:
 
 
 def input_digest(seq: Sequence) -> str:
-    digest = hashlib.sha256(format_sequence(seq).encode("utf-8")).hexdigest()
+    digest = sha256(format_sequence(seq).encode("utf-8")).hexdigest()
     return f"sha256:{digest}"
 
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -277,7 +278,11 @@ def test_count_low_expansion_examples(f2):
         ).records[4], 1)
 
 
-def test_draw_element_deterministic_and_in_range(f3):
+def test_draw_element_deterministic_and_in_range(f3, monkeypatch):
+    # the SHA-256 constructor the sampler picked digests as hashlib's does
+    for size in (0, 16, 32, 64):
+        data = bytes(range(7, 7 + size))
+        assert experiments.sha256(data).digest() == hashlib.sha256(data).digest()
     values = [draw_element(7, 3, i, 3) for i in range(50)]
     assert values == [draw_element(7, 3, i, 3) for i in range(50)]
     assert all(0 <= v < 3 for v in values)
@@ -291,6 +296,10 @@ def test_draw_element_deterministic_and_in_range(f3):
             terms = sample_terms(seed, stream, 40, q)
             assert terms == [draw_element(seed, stream, i, q) for i in range(40)]
             assert all(0 <= v < q for v in terms)
+            # where no built-in SHA-256 imports, hashlib's draws the same terms
+            with monkeypatch.context() as patch:
+                patch.setattr(experiments, "sha256", hashlib.sha256)
+                assert sample_terms(seed, stream, 40, q) == terms
 
 
 def test_monte_carlo_reproducible(f2):
@@ -323,6 +332,21 @@ def test_monte_carlo_workers_invariant(f2):
             for workers in (1, 2, 3)
         ]
         assert results[0] == results[1] == results[2], schedule
+
+
+@pytest.mark.parametrize("length", [1, 16, 64])
+@pytest.mark.parametrize("lanes", [1, 63, 64, 65])
+def test_lane_columns_bit_slice_draw_element(monkeypatch, lanes, length):
+    # bit l of column i is draw_element(seed, start + l, i, 2), on the
+    # built-in SHA-256 and on hashlib's
+    seed, start = -1, 1 << 40
+    want = [
+        sum(draw_element(seed, start + l, i, 2) << l for l in range(lanes))
+        for i in range(length)
+    ]
+    assert experiments._lane_columns(seed, start, start + lanes, length) == want
+    monkeypatch.setattr(experiments, "sha256", hashlib.sha256)
+    assert experiments._lane_columns(seed, start, start + lanes, length) == want
 
 
 def lane_spy(monkeypatch):
@@ -370,7 +394,7 @@ def test_lane_blocks_equal_the_per_sample_loop(f2, monkeypatch, samples, block, 
     (3, 16, False),
 ])
 def test_only_f2_schedules_within_the_bound_run_as_lanes(monkeypatch, q, length, lanes):
-    # stand-ins for the sampler and both kernels: only the path is checked
+    # stand-ins for the digests and both kernels: only the path is checked
     from types import SimpleNamespace
 
     from seqcx import expcomp
@@ -382,7 +406,9 @@ def test_only_f2_schedules_within_the_bound_run_as_lanes(monkeypatch, q, length,
         for _ in columns:
             yield [(1 << count) - 1]
 
-    monkeypatch.setattr(experiments, "sample_terms", lambda seed, j, n, q: [0] * n)
+    monkeypatch.setattr(
+        experiments, "_digests", lambda seed, j, indices, attempt=0: bytes(32 * len(indices))
+    )
     monkeypatch.setattr(expcomp, "lane_profiles", fake_lanes)
     monkeypatch.setattr(
         expcomp, "expansion_profile", lambda seq, n: SimpleNamespace(values=[0] * n)
