@@ -26,19 +26,19 @@ multiplied by x: its column x^lead y^j is born at row r.  So x^i y^j
 depends on its predecessors on the first m rows exactly when i >= lead of
 row j, E_m is the least key, and the row that has it is the witness.  The
 exhaustive sweep pushes and pops a term per node (online_kernel).  Rows
-have two representations: {key: coefficient} dicts, and over F_2
-_SigmaBasisGF2's ints, one bit per monomial, with the same pivots, keys
-and carry.
+have three representations, with the same pivots, keys and carry:
+{key: coefficient} dicts; over F_2 _SigmaBasisGF2's ints, one bit per
+monomial; and for one F_2 prefix known up front, _SeriesGF2's ints, which
+also carry their series h(x, G) mod x^n.
 
 Single sequences, verify and Monte Carlo run _sigma_pass, which pushes
-every term into the same sigma-basis, except over F_2: there _reduce_gf2
-reduces whole columns packed in ints, which is faster for one sequence.
-F_2 Monte Carlo runs blocks of samples through lane_profiles, the same
-step rule bit-sliced across samples, which yields E_m only; schedules past
-experiments.LANE_LENGTH_BOUND, and blocks with fewer samples than terms,
-take _reduce_gf2 per sample.  The tests check the engines against the
-generic column pass and row echelon that the sigma-basis replaced
-(tests/oracles.py), and the lanes against _profile.
+every term into one sigma-basis: _SeriesGF2 over F_2, dict rows over every
+other field.  F_2 Monte Carlo runs blocks of samples through
+lane_profiles, the same step rule bit-sliced across samples, which yields
+E_m only; schedules past experiments.LANE_LENGTH_BOUND, and the samples
+left over from the blocks, take _sigma_pass one by one.  The tests check
+the engines against the generic column pass and row echelon that the
+sigma-basis replaced (tests/oracles.py), and the lanes against _profile.
 """
 
 from __future__ import annotations
@@ -84,17 +84,16 @@ class ExpansionWitness:
 
 @dataclass(frozen=True)
 class ExpansionProfile:
-    """E_1..E_n of one prefix, read off one column pass.
+    """E_1..E_n of one prefix, read off one pass of _sigma_pass.
 
     births holds the birth rows through the end of the degree block that
     holds the first column born at row n, and combs the combinations (keyed
     j * W + i for x^i y^j, W = kernel_degree_bound(n) + 1: {key:
-    coefficient} dicts, over F_2 int bit masks, bit key set) through that
-    column, so that witness(m) can build the certificate for any m on
-    demand; both are empty for an all-zero prefix.  Only the decisive
-    entries of combs are defined, those of the first column born at row
-    >= m for each m with E_m > 0: witness reads no other, and the others
-    may be None or stale.
+    coefficient} dicts, over F_2 ints with bit key set, whose bits from W^2
+    on are the row's series) through that column, so that witness(m) can
+    build the certificate for any m on demand; both are empty for an
+    all-zero prefix.  Only the decisive entries of combs are set, those of
+    the first column born at row >= m for each m: the others are None.
     """
 
     values: tuple[int, ...]
@@ -119,74 +118,22 @@ class ExpansionProfile:
         return ExpansionWitness(m, e, poly, rank, mcount)
 
 
-def _reduce_gf2(bits: int, n: int):
-    """(births, combs): the birth row and combination bit mask of each
-    canonical column, through the end of the first degree block that holds
-    a column born at row n, or of degree kernel_degree_bound(n).
-
-    A column and its combination travel as one int: rows in bits 0..n-1,
-    combination key k in bit n + k.  Only the columns G^j start from their
-    raw bits.  Column x^i G^j with i >= 1 starts as x times the reduced
-    x^(i-1) G^j, one shift that moves both halves (the row pushed past
-    x^(n-1) is dropped): that is the column plus x times earlier columns,
-    each itself an earlier column, so the birth rows are those of reducing
-    every column from scratch.  A reduction step is one lookup of the
-    lowest set bit among the pivots and one XOR.  Tracking every
-    combination costs next to nothing here.
-    """
-    top = 1 << n
-    keep = ~top
-    mask = top - 1
-    width = kernel_degree_bound(n) + 1
-    # G times every 4-bit polynomial, for a windowed carry-less multiply
-    times_g = [0] * 16
-    for k in range(1, 16):
-        low = k & -k
-        times_g[k] = times_g[k ^ low] ^ (bits << (low.bit_length() - 1))
-    pivots: dict[int, int] = {}
-    births, combs = [], []
-    power = 1  # G^d mod x^n
-    reduced: list[int] = []  # the previous degree block, reduced
-    for d in range(width):
-        if d:
-            acc = shift = 0
-            rest = power
-            while rest:
-                acc ^= times_g[rest & 15] << shift
-                rest >>= 4
-                shift += 4
-            power = acc & mask
-        block = [(row << 1) & keep for row in reduced]
-        block.append(power | top << d * width)
-        reduced = []
-        for row in block:
-            low = row & -row
-            while low < top:
-                hit = pivots.get(low)
-                if hit is None:
-                    pivots[low] = row
-                    break
-                row ^= hit
-                low = row & -row
-            reduced.append(row)
-            births.append(low.bit_length() - 1 if low < top else n)
-            combs.append(row >> n)
-        if n in births[-len(block):]:
-            break
-    return births, combs
-
-
 def _sigma_pass(field: Field, terms, n: int):
-    """(births, combs) from pushing every term into one online_kernel: the
+    """(births, combs) from pushing every term into one sigma-basis: the
     birth row of every column of degree <= D, and the combination of each
-    decisive column, keyed as _reduce_gf2 keys them, None at every other.
+    decisive column, None at every other.  A combination is a row, keyed as
+    _SigmaBasis keys them: over F_2 an int of _SeriesGF2, whose bits from
+    width^2 on are its series, every other field a {key: coefficient} dict.
 
     The decisive column at m is the one the least row leads after m
     pushes, and that row is its combination.  It is recorded the first time:
     the columns before it are independent there, so it is unique up to
     scale at every m at which that column is decisive.
     """
-    basis = online_kernel(field, n)
+    if field.q == 2:
+        basis = _SeriesGF2(field, n, terms)
+    else:
+        basis = _SigmaBasis(field, n)
     births = [n] * monomial_count(basis.width - 1)
     combs: list = [None] * len(births)
     keys = basis.keys
@@ -207,11 +154,7 @@ def _kernel_pass(field: Field, terms, n: int):
     """(births, combs) as tuples: births through the end of the degree block
     holding the first column born at row n, combs through that column.  A
     pass with no column born at row n has overrun the counting bound."""
-    if field.q == 2:
-        bits = sum(1 << idx for idx, s in enumerate(terms) if s)
-        births, combs = _reduce_gf2(bits, n)
-    else:
-        births, combs = _sigma_pass(field, terms, n)
+    births, combs = _sigma_pass(field, terms, n)
     if n not in births:
         raise RuntimeError("kernel search overran its counting bound")
     first = births.index(n)
@@ -221,7 +164,8 @@ def _kernel_pass(field: Field, terms, n: int):
 
 def _profile(field: Field, terms, n: int) -> ExpansionProfile:
     """E_m for m = 1..n from one pass over the first n terms: the one range
-    check of every public entry, and its growth-law guard."""
+    check of every public entry, and _growth_guard at every m, as push
+    and lane_profiles have it."""
     if not 0 <= n <= len(terms):
         raise ValueError(f"n={n} is outside 0..{len(terms)}")
     window = terms[:n]
@@ -237,12 +181,8 @@ def _profile(field: Field, terms, n: int) -> ExpansionProfile:
             if k == block_end:
                 degree += 1
                 block_end += degree + 1
+        _growth_guard(values, m, degree)
         values.append(degree)
-    for i, (lo, hi) in enumerate(zip(values, values[1:]), start=1):
-        if not (lo <= hi <= lo + 1 or (lo, hi) == (0, 2)):
-            raise RuntimeError(
-                f"expansion profile growth violated at n={i}: {lo} -> {hi}"
-            )
     return ExpansionProfile(tuple(values), field, births, combs)
 
 
@@ -259,9 +199,12 @@ def _normalized_witness(field: Field, terms: dict) -> BivariatePoly:
 
 
 def _witness_from_combo(field: Field, combo, width: int) -> BivariatePoly:
-    """Build the certificate polynomial from a column combination (an F_2 bit
-    mask, or {key: coefficient}, key j * width + i for x^i y^j)."""
+    """Build the certificate polynomial from a column combination (an F_2
+    int, bit key set, or {key: coefficient}; key j * width + i for x^i y^j).
+    An int's bits from width^2 on, the series of a _SeriesGF2 row, are not
+    read."""
     if isinstance(combo, int):
+        combo &= (1 << width * width) - 1
         combo = {t: 1 for t in range(combo.bit_length()) if (combo >> t) & 1}
     terms = {(t % width, t // width): c for t, c in combo.items() if c}
     return _normalized_witness(field, terms)
@@ -480,6 +423,54 @@ class _SigmaBasisGF2(_SigmaBasis):
         rows[pivot] = prow << 1  # over the zero that XOR left if it was a hit
 
 
+class _SeriesGF2(_SigmaBasisGF2):
+    """The packed sigma-basis of one F_2 prefix whose terms are known up
+    front, as _sigma_pass has them.  From bit width^2 on, a row also
+    carries its series h_j(x, G) mod x^n, bit a the coefficient of x^a, so
+    the residual at step r is one bit of the row, and the XOR and shift of
+    _eliminate move coefficients and series alike.  A live row's monomials
+    have i + j <= D, so its coefficients never reach i = width and none
+    spills into the series; bits a >= n of a series are never read.  The
+    powers G^j mod x^n are built once, by _start; series is unused.
+    """
+
+    def __init__(self, field: Field, n: int, terms):
+        self._bits = sum(1 << idx for idx, s in enumerate(terms) if s)
+        super().__init__(field, n)
+
+    def _start(self):
+        n, width = self.length, self.width
+        # G times every 4-bit polynomial, for a windowed carry-less multiply
+        times_g = [0] * 16
+        for k in range(1, 16):
+            low = k & -k
+            times_g[k] = times_g[k ^ low] ^ (self._bits << (low.bit_length() - 1))
+        mask = (1 << n) - 1
+        powers = [1]  # G^j mod x^n
+        for j in range(1, width):
+            if j % 2 == 0:
+                # G^j is G^(j/2) with x -> x^2: a 0 after every binary digit
+                power = int("0".join(bin(powers[j // 2])[2:]), 2)
+            else:
+                power = shift = 0
+                rest = powers[j - 1]
+                while rest:
+                    power ^= times_g[rest & 15] << shift
+                    rest >>= 4
+                    shift += 4
+            powers.append(power & mask)
+        base = width * width
+        return [power << base | 1 << j * width for j, power in enumerate(powers)], None
+
+    def _window(self, r: int) -> int:
+        """The bit of [x^r] h_j(x, G) in every row."""
+        return self.width * self.width + r
+
+    @staticmethod
+    def _residual(field: Field, row: int, bit: int) -> int:
+        return row >> bit & 1
+
+
 def lane_profiles(columns, lanes: int):
     """Yield E_m of many F_2 prefixes at once, for m = 1..n, n = len(columns).
 
@@ -611,9 +602,9 @@ def _lane_guard(previous, onehot, overrun: int, m: int) -> None:
 def online_kernel(field: Field, n: int) -> _SigmaBasis:
     """An empty online sigma-basis for prefixes of up to n terms: one
     engine with two row representations, ints over F_2 and {key:
-    coefficient} dicts over every other field.  Single F_2 sequences take
-    _reduce_gf2 instead (_kernel_pass), and F_2 Monte Carlo blocks
-    lane_profiles."""
+    coefficient} dicts over every other field.  A single F_2 sequence, all
+    of whose terms are known, runs the same engine on _SeriesGF2's rows
+    (_sigma_pass), and F_2 Monte Carlo blocks run lane_profiles."""
     return (_SigmaBasisGF2 if field.q == 2 else _SigmaBasis)(field, n)
 
 

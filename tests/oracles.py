@@ -619,8 +619,13 @@ def unshifted_expansion(field, terms, n):
 
 
 def _reduce_generic(field: Field, terms, n: int):
-    """(births, combs) as _reduce_gf2 returns them, with combinations as
-    {key: coefficient}; stored pivots are scaled to 1 at their birth row.
+    """(births, combs) of the canonical columns, through the end of the
+    first degree block that holds a column born at row n, or of degree
+    kernel_degree_bound(n): what expcomp._kernel_pass keeps of
+    _sigma_pass's, which it may stand in for.  Combinations are {key:
+    coefficient}, key j * width + i for x^i y^j, one for every column, not
+    only the decisive ones; stored pivots are scaled to 1 at their birth
+    row.
 
     Column x^i G^j with i >= 1 starts as x times the reduced x^(i-1) G^j:
     its rows move down by one, its combination keys up by one, and the

@@ -99,27 +99,40 @@ def test_diagnostics_fields(f2):
     assert wit.matrix_rank == 3
 
 
-def nonzero_terms(comb):
+def nonzero_terms(comb, width):
     """{key: coefficient} of the nonzero terms of a combination, whichever
-    row representation produced it."""
+    row representation produced it; bits from width^2 on, the series that
+    a _SeriesGF2 row carries, are masked."""
     if isinstance(comb, int):
+        comb &= (1 << width * width) - 1
         return {t: 1 for t in range(comb.bit_length()) if (comb >> t) & 1}
     return {t: c for t, c in comb.items() if c}
 
 
+def decisive_columns(births, n):
+    """The first column born at row >= m, for m = 1..n."""
+    return [next(k for k, birth in enumerate(births) if birth >= m)
+            for m in range(1, n + 1)]
+
+
 def assert_representations_agree(f2, bits):
-    # the same _kernel_pass over F_2, once on each reducer
+    # _kernel_pass over F_2 on the series rows, and on the generic column
+    # pass: the same births, and the same combination at every decisive
+    # column (over F_2, scale is 1); the series rows keep no other
     n = len(bits)
-    packed_births, packed_combs = _kernel_pass(f2, bits, n)
+    births, combs = _kernel_pass(f2, bits, n)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            expcomp, "_reduce_gf2",
-            lambda _bits, _n: _reduce_generic(f2, list(bits), n),
-        )
-        births, combs = _kernel_pass(f2, bits, n)
-    assert births == packed_births
-    assert len(combs) == len(packed_combs) == births.index(n) + 1
-    assert list(map(nonzero_terms, combs)) == list(map(nonzero_terms, packed_combs))
+        patch.setattr(expcomp, "_sigma_pass", _reduce_generic)
+        want_births, want_combs = _kernel_pass(f2, bits, n)
+    assert births == want_births
+    assert len(combs) == len(want_combs) == births.index(n) + 1
+    width = kernel_degree_bound(n) + 1
+    decisive = set(decisive_columns(births, n))
+    for k, (comb, want) in enumerate(zip(combs, want_combs)):
+        if k in decisive:
+            assert nonzero_terms(comb, width) == nonzero_terms(want, width), (bits, k)
+        else:
+            assert comb is None, (bits, k)
 
 
 def test_gf2_and_generic_paths_agree(f2):
@@ -412,14 +425,17 @@ def test_online_kernel_guards_its_invariants():
 # -- the elimination orders past n = 64 ----------------------------------------
 
 
-def assert_online_equals_column_pass(kernel, field, terms):
-    # the online engine pushes one term at a time; the column pass oracle
-    # reduces whole columns over all n terms at once
-    n = len(terms)
+def column_pass_profile(field, terms):
+    """expansion_profile of the terms run on the column pass oracle."""
     with pytest.MonkeyPatch.context() as patch:
-        if field.q != 2:
-            patch.setattr(expcomp, "_sigma_pass", _reduce_generic)
-        profile = expansion_profile(Sequence(field, terms), n)
+        patch.setattr(expcomp, "_sigma_pass", _reduce_generic)
+        return expansion_profile(Sequence(field, terms), len(terms))
+
+
+def assert_online_equals_profile(kernel, profile, terms):
+    # the online engine pushes one term at a time; the profile's pass has
+    # all n terms at once
+    n = len(terms)
     for m, s in enumerate(terms, start=1):
         kernel.push(s)
         if m in (n // 4, n // 2, n):
@@ -434,25 +450,31 @@ def test_online_kernel_equals_column_pass_on_long_prefixes(p, m, n):
     terms = [rng.randrange(field.q) for _ in range(n)]
     kernel = expcomp.online_kernel(field, n)
     assert type(kernel) is expcomp._SigmaBasis
-    assert_online_equals_column_pass(kernel, field, terms)
+    assert_online_equals_profile(kernel, column_pass_profile(field, terms), terms)
 
 
-def test_generic_online_kernel_equals_packed_column_pass_over_f2(f2):
-    # expansion_profile runs _reduce_gf2 over F_2; no online engine shares
-    # its packing or its elimination order
+def test_online_kernels_equal_column_pass_over_f2(f2):
+    # the row echelon and both sigma-basis row representations against the
+    # column pass, which shares no step with the sigma-basis
     rng = random.Random(256)
     terms = [rng.randrange(2) for _ in range(256)]
+    profile = column_pass_profile(f2, terms)
     for engine in (_OnlineKernel, expcomp._SigmaBasis, expcomp._SigmaBasisGF2):
-        assert_online_equals_column_pass(engine(f2, 256), f2, terms)
+        assert_online_equals_profile(engine(f2, 256), profile, terms)
 
 
 def test_packed_online_kernel_walks_2048_terms(f2):
-    # D = 63: a table of 2^span entries per power could not be built here
+    # D = 63: a table of 2^span entries per power could not be built here.
+    # The column pass oracle is too slow at this length, so the reference
+    # is expansion_profile's own pass, the series rows, whose G^j are built
+    # up front rather than a term at a time
     rng = random.Random(2048)
     terms = [rng.randrange(2) for _ in range(2048)]
     kernel = expcomp.online_kernel(f2, 2048)
     assert type(kernel) is expcomp._SigmaBasisGF2
-    assert_online_equals_column_pass(kernel, f2, terms)
+    assert_online_equals_profile(
+        kernel, expansion_profile(Sequence(f2, terms), 2048), terms
+    )
 
 
 def test_packed_sigma_basis_changes_only_the_row_arithmetic():
@@ -462,6 +484,12 @@ def test_packed_sigma_basis_changes_only_the_row_arithmetic():
     assert packed.__bases__ == (expcomp._SigmaBasis,)
     own = {name for name in vars(packed) if not name.startswith("__")}
     assert own == {"_start", "_window", "_residual", "_eliminate"}
+    # the series rows of a single F_2 sequence change only where G is read:
+    # they build G^j once, and the residual is one bit of the row
+    series = expcomp._SeriesGF2
+    assert series.__bases__ == (packed,)
+    own = {name for name in vars(series) if not name.startswith("__")}
+    assert own == {"_start", "_window", "_residual"}
 
 
 def _sigma_pass_inputs(field, rng):
@@ -500,24 +528,35 @@ def test_sigma_pass_equals_column_pass(p, m):
             assert got == _witness_from_combo(field, want_combs[k], width), (terms, m_)
 
 
-def test_packed_sigma_pass_equals_packed_column_pass(f2):
-    # the packed sigma-basis against _reduce_gf2, which single F_2 sequences
-    # run: births through the end of the decisive block, and every decisive
-    # combination (over F_2, scale is 1)
+def test_series_sigma_pass_equals_packed_walk(f2):
+    # the series rows that single F_2 sequences run, against the packed
+    # walk pushed term by term: the same births, and at every m the walk's
+    # least row is the decisive combination (over F_2, scale is 1).  The
+    # packed rows read G through a window of the prefix, the series rows
+    # through the powers built up front.  n = 1100 and 2048 are Monte
+    # Carlo's per-sample lengths past LANE_LENGTH_BOUND
     rng = random.Random(2)
-    for terms in _sigma_pass_inputs(f2, rng):
+    inputs = list(_sigma_pass_inputs(f2, rng))
+    for n in (1100, 2048):
+        assert n > LANE_LENGTH_BOUND
+        inputs.append([rng.randrange(2) for _ in range(n)])
+        inputs.append([int(rng.random() < 0.05) for _ in range(n - 1)] + [1])
+    for terms in inputs:
         if not any(terms):
             continue
         n = len(terms)
+        width = kernel_degree_bound(n) + 1
         births, combs = _sigma_pass(f2, terms, n)
-        bits = sum(1 << idx for idx, s in enumerate(terms) if s)
-        want_births, want_combs = expcomp._reduce_gf2(bits, n)
-        assert births[: len(want_births)] == want_births, terms
-        zeros = next(i for i, s in enumerate(terms) if s)
-        for m in range(zeros + 1, n + 1):
-            k = next(k for k, birth in enumerate(births) if birth >= m)
-            assert isinstance(combs[k], int)
-            assert combs[k] == want_combs[k], (terms, m)
+        walk = expcomp._SigmaBasisGF2(f2, n)
+        walked = [n] * len(births)
+        for m, (s, k) in enumerate(zip(terms, decisive_columns(births, n)), 1):
+            keys = walk.keys[:]
+            walk.push(s)
+            for j, (old, new) in enumerate(zip(keys, walk.keys)):
+                if old != new:
+                    walked[old * (old + 1) // 2 + j] = m - 1
+            assert combs[k] & (1 << width * width) - 1 == walk.rows[walk.best], (n, m)
+        assert walked == births, n
 
 
 # -- the lane-parallel sigma-basis over F_2 -------------------------------------
