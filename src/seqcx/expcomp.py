@@ -37,8 +37,9 @@ other field.  F_2 Monte Carlo runs blocks of samples through
 lane_profiles, the same step rule bit-sliced across samples, which yields
 E_m only; schedules past experiments.LANE_LENGTH_BOUND, and the samples
 left over from the blocks, take _sigma_pass one by one.  The tests check
-the engines against the generic column pass and row echelon that the
-sigma-basis replaced (tests/oracles.py), and the lanes against _profile.
+the engines against the column passes, packed over F_2 and generic, and
+the row echelon that the sigma-basis replaced (tests/oracles.py), and the
+lanes against _profile.
 """
 
 from __future__ import annotations
@@ -89,11 +90,11 @@ class ExpansionProfile:
     births holds the birth rows through the end of the degree block that
     holds the first column born at row n, and combs the combinations (keyed
     j * W + i for x^i y^j, W = kernel_degree_bound(n) + 1: {key:
-    coefficient} dicts, over F_2 ints with bit key set, whose bits from W^2
-    on are the row's series) through that column, so that witness(m) can
-    build the certificate for any m on demand; both are empty for an
-    all-zero prefix.  Only the decisive entries of combs are set, those of
-    the first column born at row >= m for each m: the others are None.
+    coefficient} dicts, over F_2 int bit masks, bit key set) through that
+    column, so that witness(m) can build the certificate for any m on
+    demand; both are empty for an all-zero prefix.  Only the decisive
+    entries of combs are set, those of the first column born at row >= m
+    for each m: the others are None.
     """
 
     values: tuple[int, ...]
@@ -121,9 +122,10 @@ class ExpansionProfile:
 def _sigma_pass(field: Field, terms, n: int):
     """(births, combs) from pushing every term into one sigma-basis: the
     birth row of every column of degree <= D, and the combination of each
-    decisive column, None at every other.  A combination is a row, keyed as
-    _SigmaBasis keys them: over F_2 an int of _SeriesGF2, whose bits from
-    width^2 on are its series, every other field a {key: coefficient} dict.
+    decisive column, None at every other.  A combination is a row's
+    coefficients, keyed as _SigmaBasis keys them: over F_2 the bits of a
+    _SeriesGF2 row below its series, every other field a {key:
+    coefficient} dict.
 
     The decisive column at m is the one the least row leads after m
     pushes, and that row is its combination.  It is recorded the first time:
@@ -132,8 +134,9 @@ def _sigma_pass(field: Field, terms, n: int):
     """
     if field.q == 2:
         basis = _SeriesGF2(field, n, terms)
+        mask = basis.coefficients
     else:
-        basis = _SigmaBasis(field, n)
+        basis, mask = _SigmaBasis(field, n), None
     births = [n] * monomial_count(basis.width - 1)
     combs: list = [None] * len(births)
     keys = basis.keys
@@ -146,7 +149,8 @@ def _sigma_pass(field: Field, terms, n: int):
         key = keys[best]
         k = key * (key + 1) // 2 + best
         if combs[k] is None:
-            combs[k] = basis.rows[best]
+            row = basis.rows[best]
+            combs[k] = row if mask is None else row & mask
     return births, combs
 
 
@@ -199,12 +203,9 @@ def _normalized_witness(field: Field, terms: dict) -> BivariatePoly:
 
 
 def _witness_from_combo(field: Field, combo, width: int) -> BivariatePoly:
-    """Build the certificate polynomial from a column combination (an F_2
-    int, bit key set, or {key: coefficient}; key j * width + i for x^i y^j).
-    An int's bits from width^2 on, the series of a _SeriesGF2 row, are not
-    read."""
+    """Build the certificate polynomial from a column combination (an F_2 bit
+    mask, or {key: coefficient}, key j * width + i for x^i y^j)."""
     if isinstance(combo, int):
-        combo &= (1 << width * width) - 1
         combo = {t: 1 for t in range(combo.bit_length()) if (combo >> t) & 1}
     terms = {(t % width, t // width): c for t, c in combo.items() if c}
     return _normalized_witness(field, terms)
@@ -431,7 +432,8 @@ class _SeriesGF2(_SigmaBasisGF2):
     _eliminate move coefficients and series alike.  A live row's monomials
     have i + j <= D, so its coefficients never reach i = width and none
     spills into the series; bits a >= n of a series are never read.  The
-    powers G^j mod x^n are built once, by _start; series is unused.
+    powers G^j mod x^n are built once, by _start; series is unused, and
+    coefficients masks the bits below the series.
     """
 
     def __init__(self, field: Field, n: int, terms):
@@ -460,6 +462,7 @@ class _SeriesGF2(_SigmaBasisGF2):
                     shift += 4
             powers.append(power & mask)
         base = width * width
+        self.coefficients = (1 << base) - 1
         return [power << base | 1 << j * width for j, power in enumerate(powers)], None
 
     def _window(self, r: int) -> int:

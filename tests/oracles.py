@@ -613,9 +613,70 @@ def unshifted_expansion(field, terms, n):
 
 # -- expansion complexity: a column pass and a row echelon -------------------
 #
-# Two generic eliminations that share no step with the library's
-# sigma-basis, kept as its oracles: the first reduces whole columns
-# top-down, the second holds them in row echelon form one term at a time.
+# Three eliminations that share no step with the library's sigma-basis,
+# kept as its oracles: a column pass over F_2 on columns packed in ints,
+# fast enough for n = 2048, and two generic ones, the first of which
+# reduces whole columns top-down, the second holds them in row echelon
+# form one term at a time.
+
+
+def _reduce_gf2(field: Field, terms, n: int):
+    """(births, combs) over F_2, which may stand in for _sigma_pass as
+    _reduce_generic does: the birth row and combination bit mask of each
+    canonical column, through the end of the first degree block that holds
+    a column born at row n, or of degree kernel_degree_bound(n).
+
+    A column and its combination travel as one int: rows in bits 0..n-1,
+    combination key k in bit n + k.  Only the columns G^j start from their
+    raw bits.  Column x^i G^j with i >= 1 starts as x times the reduced
+    x^(i-1) G^j, one shift that moves both halves (the row pushed past
+    x^(n-1) is dropped): that is the column plus x times earlier columns,
+    each itself an earlier column, so the birth rows are those of reducing
+    every column from scratch.  A reduction step is one lookup of the
+    lowest set bit among the pivots and one XOR.  Tracking every
+    combination costs next to nothing here.
+    """
+    bits = sum(1 << idx for idx, s in enumerate(terms) if s)
+    top = 1 << n
+    keep = ~top
+    mask = top - 1
+    width = kernel_degree_bound(n) + 1
+    # G times every 4-bit polynomial, for a windowed carry-less multiply
+    times_g = [0] * 16
+    for k in range(1, 16):
+        low = k & -k
+        times_g[k] = times_g[k ^ low] ^ (bits << (low.bit_length() - 1))
+    pivots: dict[int, int] = {}
+    births, combs = [], []
+    power = 1  # G^d mod x^n
+    reduced: list[int] = []  # the previous degree block, reduced
+    for d in range(width):
+        if d:
+            acc = shift = 0
+            rest = power
+            while rest:
+                acc ^= times_g[rest & 15] << shift
+                rest >>= 4
+                shift += 4
+            power = acc & mask
+        block = [(row << 1) & keep for row in reduced]
+        block.append(power | top << d * width)
+        reduced = []
+        for row in block:
+            low = row & -row
+            while low < top:
+                hit = pivots.get(low)
+                if hit is None:
+                    pivots[low] = row
+                    break
+                row ^= hit
+                low = row & -row
+            reduced.append(row)
+            births.append(low.bit_length() - 1 if low < top else n)
+            combs.append(row >> n)
+        if n in births[-len(block):]:
+            break
+    return births, combs
 
 
 def _reduce_generic(field: Field, terms, n: int):

@@ -27,6 +27,7 @@ from seqcx.series import BivariatePoly, substitute
 from oracles import (
     BRUTE_FORCE_CAP,
     _OnlineKernel,
+    _reduce_gf2,
     _reduce_generic,
     brute_force_expansion,
     raised_key_start,
@@ -99,12 +100,10 @@ def test_diagnostics_fields(f2):
     assert wit.matrix_rank == 3
 
 
-def nonzero_terms(comb, width):
+def nonzero_terms(comb):
     """{key: coefficient} of the nonzero terms of a combination, whichever
-    row representation produced it; bits from width^2 on, the series that
-    a _SeriesGF2 row carries, are masked."""
+    row representation produced it."""
     if isinstance(comb, int):
-        comb &= (1 << width * width) - 1
         return {t: 1 for t in range(comb.bit_length()) if (comb >> t) & 1}
     return {t: c for t, c in comb.items() if c}
 
@@ -126,11 +125,10 @@ def assert_representations_agree(f2, bits):
         want_births, want_combs = _kernel_pass(f2, bits, n)
     assert births == want_births
     assert len(combs) == len(want_combs) == births.index(n) + 1
-    width = kernel_degree_bound(n) + 1
     decisive = set(decisive_columns(births, n))
     for k, (comb, want) in enumerate(zip(combs, want_combs)):
         if k in decisive:
-            assert nonzero_terms(comb, width) == nonzero_terms(want, width), (bits, k)
+            assert nonzero_terms(comb) == nonzero_terms(want), (bits, k)
         else:
             assert comb is None, (bits, k)
 
@@ -425,11 +423,19 @@ def test_online_kernel_guards_its_invariants():
 # -- the elimination orders past n = 64 ----------------------------------------
 
 
-def column_pass_profile(field, terms):
-    """expansion_profile of the terms run on the column pass oracle."""
+def column_pass_profile(field, terms, reduce=_reduce_generic):
+    """expansion_profile of the terms run on a column pass oracle."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expcomp, "_sigma_pass", _reduce_generic)
+        patch.setattr(expcomp, "_sigma_pass", reduce)
         return expansion_profile(Sequence(field, terms), len(terms))
+
+
+def assert_profiles_equal(profile, want):
+    assert profile.values == want.values
+    n = len(want.values)
+    for m in range(1, n + 1):
+        if want.values[m - 1]:
+            assert profile.witness(m) == want.witness(m), m
 
 
 def assert_online_equals_profile(kernel, profile, terms):
@@ -453,28 +459,28 @@ def test_online_kernel_equals_column_pass_on_long_prefixes(p, m, n):
     assert_online_equals_profile(kernel, column_pass_profile(field, terms), terms)
 
 
-def test_online_kernels_equal_column_pass_over_f2(f2):
-    # the row echelon and both sigma-basis row representations against the
-    # column pass, which shares no step with the sigma-basis
+def test_generic_online_kernel_equals_packed_column_pass_over_f2(f2):
+    # the row echelon, all three sigma-basis row representations and the
+    # generic column pass against the packed column pass; no engine shares
+    # its packing or its elimination order
     rng = random.Random(256)
     terms = [rng.randrange(2) for _ in range(256)]
-    profile = column_pass_profile(f2, terms)
+    profile = column_pass_profile(f2, terms, _reduce_gf2)
     for engine in (_OnlineKernel, expcomp._SigmaBasis, expcomp._SigmaBasisGF2):
         assert_online_equals_profile(engine(f2, 256), profile, terms)
+    # expansion_profile's own pass, the series rows, at every m
+    assert_profiles_equal(expansion_profile(Sequence(f2, terms), 256), profile)
+    assert_profiles_equal(column_pass_profile(f2, terms), profile)
 
 
 def test_packed_online_kernel_walks_2048_terms(f2):
-    # D = 63: a table of 2^span entries per power could not be built here.
-    # The column pass oracle is too slow at this length, so the reference
-    # is expansion_profile's own pass, the series rows, whose G^j are built
-    # up front rather than a term at a time
+    # D = 63: a table of 2^span entries per power could not be built here
     rng = random.Random(2048)
     terms = [rng.randrange(2) for _ in range(2048)]
     kernel = expcomp.online_kernel(f2, 2048)
     assert type(kernel) is expcomp._SigmaBasisGF2
-    assert_online_equals_profile(
-        kernel, expansion_profile(Sequence(f2, terms), 2048), terms
-    )
+    profile = column_pass_profile(f2, terms, _reduce_gf2)
+    assert_online_equals_profile(kernel, profile, terms)
 
 
 def test_packed_sigma_basis_changes_only_the_row_arithmetic():
@@ -528,24 +534,45 @@ def test_sigma_pass_equals_column_pass(p, m):
             assert got == _witness_from_combo(field, want_combs[k], width), (terms, m_)
 
 
-def test_series_sigma_pass_equals_packed_walk(f2):
-    # the series rows that single F_2 sequences run, against the packed
-    # walk pushed term by term: the same births, and at every m the walk's
-    # least row is the decisive combination (over F_2, scale is 1).  The
-    # packed rows read G through a window of the prefix, the series rows
-    # through the powers built up front.  n = 1100 and 2048 are Monte
-    # Carlo's per-sample lengths past LANE_LENGTH_BOUND
+def _packed_sigma_pass_inputs(f2):
+    """_sigma_pass_inputs, then random and sparse prefixes of n = 1100 and
+    2048, Monte Carlo's per-sample lengths past LANE_LENGTH_BOUND."""
     rng = random.Random(2)
-    inputs = list(_sigma_pass_inputs(f2, rng))
+    yield from _sigma_pass_inputs(f2, rng)
     for n in (1100, 2048):
         assert n > LANE_LENGTH_BOUND
-        inputs.append([rng.randrange(2) for _ in range(n)])
-        inputs.append([int(rng.random() < 0.05) for _ in range(n - 1)] + [1])
-    for terms in inputs:
+        yield [rng.randrange(2) for _ in range(n)]
+        yield [int(rng.random() < 0.05) for _ in range(n - 1)] + [1]
+
+
+def test_packed_sigma_pass_equals_packed_column_pass(f2):
+    # the series rows that single F_2 sequences run against _reduce_gf2:
+    # births through the end of the decisive block, every decisive
+    # combination (over F_2, scale is 1), and None at every other column
+    for terms in _packed_sigma_pass_inputs(f2):
         if not any(terms):
             continue
         n = len(terms)
-        width = kernel_degree_bound(n) + 1
+        births, combs = _sigma_pass(f2, terms, n)
+        want_births, want_combs = _reduce_gf2(f2, terms, n)
+        assert births[: len(want_births)] == want_births, n
+        decisive = set(decisive_columns(births, n))
+        for k, comb in enumerate(combs):
+            if k in decisive:
+                assert comb == want_combs[k], (n, k)
+            else:
+                assert comb is None, (n, k)
+
+
+def test_series_sigma_pass_equals_packed_walk(f2):
+    # the series rows against the packed walk pushed term by term: the
+    # same births, and at every m the walk's least row is the decisive
+    # combination.  The packed rows read G through a window of the prefix,
+    # the series rows through the powers built up front
+    for terms in _packed_sigma_pass_inputs(f2):
+        if not any(terms):
+            continue
+        n = len(terms)
         births, combs = _sigma_pass(f2, terms, n)
         walk = expcomp._SigmaBasisGF2(f2, n)
         walked = [n] * len(births)
@@ -555,7 +582,7 @@ def test_series_sigma_pass_equals_packed_walk(f2):
             for j, (old, new) in enumerate(zip(keys, walk.keys)):
                 if old != new:
                     walked[old * (old + 1) // 2 + j] = m - 1
-            assert combs[k] & (1 << width * width) - 1 == walk.rows[walk.best], (n, m)
+            assert combs[k] == walk.rows[walk.best], (n, m)
         assert walked == births, n
 
 
